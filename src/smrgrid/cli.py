@@ -398,6 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         TraceError,
         sc.ScenarioError,
         dyn.SimulationError,
+        pf.SingularJacobianError,
         ValueError,
         OSError,
     ) as exc:

@@ -24,7 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .network import AdmittanceMatrix, BusKind, NetworkCase, build_ybus
+from .network import (
+    AdmittanceMatrix,
+    BusKind,
+    NetworkCase,
+    branch_admittances,
+    build_ybus,
+)
 from .powerflow import PowerFlowSolution
 
 F_NOMINAL_HZ = 60.0
@@ -455,20 +461,6 @@ def initialize_devices(
 # -- transient engine --------------------------------------------------------
 
 
-def _branch_stamp(case: NetworkCase, k: int) -> sp.coo_matrix:
-    """The 2x2 pi-model contribution of branch k as a full-size sparse matrix."""
-    br = case.branches[k]
-    i = case.bus_index(br.from_bus)
-    j = case.bus_index(br.to_bus)
-    ys = 1.0 / complex(br.r, br.x)
-    bc = 0.5j * br.b_shunt
-    t = br.tap
-    vals = np.array([(ys + bc) / (t * t), -ys / t, -ys / t, ys + bc])
-    return sp.coo_matrix(
-        (vals, ([i, i, j, j], [i, j, i, j])), shape=(case.n_bus, case.n_bus)
-    )
-
-
 class _Network:
     """Augmented admittance matrix with load/machine stamps and event state."""
 
@@ -479,7 +471,7 @@ class _Network:
         s_load: np.ndarray,
         v0: np.ndarray,
     ):
-        self.case = case
+        self.branches = branch_admittances(case)
         self.ybase = ybase
         self.n = case.n_bus
         vm2 = np.abs(v0) ** 2
@@ -490,9 +482,9 @@ class _Network:
         self.lu = None
 
     def refactor(self, models: list[_MachineModel]):
-        y = self.ybase.copy()
-        for k in self.tripped:
-            y = y - _branch_stamp(self.case, k).tocsc()
+        y = self.ybase
+        if self.tripped:
+            y = y - self.branches.stamp(self.n, np.array(sorted(self.tripped)))
         diag = self.y_load + self.load_extra
         for m in models:
             if m.active:

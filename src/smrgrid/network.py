@@ -178,32 +178,63 @@ class AdmittanceMatrix:
         return self.matrix.toarray()
 
 
+@dataclass(frozen=True)
+class BranchAdmittances:
+    """Pi-model admittances of every branch, in case order.
+
+    Branch k injects ``I_f = yff*V_f + yft*V_t`` at its from bus ``f[k]`` and
+    ``I_t = ytf*V_f + ytt*V_t`` at its to bus ``t[k]``. The off-nominal tap
+    sits on the from side. Out-of-service branches have zero admittances.
+    """
+
+    f: np.ndarray  # from-bus index
+    t: np.ndarray  # to-bus index
+    yff: np.ndarray
+    yft: np.ndarray
+    ytf: np.ndarray
+    ytt: np.ndarray
+    in_service: np.ndarray  # bool
+
+    def stamp(self, n: int, k: np.ndarray) -> sp.csc_matrix:
+        """The n x n nodal admittance contribution of the branches k."""
+        f, t = self.f[k], self.t[k]
+        # Entries interleaved per branch so duplicates sum in branch order.
+        rows = np.column_stack([f, f, t, t]).ravel()
+        cols = np.column_stack([f, t, f, t]).ravel()
+        vals = np.column_stack(
+            [self.yff[k], self.yft[k], self.ytf[k], self.ytt[k]]
+        ).ravel()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+
+
+def branch_admittances(case: NetworkCase) -> BranchAdmittances:
+    """The standard pi branch model of every branch, vectorised."""
+    brs = case.branches
+    on = np.array([br.status for br in brs], dtype=bool)
+    z = np.array([complex(br.r, br.x) for br in brs], dtype=complex)
+    bc = 0.5j * np.array([br.b_shunt for br in brs], dtype=float)
+    tap = np.array([br.tap for br in brs], dtype=float)
+    # Out-of-service branches may have zero impedance; leave them at zero.
+    ys = np.zeros(len(brs), dtype=complex)
+    ys[on] = 1.0 / z[on]
+    bc[~on] = 0.0
+    yft = -ys / tap
+    return BranchAdmittances(
+        f=np.array([case.bus_index(br.from_bus) for br in brs], dtype=int),
+        t=np.array([case.bus_index(br.to_bus) for br in brs], dtype=int),
+        yff=(ys + bc) / (tap * tap),
+        yft=yft,
+        ytf=yft,
+        ytt=ys + bc,
+        in_service=on,
+    )
+
+
 def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
     """Assemble the nodal admittance matrix with the standard pi branch model."""
-    n = case.n_bus
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for br in case.branches:
-        if not br.status:
-            continue
-        i = case.bus_index(br.from_bus)
-        j = case.bus_index(br.to_bus)
-        ys = 1.0 / complex(br.r, br.x)
-        bc = 0.5j * br.b_shunt
-        t = br.tap
-        # From side carries the off-nominal tap.
-        yff = (ys + bc) / (t * t)
-        yft = -ys / t
-        ytf = -ys / t
-        ytt = ys + bc
-        rows += [i, i, j, j]
-        cols += [i, j, i, j]
-        vals += [yff, yft, ytf, ytt]
-    y = sp.coo_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(n, n)
-    ).tocsc()
-    return AdmittanceMatrix(dimension=n, matrix=y)
+    br = branch_admittances(case)
+    y = br.stamp(case.n_bus, np.flatnonzero(br.in_service))
+    return AdmittanceMatrix(dimension=case.n_bus, matrix=y)
 
 
 # -- JSON case file boundary -------------------------------------------------

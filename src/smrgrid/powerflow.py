@@ -2,7 +2,15 @@
 
 Produces the pre-fault operating point for each 5-minute load snapshot.
 Non-convergence is a result state (converged=False), not an exception, so
-batch sweeps can record failures and continue.
+batch sweeps can record failures and continue. A singular Jacobian raises
+SingularJacobianError, which sweeps record as a non-converged bin.
+
+The Jacobian is assembled into a fixed sparsity pattern: each Newton loop
+holds the Y-bus and the PV/PQ partition fixed, so jacobian_pattern computes
+the CSC structure and the scatter indices once per loop, and every
+iteration only computes the per-entry derivative values and sums them into
+the CSC data with one bincount. compute_jacobian returns CSC, which the
+sparse solver takes without conversion.
 """
 
 from __future__ import annotations
@@ -13,7 +21,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .network import AdmittanceMatrix, Bus, BusKind, NetworkCase, build_ybus
+from .network import (
+    AdmittanceMatrix,
+    BusKind,
+    NetworkCase,
+    branch_admittances,
+    build_ybus,
+)
 
 
 class SingularJacobianError(Exception):
@@ -72,20 +86,83 @@ def compute_mismatch(
     v: np.ndarray,
     pv_idx: np.ndarray | None = None,
     pq_idx: np.ndarray | None = None,
+    s_sched: np.ndarray | None = None,
 ) -> np.ndarray:
     """Power mismatch [dP at PV+PQ buses; dQ at PQ buses] in bus order, pu.
 
     dP/dQ = scheduled minus computed injection, so at flat start with a pure
-    load the mismatch equals the negated load.
+    load the mismatch equals the negated load. s_sched, when given, is
+    scheduled_injection(case), hoisted by callers that hold the case fixed.
     """
     if pv_idx is None or pq_idx is None:
         pv_idx, pq_idx = _bus_partitions(case)
-    s_sched = scheduled_injection(case)
+    if s_sched is None:
+        s_sched = scheduled_injection(case)
     s_calc = v * np.conj(ybus.matrix @ v)
     ds = s_sched - s_calc
     pvpq = np.concatenate([pv_idx, pq_idx])
     pvpq.sort()
     return np.concatenate([ds[pvpq].real, ds[pq_idx].imag])
+
+
+@dataclass(frozen=True)
+class JacobianPattern:
+    """Fixed CSC structure of the Jacobian for one (Y-bus, PV/PQ partition).
+
+    Each Y-bus entry (rows, cols, y), followed by one diagonal term per bus,
+    contributes a dS/dth and a dS/d|V| value. Of the stacked vector
+    [dS/dth.real, dS/dth.imag, dS/d|V|.real, dS/d|V|.imag], the elements at
+    ``src`` fall inside the J11/J21/J12/J22 blocks and sum into
+    ``data[dest]`` of the CSC matrix (indices, indptr).
+    """
+
+    rows: np.ndarray  # bus row of each Y-bus entry
+    cols: np.ndarray  # bus column of each Y-bus entry
+    y: np.ndarray  # Y-bus entry values
+    src: np.ndarray
+    dest: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    dim: int
+
+
+def jacobian_pattern(
+    ybus: AdmittanceMatrix, pv_idx: np.ndarray, pq_idx: np.ndarray
+) -> JacobianPattern:
+    """Scatter indices of every Jacobian term into a fixed CSC structure."""
+    n = ybus.dimension
+    y = ybus.matrix.tocoo()
+    pvpq = np.sort(np.concatenate([pv_idx, pq_idx]))
+    npvpq = len(pvpq)
+    dim = npvpq + len(pq_idx)
+    # Jacobian row/column of each bus's angle (dP row) and magnitude (dQ
+    # row) unknown; -1 where the bus has none.
+    ith = np.full(n, -1)
+    ith[pvpq] = np.arange(npvpq)
+    ivm = np.full(n, -1)
+    ivm[pq_idx] = npvpq + np.arange(len(pq_idx))
+    r = np.concatenate([y.row, np.arange(n)])
+    c = np.concatenate([y.col, np.arange(n)])
+    src, jr, jc = [], [], []
+    # (stacked part, row map, column map): J11, J21, J12, J22.
+    for part, rmap, cmap in ((0, ith, ith), (1, ivm, ith), (2, ith, ivm), (3, ivm, ivm)):
+        rr, cc = rmap[r], cmap[c]
+        keep = np.flatnonzero((rr >= 0) & (cc >= 0))
+        src.append(part * len(r) + keep)
+        jr.append(rr[keep])
+        jc.append(cc[keep])
+    jr, jc = np.concatenate(jr), np.concatenate(jc)
+    slots, dest = np.unique(jc * dim + jr, return_inverse=True)
+    return JacobianPattern(
+        rows=y.row.astype(np.intp),
+        cols=y.col.astype(np.intp),
+        y=y.data,
+        src=np.concatenate(src),
+        dest=dest,
+        indices=(slots % dim).astype(np.int32),
+        indptr=np.searchsorted(slots, dim * np.arange(dim + 1)).astype(np.int32),
+        dim=dim,
+    )
 
 
 def compute_jacobian(
@@ -94,26 +171,30 @@ def compute_jacobian(
     v: np.ndarray,
     pv_idx: np.ndarray | None = None,
     pq_idx: np.ndarray | None = None,
-) -> sp.csr_matrix:
+    pattern: JacobianPattern | None = None,
+) -> sp.csc_matrix:
     """Polar-form Jacobian [dP/dth dP/dVm; dQ/dth dQ/dVm] of the computed
-    injections, row/column ordered as compute_mismatch unknowns."""
-    if pv_idx is None or pq_idx is None:
-        pv_idx, pq_idx = _bus_partitions(case)
-    y = ybus.matrix
-    n = len(v)
-    ibus = y @ v
-    diag_v = sp.diags(v)
-    diag_i = sp.diags(ibus)
-    diag_vnorm = sp.diags(v / np.abs(v))
-    ds_dth = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
-    ds_dvm = diag_v @ np.conj(y @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-    pvpq = np.concatenate([pv_idx, pq_idx])
-    pvpq.sort()
-    j11 = ds_dth[pvpq, :][:, pvpq].real
-    j12 = ds_dvm[pvpq, :][:, pq_idx].real
-    j21 = ds_dth[pq_idx, :][:, pvpq].imag
-    j22 = ds_dvm[pq_idx, :][:, pq_idx].imag
-    return sp.bmat([[j11, j12], [j21, j22]], format="csr")
+    injections, row/column ordered as compute_mismatch unknowns, as CSC.
+
+    pattern, when given, is jacobian_pattern(ybus, pv_idx, pq_idx), built
+    once by callers that hold the Y-bus and the partition fixed.
+    """
+    if pattern is None:
+        if pv_idx is None or pq_idx is None:
+            pv_idx, pq_idx = _bus_partitions(case)
+        pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
+    p = pattern
+    vm = np.abs(v)
+    ibus = ybus.matrix @ v
+    # Y-bus entry (r, c): dS_r/dth_c = -j V_r conj(y V_c) and
+    # dS_r/d|V_c| = V_r conj(y V_c) / |V_c|; plus the bus diagonal terms
+    # j V conj(I) and conj(I) V / |V|.
+    a = v[p.rows] * np.conj(p.y * v[p.cols])
+    ds_dth = np.concatenate([-1j * a, 1j * v * np.conj(ibus)])
+    ds_dvm = np.concatenate([a / vm[p.cols], np.conj(ibus) * v / vm])
+    parts = np.concatenate([ds_dth.real, ds_dth.imag, ds_dvm.real, ds_dvm.imag])
+    data = np.bincount(p.dest, weights=parts[p.src], minlength=len(p.indices))
+    return sp.csc_matrix((data, p.indices, p.indptr), shape=(p.dim, p.dim))
 
 
 def _bus_partitions(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
@@ -151,16 +232,20 @@ def _nr_core(case, ybus, v0, opts):
     pvpq = np.concatenate([pv_idx, pq_idx])
     pvpq.sort()
     npq = len(pq_idx)
+    s_sched = scheduled_injection(case)
+    pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
     v = v0.copy()
-    mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx)
+    mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx, s_sched)
     norm = np.max(np.abs(mis)) if mis.size else 0.0
     norms = [norm]
     it = 0
     while norm > opts.tol and it < opts.max_iter:
-        jac = compute_jacobian(case, ybus, v, pv_idx, pq_idx)
+        jac = compute_jacobian(case, ybus, v, pv_idx, pq_idx, pattern)
+        # spsolve reports a singular factor as MatrixRankWarning plus a NaN
+        # result; the warning arrives as an exception when warnings are errors.
         try:
-            dx = spla.spsolve(jac.tocsc(), mis)
-        except RuntimeError as exc:
+            dx = spla.spsolve(jac, mis)
+        except (RuntimeError, spla.MatrixRankWarning) as exc:
             raise SingularJacobianError(it) from exc
         if not np.all(np.isfinite(dx)):
             raise SingularJacobianError(it)
@@ -170,7 +255,7 @@ def _nr_core(case, ybus, v0, opts):
         if npq:
             vm[pq_idx] += dx[len(pvpq):]
         v = vm * np.exp(1j * th)
-        mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx)
+        mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx, s_sched)
         norm = np.max(np.abs(mis)) if mis.size else 0.0
         norms.append(norm)
         it += 1
@@ -317,22 +402,15 @@ class BranchFlow:
 
 
 def branch_flows(case: NetworkCase, v: np.ndarray) -> list[BranchFlow]:
-    flows = []
-    for br in case.branches:
-        if not br.status:
-            continue
-        i = case.bus_index(br.from_bus)
-        j = case.bus_index(br.to_bus)
-        ys = 1.0 / complex(br.r, br.x)
-        bc = 0.5j * br.b_shunt
-        t = br.tap
-        vf, vt = v[i], v[j]
-        i_f = (ys + bc) / (t * t) * vf - ys / t * vt
-        i_t = (ys + bc) * vt - ys / t * vf
-        flows.append(
-            BranchFlow(br.from_bus, br.to_bus, vf * np.conj(i_f), vt * np.conj(i_t))
-        )
-    return flows
+    br = branch_admittances(case)
+    k = np.flatnonzero(br.in_service)
+    vf, vt = v[br.f[k]], v[br.t[k]]
+    s_from = vf * np.conj(br.yff[k] * vf + br.yft[k] * vt)
+    s_to = vt * np.conj(br.ytf[k] * vf + br.ytt[k] * vt)
+    return [
+        BranchFlow(case.branches[i].from_bus, case.branches[i].to_bus, sf, st)
+        for i, sf, st in zip(k, s_from, s_to)
+    ]
 
 
 def total_losses(case: NetworkCase, v: np.ndarray) -> complex:

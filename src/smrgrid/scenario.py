@@ -191,8 +191,9 @@ def snapshot_sweep(
     cfg: Configuration,
     opts: pf.PowerFlowOptions = pf.PowerFlowOptions(),
 ) -> SweepResult:
-    """One power-flow solve per profile bin; non-convergence is recorded,
-    not fatal. Warm-started from the previous bin's solution."""
+    """One power-flow solve per profile bin; non-convergence, including a
+    singular Jacobian, is recorded, not fatal. Warm-started from the previous
+    bin's converged solution."""
     if len(profile) == 0:
         raise ScenarioError("empty profile")
     n = len(profile)
@@ -205,7 +206,11 @@ def snapshot_sweep(
     v_warm = None
     for k in range(n):
         snap, _ = snapshot_case(case, cfg, float(profile.p_total[k]))
-        sol = pf.solve(snap, ybus, opts, v0=v_warm)
+        try:
+            sol = pf.solve(snap, ybus, opts, v0=v_warm)
+        except pf.SingularJacobianError:
+            v_warm = None
+            continue
         conv[k] = sol.converged
         iters[k] = sol.iterations
         if sol.converged:

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from smrgrid import powerflow as pf
 from smrgrid.cli import main
 
 
@@ -76,6 +78,16 @@ class TestPowerflow:
         summary = json.loads((workdir / "out/powerflow_summary.json").read_text())
         assert summary["base_converged"] is True
         assert summary["sweep_failed"] == 0
+
+    def test_singular_jacobian_reports_error(self, workdir, monkeypatch, capsys):
+        def singular(case, ybus, v, pv_idx, pq_idx, *rest):
+            m = len(pv_idx) + 2 * len(pq_idx)
+            return sp.csc_matrix((m, m))
+
+        monkeypatch.setattr(pf, "compute_jacobian", singular)
+        assert run(workdir, "powerflow") == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err["error"] == "SingularJacobianError"
 
 
 class TestTransient:

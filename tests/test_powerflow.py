@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,12 +93,14 @@ class TestMismatch:
 
 class TestJacobian:
     def test_two_bus_matches_finite_differences(self):
-        case = make_two_bus(r=0.02)
-        ybus = build_ybus(case)
-        v = np.array([1.0 + 0j, 0.97 * np.exp(-0.06j)])
-        jac = compute_jacobian(case, ybus, v).toarray()
-        fd = finite_difference_jacobian(case, ybus, v)
-        assert np.max(np.abs(jac - fd)) < 1e-6
+        for tap in (1.0, 0.95):  # nominal and off-nominal (from side)
+            case = make_two_bus(r=0.02)
+            case = replace(case, branches=(replace(case.branches[0], tap=tap),))
+            ybus = build_ybus(case)
+            v = np.array([1.0 + 0j, 0.97 * np.exp(-0.06j)])
+            jac = compute_jacobian(case, ybus, v).toarray()
+            fd = finite_difference_jacobian(case, ybus, v)
+            assert np.max(np.abs(jac - fd)) < 1e-6
 
     def test_118_bus_flat_start_matches_finite_differences(self, case118):
         ybus = build_ybus(case118)
@@ -104,6 +108,21 @@ class TestJacobian:
         jac = compute_jacobian(case118, ybus, v).toarray()
         fd = finite_difference_jacobian(case118, ybus, v)
         assert np.max(np.abs(jac - fd)) < 1e-5
+
+    def test_118_bus_solved_point_matches_finite_differences(self, case118):
+        ybus = build_ybus(case118)
+        sol = solve(case118, ybus)
+        assert sol.q_limited_buses
+        # The base partition, then the one the Q-limit loop leaves, with
+        # the limited PV buses switched to PQ.
+        q_limited = case118
+        for bid in sol.q_limited_buses:
+            q_limited = q_limited.with_bus(replace(q_limited.bus(bid), kind=BusKind.PQ))
+        for case in (case118, q_limited):
+            jac = compute_jacobian(case, ybus, sol.v)
+            assert jac.format == "csc"
+            fd = finite_difference_jacobian(case, ybus, sol.v)
+            assert np.max(np.abs(jac.toarray() - fd)) < 1e-5
 
     def test_lossless_line_decoupled_at_flat_start(self):
         case = make_two_bus(r=0.0)

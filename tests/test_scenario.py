@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from smrgrid import dynamics as dyn
+from smrgrid import powerflow as pf
 from smrgrid.datacenter import (
     ItPowerParams,
     UtilizationTrace,
@@ -103,6 +105,26 @@ class TestSnapshot:
         assert len(sweep.timestamps) == len(small_profile)
         assert np.all(sweep.converged)
         assert sweep.n_failed == 0
+
+    def test_sweep_records_singular_jacobian_and_continues(
+        self, case118, small_profile, monkeypatch
+    ):
+        real = pf.compute_jacobian
+        calls = []
+
+        def singular_first(case, ybus, v, pv_idx, pq_idx, *rest):
+            calls.append(1)
+            if len(calls) == 1:
+                m = len(pv_idx) + 2 * len(pq_idx)
+                return sp.csc_matrix((m, m))
+            return real(case, ybus, v, pv_idx, pq_idx, *rest)
+
+        monkeypatch.setattr(pf, "compute_jacobian", singular_first)
+        sweep = snapshot_sweep(
+            case118, small_profile, Configuration(kind="grid_only", dc_bus=25)
+        )
+        assert sweep.converged.tolist() == [False] + [True] * (len(small_profile) - 1)
+        assert np.isnan(sweep.poi_v_mag[0]) and np.isnan(sweep.slack_p_mw[0])
 
     def test_ies_netting_relieves_the_grid(self, case118, small_profile):
         base = solve(case118)
