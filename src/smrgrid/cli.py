@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -308,11 +308,7 @@ def cmd_transient(cfg: RunConfig, args) -> int:
         _PLOT_SCRIPT.format(stem=stem, csv=csv_path.name)
     )
     if args.dt_check:
-        half = dyn.SimConfig(
-            dt=simcfg.dt / 2, t_end=simcfg.t_end,
-            freq_filter_tc=simcfg.freq_filter_tc,
-            monitor_buses=simcfg.monitor_buses, f_nominal=simcfg.f_nominal,
-        )
+        half = replace(simcfg, dt=simcfg.dt / 2)
         res2 = sc.run_contingency(case, profile, bins[0], configuration, spec, half)
         dyn.write_result_csv(res2, cfg.out_dir / f"{stem}_halfstep.csv")
         v1 = result.v_mag[configuration.dc_bus]

@@ -5,8 +5,10 @@ battery, and network fault/trip/load-step events.
 Scheme: device ODEs advance with RK4 over dt; at every stage the network is
 solved algebraically with loads as constant admittance (converted at the
 pre-fault voltage), machines as EMF-behind-reactance sources, and the battery
-as a current injection. Events restamp the augmented admittance matrix at
-their timestamps.
+as a current injection. The network is then linear between events, so it is
+Kron-reduced to its ports (machine, battery, monitored and load-step buses)
+and each solve is a small dense product. Events restamp the augmented
+admittance matrix, and rebuild the reduction, at their timestamps.
 
 Sign conventions (documented, the source material leaves them open):
   * governor input is the machine speed deviation (f - f_nom)/f_nom in pu,
@@ -17,8 +19,9 @@ Sign conventions (documented, the source material leaves them open):
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +29,6 @@ import scipy.sparse.linalg as spla
 
 from .network import (
     AdmittanceMatrix,
-    BusKind,
     NetworkCase,
     branch_admittances,
     build_ybus,
@@ -94,12 +96,9 @@ class SmrParams:
 
 @dataclass
 class SmrState:
-    m_dot_hp: float  # kg/s
-    m_dot_lp: float
     valve_cmd: float  # pu of p_max, actuator output
     p_mech_cmd: float  # pu of p_max, after limiter
     q_dot: float  # MW-thermal
-    droop_now: float
 
 
 @dataclass(frozen=True)
@@ -440,19 +439,11 @@ def initialize_devices(
                 )
             )
             if is_smr:
-                p_dev = dev.p_dispatch_mw
-                m_hp, m_lp = smr_flows_from_power(p_dev, dev.params)
+                p_pu = dev.p_dispatch_mw / dev.params.p_max
                 smr_state = SmrState(
-                    m_dot_hp=m_hp,
-                    m_dot_lp=m_lp,
-                    valve_cmd=p_dev / dev.params.p_max,
-                    p_mech_cmd=p_dev / dev.params.p_max,
+                    valve_cmd=p_pu,
+                    p_mech_cmd=p_pu,
                     q_dot=min(dev.thermal_mw, dev.params.q_dot_max),
-                    droop_now=compute_droop(
-                        min(p_dev, dev.params.p_max),
-                        min(dev.thermal_mw, dev.params.q_dot_max),
-                        dev.params,
-                    ),
                 )
     bess_state = BessState() if devices.bess is not None else None
     return models, smr_state, bess_state, s_load
@@ -462,7 +453,15 @@ def initialize_devices(
 
 
 class _Network:
-    """Augmented admittance matrix with load/machine stamps and event state."""
+    """Augmented admittance matrix with load/machine stamps and event state,
+    Kron-reduced to its ports.
+
+    The ports are every machine bus, the battery bus and the buses given at
+    construction (monitored and load-step buses). Current is injected only at
+    ports and only port voltages are read, so after each `refactor` the
+    network is the dense port impedance Z = (Y_aug^-1)[P, P], folded with
+    the machine admittances into one matrix from machine EMFs to voltages.
+    """
 
     def __init__(
         self,
@@ -470,6 +469,9 @@ class _Network:
         ybase: sp.csc_matrix,
         s_load: np.ndarray,
         v0: np.ndarray,
+        models: list[_MachineModel],
+        port_buses,
+        bess_idx: int | None = None,
     ):
         self.branches = branch_admittances(case)
         self.ybase = ybase
@@ -479,7 +481,14 @@ class _Network:
         self.fault_shunts: dict[int, complex] = {}
         self.tripped: set[int] = set()  # branch indices
         self.load_extra = np.zeros(self.n, dtype=complex)
-        self.lu = None
+        machine_bus = [m.bus_idx for m in models]
+        bess_bus = [] if bess_idx is None else [bess_idx]
+        self.ports = np.unique(
+            np.array(machine_bus + bess_bus + list(port_buses), dtype=int)
+        )
+        self.port_of = {int(b): k for k, b in enumerate(self.ports)}
+        self.machine_port = np.array([self.port_of[b] for b in machine_bus], dtype=int)
+        self.bess_port = None if bess_idx is None else self.port_of[bess_idx]
 
     def refactor(self, models: list[_MachineModel]):
         y = self.ybase
@@ -492,15 +501,36 @@ class _Network:
         for bidx, yf in self.fault_shunts.items():
             diag[bidx] += yf
         try:
-            self.lu = spla.splu((y + sp.diags(diag)).tocsc())
+            lu = spla.splu((y + sp.diags(diag)).tocsc())
         except RuntimeError as exc:
             raise SimulationError(f"singular network matrix: {exc}") from exc
+        n_port = self.ports.size
+        unit = np.zeros((self.n, n_port), dtype=complex)
+        unit[self.ports, np.arange(n_port)] = 1.0
+        z = lu.solve(unit)[self.ports]
+        # Machine k drives the current y_m * E_k into its bus while active.
+        y_src = np.array([m.y_m if m.active else 0j for m in models])
+        self.a_port = z[:, self.machine_port] * y_src
+        self.a_term = self.a_port[self.machine_port]
+        self.b_port = self.b_term = None
+        if self.bess_port is not None:
+            self.b_port = z[:, self.bess_port].copy()
+            self.b_term = self.b_port[self.machine_port]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs)
+    def solve(self, emf: np.ndarray, i_bess: complex, ports: bool = False):
+        """Voltages at the machine terminals, one per machine, or with
+        `ports` at every port (ordered as `self.ports`), for machine EMFs
+        `emf` and the battery current injection `i_bess`."""
+        a, b = (self.a_port, self.b_port) if ports else (self.a_term, self.b_term)
+        v = a @ emf
+        if b is not None:
+            v += b * i_bess
+        return v
 
 
 def _apply_event(net: _Network, case: NetworkCase, models, kind: EventKind, v_pre):
+    """Apply one event to the network state; `v_pre` holds the pre-event
+    port voltages. The caller refactors afterwards."""
     if isinstance(kind, BusFault3ph):
         net.fault_shunts[case.bus_index(kind.bus)] = kind.fault_admittance
     elif isinstance(kind, ClearFault):
@@ -529,7 +559,7 @@ def _apply_event(net: _Network, case: NetworkCase, models, kind: EventKind, v_pr
     elif isinstance(kind, LoadStep):
         i = case.bus_index(kind.bus)
         ds = complex(kind.dp_mw, kind.dq_mvar) / case.system_mva_base
-        net.load_extra[i] += np.conj(ds) / (abs(v_pre[i]) ** 2)
+        net.load_extra[i] += np.conj(ds) / (abs(v_pre[net.port_of[i]]) ** 2)
     else:
         raise SimulationError(f"unknown event kind {kind!r}")
 
@@ -555,62 +585,59 @@ def run_transient(
     w_s = 2.0 * math.pi * f_nom
     n_steps = int(round(cfg.t_end / cfg.dt))
     dt = cfg.dt
-    v = solution.v.copy()
 
     smr = devices.smr
     smr_mi = next((i for i, m in enumerate(models) if m.is_smr), None)
+    bess = devices.bess
+    bess_bidx = case.bus_index(bess.bus) if bess is not None else None
 
     monitor = list(cfg.monitor_buses)
-    if devices.bess is not None and devices.bess.bus not in monitor:
-        monitor.append(devices.bess.bus)
+    if bess is not None and bess.bus not in monitor:
+        monitor.append(bess.bus)
     if not monitor:
         monitor = [case.buses[0].id]
-    mon_idx = {b: case.bus_index(b) for b in monitor}
-
-    net = _Network(case, ybus.matrix, s_load, solution.v)
+    # _apply_event reads the pre-event voltage at a load-step bus.
+    step_buses = [e.kind.bus for e in events if isinstance(e.kind, LoadStep)]
+    net = _Network(
+        case, ybus.matrix, s_load, solution.v, models,
+        [case.bus_index(b) for b in monitor + step_buses], bess_bidx,
+    )
     net.refactor(models)
+    mon_ports = np.array([net.port_of[case.bus_index(b)] for b in monitor])
+    smr_port = net.machine_port[smr_mi] if smr is not None else None
 
     nm = len(models)
-    delta = np.array([m.state.delta for m in models])
-    omega = np.zeros(nm)
     e_p = np.array([m.state.e_p for m in models])
     p_mech = np.array([m.state.p_mech for m in models])
-    bus_of = np.array([m.bus_idx for m in models])
     y_m = np.array([m.y_m for m in models])
     h2 = np.array([m.h2_sys for m in models])
     d_sys = np.array([m.d_sys for m in models])
-    active = np.array([m.active for m in models])
 
-    bess = devices.bess
+    def active_gains():
+        # Tripped machines hold their angle and speed.
+        act = np.array([m.active for m in models], dtype=float)
+        return w_s * act, act / h2
+
+    w_gain, h2_inv = active_gains()
+
+    v = solution.v[net.ports]  # port voltages
     bess_i_inj = 0.0 + 0.0j
-    bess_bidx = case.bus_index(bess.bus) if bess is not None else -1
     # Online POI frequency filter feeding the battery controller.
     poi_fdev_hz = 0.0
-    poi_theta_prev = float(np.angle(v[bess_bidx])) if bess is not None else 0.0
-
-    def network_voltage(delta_v, e_v, act):
-        rhs = np.zeros(net.n, dtype=complex)
-        emf = e_v * np.exp(1j * delta_v)
-        src = emf * y_m
-        np.add.at(rhs, bus_of[act], src[act])
-        if bess is not None:
-            rhs[bess_bidx] += bess_i_inj
-        vv = net.solve(rhs)
-        return vv, emf
+    poi_theta_prev = float(np.angle(v[net.bess_port])) if bess is not None else 0.0
 
     def deriv(_t, x):
-        d_v = x[:nm]
-        w_v = x[nm:]
-        vv, emf = network_voltage(d_v, e_p, active)
-        i_m = (emf - vv[bus_of]) * y_m
-        p_e = (emf * np.conj(i_m)).real
-        dd = np.where(active, w_v * w_s, 0.0)
-        dw = np.where(active, (p_mech - p_e - d_sys * w_v) / h2, 0.0)
-        return np.concatenate([dd, dw])
+        emf = e_p * np.exp(1j * x[:nm])
+        v_t = net.solve(emf, bess_i_inj)
+        p_e = (emf * np.conj((emf - v_t) * y_m)).real
+        w = x[nm:]
+        dx = np.empty_like(x)
+        dx[:nm] = w_gain * w
+        dx[nm:] = (p_mech - p_e - d_sys * w) * h2_inv
+        return dx
 
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    vmag_out = {b: np.empty(n_steps + 1) for b in monitor}
-    theta_out = {b: np.empty(n_steps + 1) for b in monitor}
+    v_mon = np.empty((n_steps + 1, len(monitor)), dtype=complex)
     smr_series = np.empty(n_steps + 1) if smr is not None else None
     bess_series = np.empty(n_steps + 1) if bess is not None else None
     event_log: list[dict] = []
@@ -621,26 +648,24 @@ def run_transient(
     ev_i = 0
     alpha_f = dt / cfg.freq_filter_tc
 
-    x = np.concatenate([delta, omega])
+    x = np.concatenate([[m.state.delta for m in models], np.zeros(nm)])
     for k in range(n_steps + 1):
         t = t_grid[k]
         # Fire events due at this step boundary.
         while ev_i < len(events) and events[ev_i].t <= t + 1e-12:
             ev = events[ev_i]
             _apply_event(net, case, models, ev.kind, v)
-            active = np.array([m.active for m in models])
             net.refactor(models)
+            w_gain, h2_inv = active_gains()
             event_log.append({"t": float(ev.t), "kind": type(ev.kind).__name__,
                               "detail": repr(ev.kind)})
             ev_i += 1
 
-        vv, emf = network_voltage(x[:nm], e_p, active)
-        if not np.all(np.isfinite(vv)):
+        emf = e_p * np.exp(1j * x[:nm])
+        v = net.solve(emf, bess_i_inj, ports=True)
+        if not np.isfinite(v).all():
             raise SimulationError(f"NaN in network solution at t={t:.4f}s")
-        v = vv
-        for b, bi in mon_idx.items():
-            vmag_out[b][k] = abs(v[bi])
-            theta_out[b][k] = np.angle(v[bi])
+        v_mon[k] = v[mon_ports]
         if smr is not None:
             smr_series[k] = p_mech[smr_mi] * sbase
         if bess is not None:
@@ -658,14 +683,15 @@ def run_transient(
         if state0 is None:
             state0 = svec
         else:
-            max_drift = max(max_drift, float(np.max(np.abs(svec - state0))))
+            max_drift = max(max_drift, float(np.abs(svec - state0).max()))
 
         if k == n_steps:
             break
 
         # Controller updates (piecewise-constant over the step).
         if bess is not None:
-            th = float(np.angle(v[bess_bidx]))
+            v_poi = v[net.bess_port]
+            th = cmath.phase(v_poi)
             dth = (th - poi_theta_prev + math.pi) % (2 * math.pi) - math.pi
             raw_hz = dth / dt / (2 * math.pi) if k > 0 else 0.0
             poi_fdev_hz += alpha_f * (raw_hz - poi_fdev_hz)
@@ -673,11 +699,11 @@ def run_transient(
             df_pu = -poi_fdev_hz / f_nom
             p_out, bess_state = bess_power(df_pu, bess_state, bess.params, dt)
             s_b = complex(p_out * bess.params.p_rating / sbase, 0.0)
-            bess_i_inj = np.conj(s_b / v[bess_bidx])
+            bess_i_inj = np.conj(s_b / v_poi)
         if smr is not None and models[smr_mi].active:
             mi = smr_mi
             p_e_mw = float(
-                (emf[mi] * np.conj((emf[mi] - v[models[mi].bus_idx]) * y_m[mi])).real
+                (emf[mi] * np.conj((emf[mi] - v[smr_port]) * y_m[mi])).real
             ) * sbase
             droop = compute_droop(
                 min(max(p_e_mw, 0.0), smr.params.p_max),
@@ -697,15 +723,9 @@ def run_transient(
             smr_ramp_max = max(
                 smr_ramp_max, abs(p_cmd - smr_state.p_mech_cmd) / dt
             )
+            smr_state.valve_cmd = valve
+            smr_state.p_mech_cmd = p_cmd
             m_hp, m_lp = smr_flows_from_power(p_cmd * smr.params.p_max, smr.params)
-            smr_state = replace(
-                smr_state,
-                valve_cmd=valve,
-                p_mech_cmd=p_cmd,
-                m_dot_hp=m_hp,
-                m_dot_lp=m_lp,
-                droop_now=droop,
-            )
             p_mech[mi] = (
                 turbine_mechanical_power(
                     smr.params.eta_t, smr.params.dh_hp, smr.params.dh_lp, m_hp, m_lp
@@ -714,19 +734,18 @@ def run_transient(
             )
 
         x = rk4_step(deriv, t, x, dt)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SimulationError(f"NaN in device states at t={t + dt:.4f}s")
 
-    freq_out = {
-        b: bus_frequency_estimate(theta_out[b], cfg.freq_filter_tc, dt)
-        for b in monitor
-    }
-    for m, dlt, om in zip(models, x[:nm], x[nm:]):
-        m.state = replace(m.state, delta=float(dlt), omega_dev=float(om))
     return TransientResult(
         t=t_grid,
-        v_mag=vmag_out,
-        freq_dev=freq_out,
+        v_mag={b: np.abs(v_mon[:, j]) for j, b in enumerate(monitor)},
+        freq_dev={
+            b: bus_frequency_estimate(
+                np.angle(v_mon[:, j]), cfg.freq_filter_tc, dt
+            )
+            for j, b in enumerate(monitor)
+        },
         smr_p_mech_mw=smr_series,
         bess_p_mw=bess_series,
         event_log=event_log,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -365,12 +365,8 @@ def run_contingency(
         events = resolve_events(snap, cfg, spec)
     devices = build_devices(snap, cfg, smr_dispatch, q_th)
     if cfg.dc_bus not in simcfg.monitor_buses:
-        simcfg = dyn.SimConfig(
-            dt=simcfg.dt,
-            t_end=simcfg.t_end,
-            freq_filter_tc=simcfg.freq_filter_tc,
-            monitor_buses=tuple(simcfg.monitor_buses) + (cfg.dc_bus,),
-            f_nominal=simcfg.f_nominal,
+        simcfg = replace(
+            simcfg, monitor_buses=tuple(simcfg.monitor_buses) + (cfg.dc_bus,)
         )
     return dyn.run_transient(snap, sol, devices, events, simcfg, ybus=ybus)
 
@@ -458,7 +454,9 @@ def compare(
     jobs: int = 1,
 ) -> ComparisonReport:
     """Run every (contingency, snapshot) pair under both configurations with
-    identical events; a failed run voids only its pair."""
+    identical events; a failed run, including a singular snapshot power
+    flow, voids only its pair, which is listed in `failed` with its
+    exception type."""
     if not specs:
         raise ScenarioError("no contingency specs")
     if ies_config.kind != "with_ies":
@@ -468,11 +466,9 @@ def compare(
         dc_power_factor=ies_config.dc_power_factor,
     )
     bins = select_snapshot_bins(profile, snapshot_selector)
-    tasks = [
-        (si, spec, b) for si, spec in enumerate(specs) for b in bins
-    ]
+    tasks = [(spec, b) for spec in specs for b in bins]
 
-    def run_pair(si, spec, b):
+    def run_pair(spec, b, scenario_id):
         snap, _ = snapshot_case(case, grid_config, float(profile.p_total[b]))
         events = resolve_events(snap, grid_config, spec)
         results = {}
@@ -486,7 +482,7 @@ def compare(
         if ev_a != ev_b:
             raise ScenarioError("paired runs consumed different event lists")
         return ComparisonPair(
-            scenario_id=f"{spec.kind}_s{spec.rng_seed}_bin{b}",
+            scenario_id=scenario_id,
             snapshot_bin=b,
             events=ev_a,
             grid_only=extract_metrics(
@@ -497,33 +493,25 @@ def compare(
             ),
         )
 
-    pairs: list[ComparisonPair] = []
-    failed: list[dict] = []
+    def attempt(task) -> ComparisonPair | dict:
+        spec, b = task
+        scenario_id = f"{spec.kind}_s{spec.rng_seed}_bin{b}"
+        try:
+            return run_pair(spec, b, scenario_id)
+        except (ScenarioError, dyn.SimulationError, pf.SingularJacobianError) as exc:
+            return {
+                "scenario": scenario_id,
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+            }
+
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = [ex.submit(run_pair, *t) for t in tasks]
-            outcomes = []
-            for (si, spec, b), fut in zip(tasks, futs):
-                try:
-                    outcomes.append(fut.result())
-                except (ScenarioError, dyn.SimulationError) as exc:
-                    outcomes.append((si, spec, b, str(exc)))
-            for oc in outcomes:
-                if isinstance(oc, ComparisonPair):
-                    pairs.append(oc)
-                else:
-                    si, spec, b, msg = oc
-                    failed.append(
-                        {"scenario": f"{spec.kind}_s{spec.rng_seed}_bin{b}", "error": msg}
-                    )
+            outcomes = list(ex.map(attempt, tasks))
     else:
-        for si, spec, b in tasks:
-            try:
-                pairs.append(run_pair(si, spec, b))
-            except (ScenarioError, dyn.SimulationError) as exc:
-                failed.append(
-                    {"scenario": f"{spec.kind}_s{spec.rng_seed}_bin{b}", "error": str(exc)}
-                )
+        outcomes = [attempt(t) for t in tasks]
+    pairs = [oc for oc in outcomes if isinstance(oc, ComparisonPair)]
+    failed = [oc for oc in outcomes if not isinstance(oc, ComparisonPair)]
     return ComparisonReport(pairs=pairs, failed=failed)

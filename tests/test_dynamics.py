@@ -1,14 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from smrgrid.dynamics import (
     BessParams,
     BessState,
+    BusFault3ph,
     DeviceSet,
     Event,
+    GenTrip,
+    LineTrip,
     LoadStep,
     MachineParams,
     SimConfig,
@@ -24,6 +30,9 @@ from smrgrid.dynamics import (
     smr_flows_from_power,
     turbine_mechanical_power,
     write_result_csv,
+    _apply_event,
+    _Network,
+    initialize_devices,
 )
 from smrgrid.powerflow import solve
 from smrgrid.network import build_ybus
@@ -308,3 +317,95 @@ class TestRunTransient:
         assert "smr_pmech_mw" not in header
         assert "bess_p_mw" not in header
         assert len(lines) == 1 + len(res.t)
+
+    def test_monitoring_a_load_step_bus_does_not_change_dynamics(
+        self, case118, snapshot
+    ):
+        # Bus 2 is a PQ bus with no machine; the load step alone makes it a
+        # network port, so monitoring it must leave every shared trace as is.
+        devices = DeviceSet(machines=default_machines(case118))
+        events = [Event(1.0, LoadStep(2, 40.0, 10.0))]
+        plain, watched = (
+            run_transient(
+                case118, snapshot, devices, events,
+                SimConfig(dt=0.005, t_end=3.0, monitor_buses=mon),
+            )
+            for mon in ((25,), (25, 2))
+        )
+        assert plain.max_state_drift > 1e-4
+        assert abs(plain.max_state_drift - watched.max_state_drift) <= 1e-12
+        assert set(plain.v_mag) == {25}
+        for series in ("v_mag", "freq_dev"):
+            a, b = getattr(plain, series)[25], getattr(watched, series)[25]
+            assert np.max(np.abs(a - b)) <= 1e-12
+        v2 = watched.v_mag[2]
+        assert v2[-1] < v2[0]  # the step depresses its own bus
+
+
+class TestReducedNetwork:
+    """The port-reduced network against a full sparse solve of the augmented
+    admittance matrix, built here from the case without the event stamps."""
+
+    FAULT_BUS = 30
+    TRIP = (23, 25)
+    GEN_BUS = 26
+
+    @pytest.mark.parametrize("topology", ["pre_fault", "fault", "line_trip", "gen_trip"])
+    def test_port_voltages_match_full_solve(self, case118, snapshot, topology):
+        ybus = build_ybus(case118)
+        devices = DeviceSet(machines=default_machines(case118))
+        models, _, _, s_load = initialize_devices(case118, ybus, snapshot, devices)
+        bess_idx = case118.bus_index(2)
+        monitored = [case118.bus_index(b) for b in (25, 75)]
+        net = _Network(
+            case118, ybus.matrix, s_load, snapshot.v, models, monitored, bess_idx
+        )
+        net.refactor(models)
+
+        shunt = np.conj(s_load) / np.abs(snapshot.v) ** 2
+        full_case = case118
+        kind = {
+            "pre_fault": None,
+            "fault": BusFault3ph(self.FAULT_BUS, -1e4j),
+            "line_trip": LineTrip(*self.TRIP),
+            "gen_trip": GenTrip(self.GEN_BUS),
+        }[topology]
+        if kind is not None:
+            _apply_event(net, case118, models, kind, snapshot.v[net.ports])
+            net.refactor(models)
+        if topology == "fault":
+            shunt[case118.bus_index(self.FAULT_BUS)] += -1e4j
+        if topology == "line_trip":
+            k = next(
+                k for k, br in enumerate(case118.branches)
+                if {br.from_bus, br.to_bus} == set(self.TRIP) and br.status
+            )
+            branches = list(case118.branches)
+            branches[k] = replace(branches[k], status=False)
+            full_case = replace(case118, branches=tuple(branches))
+        active = [m for m in models if m.active]
+        if topology == "gen_trip":
+            assert 0 < len(models) - len(active)
+            assert all(m.bus_id == self.GEN_BUS for m in models if not m.active)
+        for m in active:
+            shunt[m.bus_idx] += m.y_m
+        y_aug = (build_ybus(full_case).matrix + sp.diags(shunt)).tocsc()
+
+        rng = np.random.default_rng(11)
+        machine_bus = [m.bus_idx for m in models]
+        for _ in range(3):
+            emf = rng.normal(size=len(models)) + 1j * rng.normal(size=len(models))
+            i_bess = complex(rng.normal(), rng.normal())
+            rhs = np.zeros(case118.n_bus, dtype=complex)
+            for m, e in zip(models, emf):
+                if m.active:
+                    rhs[m.bus_idx] += m.y_m * e
+            rhs[bess_idx] += i_bess
+            v_full = spla.spsolve(y_aug, rhs)
+            for got, want in (
+                (net.solve(emf, i_bess, ports=True), v_full[net.ports]),
+                (net.solve(emf, i_bess), v_full[machine_bus]),
+            ):
+                rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert rel <= 1e-12
+        assert set(net.ports) >= set(machine_bus) | set(monitored) | {bess_idx}

@@ -338,6 +338,36 @@ class TestCompare:
             "scenario_id", "events", "grid_only", "with_ies", "deltas", "wins"
         }
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_singular_snapshot_voids_only_its_pair(
+        self, case118, small_profile, ies_config, monkeypatch, jobs
+    ):
+        bins = select_snapshot_bins(small_profile, ("min", "max"))
+        grid = Configuration(kind="grid_only", dc_bus=25)
+        bad, _ = snapshot_case(case118, grid, float(small_profile.p_total[bins[1]]))
+        bad_load = bad.bus(25).p_load
+        real = pf.solve
+
+        def singular_at_max_bin(case, *args, **kwargs):
+            if case.bus(25).p_load == bad_load:
+                raise pf.SingularJacobianError(0)
+            return real(case, *args, **kwargs)
+
+        monkeypatch.setattr(pf, "solve", singular_at_max_bin)
+        rep = compare(
+            case118, small_profile,
+            [ContingencySpec(kind="bus_fault", rng_seed=1)],
+            dyn.SimConfig(dt=0.005, t_end=4.0, monitor_buses=(25,)),
+            ies_config, snapshot_selector=("min", "max"), jobs=jobs,
+        )
+        assert [p.snapshot_bin for p in rep.pairs] == [bins[0]]
+        assert rep.failed == [{
+            "scenario": f"bus_fault_s1_bin{bins[1]}",
+            "error": "singular Jacobian at iteration 0",
+            "error_type": "SingularJacobianError",
+        }]
+        assert rep.aggregate()["failed"] == 1
+
     def test_requires_ies_configuration(self, case118, small_profile):
         with pytest.raises(ScenarioError):
             compare(
