@@ -53,6 +53,7 @@ from .datacenter import (
     LoadProfile,
     MachineEvent,
     TaskRecord,
+    TaskTable,
     TraceError,
     UtilizationTrace,
     bin_tasks,
@@ -85,23 +86,3 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmittanceMatrix", "Bus", "BusKind", "Branch", "CaseError", "Generator",
-    "NetworkCase", "build_ybus", "case_from_dict", "case_to_dict",
-    "load_ieee118", "parse_case", "save_case",
-    "PowerFlowOptions", "PowerFlowSolution", "SingularJacobianError",
-    "apply_snapshot", "branch_flows", "solve", "total_losses",
-    "BessParams", "BusFault3ph", "ClearFault", "DeviceSet", "Event",
-    "GenTrip", "LineTrip", "LoadStep", "MachineParams", "SimConfig",
-    "SimulationError", "SmrParams", "TransientResult", "default_machines",
-    "run_transient", "write_event_log", "write_result_csv",
-    "AmbientConditions", "ChillerParams", "DEFAULT_CHILLER", "ItPowerParams",
-    "LoadProfile", "MachineEvent", "TaskRecord", "TraceError",
-    "UtilizationTrace", "bin_tasks", "build_profile", "calibrate_it_capacity",
-    "estimate_capacity", "normalize", "read_machine_events_csv",
-    "read_profile_csv", "read_tasks_csv", "write_profile_csv",
-    "ComparisonPair", "ComparisonReport", "Configuration", "ContingencySpec",
-    "IesSpec", "ScenarioError", "StabilityMetrics", "SweepResult", "compare",
-    "extract_metrics", "resolve_events", "run_contingency",
-    "select_snapshot_bins", "snapshot_case", "snapshot_sweep",
-]

@@ -56,6 +56,10 @@ def _dataclass_from(cls, doc: dict, ctx: str):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
+def _out_dir(args, doc: dict) -> Path:
+    return Path(args.out or os.environ.get("SMRGRID_OUT") or doc.get("out_dir", "out"))
+
+
 def _tupled(doc: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
@@ -77,7 +81,6 @@ class RunConfig:
             if not p.exists():
                 raise ConfigError(f"config file not found: {p}")
             doc = json.loads(p.read_text())
-        out = args.out or os.environ.get("SMRGRID_OUT") or doc.get("out_dir", "out")
         seed = (
             args.seed
             if args.seed is not None
@@ -88,7 +91,7 @@ class RunConfig:
             if args.jobs is not None
             else int(os.environ.get("SMRGRID_JOBS", doc.get("jobs", 1)))
         )
-        return cls(doc, Path(out), seed, jobs)
+        return cls(doc, _out_dir(args, doc), seed, jobs)
 
     # -- section accessors ---------------------------------------------------
 
@@ -379,6 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("compare", help="paired grid-only vs IES comparison")
     args = parser.parse_args(argv)
 
+    cfg = None
     try:
         cfg = RunConfig.load(args)
         if args.command == "profile":
@@ -401,7 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         try:
-            out = Path(args.out or "out")
+            # Without a loaded config, resolve the same way minus its out_dir.
+            out = cfg.out_dir if cfg is not None else _out_dir(args, {})
             out.mkdir(parents=True, exist_ok=True)
             (out / "error.json").write_text(json.dumps(err, indent=1, sort_keys=True))
         except OSError:

@@ -29,10 +29,38 @@ class TaskRecord:
     cpu: float  # capacity units while active
 
     def __post_init__(self):
-        if self.end <= self.start:
+        # Negated comparisons so that NaN fails them.
+        if not self.end > self.start:
             raise TraceError(f"task end {self.end} <= start {self.start}")
-        if self.cpu < 0:
+        if not self.cpu >= 0:
             raise TraceError("task cpu must be >= 0")
+
+
+@dataclass(frozen=True, eq=False)
+class TaskTable:
+    """Columnar task trace: row i is the task active on [start[i], end[i])
+    at cpu[i] capacity units."""
+
+    start: np.ndarray  # s
+    end: np.ndarray
+    cpu: np.ndarray
+
+    def __post_init__(self):
+        start, end, cpu = (
+            np.asarray(col, dtype=float) for col in (self.start, self.end, self.cpu)
+        )
+        if start.ndim != 1 or start.shape != end.shape or start.shape != cpu.shape:
+            raise TraceError("task columns must be 1-D and of one length")
+        bad = np.flatnonzero(~(end > start) | ~(cpu >= 0))
+        if bad.size:
+            i = bad[0]
+            TaskRecord(float(start[i]), float(end[i]), float(cpu[i]))  # raises
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "cpu", cpu)
+
+    def __len__(self) -> int:
+        return len(self.start)
 
 
 @dataclass(frozen=True)
@@ -153,78 +181,70 @@ class LoadProfile:
 # -- trace processing --------------------------------------------------------
 
 
-def bin_tasks(tasks: list[TaskRecord], t0: float, t1: float) -> np.ndarray:
-    """Per-bin cpu totals: each task spreads its cpu in proportion to the
-    overlap of its active interval with each 5-minute bin."""
+def _bin_mean(times: np.ndarray, deltas: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    """Per-bin mean over [t0, t1) of the step function that starts at 0 and
+    jumps by deltas[i] at times[i] (jumps outside [t0, t1] act at the nearer
+    end). A partial last bin is averaged over the width it covers.
+
+    A jump in bin k adds deltas[i] * (bin end - times[i]) to that bin's
+    integral, and deltas[i] to the level every later bin starts at (a prefix
+    sum over bins). Each term stays local to one bin, so there is no
+    cancellation between large running integrals. O(N + B).
+    """
     if t1 <= t0:
         raise TraceError("t1 must be > t0")
     n_bins = math.ceil((t1 - t0) / BIN_SECONDS)
-    out = np.zeros(n_bins)
-    for task in tasks:
-        a = max(task.start, t0)
-        b = min(task.end, t1)
-        if b <= a:
-            continue
-        first = int((a - t0) // BIN_SECONDS)
-        last = int(math.ceil((b - t0) / BIN_SECONDS))
-        for k in range(first, last):
-            lo = t0 + k * BIN_SECONDS
-            overlap = min(b, lo + BIN_SECONDS) - max(a, lo)
-            if overlap > 0:
-                out[k] += task.cpu * overlap / BIN_SECONDS
-    return out
+    edges = np.minimum(t0 + BIN_SECONDS * np.arange(n_bins + 1), t1)
+    width = np.diff(edges)
+    t = np.clip(times, t0, t1)
+    k = np.minimum((t - t0) // BIN_SECONDS, n_bins - 1).astype(np.intp)
+    inside = np.bincount(k, deltas * (edges[k + 1] - t), minlength=n_bins)
+    per_bin = np.bincount(k, deltas, minlength=n_bins)
+    level = np.concatenate(([0.0], np.cumsum(per_bin[:-1])))
+    return (level * width + inside) / width
+
+
+def bin_tasks(tasks: TaskTable | list[TaskRecord], t0: float, t1: float) -> np.ndarray:
+    """Per-bin mean active cpu: each task spreads its cpu in proportion to the
+    overlap of its active interval with each 5-minute bin. `tasks` is a
+    TaskTable or any sequence of TaskRecord."""
+    if not isinstance(tasks, TaskTable):
+        rows = np.array([(t.start, t.end, t.cpu) for t in tasks], dtype=float)
+        tasks = TaskTable(*rows.reshape(-1, 3).T)
+    return _bin_mean(
+        np.concatenate([tasks.start, tasks.end]),
+        np.concatenate([tasks.cpu, -tasks.cpu]),
+        t0, t1,
+    )
 
 
 def estimate_capacity(events: list[MachineEvent], t0: float, t1: float) -> np.ndarray:
     """Per-bin time-weighted average of total fleet capacity from the
     add/remove/update event stream."""
-    if t1 <= t0:
-        raise TraceError("t1 must be > t0")
-    n_bins = math.ceil((t1 - t0) / BIN_SECONDS)
-    out = np.zeros(n_bins)
     fleet: dict[str, float] = {}
-    total = 0.0
-    changes: list[tuple[float, float]] = []  # (time, new total)
+    times: list[float] = []
+    deltas: list[float] = []  # change in fleet total at each applied event
     for ev in sorted(events, key=lambda e: e.t):
         if ev.kind == "add":
             if ev.machine_id in fleet:
                 warnings.warn(f"duplicate add for machine {ev.machine_id}; ignored")
                 continue
             fleet[ev.machine_id] = ev.capacity
-            total += ev.capacity
+            delta = ev.capacity
         elif ev.kind == "remove":
             if ev.machine_id not in fleet:
                 warnings.warn(f"remove for unknown machine {ev.machine_id}; ignored")
                 continue
-            total -= fleet.pop(ev.machine_id)
+            delta = -fleet.pop(ev.machine_id)
         else:  # update
             if ev.machine_id not in fleet:
                 warnings.warn(f"update for unknown machine {ev.machine_id}; ignored")
                 continue
-            total += ev.capacity - fleet[ev.machine_id]
+            delta = ev.capacity - fleet[ev.machine_id]
             fleet[ev.machine_id] = ev.capacity
-        changes.append((ev.t, total))
-
-    # Integrate the running total over each bin.
-    level = 0.0
-    ci = 0
-    while ci < len(changes) and changes[ci][0] <= t0:
-        level = changes[ci][1]
-        ci += 1
-    for k in range(n_bins):
-        lo = t0 + k * BIN_SECONDS
-        hi = min(lo + BIN_SECONDS, t1)
-        acc = 0.0
-        cur = lo
-        while ci < len(changes) and changes[ci][0] < hi:
-            tc, lvl = changes[ci]
-            acc += level * (tc - cur)
-            level = lvl
-            cur = tc
-            ci += 1
-        acc += level * (hi - cur)
-        out[k] = acc / (hi - lo)
-    return out
+        times.append(ev.t)
+        deltas.append(delta)
+    return _bin_mean(np.array(times, dtype=float), np.array(deltas, dtype=float), t0, t1)
 
 
 def normalize(usage: np.ndarray, capacity: np.ndarray) -> UtilizationTrace:
@@ -379,26 +399,46 @@ def calibrate_it_capacity(
 # -- CSV boundary ------------------------------------------------------------
 
 
-def read_tasks_csv(path: str | Path) -> list[TaskRecord]:
-    """Task CSV with header start_s,end_s,cpu."""
-    out = []
+_TASK_COLUMNS = ("start_s", "end_s", "cpu")
+
+
+def read_tasks_csv(path: str | Path) -> TaskTable:
+    """Task CSV whose header names start_s, end_s and cpu, in any order;
+    other columns are ignored."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"start_s", "end_s", "cpu"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        header = next(csv.reader([fh.readline()]), [])
+        if not set(_TASK_COLUMNS).issubset(header):
             raise TraceError(f"{path}: expected header start_s,end_s,cpu")
-        for ln, row in enumerate(reader, start=2):
+        cols = [header.index(name) for name in _TASK_COLUMNS]
+        first_row = fh.tell()
+        if not fh.read().strip():  # np.loadtxt would warn on an empty body
+            return TaskTable(np.empty(0), np.empty(0), np.empty(0))
+        fh.seek(first_row)
+        try:
+            return TaskTable(*np.loadtxt(
+                fh, delimiter=",", usecols=cols, ndmin=2, unpack=True,
+                quotechar='"', comments=None,
+            ))
+        except (ValueError, TraceError) as exc:
+            raise TraceError(_bad_task_line(path, cols) or f"{path}: {exc}") from exc
+
+
+def _bad_task_line(path: str | Path, cols: list[int]) -> str | None:
+    """`path:line: reason` for the first row that fails to parse or to make a
+    valid task; the bulk parser does not report lines reliably."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:  # blank line, skipped by the bulk parser too
+                continue
             try:
-                out.append(
-                    TaskRecord(
-                        start=float(row["start_s"]),
-                        end=float(row["end_s"]),
-                        cpu=float(row["cpu"]),
-                    )
-                )
-            except (TypeError, ValueError, TraceError) as exc:
-                raise TraceError(f"{path}:{ln}: {exc}") from exc
-    return out
+                if len(row) <= max(cols):
+                    raise TraceError(f"expected {max(cols) + 1} fields, got {len(row)}")
+                TaskRecord(*(float(row[c]) for c in cols))
+            except (ValueError, TraceError) as exc:
+                return f"{path}:{reader.line_num}: {exc}"
+    return None
 
 
 def read_machine_events_csv(path: str | Path) -> list[MachineEvent]:
@@ -445,17 +485,28 @@ def write_profile_csv(profile: LoadProfile, path: str | Path) -> None:
             )
 
 
+_PROFILE_COLUMNS = ("timestamp_s", "u", "p_it_mw", "q_cool_mwth", "n_ch", "p_thermal_mw")
+
+
 def read_profile_csv(path: str | Path) -> LoadProfile:
+    """Profile CSV as written by write_profile_csv; p_total_mw is not read."""
     ts, u, p_it, q, n, p_th = [], [], [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            ts.append(float(row["timestamp_s"]))
-            u.append(float(row["u"]))
-            p_it.append(float(row["p_it_mw"]))
-            q.append(float(row["q_cool_mwth"]))
-            n.append(int(row["n_ch"]))
-            p_th.append(float(row["p_thermal_mw"]))
+        if reader.fieldnames is None or not set(_PROFILE_COLUMNS).issubset(
+            reader.fieldnames
+        ):
+            raise TraceError(f"{path}: expected header {','.join(_PROFILE_COLUMNS)}")
+        for ln, row in enumerate(reader, start=2):
+            try:
+                ts.append(float(row["timestamp_s"]))
+                u.append(float(row["u"]))
+                p_it.append(float(row["p_it_mw"]))
+                q.append(float(row["q_cool_mwth"]))
+                n.append(int(row["n_ch"]))
+                p_th.append(float(row["p_thermal_mw"]))
+            except (TypeError, ValueError) as exc:
+                raise TraceError(f"{path}:{ln}: {exc}") from exc
     return LoadProfile(
         timestamps=np.array(ts), u=np.array(u), p_it=np.array(p_it),
         q_cool=np.array(q), n_ch=np.array(n), p_thermal=np.array(p_th),

@@ -64,7 +64,6 @@ class MachineParams:
 @dataclass
 class MachineState:
     delta: float  # rad
-    omega_dev: float  # pu speed deviation
     e_p: float  # internal EMF, pu system base voltage
     p_mech: float  # pu system base
 
@@ -431,7 +430,6 @@ def initialize_devices(
                     d_sys=mp.d * mp.mva_base / sbase,
                     state=MachineState(
                         delta=float(np.angle(e_c)),
-                        omega_dev=0.0,
                         e_p=float(abs(e_c)),
                         p_mech=p_air,
                     ),

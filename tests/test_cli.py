@@ -67,6 +67,18 @@ class TestProfile:
         err = json.loads((workdir / "out/error.json").read_text())
         assert ":3:" in err["message"]
 
+    def test_profile_csv_missing_column_reports_error(self, workdir, capsys):
+        rows = ["timestamp_s,u,p_it_mw,q_cool_mwth,p_thermal_mw,p_total_mw",
+                "0,0.5,45.0,45.0,1.0,46.0"]
+        (workdir / "profile.csv").write_text("\n".join(rows) + "\n")
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["profile"] = {"profile_csv": str(workdir / "profile.csv")}
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "profile") == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err["error"] == "TraceError"
+        assert "expected header" in err["message"]
+
 
 class TestPowerflow:
     def test_base_and_sweep(self, workdir, capsys):
@@ -143,6 +155,27 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "out"), "profile"]) == 2
+
+    def test_error_json_goes_to_env_out_dir_when_config_fails(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SMRGRID_OUT", str(tmp_path / "env_out"))
+        assert main(["--config", str(tmp_path / "nope.json"), "profile"]) == 2
+        err = json.loads((tmp_path / "env_out/error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    def test_error_json_goes_to_config_out_dir(self, workdir, monkeypatch, capsys):
+        monkeypatch.chdir(workdir)
+        monkeypatch.delenv("SMRGRID_OUT", raising=False)
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["out_dir"] = str(workdir / "cfg_out")
+        cfg["configuration"] = {"kind": "with_ies", "dc_bus": 25}
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(workdir / "config.json"), "compare"]) == 2
+        assert (workdir / "cfg_out/error.json").exists()
+        assert not (workdir / "out").exists()
 
     def test_unknown_config_key_rejected(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())

@@ -13,6 +13,7 @@ from smrgrid.datacenter import (
     ItPowerParams,
     MachineEvent,
     TaskRecord,
+    TaskTable,
     TraceError,
     UtilizationTrace,
     bin_tasks,
@@ -85,6 +86,23 @@ class TestBinTasks:
     def test_invalid_window(self):
         with pytest.raises(TraceError):
             bin_tasks([], 10.0, 10.0)
+
+    def test_partial_last_bin_is_averaged_over_its_width(self):
+        usage = bin_tasks([TaskRecord(0.0, 450.0, 2.0)], 0.0, 450.0)
+        capacity = estimate_capacity([MachineEvent(0.0, "add", "m1", 4.0)], 0.0, 450.0)
+        assert usage == pytest.approx([2.0, 2.0])
+        assert normalize(usage, capacity).u == pytest.approx([0.5, 0.5])
+
+    def test_table_and_records_agree(self):
+        rng = np.random.default_rng(3)
+        start = rng.uniform(-300.0, 1500.0, 200)
+        end = start + rng.uniform(1.0, 900.0, 200)
+        cpu = rng.uniform(0.0, 4.0, 200)
+        records = [TaskRecord(*row) for row in zip(start.tolist(), end.tolist(),
+                                                    cpu.tolist())]
+        table = TaskTable(start, end, cpu)
+        assert np.array_equal(bin_tasks(table, 0.0, 1350.0),
+                              bin_tasks(records, 0.0, 1350.0))
 
     def test_random_instances_match_per_second_oracle(self):
         rng = np.random.default_rng(42)
@@ -338,7 +356,51 @@ class TestCsvBoundary:
         path = tmp_path / "tasks.csv"
         path.write_text("start_s,end_s,cpu\n0,600,2.5\n300,900,1.0\n")
         tasks = read_tasks_csv(path)
-        assert tasks == [TaskRecord(0.0, 600.0, 2.5), TaskRecord(300.0, 900.0, 1.0)]
+        assert len(tasks) == 2
+        assert tasks.start.tolist() == [0.0, 300.0]
+        assert tasks.end.tolist() == [600.0, 900.0]
+        assert tasks.cpu.tolist() == [2.5, 1.0]
+
+    def test_task_columns_found_by_name(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        path.write_text("cpu,job,end_s,start_s\n2.5,a,600,0\n1.0,b,900,300\n")
+        tasks = read_tasks_csv(path)
+        assert tasks.start.tolist() == [0.0, 300.0]
+        assert tasks.end.tolist() == [600.0, 900.0]
+        assert tasks.cpu.tolist() == [2.5, 1.0]
+
+    def test_header_only_task_file(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        path.write_text("start_s,end_s,cpu\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tasks = read_tasks_csv(path)
+            usage = bin_tasks(tasks, 0.0, 900.0)
+        assert len(tasks) == 0 and not tasks
+        assert usage.tolist() == [0.0, 0.0, 0.0]
+
+    def test_task_header_missing_column(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        path.write_text("start_s,cpu\n0,2.5\n")
+        with pytest.raises(TraceError, match="expected header"):
+            read_tasks_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line, reason",
+        [
+            ("0,600,2.5\n300,900\n", 3, "fields"),
+            ("0,600,2.5\n900,900,1.0\n", 3, "<= start"),
+            ("0,600,-1.0\n", 2, "cpu must be >= 0"),
+            ("0,nan,1.0\n", 2, "<= start"),
+            ("0,600,2.5\n\n5,1,1.0\n", 4, "<= start"),
+        ],
+        ids=["short_row", "end_le_start", "negative_cpu", "nan_end", "after_blank"],
+    )
+    def test_invalid_task_row_names_line(self, tmp_path, rows, line, reason):
+        path = tmp_path / "tasks.csv"
+        path.write_text("start_s,end_s,cpu\n" + rows)
+        with pytest.raises(TraceError, match=f":{line}: .*{reason}"):
+            read_tasks_csv(path)
 
     def test_task_error_names_line(self, tmp_path):
         path = tmp_path / "tasks.csv"
@@ -372,3 +434,11 @@ class TestCsvBoundary:
         assert np.allclose(again.u, profile.u)
         assert np.allclose(again.p_total, profile.p_total)
         assert np.array_equal(again.n_ch, profile.n_ch)
+
+    def test_profile_short_row_names_line(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text(
+            "timestamp_s,u,p_it_mw,q_cool_mwth,n_ch,p_thermal_mw\n0,0.5,45,45,5,1\n300,0.5\n"
+        )
+        with pytest.raises(TraceError, match=":3:"):
+            read_profile_csv(path)
