@@ -81,6 +81,8 @@ class RunConfig:
             if not p.exists():
                 raise ConfigError(f"config file not found: {p}")
             doc = json.loads(p.read_text())
+            if not isinstance(doc, dict):
+                raise ConfigError(f"{p}: config must be a JSON object")
         seed = (
             args.seed
             if args.seed is not None

@@ -6,6 +6,7 @@ MW/MVAr and degrees appear only at the file boundary.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -84,6 +85,83 @@ class Generator:
             raise CaseError(f"generator at bus {self.bus}: mva_base must be > 0")
 
 
+@dataclass(frozen=True, eq=False)
+class CaseArrays:
+    """Bus and in-service generator data of a case as read-only arrays in
+    bus order, for vectorised solvers.
+
+    Loads are MW/MVAr as on the buses. Generator quantities are per-unit on
+    the system base; per-bus Q limits are summed in generator order, and a
+    bus's setpoint is its last generator's.
+    """
+
+    is_pv: np.ndarray  # bool per bus
+    is_pq: np.ndarray  # bool per bus
+    p_load: np.ndarray  # MW per bus
+    q_load: np.ndarray  # MVAr per bus
+    gen_bus: np.ndarray  # bus index of each in-service generator
+    gen_p: np.ndarray  # its p_set, pu
+    has_gen: np.ndarray  # bool per bus
+    q_min: np.ndarray  # pu per bus, 0 where no generator
+    q_max: np.ndarray
+    v_set: np.ndarray  # pu per bus, nan where no generator
+
+    def with_bus(self, i: int, bus: Bus) -> "CaseArrays":
+        """The arrays with bus index i replaced by bus; generator arrays
+        are shared."""
+        return replace(
+            self,
+            is_pv=_frozen_with(self.is_pv, i, bus.kind is BusKind.PV),
+            is_pq=_frozen_with(self.is_pq, i, bus.kind is BusKind.PQ),
+            p_load=_frozen_with(self.p_load, i, bus.p_load),
+            q_load=_frozen_with(self.q_load, i, bus.q_load),
+        )
+
+
+def _frozen(a, dtype=None) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+def _frozen_with(a: np.ndarray, i: int, value) -> np.ndarray:
+    out = a.copy()
+    out[i] = value
+    return _frozen(out)
+
+
+def _case_arrays(case: "NetworkCase") -> CaseArrays:
+    buses, n, base = case.buses, case.n_bus, case.system_mva_base
+    gens = [g for g in case.generators if g.status]
+    gen_bus = np.array([case.bus_index(g.bus) for g in gens], dtype=np.intp)
+    v_set = np.full(n, np.nan)
+    for i, g in zip(gen_bus, gens):
+        v_set[i] = g.v_set
+    return CaseArrays(
+        is_pv=_frozen([b.kind is BusKind.PV for b in buses], bool),
+        is_pq=_frozen([b.kind is BusKind.PQ for b in buses], bool),
+        p_load=_frozen([b.p_load for b in buses], float),
+        q_load=_frozen([b.q_load for b in buses], float),
+        gen_bus=_frozen(gen_bus),
+        gen_p=_frozen([g.p_set / base for g in gens], float),
+        has_gen=_frozen(np.bincount(gen_bus, minlength=n) > 0),
+        # bincount adds each bus's generators in case order, from 0.0.
+        q_min=_frozen(np.bincount(gen_bus, [g.q_min / base for g in gens], n)),
+        q_max=_frozen(np.bincount(gen_bus, [g.q_max / base for g in gens], n)),
+        v_set=_frozen(v_set),
+    )
+
+
+def _slack_of(buses) -> int:
+    """Index of the one slack bus; CaseError unless there is exactly one."""
+    slacks = [i for i, b in enumerate(buses) if b.kind is BusKind.SLACK]
+    if len(slacks) == 0:
+        raise CaseError("no slack bus")
+    if len(slacks) > 1:
+        raise CaseError(f"multiple slack buses: {[buses[i].id for i in slacks]}")
+    return slacks[0]
+
+
 @dataclass(frozen=True)
 class NetworkCase:
     system_mva_base: float
@@ -91,6 +169,8 @@ class NetworkCase:
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...] = ()
     _index: dict[int, int] = field(default=None, repr=False, compare=False)
+    _slack: int = field(init=False, repr=False, compare=False)
+    arrays: CaseArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.system_mva_base <= 0:
@@ -99,11 +179,7 @@ class NetworkCase:
         if len(set(ids)) != len(ids):
             raise CaseError("duplicate bus ids")
         object.__setattr__(self, "_index", {bid: i for i, bid in enumerate(ids)})
-        slacks = [b.id for b in self.buses if b.kind is BusKind.SLACK]
-        if len(slacks) == 0:
-            raise CaseError("no slack bus")
-        if len(slacks) > 1:
-            raise CaseError(f"multiple slack buses: {slacks}")
+        object.__setattr__(self, "_slack", _slack_of(self.buses))
         known = set(ids)
         for br in self.branches:
             if br.from_bus not in known or br.to_bus not in known:
@@ -114,6 +190,7 @@ class NetworkCase:
             if g.bus not in known:
                 raise CaseError(f"generator references unknown bus {g.bus}")
         self._check_connected()
+        object.__setattr__(self, "arrays", _case_arrays(self))
 
     def _check_connected(self):
         n = len(self.buses)
@@ -152,27 +229,38 @@ class NetworkCase:
 
     @property
     def slack_index(self) -> int:
-        return next(i for i, b in enumerate(self.buses) if b.kind is BusKind.SLACK)
+        return self._slack
 
     def with_bus(self, bus: Bus) -> "NetworkCase":
-        """Copy of the case with one bus replaced (same id)."""
+        """Copy of the case with one bus replaced (same id).
+
+        Bus ids, branches and generators are unchanged, so the copy skips
+        the id, reference and connectivity checks, shares the bus index and
+        the generator arrays, and only checks that one slack bus remains.
+        """
         i = self.bus_index(bus.id)
         buses = list(self.buses)
         buses[i] = bus
-        return replace(self, buses=tuple(buses))
+        new = copy.copy(self)
+        object.__setattr__(new, "buses", tuple(buses))
+        if (bus.kind is BusKind.SLACK) != (i == self._slack):
+            object.__setattr__(new, "_slack", _slack_of(new.buses))
+        object.__setattr__(new, "arrays", self.arrays.with_bus(i, bus))
+        return new
 
     def load_pu(self) -> np.ndarray:
         """Complex per-unit load vector in bus order."""
-        s = np.array(
-            [complex(b.p_load, b.q_load) for b in self.buses], dtype=complex
-        )
-        return s / self.system_mva_base
+        return (self.arrays.p_load + 1j * self.arrays.q_load) / self.system_mva_base
 
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
     dimension: int
     matrix: sp.csc_matrix  # complex, pu
+    # Newton Jacobian patterns of this matrix, filled by the power flow and
+    # keyed by the PV/PQ partition. They stay valid because no code changes
+    # `matrix` in place: a new topology is always a new AdmittanceMatrix.
+    jacobian_patterns: dict = field(default_factory=dict, compare=False, repr=False)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()

@@ -5,17 +5,25 @@ Non-convergence is a result state (converged=False), not an exception, so
 batch sweeps can record failures and continue. A singular Jacobian raises
 SingularJacobianError, which sweeps record as a non-converged bin.
 
-The Jacobian is assembled into a fixed sparsity pattern: each Newton loop
-holds the Y-bus and the PV/PQ partition fixed, so jacobian_pattern computes
-the CSC structure and the scatter indices once per loop, and every
-iteration only computes the per-entry derivative values and sums them into
-the CSC data with one bincount. compute_jacobian returns CSC, which the
-sparse solver takes without conversion.
+solve works on the case's bus arrays (NetworkCase.arrays): it derives the
+scheduled injection, the PV/PQ masks, the Q limits and the setpoints once
+per call. Q-limit enforcement switches a PV bus to PQ by mask, as MATPOWER
+does with its bus types: the bus joins the PQ set and its generator Q,
+pinned at the limit, moves into the scheduled injection. No case copy is
+made.
+
+The Jacobian is assembled into a fixed sparsity pattern, which depends
+only on the Y-bus and the PV/PQ partition: jacobian_pattern computes the
+CSC structure and the scatter indices, and each pattern is cached on its
+AdmittanceMatrix, so a weekly sweep on one Y-bus builds a handful of them.
+Every iteration only computes the per-entry derivative values and sums
+them into the CSC data with one bincount. compute_jacobian returns CSC,
+which the sparse solver takes without conversion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +31,6 @@ import scipy.sparse.linalg as spla
 
 from .network import (
     AdmittanceMatrix,
-    BusKind,
     NetworkCase,
     branch_admittances,
     build_ybus,
@@ -63,20 +70,22 @@ class PowerFlowSolution:
     q_limited_buses: tuple[int, ...] = ()  # bus ids switched PV->PQ
 
 
-def scheduled_injection(case: NetworkCase) -> np.ndarray:
+def scheduled_injection(
+    case: NetworkCase, q_fixed: np.ndarray | None = None
+) -> np.ndarray:
     """Net scheduled complex injection per bus (generation minus load), pu.
 
     Slack-bus generation is excluded (it is solved for); PV-bus Q is excluded
-    (only P is scheduled there).
+    (only P is scheduled there). q_fixed, pu per bus, is generator Q held at
+    a limit by buses switched to PQ; it enters as negative reactive load,
+    exactly as in a case with the switched buses' q_load lowered by it.
     """
-    s = -case.load_pu()
+    a = case.arrays
     base = case.system_mva_base
-    for g in case.generators:
-        if not g.status:
-            continue
-        i = case.bus_index(g.bus)
-        if case.buses[i].kind is not BusKind.SLACK:
-            s[i] += g.p_set / base
+    q_load = a.q_load if q_fixed is None else a.q_load - q_fixed * base
+    s = -((a.p_load + 1j * q_load) / base)
+    gen = a.gen_bus != case.slack_index
+    np.add.at(s, a.gen_bus[gen], a.gen_p[gen])
     return s
 
 
@@ -165,6 +174,20 @@ def jacobian_pattern(
     )
 
 
+def _cached_pattern(
+    ybus: AdmittanceMatrix, pv_idx: np.ndarray, pq_idx: np.ndarray
+) -> JacobianPattern:
+    """jacobian_pattern(ybus, pv_idx, pq_idx), built once per Y-bus and
+    partition. The key holds the index bytes (np.intp)."""
+    pv_idx = np.asarray(pv_idx, dtype=np.intp)
+    pq_idx = np.asarray(pq_idx, dtype=np.intp)
+    key = (pv_idx.tobytes(), pq_idx.tobytes())
+    pattern = ybus.jacobian_patterns.get(key)
+    if pattern is None:
+        pattern = ybus.jacobian_patterns[key] = jacobian_pattern(ybus, pv_idx, pq_idx)
+    return pattern
+
+
 def compute_jacobian(
     case: NetworkCase,
     ybus: AdmittanceMatrix,
@@ -176,13 +199,13 @@ def compute_jacobian(
     """Polar-form Jacobian [dP/dth dP/dVm; dQ/dth dQ/dVm] of the computed
     injections, row/column ordered as compute_mismatch unknowns, as CSC.
 
-    pattern, when given, is jacobian_pattern(ybus, pv_idx, pq_idx), built
-    once by callers that hold the Y-bus and the partition fixed.
+    pattern, when given, is jacobian_pattern(ybus, pv_idx, pq_idx); without
+    it the pattern cached on the Y-bus for the partition is used.
     """
     if pattern is None:
         if pv_idx is None or pq_idx is None:
             pv_idx, pq_idx = _bus_partitions(case)
-        pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
+        pattern = _cached_pattern(ybus, pv_idx, pq_idx)
     p = pattern
     vm = np.abs(v)
     ibus = ybus.matrix @ v
@@ -198,9 +221,7 @@ def compute_jacobian(
 
 
 def _bus_partitions(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
-    pv = [i for i, b in enumerate(case.buses) if b.kind is BusKind.PV]
-    pq = [i for i, b in enumerate(case.buses) if b.kind is BusKind.PQ]
-    return np.array(pv, dtype=int), np.array(pq, dtype=int)
+    return np.flatnonzero(case.arrays.is_pv), np.flatnonzero(case.arrays.is_pq)
 
 
 def _initial_voltage(case: NetworkCase, flat_start: bool) -> np.ndarray:
@@ -211,29 +232,23 @@ def _initial_voltage(case: NetworkCase, flat_start: bool) -> np.ndarray:
             [b.v_mag * np.exp(1j * b.v_ang) for b in case.buses], dtype=complex
         )
     # PV/slack magnitudes pinned to generator setpoints.
-    vset = _vset_by_index(case)
-    for i, b in enumerate(case.buses):
-        if b.kind is not BusKind.PQ and i in vset:
-            v[i] = vset[i] * np.exp(1j * np.angle(v[i]))
+    a = case.arrays
+    pin = a.has_gen & ~a.is_pq
+    v[pin] = a.v_set[pin] * np.exp(1j * np.angle(v[pin]))
     return v
 
 
-def _vset_by_index(case: NetworkCase) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for g in case.generators:
-        if g.status:
-            out[case.bus_index(g.bus)] = g.v_set
-    return out
-
-
-def _nr_core(case, ybus, v0, opts):
-    """One Newton loop for a fixed PV/PQ partition."""
-    pv_idx, pq_idx = _bus_partitions(case)
+def _nr_core(case, ybus, v0, opts, pv_idx=None, pq_idx=None, s_sched=None):
+    """One Newton loop for a fixed PV/PQ partition, by default the case's
+    own; s_sched defaults to scheduled_injection(case)."""
+    if pv_idx is None or pq_idx is None:
+        pv_idx, pq_idx = _bus_partitions(case)
+    if s_sched is None:
+        s_sched = scheduled_injection(case)
     pvpq = np.concatenate([pv_idx, pq_idx])
     pvpq.sort()
     npq = len(pq_idx)
-    s_sched = scheduled_injection(case)
-    pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
+    pattern = _cached_pattern(ybus, pv_idx, pq_idx)
     v = v0.copy()
     mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx, s_sched)
     norm = np.max(np.abs(mis)) if mis.size else 0.0
@@ -262,23 +277,6 @@ def _nr_core(case, ybus, v0, opts):
     return v, it, norm <= opts.tol, norm, norms
 
 
-def _bus_q_injection(case, ybus, v):
-    return (v * np.conj(ybus.matrix @ v)).imag
-
-
-def _gen_q_limits_pu(case: NetworkCase) -> dict[int, tuple[float, float]]:
-    """Aggregate generator Q limits per bus index, pu."""
-    lims: dict[int, tuple[float, float]] = {}
-    base = case.system_mva_base
-    for g in case.generators:
-        if not g.status:
-            continue
-        i = case.bus_index(g.bus)
-        lo, hi = lims.get(i, (0.0, 0.0))
-        lims[i] = (lo + g.q_min / base, hi + g.q_max / base)
-    return lims
-
-
 def solve(
     case: NetworkCase,
     ybus: AdmittanceMatrix | None = None,
@@ -288,63 +286,52 @@ def solve(
     """Full Newton-Raphson solve with optional PV->PQ Q-limit switching.
 
     v0 overrides the starting voltage (warm starts for snapshot sweeps).
-    Each PV bus may switch to PQ at a violated limit and re-switch back to PV
-    at most once (prevents cycling).
+    A PV bus whose generator Q leaves its limits switches to PQ with Q
+    pinned at the limit; a pinned bus whose voltage passes its setpoint on
+    the releasing side returns to PV, at most once (prevents cycling). The
+    loop makes at most n_bus + 1 passes; if the last one still switches a
+    bus, the result is not converged.
     """
     if ybus is None:
         ybus = build_ybus(case)
-    base = case.system_mva_base
-    lims = _gen_q_limits_pu(case)
-    work = case
+    a = case.arrays
     v = v0.copy() if v0 is not None else _initial_voltage(case, opts.flat_start)
-    vset = _vset_by_index(case)
-    pinned: dict[int, str] = {}  # bus index -> "hi"/"lo"
-    reswitched: set[int] = set()
+    q_load_pu = a.q_load / case.system_mva_base
+    checked = a.has_gen & a.is_pv  # PV buses whose Q limits are enforced
+    side = np.zeros(case.n_bus, dtype=np.int8)  # +1 pinned at q_max, -1 at q_min
+    released = np.zeros(case.n_bus, dtype=bool)
+    s_sched = scheduled_injection(case)
     total_it = 0
     ok, norm = False, np.inf
     for _ in range(case.n_bus + 1):  # each pass may switch buses; bounded
-        v, it, ok, norm, _ = _nr_core(work, ybus, v, opts)
+        pinned = side != 0
+        v, it, ok, norm, _ = _nr_core(
+            case, ybus, v, opts,
+            np.flatnonzero(a.is_pv & ~pinned), np.flatnonzero(a.is_pq | pinned),
+            s_sched,
+        )
         total_it += it
         if not ok or not opts.enforce_q_limits:
             break
-        q_inj = _bus_q_injection(work, ybus, v)
-        changed = False
-        for i, (qlo, qhi) in lims.items():
-            if case.buses[i].kind is not BusKind.PV:
-                continue
-            bus_now = work.buses[i]
-            if i not in pinned:
-                q_gen = q_inj[i] + case.buses[i].q_load / base
-                qfix = None
-                if q_gen > qhi + 1e-9:
-                    qfix, side = qhi, "hi"
-                elif q_gen < qlo - 1e-9:
-                    qfix, side = qlo, "lo"
-                if qfix is not None:
-                    work = work.with_bus(
-                        replace(
-                            bus_now,
-                            kind=BusKind.PQ,
-                            q_load=case.buses[i].q_load - qfix * base,
-                        )
-                    )
-                    pinned[i] = side
-                    changed = True
-            elif i not in reswitched:
-                # Pinned at a limit: if the solved voltage overshoots the
-                # setpoint on the releasing side, restore PV once.
-                vm = abs(v[i])
-                vs = vset.get(i, case.buses[i].v_mag)
-                if (pinned[i] == "hi" and vm > vs + 1e-6) or (
-                    pinned[i] == "lo" and vm < vs - 1e-6
-                ):
-                    work = work.with_bus(replace(case.buses[i], kind=BusKind.PV))
-                    v[i] = vs * np.exp(1j * np.angle(v[i]))
-                    del pinned[i]
-                    reswitched.add(i)
-                    changed = True
-        if not changed:
+        q_gen = (v * np.conj(ybus.matrix @ v)).imag + q_load_pu
+        free = checked & ~pinned
+        hi = free & (q_gen > a.q_max + 1e-9)
+        lo = free & ~hi & (q_gen < a.q_min - 1e-9)
+        # A pinned bus whose voltage overshoots the setpoint on the
+        # releasing side returns to PV once, at its setpoint.
+        vm = np.abs(v)
+        release = (pinned & ~released) & (
+            ((side == 1) & (vm > a.v_set + 1e-6)) | ((side == -1) & (vm < a.v_set - 1e-6))
+        )
+        if not (hi.any() or lo.any() or release.any()):
             break
+        side[hi], side[lo], side[release] = 1, -1, 0
+        released |= release
+        v[release] = a.v_set[release] * np.exp(1j * np.angle(v[release]))
+        q_fixed = np.where(side == 1, a.q_max, np.where(side == -1, a.q_min, 0.0))
+        s_sched = scheduled_injection(case, q_fixed)
+    else:
+        ok = False  # out of passes while the last pass still switched
     s_inj = v * np.conj(ybus.matrix @ v)
     sl = case.slack_index
     s_load = case.load_pu()
@@ -357,7 +344,7 @@ def solve(
         iterations=total_it,
         converged=ok,
         max_mismatch=float(norm),
-        q_limited_buses=tuple(sorted(case.buses[i].id for i in pinned)),
+        q_limited_buses=tuple(sorted(case.buses[i].id for i in np.flatnonzero(side))),
     )
 
 

@@ -177,6 +177,15 @@ class TestConfigHandling:
         assert (workdir / "cfg_out/error.json").exists()
         assert not (workdir / "out").exists()
 
+    def test_config_not_an_object_reports_error(self, tmp_path, capsys):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert main(["--config", str(tmp_path / "list.json"), "--out", str(out),
+                     "profile"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert "JSON object" in err["message"]
+
     def test_unknown_config_key_rejected(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["simulation"]["dtt"] = 0.01

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from smrgrid.network import (
     Bus,
     BusKind,
     Branch,
+    CaseArrays,
     CaseError,
     Generator,
     NetworkCase,
@@ -99,6 +101,50 @@ class TestCaseValidation:
     def test_generator_q_order(self):
         with pytest.raises(CaseError):
             Generator(bus=1, p_set=0.0, q_min=10.0, q_max=-10.0)
+
+
+class TestWithBus:
+    @staticmethod
+    def constructor_error(case, bus):
+        buses = tuple(bus if b.id == bus.id else b for b in case.buses)
+        with pytest.raises(CaseError) as exc:
+            NetworkCase(case.system_mva_base, buses, case.branches, case.generators)
+        return str(exc.value)
+
+    def test_second_slack_rejected_like_constructor(self, case118):
+        bus = replace(case118.bus(25), kind=BusKind.SLACK)
+        message = self.constructor_error(case118, bus)
+        assert "multiple slack" in message
+        with pytest.raises(CaseError) as exc:
+            case118.with_bus(bus)
+        assert str(exc.value) == message
+
+    def test_removing_the_slack_rejected_like_constructor(self, case118):
+        slack = case118.buses[case118.slack_index]
+        bus = replace(slack, kind=BusKind.PV)
+        message = self.constructor_error(case118, bus)
+        assert message == "no slack bus"
+        with pytest.raises(CaseError) as exc:
+            case118.with_bus(bus)
+        assert str(exc.value) == message
+
+    def test_copy_equals_a_case_built_from_its_fields(self, case118):
+        bus = replace(case118.bus(25), kind=BusKind.PQ, p_load=case118.bus(25).p_load + 60.0)
+        snap = case118.with_bus(bus)
+        built = NetworkCase(
+            snap.system_mva_base, snap.buses, snap.branches, snap.generators
+        )
+        assert snap == built
+        assert snap != case118
+        assert snap.bus(25) == bus
+        assert all(snap.bus_index(b.id) == i for i, b in enumerate(case118.buses))
+        assert snap.slack_index == built.slack_index
+        for name in CaseArrays.__dataclass_fields__:
+            np.testing.assert_array_equal(
+                getattr(snap.arrays, name), getattr(built.arrays, name)
+            )
+        # The original is untouched.
+        assert case118.arrays.is_pv[case118.bus_index(25)]
 
 
 class TestYbus:

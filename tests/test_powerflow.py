@@ -14,6 +14,7 @@ from smrgrid.network import (
 from smrgrid.powerflow import (
     PowerFlowOptions,
     _bus_partitions,
+    _initial_voltage,
     _nr_core,
     apply_snapshot,
     compute_jacobian,
@@ -56,6 +57,17 @@ def finite_difference_jacobian(case, ybus, v, eps=1e-7):
         lo = mism(th0, vm)
         cols.append(-(hi - lo) / (2 * eps))
     return np.column_stack(cols)
+
+
+def q_limits_by_bus(case):
+    """Bus id -> (q_min, q_max) of its in-service generators, summed, pu."""
+    base = case.system_mva_base
+    lims = {}
+    for g in case.generators:
+        if g.status:
+            lo, hi = lims.get(g.bus, (0.0, 0.0))
+            lims[g.bus] = (lo + g.q_min / base, hi + g.q_max / base)
+    return lims
 
 
 def one_bus_case(p_load=0.0):
@@ -242,15 +254,91 @@ class TestQLimits:
     def test_118_bus_limits_respected(self, case118):
         sol = solve(case118)
         assert sol.converged
-        from smrgrid.powerflow import _gen_q_limits_pu
-
-        lims = _gen_q_limits_pu(case118)
         base = case118.system_mva_base
-        for i, (qlo, qhi) in lims.items():
+        lims = q_limits_by_bus(case118)
+        for bid, (qlo, qhi) in lims.items():
+            i = case118.bus_index(bid)
             if case118.buses[i].kind is not BusKind.PV:
                 continue
             q_gen = sol.q_inj[i] + case118.buses[i].q_load / base
             assert qlo - 1e-6 <= q_gen <= qhi + 1e-6
+
+    def test_out_of_passes_is_not_converged(self):
+        # Warm-started far below the setpoint, the two-bus PV generator is
+        # pinned at q_min, released back to PV, then pinned at q_max: the
+        # third pass, the loop's last (n_bus + 1), still switches a bus, and
+        # its voltage is the PV solution, whose Q exceeds q_max.
+        case = self.limited_case(20.0)
+        sol = solve(case, v0=np.array([1.0, 0.9], dtype=complex))
+        assert not sol.converged
+        assert sol.q_limited_buses == (2,)
+        assert sol.q_inj[1] + 0.6 > 0.2 + 1e-6
+
+    @staticmethod
+    def switched_case_oracle(case, ybus, v, opts):
+        """The Q-limit loop on explicit case copies: every switch is a
+        with_bus copy, each pass a Newton loop on the copy's own partition
+        and scheduled injection. Returns (v, iterations, switched case)."""
+        base = case.system_mva_base
+        lims = q_limits_by_bus(case)
+        vset = {g.bus: g.v_set for g in case.generators if g.status}
+        work, pinned, released, total = case, {}, set(), 0
+        for _ in range(case.n_bus + 1):
+            v, it, ok, _, _ = _nr_core(work, ybus, v, opts)
+            total += it
+            assert ok
+            q_gen = (v * np.conj(ybus.matrix @ v)).imag
+            changed = False
+            for bid, (qlo, qhi) in lims.items():
+                bus, i = case.bus(bid), case.bus_index(bid)
+                if bus.kind is not BusKind.PV:
+                    continue
+                if bid not in pinned:
+                    q = q_gen[i] + bus.q_load / base
+                    side = "hi" if q > qhi + 1e-9 else "lo" if q < qlo - 1e-9 else None
+                    if side:
+                        qfix = qhi if side == "hi" else qlo
+                        work = work.with_bus(
+                            replace(bus, kind=BusKind.PQ, q_load=bus.q_load - qfix * base)
+                        )
+                        pinned[bid] = side
+                        changed = True
+                elif bid not in released:
+                    vm = abs(v[i])
+                    if (pinned[bid] == "hi" and vm > vset[bid] + 1e-6) or (
+                        pinned[bid] == "lo" and vm < vset[bid] - 1e-6
+                    ):
+                        work = work.with_bus(bus)
+                        v[i] = vset[bid] * np.exp(1j * np.angle(v[i]))
+                        del pinned[bid]
+                        released.add(bid)
+                        changed = True
+            if not changed:
+                return v, total, work
+        raise AssertionError("oracle ran out of passes")
+
+    @pytest.mark.parametrize("p_dc_mw", [0.0, 60.0, 250.0])
+    def test_mask_switching_matches_switched_case(self, case118, p_dc_mw):
+        snap = apply_snapshot(case118, 25, p_dc_mw, 0.2 * p_dc_mw)
+        ybus = build_ybus(snap)
+        opts = PowerFlowOptions()
+        sol = solve(snap, ybus, opts)
+        assert sol.converged and sol.q_limited_buses
+        v0 = _initial_voltage(snap, opts.flat_start)
+        v, iterations, switched = self.switched_case_oracle(snap, ybus, v0, opts)
+        # The oracle's last pass solved the case with exactly the reported
+        # buses set to PQ, their Q pinned at a limit.
+        assert tuple(
+            b.id for b, b0 in zip(switched.buses, snap.buses)
+            if b.kind is not b0.kind
+        ) == sol.q_limited_buses
+        assert all(
+            switched.bus(bid).kind is BusKind.PQ
+            and switched.bus(bid).q_load != snap.bus(bid).q_load
+            for bid in sol.q_limited_buses
+        )
+        assert np.max(np.abs(sol.v - v)) <= 1e-10
+        assert sol.iterations == iterations
 
 
 class TestApplySnapshot:

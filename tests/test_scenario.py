@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from smrgrid import dynamics as dyn
 from smrgrid import powerflow as pf
+from smrgrid import scenario as sc
 from smrgrid.datacenter import (
     ItPowerParams,
     UtilizationTrace,
@@ -125,6 +126,34 @@ class TestSnapshot:
         )
         assert sweep.converged.tolist() == [False] + [True] * (len(small_profile) - 1)
         assert np.isnan(sweep.poi_v_mag[0]) and np.isnan(sweep.slack_p_mw[0])
+
+    def test_sweep_pattern_cache_matches_fresh_patterns(self, case118, monkeypatch):
+        real_build_ybus = sc.build_ybus
+        built = []
+
+        def recording_build_ybus(case):
+            built.append(real_build_ybus(case))
+            return built[-1]
+
+        monkeypatch.setattr(sc, "build_ybus", recording_build_ybus)
+        u = 0.5 + 0.5 * np.sin(np.linspace(0.0, 2 * np.pi, 24))
+        profile = build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
+        sweep = snapshot_sweep(
+            case118, profile, Configuration(kind="grid_only", dc_bus=25)
+        )
+        assert np.all(sweep.converged)
+        (ybus,) = built
+        cached = ybus.jacobian_patterns
+        # More than one partition occurs, and far fewer patterns than
+        # Newton loops are built.
+        assert 1 < len(cached) < len(profile)
+        for (pv_bytes, pq_bytes), pattern in cached.items():
+            pv_idx = np.frombuffer(pv_bytes, dtype=np.intp)
+            pq_idx = np.frombuffer(pq_bytes, dtype=np.intp)
+            fresh = pf.jacobian_pattern(ybus, pv_idx, pq_idx)
+            assert pattern.dim == fresh.dim
+            for name in ("rows", "cols", "y", "src", "dest", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(pattern, name), getattr(fresh, name))
 
     def test_ies_netting_relieves_the_grid(self, case118, small_profile):
         base = solve(case118)
