@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -23,6 +24,13 @@ from smrgrid.network import (
 @pytest.fixture(scope="session")
 def case118() -> NetworkCase:
     return load_ieee118()
+
+
+def zero_valued(jac: sp.csc_matrix) -> sp.csc_matrix:
+    """A singular Jacobian: jac's CSC structure with every value zero."""
+    return sp.csc_matrix(
+        (np.zeros_like(jac.data), jac.indices, jac.indptr), shape=jac.shape
+    )
 
 
 def make_two_bus(p_load=0.5, q_load=0.2, x=0.1, r=0.0, mva_base=100.0) -> NetworkCase:

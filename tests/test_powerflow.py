@@ -1,8 +1,14 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from smrgrid import powerflow as pf
+from smrgrid import scenario as sc
+from smrgrid.datacenter import UtilizationTrace, build_profile, calibrate_it_capacity
 from smrgrid.network import (
     Bus,
     BusKind,
@@ -12,19 +18,24 @@ from smrgrid.network import (
     build_ybus,
 )
 from smrgrid.powerflow import (
+    DIVERGENCE_FACTOR,
     PowerFlowOptions,
+    SingularJacobianError,
     _bus_partitions,
+    _cached_pattern,
     _initial_voltage,
+    _newton_step,
     _nr_core,
     apply_snapshot,
     compute_jacobian,
     compute_mismatch,
+    jacobian_pattern,
     scheduled_injection,
     solve,
     total_losses,
 )
 
-from conftest import make_two_bus, two_bus_exact_voltage
+from conftest import make_two_bus, two_bus_exact_voltage, zero_valued
 
 
 def finite_difference_jacobian(case, ybus, v, eps=1e-7):
@@ -194,15 +205,44 @@ class TestSolve:
         assert abs(np.sum(sol.p_inj) - losses.real) < 1e-8
 
     def test_quadratic_convergence_118(self, case118):
-        ybus = build_ybus(case118)
-        v0 = np.ones(case118.n_bus, dtype=complex)
-        from smrgrid.powerflow import _initial_voltage
-
-        v0 = _initial_voltage(case118, flat_start=True)
-        opts = PowerFlowOptions(tol=1e-10, enforce_q_limits=False)
-        _, _, ok, _, norms = _nr_core(case118, ybus, v0, opts)
-        assert ok
+        opts = PowerFlowOptions(tol=1e-10, flat_start=True, enforce_q_limits=False)
+        sol = solve(case118, opts=opts)
+        assert sol.converged
+        norms = sol.mismatch_norms
+        assert len(norms) == sol.iterations + 1
+        assert norms[-1] == sol.max_mismatch
         assert norms[-1] / norms[-2] <= 1e-2
+        # Once close, each step squares the mismatch (5.9, 0.83, 1e-2,
+        # 3e-6, 4e-13 from flat start).
+        for prev, nxt in zip(norms[1:], norms[2:]):
+            assert nxt <= prev**2
+
+    def test_history_spans_every_q_limit_pass(self, case118):
+        sol = solve(case118, opts=PowerFlowOptions(flat_start=True))
+        assert sol.converged and sol.q_limited_buses
+        norms = sol.mismatch_norms
+        # Each pass starts with its own initial mismatch, so the history
+        # holds one entry per pass beyond the iterations.
+        passes = len(norms) - sol.iterations
+        assert passes > 1
+        assert sum(n <= 1e-6 for n in norms) == passes
+        assert norms[-1] == sol.max_mismatch
+
+    def test_divergence_stops_early(self, case118):
+        # 2000 MW / 400 MVAr at bus 25 has no solution; the mismatch goes
+        # 18, 7.7, 15, 190, 5.9e4 and would run on for all max_iter.
+        snap = apply_snapshot(case118, 25, 2000.0, 400.0)
+        opts = PowerFlowOptions()
+        sol = solve(snap, opts=opts)
+        assert not sol.converged
+        assert sol.iterations < opts.max_iter
+        norms = sol.mismatch_norms
+        assert len(norms) == sol.iterations + 1
+        assert norms[-1] > DIVERGENCE_FACTOR * min(norms)
+        assert all(
+            n <= DIVERGENCE_FACTOR * min(norms[: k + 1])
+            for k, n in enumerate(norms[:-1])
+        )
 
     def test_non_convergence_is_result_state(self):
         # Load far beyond the static transfer limit cannot be solved.
@@ -216,6 +256,149 @@ class TestSolve:
         again = solve(case118, ybus, v0=sol.v)
         assert again.converged
         assert again.iterations == 0
+
+
+@pytest.fixture(scope="module")
+def sweep_ybus(case118):
+    """The Y-bus of a 24-bin grid-only sweep at bus 25, holding the cached
+    pattern of every PV/PQ partition the sweep met."""
+    built = []
+
+    def recording_build_ybus(case):
+        built.append(build_ybus(case))
+        return built[-1]
+
+    u = 0.5 + 0.5 * np.sin(np.linspace(0.0, 2 * np.pi, 24))
+    profile = build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "build_ybus", recording_build_ybus)
+        sweep = sc.snapshot_sweep(
+            case118, profile, sc.Configuration(kind="grid_only", dc_bus=25)
+        )
+    assert np.all(sweep.converged)
+    (ybus,) = built
+    return ybus
+
+
+def q_limited_partition(case, sol):
+    """The base PV/PQ partition with sol's Q-limited buses moved to PQ."""
+    pv_idx, pq_idx = _bus_partitions(case)
+    lim = [case.bus_index(b) for b in sol.q_limited_buses]
+    return np.setdiff1d(pv_idx, lim), np.union1d(pq_idx, lim)
+
+
+def newton_step_error(case, ybus, pattern, pv_idx, pq_idx, v):
+    """Relative difference of the cached-ordering Newton step from spsolve."""
+    jac = compute_jacobian(case, ybus, v, pv_idx, pq_idx, pattern)
+    mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx)
+    dx = _newton_step(pattern, jac, mis, pattern.lu_matrix())
+    ref = spla.spsolve(jac, mis)
+    return np.max(np.abs(dx - ref)) / np.max(np.abs(ref))
+
+
+class TestColumnOrdering:
+    def test_ordering_is_the_solved_jacobians(self, case118):
+        # The ordering is read off a surrogate of the same structure; it
+        # must be the one SuperLU computes for the real Jacobian.
+        ybus = build_ybus(case118)
+        sol = solve(case118, ybus)
+        assert len(sol.q_limited_buses) == 4
+        for pv_idx, pq_idx in (_bus_partitions(case118), q_limited_partition(case118, sol)):
+            pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
+            jac = compute_jacobian(case118, ybus, sol.v, pv_idx, pq_idx, pattern)
+            np.testing.assert_array_equal(
+                pattern.col_perm, np.argsort(spla.splu(jac).perm_c)
+            )
+            # The LU-order matrix is the Jacobian with its columns permuted.
+            work = pattern.lu_matrix()
+            np.take(jac.data, pattern.perm_map, out=work.data)
+            np.testing.assert_array_equal(
+                work.toarray(), jac.toarray()[:, pattern.col_perm]
+            )
+
+    def test_newton_step_matches_spsolve(self, case118, sweep_ybus):
+        sol = solve(case118, sweep_ybus)
+        partitions = {
+            key: (np.frombuffer(key[0], dtype=np.intp), np.frombuffer(key[1], dtype=np.intp))
+            for key in sweep_ybus.jacobian_patterns
+        }
+        assert len(partitions) > 1
+        pv_idx, pq_idx = q_limited_partition(case118, sol)
+        partitions[pv_idx.tobytes(), pq_idx.tobytes()] = (pv_idx, pq_idx)
+        rng = np.random.default_rng(3)
+        points = [np.ones(case118.n_bus, dtype=complex), sol.v] + [
+            sol.v * (1 + 0.05 * rng.standard_normal(case118.n_bus))
+            * np.exp(0.05j * rng.standard_normal(case118.n_bus))
+            for _ in range(2)
+        ]
+        for pv_idx, pq_idx in partitions.values():
+            pattern = _cached_pattern(sweep_ybus, pv_idx, pq_idx)
+            for v in points:
+                err = newton_step_error(case118, sweep_ybus, pattern, pv_idx, pq_idx, v)
+                assert err <= 1e-12
+
+    def test_tripped_line_gets_its_own_ordering(self, case118):
+        ybus = build_ybus(case118)
+        br = case118.branches
+        tripped = replace(case118, branches=(replace(br[0], status=False),) + br[1:])
+        ybus_tripped = build_ybus(tripped)
+        pv_idx, pq_idx = _bus_partitions(case118)
+        base = _cached_pattern(ybus, pv_idx, pq_idx)
+        own = _cached_pattern(ybus_tripped, pv_idx, pq_idx)
+        assert own.lu_order.nnz < base.lu_order.nnz
+        fresh = jacobian_pattern(ybus_tripped, pv_idx, pq_idx)
+        for name in ("col_perm", "perm_map"):
+            np.testing.assert_array_equal(getattr(own, name), getattr(fresh, name))
+        for part in ("indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(own.lu_order, part), getattr(fresh.lu_order, part)
+            )
+        sol = solve(tripped, ybus_tripped)
+        assert sol.converged
+        jac = compute_jacobian(tripped, ybus_tripped, sol.v, pv_idx, pq_idx, own)
+        np.testing.assert_array_equal(own.col_perm, np.argsort(spla.splu(jac).perm_c))
+        for v in (np.ones(case118.n_bus, dtype=complex), sol.v):
+            assert newton_step_error(tripped, ybus_tripped, own, pv_idx, pq_idx, v) <= 1e-12
+
+    def test_threads_share_patterns(self, case118):
+        # compare solves on a thread pool, and every solve on one Y-bus
+        # shares its cached patterns; each Newton loop writes only its own
+        # matrices, so concurrent solves equal serial ones bit for bit.
+        snaps = [apply_snapshot(case118, 25, p, 0.2 * p) for p in (0.0, 60.0, 250.0, 400.0)]
+        serial = [solve(s, build_ybus(s)).v for s in snaps]
+        shared = build_ybus(case118)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(solve, s, shared) for s in snaps * 3]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, sol in enumerate(results):
+            np.testing.assert_array_equal(sol.v, serial[k % len(snaps)])
+        assert all(
+            not p.natural.data.flags.writeable and not p.natural.data.any()
+            for p in shared.jacobian_patterns.values()
+        )
+
+    @pytest.mark.parametrize("singular_call", [1, 3])
+    def test_singular_jacobian_raises(self, case118, monkeypatch, singular_call):
+        real = pf.compute_jacobian
+        calls = []
+
+        def singular_on_call(*args):
+            calls.append(1)
+            jac = real(*args)
+            return zero_valued(jac) if len(calls) == singular_call else jac
+
+        monkeypatch.setattr(pf, "compute_jacobian", singular_on_call)
+        # From flat start the first Newton loop takes 4 iterations, so both
+        # calls fall inside it.
+        with pytest.raises(SingularJacobianError) as exc:
+            solve(case118, opts=PowerFlowOptions(flat_start=True))
+        assert exc.value.iteration == singular_call - 1
+        assert len(calls) == singular_call
 
 
 class TestQLimits:

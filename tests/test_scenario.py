@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from smrgrid import dynamics as dyn
 from smrgrid import powerflow as pf
@@ -29,7 +28,7 @@ from smrgrid.scenario import (
     snapshot_sweep,
 )
 
-from conftest import make_two_bus
+from conftest import make_two_bus, zero_valued
 
 
 def synthetic_result(freq, v=None, dt=0.005, bus=25):
@@ -113,12 +112,10 @@ class TestSnapshot:
         real = pf.compute_jacobian
         calls = []
 
-        def singular_first(case, ybus, v, pv_idx, pq_idx, *rest):
+        def singular_first(*args):
             calls.append(1)
-            if len(calls) == 1:
-                m = len(pv_idx) + 2 * len(pq_idx)
-                return sp.csc_matrix((m, m))
-            return real(case, ybus, v, pv_idx, pq_idx, *rest)
+            jac = real(*args)
+            return zero_valued(jac) if len(calls) == 1 else jac
 
         monkeypatch.setattr(pf, "compute_jacobian", singular_first)
         sweep = snapshot_sweep(
@@ -152,8 +149,17 @@ class TestSnapshot:
             pq_idx = np.frombuffer(pq_bytes, dtype=np.intp)
             fresh = pf.jacobian_pattern(ybus, pv_idx, pq_idx)
             assert pattern.dim == fresh.dim
-            for name in ("rows", "cols", "y", "src", "dest", "indices", "indptr"):
+            for name in (
+                "rows", "cols", "y", "src", "dest", "indices", "indptr",
+                "pvpq", "col_perm", "perm_map",
+            ):
                 np.testing.assert_array_equal(getattr(pattern, name), getattr(fresh, name))
+            for name in ("natural", "lu_order"):
+                for part in ("indices", "indptr"):
+                    np.testing.assert_array_equal(
+                        getattr(getattr(pattern, name), part),
+                        getattr(getattr(fresh, name), part),
+                    )
 
     def test_ies_netting_relieves_the_grid(self, case118, small_profile):
         base = solve(case118)
