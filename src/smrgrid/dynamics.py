@@ -8,7 +8,13 @@ pre-fault voltage), machines as EMF-behind-reactance sources, and the battery
 as a current injection. The network is then linear between events, so it is
 Kron-reduced to its ports (machine, battery, monitored and load-step buses)
 and each solve is a small dense product. Events restamp the augmented
-admittance matrix, and rebuild the reduction, at their timestamps.
+admittance matrix, and rebuild the reduction, at their timestamps. Machines
+are one record of arrays (`initialize_devices`), which the network and the
+events act on.
+
+Bus frequency is measured once, online: each step the washout filter
+(`washout_update`) advances for every monitored bus, the battery acts on the
+POI's value, and those values are the reported `freq_dev` series.
 
 Sign conventions (documented, the source material leaves them open):
   * governor input is the machine speed deviation (f - f_nom)/f_nom in pu,
@@ -61,13 +67,6 @@ class MachineParams:
             raise ValueError("mva_base must be > 0")
 
 
-@dataclass
-class MachineState:
-    delta: float  # rad
-    e_p: float  # internal EMF, pu system base voltage
-    p_mech: float  # pu system base
-
-
 @dataclass(frozen=True)
 class SmrParams:
     eta_t: float = 0.90  # turbine efficiency
@@ -91,13 +90,6 @@ class SmrParams:
             raise ValueError("ramp_limit must be > 0")
         if not (0.0 <= self.hp_fraction <= 1.0):
             raise ValueError("hp_fraction must be in [0, 1]")
-
-
-@dataclass
-class SmrState:
-    valve_cmd: float  # pu of p_max, actuator output
-    p_mech_cmd: float  # pu of p_max, after limiter
-    q_dot: float  # MW-thermal
 
 
 @dataclass(frozen=True)
@@ -261,23 +253,17 @@ def bess_power(
     return p_out, BessState(integrator=integrator, p_out=p_out, prev_df=delta_f)
 
 
-def bus_frequency_estimate(theta: np.ndarray, freq_filter_tc: float, dt: float) -> np.ndarray:
-    """Washout-filtered angle derivative as a Hz deviation series.
+def washout_update(
+    f_prev: float, theta: float, theta_prev: float, alpha: float, dt: float
+) -> float:
+    """One sample of the washout-filtered bus frequency, a Hz deviation.
 
-    First-order low-pass (time constant freq_filter_tc) applied to the raw
-    finite-difference derivative; angle differences are wrapped to (-pi, pi].
+    First-order low-pass with gain alpha = dt/tc applied to the raw
+    finite-difference derivative of the bus angle; the angle difference is
+    wrapped to [-pi, pi).
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.size < 2:
-        raise ValueError("need at least 2 samples")
-    dth = np.diff(theta)
-    dth = (dth + np.pi) % (2 * np.pi) - np.pi
-    raw = dth / dt / (2 * np.pi)
-    out = np.zeros_like(theta)
-    a = dt / freq_filter_tc
-    for k in range(1, theta.size):
-        out[k] = out[k - 1] + a * (raw[k - 1] - out[k - 1])
-    return out
+    dth = (theta - theta_prev + math.pi) % (2 * math.pi) - math.pi
+    return f_prev + alpha * (dth / dt / (2 * math.pi) - f_prev)
 
 
 def rk4_step(f, t: float, x: np.ndarray, dt: float) -> np.ndarray:
@@ -305,14 +291,12 @@ class SmrUnit:
     p_dispatch_mw: float
     q_dispatch_mvar: float = 0.0
     thermal_mw: float = 0.0  # cooling thermal extraction feeding the droop map
-    netted_in_case: bool = True  # dispatch was netted into the bus load
 
 
 @dataclass(frozen=True)
 class BessDevice:
     bus: int
     params: BessParams
-    netted_in_case: bool = True
 
 
 @dataclass(frozen=True)
@@ -338,16 +322,25 @@ def default_machines(case: NetworkCase) -> tuple[SyncMachine, ...]:
 # -- initialization ----------------------------------------------------------
 
 
-@dataclass
-class _MachineModel:
-    bus_idx: int
-    bus_id: int
-    y_m: complex  # 1/(j xd') on system base
-    h2_sys: float  # 2H on system base
-    d_sys: float
-    state: MachineState
-    is_smr: bool = False
-    active: bool = True
+@dataclass(frozen=True, eq=False)
+class _Machines:
+    """Classical machines as arrays, one entry per machine in device order.
+
+    The order (buses in order of first appearance, the SMR first at its bus)
+    fixes the summation order of every network product. Only `p_mech` (the
+    SMR's entry) and `active` (cleared by `GenTrip`) change during a run.
+    """
+
+    bus_idx: np.ndarray  # bus index
+    bus_id: np.ndarray
+    y_m: np.ndarray  # 1/(j xd') on system base
+    h2: np.ndarray  # 2H on system base
+    d: np.ndarray  # damping on system base
+    delta: np.ndarray  # initial rotor angle, rad
+    e_p: np.ndarray  # internal EMF, pu system base voltage
+    p_mech: np.ndarray  # pu system base
+    active: np.ndarray  # bool
+    smr: int | None = None  # index of the SMR machine
 
 
 def smr_flows_from_power(p_mech_mw: float, params: SmrParams) -> tuple[float, float]:
@@ -366,85 +359,71 @@ def initialize_devices(
     ybus: AdmittanceMatrix,
     solution: PowerFlowSolution,
     devices: DeviceSet,
-) -> tuple[list[_MachineModel], SmrState | None, BessState | None, np.ndarray]:
-    """Device states consistent with the converged snapshot.
+) -> tuple[_Machines, np.ndarray]:
+    """Machine states consistent with the converged snapshot.
 
-    Returns (machine models, smr state, bess state, effective bus load pu).
-    The effective load un-nets IES dispatch that apply_snapshot folded into
-    the bus load, so the network sees the full datacenter draw while the
-    devices inject their dispatch explicitly.
+    Returns (machines, effective bus load pu). The effective load un-nets
+    the SMR dispatch that apply_snapshot folded into the bus load, so the
+    network sees the full datacenter draw while the devices inject their
+    dispatch explicitly.
     """
     if not solution.converged:
         raise SimulationError("cannot initialize from a non-converged solution")
     sbase = case.system_mva_base
     v = solution.v
+    smr = devices.smr
+    smr_bidx = None if smr is None else case.bus_index(smr.bus)
     s_load = case.load_pu().astype(complex)
-    if devices.smr is not None and devices.smr.netted_in_case:
-        i = case.bus_index(devices.smr.bus)
-        s_load[i] += complex(devices.smr.p_dispatch_mw, devices.smr.q_dispatch_mvar) / sbase
-    s_inj = v * np.conj(ybus.matrix @ v)
-    s_gen_bus = s_inj + s_load  # generation per bus, pu
+    if smr is not None:
+        s_smr = complex(smr.p_dispatch_mw, smr.q_dispatch_mvar) / sbase
+        s_load[smr_bidx] += s_smr
+    s_gen_bus = v * np.conj(ybus.matrix @ v) + s_load  # generation per bus, pu
 
-    # Dispatch shares: SMR takes its own dispatch; other machines split the
-    # remaining bus generation in proportion to mva_base.
-    by_bus: dict[int, list] = {}
-    entries: list[tuple[SyncMachine | SmrUnit, bool]] = [
-        (m, False) for m in devices.machines
-    ]
-    if devices.smr is not None:
-        entries.append((devices.smr, True))
-    for dev, is_smr in entries:
-        by_bus.setdefault(case.bus_index(dev.bus), []).append((dev, is_smr))
-
-    models: list[_MachineModel] = []
-    smr_state: SmrState | None = None
-    for bidx, devs in by_bus.items():
-        vb = v[bidx]
-        s_bus = s_gen_bus[bidx]
-        smr_here = [(d, s) for d, s in devs if s]
-        plain = [(d, s) for d, s in devs if not s]
-        shares: list[tuple[object, bool, complex]] = []
-        s_rem = s_bus
-        for dev, _ in smr_here:
-            s_smr = complex(dev.p_dispatch_mw, dev.q_dispatch_mvar) / sbase
-            shares.append((dev, True, s_smr))
-            s_rem -= s_smr
-        wsum = sum(d.params.mva_base for d, _ in plain) or 1.0
-        for dev, _ in plain:
-            shares.append((dev, False, s_rem * (dev.params.mva_base / wsum)))
-        for dev, is_smr, s_i in shares:
-            mp = dev.machine if is_smr else dev.params
-            xd_sys = mp.xd_p * sbase / mp.mva_base
-            y_m = 1.0 / complex(0.0, xd_sys)
-            i_i = np.conj(s_i / vb)
-            e_c = vb + 1j * xd_sys * i_i
-            p_air = float((e_c * np.conj((e_c - vb) * y_m)).real)
-            if is_smr and dev.p_dispatch_mw > dev.params.p_max + 1e-9:
+    # Dispatch shares: the SMR takes its own dispatch; other machines split
+    # the remaining bus generation in proportion to mva_base.
+    by_bus: dict[int, list[SyncMachine]] = {}
+    for m in devices.machines:
+        by_bus.setdefault(case.bus_index(m.bus), []).append(m)
+    if smr is not None:
+        by_bus.setdefault(smr_bidx, [])
+    shares = []  # (bus index, bus id, machine params, complex power pu)
+    smr_i = None
+    for bidx, plain in by_bus.items():
+        s_rem = s_gen_bus[bidx]
+        if bidx == smr_bidx:
+            if smr.p_dispatch_mw > smr.params.p_max + 1e-9:
                 raise SimulationError("SMR dispatch exceeds rating")
-            models.append(
-                _MachineModel(
-                    bus_idx=bidx,
-                    bus_id=dev.bus,
-                    y_m=y_m,
-                    h2_sys=2.0 * mp.h * mp.mva_base / sbase,
-                    d_sys=mp.d * mp.mva_base / sbase,
-                    state=MachineState(
-                        delta=float(np.angle(e_c)),
-                        e_p=float(abs(e_c)),
-                        p_mech=p_air,
-                    ),
-                    is_smr=is_smr,
-                )
-            )
-            if is_smr:
-                p_pu = dev.p_dispatch_mw / dev.params.p_max
-                smr_state = SmrState(
-                    valve_cmd=p_pu,
-                    p_mech_cmd=p_pu,
-                    q_dot=min(dev.thermal_mw, dev.params.q_dot_max),
-                )
-    bess_state = BessState() if devices.bess is not None else None
-    return models, smr_state, bess_state, s_load
+            smr_i = len(shares)
+            shares.append((bidx, smr.bus, smr.machine, s_smr))
+            s_rem -= s_smr
+        wsum = sum(m.params.mva_base for m in plain) or 1.0
+        shares += [
+            (bidx, m.bus, m.params, s_rem * (m.params.mva_base / wsum)) for m in plain
+        ]
+
+    rows = []
+    for bidx, bus_id, mp, s_i in shares:
+        vb = v[bidx]
+        xd_sys = mp.xd_p * sbase / mp.mva_base
+        y_m = 1.0 / complex(0.0, xd_sys)
+        i_i = np.conj(s_i / vb)
+        e_c = vb + 1j * xd_sys * i_i
+        p_air = float((e_c * np.conj((e_c - vb) * y_m)).real)
+        rows.append((
+            bidx, bus_id, y_m,
+            2.0 * mp.h * mp.mva_base / sbase, mp.d * mp.mva_base / sbase,
+            float(np.angle(e_c)), float(abs(e_c)), p_air,
+        ))
+    cols = list(zip(*rows)) or [()] * 8
+    dtypes = (int, int, complex, float, float, float, float, float)
+    bus_idx, bus_id, y_m, h2, d, delta, e_p, p_mech = (
+        np.array(c, dtype=t) for c, t in zip(cols, dtypes)
+    )
+    machines = _Machines(
+        bus_idx, bus_id, y_m, h2, d, delta, e_p, p_mech,
+        active=np.ones(len(rows), dtype=bool), smr=smr_i,
+    )
+    return machines, s_load
 
 
 # -- transient engine --------------------------------------------------------
@@ -467,7 +446,7 @@ class _Network:
         ybase: sp.csc_matrix,
         s_load: np.ndarray,
         v0: np.ndarray,
-        models: list[_MachineModel],
+        machines: _Machines,
         port_buses,
         bess_idx: int | None = None,
     ):
@@ -479,23 +458,19 @@ class _Network:
         self.fault_shunts: dict[int, complex] = {}
         self.tripped: set[int] = set()  # branch indices
         self.load_extra = np.zeros(self.n, dtype=complex)
-        machine_bus = [m.bus_idx for m in models]
-        bess_bus = [] if bess_idx is None else [bess_idx]
-        self.ports = np.unique(
-            np.array(machine_bus + bess_bus + list(port_buses), dtype=int)
-        )
+        extra = list(port_buses) + ([] if bess_idx is None else [bess_idx])
+        self.ports = np.union1d(machines.bus_idx, np.array(extra, dtype=int))
         self.port_of = {int(b): k for k, b in enumerate(self.ports)}
-        self.machine_port = np.array([self.port_of[b] for b in machine_bus], dtype=int)
+        self.machine_port = np.searchsorted(self.ports, machines.bus_idx)
         self.bess_port = None if bess_idx is None else self.port_of[bess_idx]
 
-    def refactor(self, models: list[_MachineModel]):
+    def refactor(self, machines: _Machines):
         y = self.ybase
         if self.tripped:
             y = y - self.branches.stamp(self.n, np.array(sorted(self.tripped)))
+        on = machines.active
         diag = self.y_load + self.load_extra
-        for m in models:
-            if m.active:
-                diag[m.bus_idx] += m.y_m
+        np.add.at(diag, machines.bus_idx[on], machines.y_m[on])
         for bidx, yf in self.fault_shunts.items():
             diag[bidx] += yf
         try:
@@ -507,7 +482,7 @@ class _Network:
         unit[self.ports, np.arange(n_port)] = 1.0
         z = lu.solve(unit)[self.ports]
         # Machine k drives the current y_m * E_k into its bus while active.
-        y_src = np.array([m.y_m if m.active else 0j for m in models])
+        y_src = np.where(on, machines.y_m, 0j)
         self.a_port = z[:, self.machine_port] * y_src
         self.a_term = self.a_port[self.machine_port]
         self.b_port = self.b_term = None
@@ -526,7 +501,9 @@ class _Network:
         return v
 
 
-def _apply_event(net: _Network, case: NetworkCase, models, kind: EventKind, v_pre):
+def _apply_event(
+    net: _Network, case: NetworkCase, machines: _Machines, kind: EventKind, v_pre
+):
     """Apply one event to the network state; `v_pre` holds the pre-event
     port voltages. The caller refactors afterwards."""
     if isinstance(kind, BusFault3ph):
@@ -547,13 +524,10 @@ def _apply_event(net: _Network, case: NetworkCase, models, kind: EventKind, v_pr
             )
         net.tripped.add(hits[min(kind.circuit, len(hits) - 1)])
     elif isinstance(kind, GenTrip):
-        found = False
-        for m in models:
-            if m.bus_id == kind.bus and m.active:
-                m.active = False
-                found = True
-        if not found:
+        hit = machines.active & (machines.bus_id == kind.bus)
+        if not hit.any():
             raise SimulationError(f"no active machine at bus {kind.bus} to trip")
+        machines.active[hit] = False
     elif isinstance(kind, LoadStep):
         i = case.bus_index(kind.bus)
         ds = complex(kind.dp_mw, kind.dq_mvar) / case.system_mva_base
@@ -575,9 +549,7 @@ def run_transient(
     events = sorted(events, key=lambda e: e.t)
     if events and cfg.t_end <= events[-1].t:
         raise ValueError("t_end must exceed the last event time")
-    models, smr_state, bess_state, s_load = initialize_devices(
-        case, ybus, solution, devices
-    )
+    machines, s_load = initialize_devices(case, ybus, solution, devices)
     sbase = case.system_mva_base
     f_nom = cfg.f_nominal
     w_s = 2.0 * math.pi * f_nom
@@ -585,7 +557,7 @@ def run_transient(
     dt = cfg.dt
 
     smr = devices.smr
-    smr_mi = next((i for i, m in enumerate(models) if m.is_smr), None)
+    smr_mi = machines.smr
     bess = devices.bess
     bess_bidx = case.bus_index(bess.bus) if bess is not None else None
 
@@ -597,32 +569,26 @@ def run_transient(
     # _apply_event reads the pre-event voltage at a load-step bus.
     step_buses = [e.kind.bus for e in events if isinstance(e.kind, LoadStep)]
     net = _Network(
-        case, ybus.matrix, s_load, solution.v, models,
+        case, ybus.matrix, s_load, solution.v, machines,
         [case.bus_index(b) for b in monitor + step_buses], bess_bidx,
     )
-    net.refactor(models)
+    net.refactor(machines)
     mon_ports = np.array([net.port_of[case.bus_index(b)] for b in monitor])
     smr_port = net.machine_port[smr_mi] if smr is not None else None
 
-    nm = len(models)
-    e_p = np.array([m.state.e_p for m in models])
-    p_mech = np.array([m.state.p_mech for m in models])
-    y_m = np.array([m.y_m for m in models])
-    h2 = np.array([m.h2_sys for m in models])
-    d_sys = np.array([m.d_sys for m in models])
-
-    def active_gains():
-        # Tripped machines hold their angle and speed.
-        act = np.array([m.active for m in models], dtype=float)
-        return w_s * act, act / h2
-
-    w_gain, h2_inv = active_gains()
+    nm = len(machines.bus_idx)
+    e_p, p_mech, y_m, d_sys = machines.e_p, machines.p_mech, machines.y_m, machines.d
+    # Tripped machines hold their angle and speed.
+    w_gain, h2_inv = w_s * machines.active, machines.active / machines.h2
 
     v = solution.v[net.ports]  # port voltages
     bess_i_inj = 0.0 + 0.0j
-    # Online POI frequency filter feeding the battery controller.
-    poi_fdev_hz = 0.0
-    poi_theta_prev = float(np.angle(v[net.bess_port])) if bess is not None else 0.0
+    if bess is not None:
+        bess_state = BessState()
+        poi_j = monitor.index(bess.bus)
+    if smr is not None:
+        valve_cmd = p_mech_cmd = smr.p_dispatch_mw / smr.params.p_max  # pu of p_max
+        q_dot = min(smr.thermal_mw, smr.params.q_dot_max)  # MW-thermal
 
     def deriv(_t, x):
         emf = e_p * np.exp(1j * x[:nm])
@@ -636,6 +602,11 @@ def run_transient(
 
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
     v_mon = np.empty((n_steps + 1, len(monitor)), dtype=complex)
+    # Washout-filtered frequency of every monitored bus, filtered online so
+    # the battery acts on the reported POI frequency.
+    f_mon = np.zeros((len(monitor), n_steps + 1))
+    f_now = [0.0] * len(monitor)
+    th_prev = [0.0] * len(monitor)
     smr_series = np.empty(n_steps + 1) if smr is not None else None
     bess_series = np.empty(n_steps + 1) if bess is not None else None
     event_log: list[dict] = []
@@ -646,15 +617,15 @@ def run_transient(
     ev_i = 0
     alpha_f = dt / cfg.freq_filter_tc
 
-    x = np.concatenate([[m.state.delta for m in models], np.zeros(nm)])
+    x = np.concatenate([machines.delta, np.zeros(nm)])
     for k in range(n_steps + 1):
         t = t_grid[k]
         # Fire events due at this step boundary.
         while ev_i < len(events) and events[ev_i].t <= t + 1e-12:
             ev = events[ev_i]
-            _apply_event(net, case, models, ev.kind, v)
-            net.refactor(models)
-            w_gain, h2_inv = active_gains()
+            _apply_event(net, case, machines, ev.kind, v)
+            net.refactor(machines)
+            w_gain, h2_inv = w_s * machines.active, machines.active / machines.h2
             event_log.append({"t": float(ev.t), "kind": type(ev.kind).__name__,
                               "detail": repr(ev.kind)})
             ev_i += 1
@@ -664,20 +635,25 @@ def run_transient(
         if not np.isfinite(v).all():
             raise SimulationError(f"NaN in network solution at t={t:.4f}s")
         v_mon[k] = v[mon_ports]
+        for j, v_j in enumerate(v_mon[k].tolist()):
+            th = cmath.phase(v_j)
+            if k:
+                f_now[j] = f_mon[j, k] = washout_update(
+                    f_now[j], th, th_prev[j], alpha_f, dt
+                )
+            th_prev[j] = th
         if smr is not None:
             smr_series[k] = p_mech[smr_mi] * sbase
         if bess is not None:
             bess_series[k] = bess_state.p_out * bess.params.p_rating
 
-        # Drift bookkeeping over every device state.
-        svec = np.concatenate(
-            [
-                x,
-                p_mech,
-                [bess_state.integrator, bess_state.p_out] if bess else [],
-                [smr_state.valve_cmd, smr_state.p_mech_cmd] if smr else [],
-            ]
-        )
+        # Drift bookkeeping over the device states that can move.
+        moving = []
+        if bess is not None:
+            moving += [bess_state.integrator, bess_state.p_out]
+        if smr is not None:
+            moving += [p_mech[smr_mi], valve_cmd, p_mech_cmd]
+        svec = np.concatenate((x, moving))
         if state0 is None:
             state0 = svec
         else:
@@ -688,25 +664,17 @@ def run_transient(
 
         # Controller updates (piecewise-constant over the step).
         if bess is not None:
-            v_poi = v[net.bess_port]
-            th = cmath.phase(v_poi)
-            dth = (th - poi_theta_prev + math.pi) % (2 * math.pi) - math.pi
-            raw_hz = dth / dt / (2 * math.pi) if k > 0 else 0.0
-            poi_fdev_hz += alpha_f * (raw_hz - poi_fdev_hz)
-            poi_theta_prev = th
-            df_pu = -poi_fdev_hz / f_nom
+            df_pu = -f_now[poi_j] / f_nom
             p_out, bess_state = bess_power(df_pu, bess_state, bess.params, dt)
             s_b = complex(p_out * bess.params.p_rating / sbase, 0.0)
-            bess_i_inj = np.conj(s_b / v_poi)
-        if smr is not None and models[smr_mi].active:
+            bess_i_inj = np.conj(s_b / v[net.bess_port])
+        if smr is not None and machines.active[smr_mi]:
             mi = smr_mi
             p_e_mw = float(
                 (emf[mi] * np.conj((emf[mi] - v[smr_port]) * y_m[mi])).real
             ) * sbase
             droop = compute_droop(
-                min(max(p_e_mw, 0.0), smr.params.p_max),
-                smr_state.q_dot,
-                smr.params,
+                min(max(p_e_mw, 0.0), smr.params.p_max), q_dot, smr.params
             )
             corr = governor_power_correction(
                 float(x[nm + mi]), droop, smr.params.freq_deadband
@@ -714,15 +682,10 @@ def run_transient(
             target = smr.p_dispatch_mw / smr.params.p_max + corr
             target = min(max(target, 0.0), 1.0)
             a = 1.0 - math.exp(-dt / smr.params.t_actuator)
-            valve = smr_state.valve_cmd + a * (target - smr_state.valve_cmd)
-            p_cmd = apply_load_limiter(
-                valve, smr_state.p_mech_cmd, smr.params.ramp_limit, dt
-            )
-            smr_ramp_max = max(
-                smr_ramp_max, abs(p_cmd - smr_state.p_mech_cmd) / dt
-            )
-            smr_state.valve_cmd = valve
-            smr_state.p_mech_cmd = p_cmd
+            valve_cmd = valve_cmd + a * (target - valve_cmd)
+            p_cmd = apply_load_limiter(valve_cmd, p_mech_cmd, smr.params.ramp_limit, dt)
+            smr_ramp_max = max(smr_ramp_max, abs(p_cmd - p_mech_cmd) / dt)
+            p_mech_cmd = p_cmd
             m_hp, m_lp = smr_flows_from_power(p_cmd * smr.params.p_max, smr.params)
             p_mech[mi] = (
                 turbine_mechanical_power(
@@ -738,12 +701,7 @@ def run_transient(
     return TransientResult(
         t=t_grid,
         v_mag={b: np.abs(v_mon[:, j]) for j, b in enumerate(monitor)},
-        freq_dev={
-            b: bus_frequency_estimate(
-                np.angle(v_mon[:, j]), cfg.freq_filter_tc, dt
-            )
-            for j, b in enumerate(monitor)
-        },
+        freq_dev={b: f_mon[j] for j, b in enumerate(monitor)},
         smr_p_mech_mw=smr_series,
         bess_p_mw=bess_series,
         event_log=event_log,

@@ -354,7 +354,8 @@ def _nr_core(case, ybus, v0, opts, pv_idx=None, pq_idx=None, s_sched=None):
     """One Newton loop for a fixed PV/PQ partition, by default the case's
     own; s_sched defaults to scheduled_injection(case). The loop stops, not
     converged, once the mismatch norm exceeds DIVERGENCE_FACTOR times its
-    smallest value."""
+    smallest value. Returns (v, iterations, converged, final mismatch norm,
+    mismatch norms, bus current ybus.matrix @ v)."""
     if pv_idx is None or pq_idx is None:
         pv_idx, pq_idx = _bus_partitions(case)
     if s_sched is None:
@@ -387,7 +388,7 @@ def _nr_core(case, ybus, v0, opts, pv_idx=None, pq_idx=None, s_sched=None):
         best = min(best, norm)
         norms.append(norm)
         it += 1
-    return v, it, norm <= opts.tol, norm, norms
+    return v, it, norm <= opts.tol, norm, norms, ibus
 
 
 def solve(
@@ -419,7 +420,7 @@ def solve(
     ok, norm = False, np.inf
     for _ in range(case.n_bus + 1):  # each pass may switch buses; bounded
         pinned = side != 0
-        v, it, ok, norm, pass_norms = _nr_core(
+        v, it, ok, norm, pass_norms, ibus = _nr_core(
             case, ybus, v, opts,
             np.flatnonzero(a.is_pv & ~pinned), np.flatnonzero(a.is_pq | pinned),
             s_sched,
@@ -428,7 +429,7 @@ def solve(
         norms += pass_norms
         if not ok or not opts.enforce_q_limits:
             break
-        q_gen = (v * np.conj(ybus.matrix @ v)).imag + q_load_pu
+        q_gen = (v * np.conj(ibus)).imag + q_load_pu
         free = checked & ~pinned
         hi = free & (q_gen > a.q_max + 1e-9)
         lo = free & ~hi & (q_gen < a.q_min - 1e-9)
@@ -447,7 +448,8 @@ def solve(
         s_sched = scheduled_injection(case, q_fixed)
     else:
         ok = False  # out of passes while the last pass still switched
-    s_inj = v * np.conj(ybus.matrix @ v)
+        ibus = ybus.matrix @ v  # released buses moved v after the last pass
+    s_inj = v * np.conj(ibus)
     sl = case.slack_index
     s_load = case.load_pu()
     return PowerFlowSolution(

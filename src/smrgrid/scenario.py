@@ -36,10 +36,6 @@ class IesSpec:
     bess_params: dyn.BessParams = field(default_factory=dyn.BessParams)
     thermal_extraction_factor: float = 1.0  # cooling MW-th routed to the SMR
 
-    @property
-    def capacity_mw(self) -> float:
-        return self.smr_rating_mw + self.bess_rating_mw
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -333,12 +329,7 @@ def build_devices(
         )
         bess = dyn.BessDevice(
             bus=cfg.dc_bus,
-            params=dyn.BessParams(
-                k_p=ies.bess_params.k_p,
-                k_i=ies.bess_params.k_i,
-                p_rating=ies.bess_rating_mw,
-                integrator_limit=ies.bess_params.integrator_limit,
-            ),
+            params=replace(ies.bess_params, p_rating=ies.bess_rating_mw),
         )
     return dyn.DeviceSet(machines=machines, smr=smr, bess=bess)
 
@@ -469,8 +460,7 @@ def compare(
     tasks = [(spec, b) for spec in specs for b in bins]
 
     def run_pair(spec, b, scenario_id):
-        snap, _ = snapshot_case(case, grid_config, float(profile.p_total[b]))
-        events = resolve_events(snap, grid_config, spec)
+        events = resolve_events(case, grid_config, spec)
         results = {}
         for cfg in (grid_config, ies_config):
             res = run_contingency(

@@ -467,7 +467,7 @@ class TestQLimits:
         vset = {g.bus: g.v_set for g in case.generators if g.status}
         work, pinned, released, total = case, {}, set(), 0
         for _ in range(case.n_bus + 1):
-            v, it, ok, _, _ = _nr_core(work, ybus, v, opts)
+            v, it, ok, _, _, _ = _nr_core(work, ybus, v, opts)
             total += it
             assert ok
             q_gen = (v * np.conj(ybus.matrix @ v)).imag

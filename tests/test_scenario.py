@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,6 +313,21 @@ class TestRunContingency:
         assert res.smr_ramp_max <= limit + 1e-9
         dp = np.abs(np.diff(res.smr_p_mech_mw)) / ies_config.ies.smr_params.p_max
         assert np.max(dp) / self.SIM.dt <= limit + 1e-9
+
+    def test_battery_acts_on_reported_frequency(self, case118, small_profile, ies_config):
+        # The battery output recorded after each step is the PI update on the
+        # POI frequency reported at that step, to the last bit.
+        spec = ContingencySpec(kind="bus_fault", t_apply=3.0, rng_seed=4)
+        res = run_contingency(case118, small_profile, 4, ies_config, spec, self.SIM)
+        params = replace(
+            ies_config.ies.bess_params, p_rating=ies_config.ies.bess_rating_mw
+        )
+        state, replayed = dyn.BessState(), []
+        for f in res.freq_dev[25][:-1]:
+            p, state = dyn.bess_power(-f / self.SIM.f_nominal, state, params, self.SIM.dt)
+            replayed.append(p * params.p_rating)
+        assert np.max(np.abs(res.bess_p_mw)) > 1e-3
+        assert np.array_equal(replayed, res.bess_p_mw[1:])
 
 
 COMPARE_SIM = dyn.SimConfig(dt=0.005, t_end=6.0, monitor_buses=(25,))
