@@ -15,6 +15,7 @@ events act on.
 Bus frequency is measured once, online: each step the washout filter
 (`washout_update`) advances for every monitored bus, the battery acts on the
 POI's value, and those values are the reported `freq_dev` series.
+`bus_frequency_estimate` runs the same filter over a recorded angle series.
 
 Sign conventions (documented, the source material leaves them open):
   * governor input is the machine speed deviation (f - f_nom)/f_nom in pu,
@@ -264,6 +265,19 @@ def washout_update(
     """
     dth = (theta - theta_prev + math.pi) % (2 * math.pi) - math.pi
     return f_prev + alpha * (dth / dt / (2 * math.pi) - f_prev)
+
+
+def bus_frequency_estimate(theta, freq_filter_tc: float, dt: float) -> np.ndarray:
+    """`washout_update` run over a recorded angle series (radians, one
+    sample per dt), as `run_transient` runs it: the first sample reads 0."""
+    theta = [float(th) for th in theta]
+    if len(theta) < 2:
+        raise ValueError("need at least 2 samples")
+    f = [0.0]
+    alpha = dt / freq_filter_tc
+    for th_prev, th in zip(theta, theta[1:]):
+        f.append(washout_update(f[-1], th, th_prev, alpha, dt))
+    return np.array(f)
 
 
 def rk4_step(f, t: float, x: np.ndarray, dt: float) -> np.ndarray:
@@ -602,10 +616,9 @@ def run_transient(
 
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
     v_mon = np.empty((n_steps + 1, len(monitor)), dtype=complex)
-    # Washout-filtered frequency of every monitored bus, filtered online so
-    # the battery acts on the reported POI frequency.
-    f_mon = np.zeros((len(monitor), n_steps + 1))
-    f_now = [0.0] * len(monitor)
+    # Washout-filtered frequency of every monitored bus, filtered online on
+    # Python floats so the battery acts on the reported POI frequency.
+    f_mon = [[0.0] for _ in monitor]
     th_prev = [0.0] * len(monitor)
     smr_series = np.empty(n_steps + 1) if smr is not None else None
     bess_series = np.empty(n_steps + 1) if bess is not None else None
@@ -638,9 +651,8 @@ def run_transient(
         for j, v_j in enumerate(v_mon[k].tolist()):
             th = cmath.phase(v_j)
             if k:
-                f_now[j] = f_mon[j, k] = washout_update(
-                    f_now[j], th, th_prev[j], alpha_f, dt
-                )
+                f_j = f_mon[j]
+                f_j.append(washout_update(f_j[-1], th, th_prev[j], alpha_f, dt))
             th_prev[j] = th
         if smr is not None:
             smr_series[k] = p_mech[smr_mi] * sbase
@@ -664,7 +676,7 @@ def run_transient(
 
         # Controller updates (piecewise-constant over the step).
         if bess is not None:
-            df_pu = -f_now[poi_j] / f_nom
+            df_pu = -f_mon[poi_j][-1] / f_nom
             p_out, bess_state = bess_power(df_pu, bess_state, bess.params, dt)
             s_b = complex(p_out * bess.params.p_rating / sbase, 0.0)
             bess_i_inj = np.conj(s_b / v[net.bess_port])
@@ -701,7 +713,7 @@ def run_transient(
     return TransientResult(
         t=t_grid,
         v_mag={b: np.abs(v_mon[:, j]) for j, b in enumerate(monitor)},
-        freq_dev={b: f_mon[j] for j, b in enumerate(monitor)},
+        freq_dev={b: np.array(f_mon[j]) for j, b in enumerate(monitor)},
         smr_p_mech_mw=smr_series,
         bess_p_mw=bess_series,
         event_log=event_log,

@@ -21,6 +21,7 @@ from smrgrid.dynamics import (
     SmrParams,
     apply_load_limiter,
     bess_power,
+    bus_frequency_estimate,
     compute_droop,
     default_machines,
     governor_power_correction,
@@ -28,7 +29,6 @@ from smrgrid.dynamics import (
     run_transient,
     smr_flows_from_power,
     turbine_mechanical_power,
-    washout_update,
     write_result_csv,
     _apply_event,
     _Network,
@@ -189,26 +189,17 @@ class TestBess:
                 assert state.integrator == prev_int
 
 
-def bus_frequency(theta, tc, dt):
-    """The washout filter run over an angle series, as run_transient runs
-    it: the first sample reads 0."""
-    f = np.zeros(len(theta))
-    for k in range(1, len(theta)):
-        f[k] = washout_update(f[k - 1], theta[k], theta[k - 1], dt / tc, dt)
-    return f
-
-
 class TestBusFrequency:
     def test_constant_angle(self):
         theta = np.zeros(200)
-        f = bus_frequency(theta, 0.05, 0.005)
+        f = bus_frequency_estimate(theta, 0.05, 0.005)
         assert np.max(np.abs(f)) == 0.0
 
     def test_ramp_converges_to_slope(self):
         dt = 0.005
         t = np.arange(0, 2, dt)
         theta = 2 * np.pi * 0.1 * t
-        f = bus_frequency(theta, 0.05, dt)
+        f = bus_frequency_estimate(theta, 0.05, dt)
         assert f[-1] == pytest.approx(0.1, abs=1e-6)
 
     def test_step_response_discrete_closed_form(self):
@@ -217,7 +208,7 @@ class TestBusFrequency:
         dt, tc = 0.005, 0.05
         step = 0.3
         theta = np.concatenate([np.zeros(1), np.full(100, step)])
-        f = bus_frequency(theta, tc, dt)
+        f = bus_frequency_estimate(theta, tc, dt)
         a = dt / tc
         impulse = step / dt / (2 * np.pi)
         expected = a * impulse * (1 - a) ** np.arange(100)
@@ -227,8 +218,12 @@ class TestBusFrequency:
         dt = 0.005
         t = np.arange(0, 2, dt)
         theta = np.mod(2 * np.pi * 0.1 * t + np.pi, 2 * np.pi) - np.pi
-        f = bus_frequency(theta, 0.05, dt)
+        f = bus_frequency_estimate(theta, 0.05, dt)
         assert f[-1] == pytest.approx(0.1, abs=1e-6)
+
+    def test_too_short(self):
+        with pytest.raises(ValueError):
+            bus_frequency_estimate(np.zeros(1), 0.05, 0.005)
 
 
 class TestRk4:
