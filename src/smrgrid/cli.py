@@ -125,12 +125,14 @@ class RunConfig:
         sec = self.profile_section()
         if "profile_csv" in sec:
             return read_profile_csv(sec["profile_csv"])
-        tasks = read_tasks_csv(sec["tasks_csv"])
-        events = read_machine_events_csv(sec["machine_events_csv"])
         t0 = float(sec.get("t0", 0.0))
         t1 = float(sec.get("t1", t0 + 7 * 24 * 3600))
-        usage = bin_tasks(tasks, t0, t1)
-        capacity = estimate_capacity(events, t0, t1)
+        # Each trace is binned before the next is read, so that only one is
+        # held at a time.
+        usage = bin_tasks(read_tasks_csv(sec["tasks_csv"]), t0, t1)
+        capacity = estimate_capacity(
+            read_machine_events_csv(sec["machine_events_csv"]), t0, t1
+        )
         trace = normalize(usage, capacity)
         chiller = self.chiller()
         ambient = self.ambient()

@@ -2,7 +2,10 @@
 the affine IT power model, and the staged chiller-bank cooling model.
 
 All operations are pure functions on immutable inputs; the 5-minute bin
-width is fixed by the profile contract.
+width is fixed by the profile contract. Traces are columnar: the readers
+return a `TaskTable` and a `MachineEventTable`, and the power models take a
+scalar or an array with one value per bin, so a profile is computed and
+written a column at a time.
 """
 
 from __future__ import annotations
@@ -10,7 +13,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +69,9 @@ class TaskTable:
         return len(self.start)
 
 
+_EVENT_KINDS = ("add", "remove", "update")
+
+
 @dataclass(frozen=True)
 class MachineEvent:
     t: float
@@ -71,10 +80,45 @@ class MachineEvent:
     capacity: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("add", "remove", "update"):
+        if self.kind not in _EVENT_KINDS:
             raise TraceError(f"unknown machine event kind '{self.kind}'")
-        if self.capacity < 0:
+        # Negated comparisons so that NaN fails them.
+        if not -math.inf <= self.t <= math.inf:
+            raise TraceError(f"event time {self.t} is not a number")
+        if not self.capacity >= 0:
             raise TraceError("capacity must be >= 0")
+
+
+@dataclass(frozen=True, eq=False)
+class MachineEventTable:
+    """Columnar machine-event stream: row i is event kind[i] of machine
+    machine_id[i] at t[i] s, with capacity[i] units for add and update."""
+
+    t: np.ndarray  # s
+    kind: np.ndarray  # add | remove | update
+    machine_id: np.ndarray
+    capacity: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.t, dtype=float)
+        kind = np.asarray(self.kind, dtype=object)
+        machine_id = np.asarray(self.machine_id, dtype=object)
+        capacity = np.asarray(self.capacity, dtype=float)
+        if t.ndim != 1 or any(c.shape != t.shape for c in (kind, machine_id, capacity)):
+            raise TraceError("machine event columns must be 1-D and of one length")
+        bad = np.flatnonzero(
+            ~np.isin(kind, _EVENT_KINDS) | np.isnan(t) | ~(capacity >= 0)
+        )
+        if bad.size:
+            i = bad[0]
+            MachineEvent(float(t[i]), kind[i], machine_id[i], float(capacity[i]))
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "machine_id", machine_id)
+        object.__setattr__(self, "capacity", capacity)
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -109,12 +153,16 @@ class ItPowerParams:
 
 @dataclass(frozen=True)
 class AmbientConditions:
+    """Ambient state; each field is a number, or an array with one value per
+    bin (see build_profile)."""
+
     t_amb: float = 30.0  # C
     phi_amb: float = 0.5  # relative humidity
     t_rw: float = 15.0  # return chilled water, C
 
     def __post_init__(self):
-        if not (0.0 <= self.phi_amb <= 1.0):
+        phi = np.asarray(self.phi_amb)
+        if not np.all((0.0 <= phi) & (phi <= 1.0)):
             raise ValueError("phi_amb must be in [0, 1]")
 
 
@@ -218,31 +266,43 @@ def bin_tasks(tasks: TaskTable | list[TaskRecord], t0: float, t1: float) -> np.n
     )
 
 
-def estimate_capacity(events: list[MachineEvent], t0: float, t1: float) -> np.ndarray:
+def estimate_capacity(
+    events: MachineEventTable | Sequence[MachineEvent], t0: float, t1: float
+) -> np.ndarray:
     """Per-bin time-weighted average of total fleet capacity from the
-    add/remove/update event stream."""
+    add/remove/update event stream, applied in stable time order. `events`
+    is a MachineEventTable or any sequence of MachineEvent."""
+    if not isinstance(events, MachineEventTable):
+        rows = [(e.t, e.kind, e.machine_id, e.capacity) for e in events]
+        events = MachineEventTable(*(zip(*rows) if rows else ([],) * 4))
+    order = np.argsort(events.t, kind="stable")
     fleet: dict[str, float] = {}
     times: list[float] = []
     deltas: list[float] = []  # change in fleet total at each applied event
-    for ev in sorted(events, key=lambda e: e.t):
-        if ev.kind == "add":
-            if ev.machine_id in fleet:
-                warnings.warn(f"duplicate add for machine {ev.machine_id}; ignored")
+    for t, kind, machine, capacity in zip(
+        events.t[order].tolist(),
+        events.kind[order].tolist(),
+        events.machine_id[order].tolist(),
+        events.capacity[order].tolist(),
+    ):
+        if kind == "add":
+            if machine in fleet:
+                warnings.warn(f"duplicate add for machine {machine}; ignored")
                 continue
-            fleet[ev.machine_id] = ev.capacity
-            delta = ev.capacity
-        elif ev.kind == "remove":
-            if ev.machine_id not in fleet:
-                warnings.warn(f"remove for unknown machine {ev.machine_id}; ignored")
+            fleet[machine] = capacity
+            delta = capacity
+        elif kind == "remove":
+            if machine not in fleet:
+                warnings.warn(f"remove for unknown machine {machine}; ignored")
                 continue
-            delta = -fleet.pop(ev.machine_id)
+            delta = -fleet.pop(machine)
         else:  # update
-            if ev.machine_id not in fleet:
-                warnings.warn(f"update for unknown machine {ev.machine_id}; ignored")
+            if machine not in fleet:
+                warnings.warn(f"update for unknown machine {machine}; ignored")
                 continue
-            delta = ev.capacity - fleet[ev.machine_id]
-            fleet[ev.machine_id] = ev.capacity
-        times.append(ev.t)
+            delta = capacity - fleet[machine]
+            fleet[machine] = capacity
+        times.append(t)
         deltas.append(delta)
     return _bin_mean(np.array(times, dtype=float), np.array(deltas, dtype=float), t0, t1)
 
@@ -272,22 +332,29 @@ def it_power(u, params: ItPowerParams):
     return float(out) if np.isscalar(u) else out
 
 
-def subsystem_power(m_dot: float, coeffs) -> float:
-    """Cubic pump/fan draw c1*m + c2*m^2 + c3*m^3 + c0, floored at 0. kW."""
-    if m_dot < 0:
+def _number(x):
+    """A Python float for a scalar result, the array itself otherwise."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
+def subsystem_power(m_dot, coeffs):
+    """Cubic pump/fan draw c1*m + c2*m^2 + c3*m^3 + c0, floored at 0. kW.
+    m_dot is a flow or an array of flows."""
+    if np.less(m_dot, 0).any():
         raise ValueError("mass flow must be >= 0")
     c1, c2, c3, c0 = coeffs
-    return max(c1 * m_dot + c2 * m_dot**2 + c3 * m_dot**3 + c0, 0.0)
+    return _number(np.maximum(c1 * m_dot + c2 * m_dot**2 + c3 * m_dot**3 + c0, 0.0))
 
 
-def compressor_power(cond: AmbientConditions, flows, coeffs) -> float:
+def compressor_power(cond: AmbientConditions, flows, coeffs):
     """Multilinear surrogate for the compressor draw, kW.
 
     P = q0 + q1*T_rw + q2*T_amb + q3*phi + q4*m_ev + q5*m_ev*(T_amb - T_rw),
-    floored at 0. Stands in for an unidentified black-box map.
+    floored at 0. Stands in for an unidentified black-box map. The flows and
+    the fields of cond may be arrays of one shape.
     """
     m_tf, m_cd, m_ev = flows
-    if min(m_tf, m_cd, m_ev) < 0:
+    if any(np.less(m, 0).any() for m in flows):
         raise ValueError("mass flows must be >= 0")
     q0, q1, q2, q3, q4, q5 = coeffs
     p = (
@@ -298,11 +365,12 @@ def compressor_power(cond: AmbientConditions, flows, coeffs) -> float:
         + q4 * m_ev
         + q5 * m_ev * (cond.t_amb - cond.t_rw)
     )
-    return max(p, 0.0)
+    return _number(np.maximum(p, 0.0))
 
 
-def chiller_unit_power(cond: AmbientConditions, flows, params: ChillerParams) -> float:
-    """Single-chiller electrical draw: fan + both pumps + compressor, kW."""
+def chiller_unit_power(cond: AmbientConditions, flows, params: ChillerParams):
+    """Single-chiller electrical draw: fan + both pumps + compressor, kW;
+    element by element when the flows or cond hold arrays."""
     m_tf, m_cd, m_ev = flows
     return (
         subsystem_power(m_tf, params.alpha)
@@ -312,56 +380,61 @@ def chiller_unit_power(cond: AmbientConditions, flows, params: ChillerParams) ->
     )
 
 
-def staging_and_thermal(
-    q_cool: float, cond: AmbientConditions, params: ChillerParams
-) -> tuple[int, float]:
+def staging_and_thermal(q_cool, cond: AmbientConditions, params: ChillerParams):
     """Chiller staging and bank electrical draw for a thermal demand.
 
     Chillers stage in ceil(q_cool / q_rated) units sharing the load evenly;
     per-chiller flows interpolate between minimum and rated by load fraction.
-    Returns (active chillers, electrical MW).
+    Returns (active chillers, electrical MW): an int and a float for a
+    scalar q_cool, arrays of its shape for an array.
     """
-    if q_cool < 0:
+    q = np.asarray(q_cool, dtype=float)
+    if not (q >= 0).all():
         raise ValueError("q_cool must be >= 0")
     cap = params.n_total * params.q_rated
-    if q_cool > cap + 1e-9:
+    if (q > cap + 1e-9).any():
         raise ValueError(
-            f"cooling capacity exceeded: {q_cool:.3f} MW-th > {cap:.3f} MW-th"
+            f"cooling capacity exceeded: {np.max(q):.3f} MW-th > {cap:.3f} MW-th"
         )
-    if q_cool == 0:
-        return 0, 0.0
-    n_ch = min(params.n_total, math.ceil(q_cool / params.q_rated - 1e-12))
-    frac = (q_cool / n_ch) / params.q_rated
+    # At least one unit for any demand, so that zero-demand bins divide
+    # safely; they get no units below.
+    n_ch = np.minimum(
+        np.maximum(np.ceil(q / params.q_rated - 1e-12), 1), params.n_total
+    )
+    frac = (q / n_ch) / params.q_rated
     flows = tuple(
         lo + frac * (hi - lo)
         for lo, hi in zip(params.flow_min, params.flow_rated)
     )
     p_ch_kw = chiller_unit_power(cond, flows, params)
-    return n_ch, n_ch * p_ch_kw / 1000.0
+    n_ch = np.where(q > 0, n_ch, 0).astype(int)
+    p_th = n_ch * p_ch_kw / 1000.0
+    if q.ndim == 0:
+        return int(n_ch), float(p_th)
+    return n_ch, p_th
 
 
 def build_profile(
     trace: UtilizationTrace,
     it: ItPowerParams,
     chiller: ChillerParams = DEFAULT_CHILLER,
-    ambient: AmbientConditions | list[AmbientConditions] = AmbientConditions(),
+    ambient: AmbientConditions | Sequence[AmbientConditions] = AmbientConditions(),
     t_start: float = 0.0,
 ) -> LoadProfile:
     """End-to-end profile: IT power per bin, unity heat rejection into the
-    chiller bank, staged cooling draw."""
+    chiller bank, staged cooling draw. `ambient` is one condition for every
+    bin or one per bin."""
     n = len(trace.u)
-    if isinstance(ambient, AmbientConditions):
-        amb_series = [ambient] * n
-    else:
+    if not isinstance(ambient, AmbientConditions):
         if len(ambient) != n:
             raise ValueError("ambient series length mismatch")
-        amb_series = list(ambient)
+        t_amb, phi_amb, t_rw = np.array(
+            [(a.t_amb, a.phi_amb, a.t_rw) for a in ambient], dtype=float
+        ).reshape(-1, 3).T
+        ambient = AmbientConditions(t_amb=t_amb, phi_amb=phi_amb, t_rw=t_rw)
     p_it = it_power(trace.u, it)
     q_cool = p_it.copy()  # every IT watt rejected as heat
-    n_ch = np.zeros(n, dtype=int)
-    p_th = np.zeros(n)
-    for k in range(n):
-        n_ch[k], p_th[k] = staging_and_thermal(q_cool[k], amb_series[k], chiller)
+    n_ch, p_th = staging_and_thermal(q_cool, ambient, chiller)
     ts = t_start + BIN_SECONDS * np.arange(n, dtype=float)
     return LoadProfile(
         timestamps=ts, u=trace.u.copy(), p_it=p_it, q_cool=q_cool,
@@ -420,69 +493,95 @@ def read_tasks_csv(path: str | Path) -> TaskTable:
                 quotechar='"', comments=None,
             ))
         except (ValueError, TraceError) as exc:
-            raise TraceError(_bad_task_line(path, cols) or f"{path}: {exc}") from exc
+            raise TraceError(
+                _bad_line(path, lambda row: _task_record(row, cols)) or f"{path}: {exc}"
+            ) from exc
 
 
-def _bad_task_line(path: str | Path, cols: list[int]) -> str | None:
-    """`path:line: reason` for the first row that fails to parse or to make a
-    valid task; the bulk parser does not report lines reliably."""
+def _task_record(row: list[str], cols: list[int]) -> TaskRecord:
+    if len(row) <= max(cols):
+        raise TraceError(f"expected {max(cols) + 1} fields, got {len(row)}")
+    return TaskRecord(*(float(row[c]) for c in cols))
+
+
+def _bad_line(path: str | Path, check) -> str | None:
+    """`path:line: reason` for the first data row on which check(row) raises;
+    the bulk parsers do not report lines reliably."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            if not row:  # blank line, skipped by the bulk parser too
+            if not row:  # blank line, skipped by the bulk parsers too
                 continue
             try:
-                if len(row) <= max(cols):
-                    raise TraceError(f"expected {max(cols) + 1} fields, got {len(row)}")
-                TaskRecord(*(float(row[c]) for c in cols))
+                check(row)
             except (ValueError, TraceError) as exc:
                 return f"{path}:{reader.line_num}: {exc}"
     return None
 
 
-def read_machine_events_csv(path: str | Path) -> list[MachineEvent]:
-    """Machine-event CSV with header t_s,kind,machine_id,capacity."""
-    out = []
+_EVENT_COLUMNS = ("t_s", "kind", "machine_id", "capacity")
+
+
+def read_machine_events_csv(path: str | Path) -> MachineEventTable:
+    """Machine-event CSV whose header names t_s, kind, machine_id and
+    capacity, in any order; other columns are ignored. kind is case- and
+    space-insensitive. Missing trailing fields read as empty, and an empty
+    capacity is 0, so a remove needs none."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"t_s", "kind", "machine_id", "capacity"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(_EVENT_COLUMNS).issubset(header):
             raise TraceError(f"{path}: expected header t_s,kind,machine_id,capacity")
-        for ln, row in enumerate(reader, start=2):
-            try:
-                out.append(
-                    MachineEvent(
-                        t=float(row["t_s"]),
-                        kind=row["kind"].strip().lower(),
-                        machine_id=row["machine_id"],
-                        capacity=float(row["capacity"] or 0.0),
-                    )
-                )
-            except (TypeError, ValueError, TraceError) as exc:
-                raise TraceError(f"{path}:{ln}: {exc}") from exc
-    return out
+        cols = [header.index(name) for name in _EVENT_COLUMNS]
+        try:
+            return _event_table(reader, cols)
+        except (ValueError, TraceError) as exc:
+            raise TraceError(
+                _bad_line(path, lambda row: _event_table([row], cols))
+                or f"{path}: {exc}"
+            ) from exc
+
+
+def _event_table(rows, cols: list[int]) -> MachineEventTable:
+    """The table of CSV rows, blank ones skipped, whose event fields sit at
+    cols."""
+    width = max(cols) + 1
+    padded = (
+        row if len(row) >= width else row + [""] * (width - len(row))
+        for row in rows if row
+    )
+    # Each row list is dropped as soon as its fields are picked into a
+    # tuple: the garbage collector stops tracking tuples of strings, but
+    # would traverse every kept list on each full collection.
+    picked = map(itemgetter(*cols), padded)
+    t, kind, machine_id, capacity = list(zip(*picked)) or [()] * 4
+    normal = {k: k.strip().lower() for k in set(kind)}  # one string per kind
+    return MachineEventTable(
+        t=np.fromiter(map(float, t), float, len(t)),
+        kind=[normal[k] for k in kind],
+        machine_id=machine_id,
+        capacity=np.fromiter((float(c or 0.0) for c in capacity), float, len(t)),
+    )
+
+
+_PROFILE_HEADER = (
+    "timestamp_s", "u", "p_it_mw", "q_cool_mwth", "n_ch", "p_thermal_mw", "p_total_mw"
+)
+_PROFILE_ROW = "%.0f,%.6f,%.6f,%.6f,%d,%.6f,%.6f\r\n"
 
 
 def write_profile_csv(profile: LoadProfile, path: str | Path) -> None:
+    """The profile as CSV with \\r\\n line ends, one row per bin: n_ch as an
+    integer, timestamps to the second and every other column to 6 decimals."""
+    columns = (
+        profile.timestamps, profile.u, profile.p_it, profile.q_cool,
+        profile.n_ch.astype(int), profile.p_thermal, profile.p_total,
+    )
+    values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    body = (_PROFILE_ROW * len(profile)) % values
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["timestamp_s", "u", "p_it_mw", "q_cool_mwth", "n_ch", "p_thermal_mw",
-             "p_total_mw"]
-        )
-        for k in range(len(profile)):
-            w.writerow(
-                [
-                    f"{profile.timestamps[k]:.0f}",
-                    f"{profile.u[k]:.6f}",
-                    f"{profile.p_it[k]:.6f}",
-                    f"{profile.q_cool[k]:.6f}",
-                    int(profile.n_ch[k]),
-                    f"{profile.p_thermal[k]:.6f}",
-                    f"{profile.p_total[k]:.6f}",
-                ]
-            )
+        fh.write(",".join(_PROFILE_HEADER) + "\r\n" + body)
 
 
 _PROFILE_COLUMNS = ("timestamp_s", "u", "p_it_mw", "q_cool_mwth", "n_ch", "p_thermal_mw")
@@ -497,7 +596,7 @@ def read_profile_csv(path: str | Path) -> LoadProfile:
             reader.fieldnames
         ):
             raise TraceError(f"{path}: expected header {','.join(_PROFILE_COLUMNS)}")
-        for ln, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 ts.append(float(row["timestamp_s"]))
                 u.append(float(row["u"]))
@@ -506,7 +605,7 @@ def read_profile_csv(path: str | Path) -> LoadProfile:
                 n.append(int(row["n_ch"]))
                 p_th.append(float(row["p_thermal_mw"]))
             except (TypeError, ValueError) as exc:
-                raise TraceError(f"{path}:{ln}: {exc}") from exc
+                raise TraceError(f"{path}:{reader.line_num}: {exc}") from exc
     return LoadProfile(
         timestamps=np.array(ts), u=np.array(u), p_it=np.array(p_it),
         q_cool=np.array(q), n_ch=np.array(n), p_thermal=np.array(p_th),

@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import powerflow as pf
 from .datacenter import LoadProfile
-from .network import BusKind, NetworkCase, build_ybus
+from .network import AdmittanceMatrix, BusKind, NetworkCase, build_ybus
 
 
 class ScenarioError(Exception):
@@ -342,13 +342,17 @@ def run_contingency(
     spec: ContingencySpec,
     simcfg: dyn.SimConfig,
     events: list[dyn.Event] | None = None,
+    ybus: AdmittanceMatrix | None = None,
 ) -> dyn.TransientResult:
     """Power flow at one profile bin, then the transient with the resolved
-    contingency events, monitoring the POI."""
+    contingency events, monitoring the POI. `ybus` is the case's Y-bus,
+    built here when not given; a snapshot changes only bus loads, which the
+    Y-bus does not hold."""
     p_dc = float(profile.p_total[snapshot_bin])
     q_th = float(profile.q_cool[snapshot_bin])
     snap, smr_dispatch = snapshot_case(case, cfg, p_dc)
-    ybus = build_ybus(snap)
+    if ybus is None:
+        ybus = build_ybus(snap)
     sol = pf.solve(snap, ybus)
     if not sol.converged:
         raise ScenarioError(f"snapshot bin {snapshot_bin} did not converge")
@@ -458,13 +462,16 @@ def compare(
     )
     bins = select_snapshot_bins(profile, snapshot_selector)
     tasks = [(spec, b) for spec in specs for b in bins]
+    # One Y-bus for every run, so its Jacobian patterns are built once. Pool
+    # threads may build the same pattern twice; both copies are equal.
+    ybus = build_ybus(case)
 
     def run_pair(spec, b, scenario_id):
         events = resolve_events(case, grid_config, spec)
         results = {}
         for cfg in (grid_config, ies_config):
             res = run_contingency(
-                case, profile, b, cfg, spec, simcfg, events=events
+                case, profile, b, cfg, spec, simcfg, events=events, ybus=ybus
             )
             results[cfg.kind] = res
         ev_a = results["grid_only"].event_log

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import warnings
 
@@ -11,7 +13,9 @@ from smrgrid.datacenter import (
     ChillerParams,
     DEFAULT_CHILLER,
     ItPowerParams,
+    LoadProfile,
     MachineEvent,
+    MachineEventTable,
     TaskRecord,
     TaskTable,
     TraceError,
@@ -186,6 +190,44 @@ class TestEstimateCapacity:
                 want = brute_force_capacity(list(events), 0.0, t1)
             assert np.max(np.abs(got - want)) < 1e-9
 
+    def test_table_and_events_agree_with_the_same_warnings(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n = int(rng.integers(0, 60))
+            # Few machines and unsorted times with ties, so that duplicate
+            # adds and removes or updates of absent machines occur.
+            events = [
+                MachineEvent(
+                    float(rng.integers(-300, 1500)),
+                    str(rng.choice(["add", "remove", "update"])),
+                    f"m{int(rng.integers(0, 5))}",
+                    float(rng.uniform(0.0, 10.0)),
+                )
+                for _ in range(n)
+            ]
+            table = MachineEventTable(
+                [e.t for e in events], [e.kind for e in events],
+                [e.machine_id for e in events], [e.capacity for e in events],
+            )
+            with warnings.catch_warnings(record=True) as from_list:
+                warnings.simplefilter("always")
+                want = estimate_capacity(events, 0.0, 1200.0)
+            with warnings.catch_warnings(record=True) as from_table:
+                warnings.simplefilter("always")
+                got = estimate_capacity(table, 0.0, 1200.0)
+            assert got.tobytes() == want.tobytes()
+            assert [str(w.message) for w in from_table] == [
+                str(w.message) for w in from_list
+            ]
+
+    @pytest.mark.parametrize("field", ["t", "capacity"])
+    def test_nan_event_rejected(self, field):
+        values = {"t": 0.0, "capacity": 4.0, field: math.nan}
+        with pytest.raises(TraceError):
+            MachineEvent(values["t"], "add", "m1", values["capacity"])
+        with pytest.raises(TraceError):
+            MachineEventTable([values["t"]], ["add"], ["m1"], [values["capacity"]])
+
 
 class TestNormalize:
     def test_full_utilization(self):
@@ -313,6 +355,33 @@ class TestStaging:
         b = staging_and_thermal(37.3, self.COND, DEFAULT_CHILLER)
         assert a == b
 
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(23)
+        q_rated, n_total = DEFAULT_CHILLER.q_rated, DEFAULT_CHILLER.n_total
+        q = np.concatenate([
+            [0.0, 1e-13, n_total * q_rated],
+            q_rated * np.arange(1, n_total + 1),
+            rng.uniform(0.0, n_total * q_rated, 500),
+        ])
+        t_amb, phi, t_rw = (rng.uniform(lo, hi, q.size)
+                            for lo, hi in ((-10, 45), (0, 1), (5, 20)))
+        for cond in (self.COND, AmbientConditions(t_amb, phi, t_rw)):
+            n_ch, p_th = staging_and_thermal(q, cond, DEFAULT_CHILLER)
+            for k in range(q.size):
+                at_k = cond if cond is self.COND else AmbientConditions(
+                    float(t_amb[k]), float(phi[k]), float(t_rw[k])
+                )
+                n_k, p_k = staging_and_thermal(float(q[k]), at_k, DEFAULT_CHILLER)
+                assert type(n_k) is int and type(p_k) is float
+                assert n_ch[k] == n_k
+                assert abs(p_th[k] - p_k) <= 1e-12
+
+    def test_array_with_one_bin_over_capacity_rejected(self):
+        q = np.full(10, 5.0)
+        q[7] = DEFAULT_CHILLER.n_total * DEFAULT_CHILLER.q_rated + 1.0
+        with pytest.raises(ValueError, match="cooling capacity exceeded"):
+            staging_and_thermal(q, self.COND, DEFAULT_CHILLER)
+
 
 class TestBuildProfile:
     def test_constant_full_utilization_week(self):
@@ -344,6 +413,18 @@ class TestBuildProfile:
         assert np.all(profile.p_it <= it.p_max + 1e-12)
         assert np.all(profile.n_ch <= DEFAULT_CHILLER.n_total)
         assert np.all(profile.p_thermal >= 0)
+
+    def test_per_bin_ambient_matches_single_ambient_calls(self):
+        u = np.array([0.0, 0.3, 1.0])
+        it = ItPowerParams(p_max=60.0)
+        conds = [AmbientConditions(t_amb=t) for t in (10.0, 30.0, 40.0)]
+        profile = build_profile(UtilizationTrace(u=u), it, ambient=conds)
+        for k, cond in enumerate(conds):
+            one = build_profile(UtilizationTrace(u=u[k:k + 1]), it, ambient=cond)
+            assert profile.n_ch[k] == one.n_ch[0]
+            assert abs(profile.p_thermal[k] - one.p_thermal[0]) <= 1e-12
+        with pytest.raises(ValueError, match="length mismatch"):
+            build_profile(UtilizationTrace(u=u), it, ambient=conds[:2])
 
     def test_calibration_hits_target(self):
         it = calibrate_it_capacity(60.0)
@@ -412,13 +493,69 @@ class TestCsvBoundary:
         path = tmp_path / "events.csv"
         path.write_text("t_s,kind,machine_id,capacity\n0,add,m1,4\n60,remove,m1,0\n")
         events = read_machine_events_csv(path)
-        assert events[0].kind == "add"
-        assert events[1].kind == "remove"
+        assert len(events) == 2
+        assert events.t.tolist() == [0.0, 60.0]
+        assert events.kind.tolist() == ["add", "remove"]
+        assert events.machine_id.tolist() == ["m1", "m1"]
+        assert events.capacity.tolist() == [4.0, 0.0]
+
+    def test_machine_event_columns_found_by_name(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "capacity,zone,machine_id,kind,t_s\n"
+            "4,a,m1, ADD ,0\n"
+            ",b,m1,remove,60\n"
+            "2.5,c,m2,update,30\n"
+        )
+        events = read_machine_events_csv(path)
+        assert events.t.tolist() == [0.0, 60.0, 30.0]
+        assert events.kind.tolist() == ["add", "remove", "update"]
+        assert events.machine_id.tolist() == ["m1", "m1", "m2"]
+        assert events.capacity.tolist() == [4.0, 0.0, 2.5]
+
+    def test_machine_event_missing_trailing_capacity_reads_as_zero(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("t_s,kind,machine_id,capacity\n0,add,m1,4\n60,remove,m1\n")
+        events = read_machine_events_csv(path)
+        assert events.kind.tolist() == ["add", "remove"]
+        assert events.capacity.tolist() == [4.0, 0.0]
+
+    def test_header_only_machine_event_file(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("t_s,kind,machine_id,capacity\n")
+        events = read_machine_events_csv(path)
+        assert len(events) == 0
+        assert estimate_capacity(events, 0.0, 600.0).tolist() == [0.0, 0.0]
+
+    def test_machine_event_header_missing_column(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("t_s,kind,capacity\n0,add,4\n")
+        with pytest.raises(TraceError, match="expected header"):
+            read_machine_events_csv(path)
 
     def test_machine_event_bad_kind(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("t_s,kind,machine_id,capacity\n0,explode,m1,4\n")
         with pytest.raises(TraceError, match=":2:"):
+            read_machine_events_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line, reason",
+        [
+            ("0,add,m1,4\n60,add,m2,-1\n", 3, "capacity must be >= 0"),
+            ("nan,add,m1,4\n", 2, "not a number"),
+            ("0,add,m1,nan\n", 2, "capacity must be >= 0"),
+            ("0,add,m1,4\nx,add,m2,1\n", 3, "could not convert"),
+            ("0,add,m1,4\n60\n", 3, "unknown machine event kind ''"),
+            ("0,add,m1,4\n\n5,add,m2,-1\n", 4, "capacity must be >= 0"),
+        ],
+        ids=["negative_capacity", "nan_time", "nan_capacity",
+             "bad_time", "short_row", "after_blank"],
+    )
+    def test_invalid_machine_event_row_names_line(self, tmp_path, rows, line, reason):
+        path = tmp_path / "events.csv"
+        path.write_text("t_s,kind,machine_id,capacity\n" + rows)
+        with pytest.raises(TraceError, match=f":{line}: .*{reason}"):
             read_machine_events_csv(path)
 
     def test_profile_round_trip(self, tmp_path):
@@ -435,6 +572,22 @@ class TestCsvBoundary:
         assert np.allclose(again.p_total, profile.p_total)
         assert np.array_equal(again.n_ch, profile.n_ch)
 
+    def test_profile_csv_matches_row_by_row_writer(self, tmp_path):
+        rng = np.random.default_rng(29)
+        n = 50
+        p_it = rng.uniform(30.0, 60.0, n)
+        p_it[:3] = [-0.0, 1e-9, 123456.7890125]
+        profile = LoadProfile(
+            timestamps=600.0 + BIN_SECONDS * np.arange(n, dtype=float),
+            u=rng.uniform(0.0, 1.0, n), p_it=p_it, q_cool=p_it.copy(),
+            n_ch=rng.integers(0, 9, n), p_thermal=rng.uniform(0.0, 5.0, n),
+        )
+        for prof in (profile, build_profile(UtilizationTrace(u=np.empty(0)),
+                                            ItPowerParams(p_max=60.0))):
+            path = tmp_path / "profile.csv"
+            write_profile_csv(prof, path)
+            assert path.read_bytes() == _csv_writer_profile(prof)
+
     def test_profile_short_row_names_line(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text(
@@ -442,3 +595,32 @@ class TestCsvBoundary:
         )
         with pytest.raises(TraceError, match=":3:"):
             read_profile_csv(path)
+
+    def test_profile_bad_row_after_blank_names_line(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text(
+            "timestamp_s,u,p_it_mw,q_cool_mwth,n_ch,p_thermal_mw\n"
+            "0,0.5,45,45,5,1\n\n300,0.5\n"
+        )
+        with pytest.raises(TraceError, match=":4:"):
+            read_profile_csv(path)
+
+
+def _csv_writer_profile(profile) -> bytes:
+    """The profile CSV written row by row with csv.writer: the reference for
+    write_profile_csv's columnar output."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["timestamp_s", "u", "p_it_mw", "q_cool_mwth", "n_ch",
+                "p_thermal_mw", "p_total_mw"])
+    for k in range(len(profile)):
+        w.writerow([
+            f"{profile.timestamps[k]:.0f}",
+            f"{profile.u[k]:.6f}",
+            f"{profile.p_it[k]:.6f}",
+            f"{profile.q_cool[k]:.6f}",
+            int(profile.n_ch[k]),
+            f"{profile.p_thermal[k]:.6f}",
+            f"{profile.p_total[k]:.6f}",
+        ])
+    return buf.getvalue().encode()

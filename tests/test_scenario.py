@@ -294,6 +294,16 @@ class TestRunContingency:
         res = run_contingency(case118, small_profile, 4, ies_config, spec, self.SIM)
         assert res.max_state_drift <= 1e-6
 
+    def test_given_ybus_matches_own(self, case118, small_profile, ies_config):
+        spec = ContingencySpec(kind="load_step", t_apply=0.5, load_step_mw=20.0)
+        sim = replace(self.SIM, t_end=1.0)
+        own = run_contingency(case118, small_profile, 4, ies_config, spec, sim)
+        given = run_contingency(case118, small_profile, 4, ies_config, spec, sim,
+                                ybus=sc.build_ybus(case118))
+        np.testing.assert_array_equal(given.v_mag[25], own.v_mag[25])
+        np.testing.assert_array_equal(given.freq_dev[25], own.freq_dev[25])
+        np.testing.assert_array_equal(given.bess_p_mw, own.bess_p_mw)
+
     def test_gen_trip_sign_correctness(self, case118, small_profile, ies_config):
         spec = ContingencySpec(kind="gen_trip", t_apply=3.0, rng_seed=2)
         # low-load bin: the SMR runs below rating and has governor headroom
@@ -359,16 +369,22 @@ class TestCompare:
             assert pair.with_ies.f_nadir_hz <= 0.0
 
     def test_deterministic_serialization(self, case118, small_profile,
-                                         ies_config, report):
+                                         ies_config, report, monkeypatch):
         specs = [
             ContingencySpec(kind="bus_fault", rng_seed=1),
             ContingencySpec(kind="bus_fault", rng_seed=2),
         ]
+        built = []
+        real = sc.build_ybus
+        monkeypatch.setattr(
+            sc, "build_ybus", lambda case: built.append(case) or real(case)
+        )
         again = compare(
             case118, small_profile, specs, self.SIM, ies_config,
             snapshot_selector=("max",),
         )
         assert again.to_json() == report.to_json()
+        assert len(built) == 1  # one Y-bus shared by all four runs
 
     def test_jobs_parallel_identical(self, case118, small_profile, ies_config,
                                      report):
