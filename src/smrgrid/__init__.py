@@ -30,9 +30,9 @@ from .dynamics import (
     BessParams,
     BusFault3ph,
     ClearFault,
-    DeviceSet,
     Event,
     GenTrip,
+    IesUnit,
     LineTrip,
     LoadStep,
     MachineParams,
@@ -40,7 +40,6 @@ from .dynamics import (
     SimulationError,
     SmrParams,
     TransientResult,
-    default_machines,
     run_transient,
     write_event_log,
     write_result_csv,

@@ -56,6 +56,25 @@ def _dataclass_from(cls, doc: dict, ctx: str):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
+# `configuration.ies` subsection -> (IesSpec field, parameter class).
+_IES_PARAMS = {
+    "smr": ("smr_params", dyn.SmrParams),
+    "smr_machine": ("smr_machine", dyn.MachineParams),
+    "bess": ("bess_params", dyn.BessParams),
+}
+
+
+def _ies_from(doc: dict) -> sc.IesSpec:
+    bad = set(doc) - set(_IES_PARAMS) - {"thermal_extraction_factor"}
+    if bad:
+        raise ConfigError(f"configuration.ies: unknown keys {sorted(bad)}")
+    spec = {k: v for k, v in doc.items() if k not in _IES_PARAMS}
+    for key, (name, cls) in _IES_PARAMS.items():
+        if key in doc:
+            spec[name] = _dataclass_from(cls, doc[key], f"configuration.ies.{key}")
+    return _dataclass_from(sc.IesSpec, spec, "configuration.ies")
+
+
 def _out_dir(args, doc: dict) -> Path:
     return Path(args.out or os.environ.get("SMRGRID_OUT") or doc.get("out_dir", "out"))
 
@@ -149,39 +168,13 @@ class RunConfig:
         sec = self.doc.get("configuration")
         if not sec:
             raise ConfigError("config missing 'configuration' section")
-        ies_doc = sec.get("ies")
-        ies = None
-        if ies_doc is not None:
-            ies = sc.IesSpec(
-                smr_rating_mw=float(ies_doc.get("smr_rating_mw", 50.0)),
-                bess_rating_mw=float(ies_doc.get("bess_rating_mw", 10.0)),
-                smr_params=_dataclass_from(
-                    dyn.SmrParams, ies_doc.get("smr", {}), "ies.smr"
-                ),
-                smr_machine=_dataclass_from(
-                    dyn.MachineParams,
-                    ies_doc.get(
-                        "smr_machine",
-                        {"h": 6.0, "d": 10.0, "xd_p": 0.3, "mva_base": 60.0},
-                    ),
-                    "ies.smr_machine",
-                ),
-                bess_params=_dataclass_from(
-                    dyn.BessParams, ies_doc.get("bess", {}), "ies.bess"
-                ),
-                thermal_extraction_factor=float(
-                    ies_doc.get("thermal_extraction_factor", 1.0)
-                ),
-            )
-        kind = sec.get("kind", "with_ies" if ies else "grid_only")
-        if kind == "with_ies" and ies is None:
-            raise ConfigError("configuration kind 'with_ies' requires an 'ies' section")
-        return sc.Configuration(
-            kind=kind,
-            dc_bus=int(sec.get("dc_bus", 25)),
-            ies=ies,
-            dc_power_factor=float(sec.get("dc_power_factor", 0.98)),
-        )
+        sec = dict(sec)
+        if sec.get("ies") is None:
+            sec.setdefault("kind", "grid_only")
+        else:
+            sec["ies"] = _ies_from(sec["ies"])
+            sec.setdefault("kind", "with_ies")
+        return _dataclass_from(sc.Configuration, sec, "configuration")
 
     def simconfig(self) -> dyn.SimConfig:
         sec = dict(self.doc.get("simulation", {}))
@@ -329,8 +322,6 @@ def cmd_transient(cfg: RunConfig, args) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     case = cfg.case()
     configuration = cfg.configuration()
-    if configuration.kind != "with_ies":
-        raise ConfigError("compare requires configuration kind 'with_ies'")
     profile = cfg.build_or_read_profile()
     simcfg = cfg.simconfig()
     specs = cfg.scenarios()

@@ -8,9 +8,10 @@ pre-fault voltage), machines as EMF-behind-reactance sources, and the battery
 as a current injection. The network is then linear between events, so it is
 Kron-reduced to its ports (machine, battery, monitored and load-step buses)
 and each solve is a small dense product. Events restamp the augmented
-admittance matrix, and rebuild the reduction, at their timestamps. Machines
-are one record of arrays (`initialize_devices`), which the network and the
-events act on.
+admittance matrix, and rebuild the reduction, at their timestamps. The
+datacenter's SMR and battery are one `IesUnit`; every machine, the SMR's
+included, is an entry of one record of arrays (`initialize_devices`), which
+the network and the events act on.
 
 Bus frequency is measured once, online: each step the washout filter
 (`washout_update`) advances for every monitored bus, the battery acts on the
@@ -288,49 +289,26 @@ def rk4_step(f, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-# -- device descriptions -----------------------------------------------------
+# -- the integrated energy system --------------------------------------------
 
 
 @dataclass(frozen=True)
-class SyncMachine:
-    bus: int
-    params: MachineParams
+class IesUnit:
+    """The SMR and its battery at one bus: the SMR machine, its governor
+    and steam-path parameters (rating `smr.p_max`), the battery (rating
+    `bess.p_rating`), the SMR's pre-fault dispatch and the cooling thermal
+    extraction that feeds its droop map."""
 
-
-@dataclass(frozen=True)
-class SmrUnit:
     bus: int
     machine: MachineParams
-    params: SmrParams
+    smr: SmrParams
+    bess: BessParams
     p_dispatch_mw: float
-    q_dispatch_mvar: float = 0.0
-    thermal_mw: float = 0.0  # cooling thermal extraction feeding the droop map
+    thermal_mw: float = 0.0
 
 
-@dataclass(frozen=True)
-class BessDevice:
-    bus: int
-    params: BessParams
-
-
-@dataclass(frozen=True)
-class DeviceSet:
-    machines: tuple[SyncMachine, ...]
-    smr: SmrUnit | None = None
-    bess: BessDevice | None = None
-
-
-def default_machine_params(mva_base: float) -> MachineParams:
-    return MachineParams(h=4.0, d=2.0, xd_p=0.25, mva_base=mva_base)
-
-
-def default_machines(case: NetworkCase) -> tuple[SyncMachine, ...]:
-    """One classical machine per in-service generator with typical constants."""
-    out = []
-    for g in case.generators:
-        if g.status:
-            out.append(SyncMachine(g.bus, default_machine_params(g.mva_base)))
-    return tuple(out)
+# Classical constants of every network generator's machine (machine base).
+GRID_MACHINE = {"h": 4.0, "d": 2.0, "xd_p": 0.25}
 
 
 # -- initialization ----------------------------------------------------------
@@ -372,9 +350,11 @@ def initialize_devices(
     case: NetworkCase,
     ybus: AdmittanceMatrix,
     solution: PowerFlowSolution,
-    devices: DeviceSet,
+    ies: IesUnit | None,
 ) -> tuple[_Machines, np.ndarray]:
-    """Machine states consistent with the converged snapshot.
+    """Machine states consistent with the converged snapshot: one classical
+    machine (`GRID_MACHINE`) per in-service generator, plus the SMR's
+    machine when `ies` is given.
 
     Returns (machines, effective bus load pu). The effective load un-nets
     the SMR dispatch that apply_snapshot folded into the bus load, so the
@@ -385,38 +365,37 @@ def initialize_devices(
         raise SimulationError("cannot initialize from a non-converged solution")
     sbase = case.system_mva_base
     v = solution.v
-    smr = devices.smr
-    smr_bidx = None if smr is None else case.bus_index(smr.bus)
+    # Dispatch shares: the SMR takes its own dispatch; the other machines
+    # split the remaining bus generation in proportion to mva_base.
+    by_bus: dict[int, list[MachineParams]] = {}
+    for g in case.generators:
+        if g.status:
+            by_bus.setdefault(case.bus_index(g.bus), []).append(
+                MachineParams(**GRID_MACHINE, mva_base=g.mva_base)
+            )
     s_load = case.load_pu().astype(complex)
-    if smr is not None:
-        s_smr = complex(smr.p_dispatch_mw, smr.q_dispatch_mvar) / sbase
+    smr_bidx = smr_i = None
+    if ies is not None:
+        if ies.p_dispatch_mw > ies.smr.p_max + 1e-9:
+            raise SimulationError("SMR dispatch exceeds rating")
+        smr_bidx = case.bus_index(ies.bus)
+        s_smr = complex(ies.p_dispatch_mw / sbase)
         s_load[smr_bidx] += s_smr
+        by_bus.setdefault(smr_bidx, [])
     s_gen_bus = v * np.conj(ybus.matrix @ v) + s_load  # generation per bus, pu
 
-    # Dispatch shares: the SMR takes its own dispatch; other machines split
-    # the remaining bus generation in proportion to mva_base.
-    by_bus: dict[int, list[SyncMachine]] = {}
-    for m in devices.machines:
-        by_bus.setdefault(case.bus_index(m.bus), []).append(m)
-    if smr is not None:
-        by_bus.setdefault(smr_bidx, [])
-    shares = []  # (bus index, bus id, machine params, complex power pu)
-    smr_i = None
+    shares = []  # (bus index, machine params, complex power pu)
     for bidx, plain in by_bus.items():
         s_rem = s_gen_bus[bidx]
         if bidx == smr_bidx:
-            if smr.p_dispatch_mw > smr.params.p_max + 1e-9:
-                raise SimulationError("SMR dispatch exceeds rating")
             smr_i = len(shares)
-            shares.append((bidx, smr.bus, smr.machine, s_smr))
+            shares.append((bidx, ies.machine, s_smr))
             s_rem -= s_smr
-        wsum = sum(m.params.mva_base for m in plain) or 1.0
-        shares += [
-            (bidx, m.bus, m.params, s_rem * (m.params.mva_base / wsum)) for m in plain
-        ]
+        wsum = sum(mp.mva_base for mp in plain) or 1.0
+        shares += [(bidx, mp, s_rem * (mp.mva_base / wsum)) for mp in plain]
 
     rows = []
-    for bidx, bus_id, mp, s_i in shares:
+    for bidx, mp, s_i in shares:
         vb = v[bidx]
         xd_sys = mp.xd_p * sbase / mp.mva_base
         y_m = 1.0 / complex(0.0, xd_sys)
@@ -424,7 +403,7 @@ def initialize_devices(
         e_c = vb + 1j * xd_sys * i_i
         p_air = float((e_c * np.conj((e_c - vb) * y_m)).real)
         rows.append((
-            bidx, bus_id, y_m,
+            bidx, case.buses[bidx].id, y_m,
             2.0 * mp.h * mp.mva_base / sbase, mp.d * mp.mva_base / sbase,
             float(np.angle(e_c)), float(abs(e_c)), p_air,
         ))
@@ -553,42 +532,42 @@ def _apply_event(
 def run_transient(
     case: NetworkCase,
     solution: PowerFlowSolution,
-    devices: DeviceSet,
+    ies: IesUnit | None,
     events: list[Event],
     cfg: SimConfig,
     ybus: AdmittanceMatrix | None = None,
 ) -> TransientResult:
+    """Transient from the converged snapshot `solution`; `ies` is the
+    datacenter's SMR and battery, None for a grid-only run."""
     if ybus is None:
         ybus = build_ybus(case)
     events = sorted(events, key=lambda e: e.t)
     if events and cfg.t_end <= events[-1].t:
         raise ValueError("t_end must exceed the last event time")
-    machines, s_load = initialize_devices(case, ybus, solution, devices)
+    machines, s_load = initialize_devices(case, ybus, solution, ies)
     sbase = case.system_mva_base
     f_nom = cfg.f_nominal
     w_s = 2.0 * math.pi * f_nom
     n_steps = int(round(cfg.t_end / cfg.dt))
     dt = cfg.dt
 
-    smr = devices.smr
     smr_mi = machines.smr
-    bess = devices.bess
-    bess_bidx = case.bus_index(bess.bus) if bess is not None else None
+    ies_bidx = case.bus_index(ies.bus) if ies is not None else None
 
     monitor = list(cfg.monitor_buses)
-    if bess is not None and bess.bus not in monitor:
-        monitor.append(bess.bus)
+    if ies is not None and ies.bus not in monitor:
+        monitor.append(ies.bus)
     if not monitor:
         monitor = [case.buses[0].id]
     # _apply_event reads the pre-event voltage at a load-step bus.
     step_buses = [e.kind.bus for e in events if isinstance(e.kind, LoadStep)]
     net = _Network(
         case, ybus.matrix, s_load, solution.v, machines,
-        [case.bus_index(b) for b in monitor + step_buses], bess_bidx,
+        [case.bus_index(b) for b in monitor + step_buses], ies_bidx,
     )
     net.refactor(machines)
     mon_ports = np.array([net.port_of[case.bus_index(b)] for b in monitor])
-    smr_port = net.machine_port[smr_mi] if smr is not None else None
+    smr_port = net.machine_port[smr_mi] if ies is not None else None
 
     nm = len(machines.bus_idx)
     e_p, p_mech, y_m, d_sys = machines.e_p, machines.p_mech, machines.y_m, machines.d
@@ -597,12 +576,12 @@ def run_transient(
 
     v = solution.v[net.ports]  # port voltages
     bess_i_inj = 0.0 + 0.0j
-    if bess is not None:
+    if ies is not None:
+        smr, bess = ies.smr, ies.bess
         bess_state = BessState()
-        poi_j = monitor.index(bess.bus)
-    if smr is not None:
-        valve_cmd = p_mech_cmd = smr.p_dispatch_mw / smr.params.p_max  # pu of p_max
-        q_dot = min(smr.thermal_mw, smr.params.q_dot_max)  # MW-thermal
+        poi_j = monitor.index(ies.bus)
+        valve_cmd = p_mech_cmd = ies.p_dispatch_mw / smr.p_max  # pu of p_max
+        q_dot = min(ies.thermal_mw, smr.q_dot_max)  # MW-thermal
 
     def deriv(_t, x):
         emf = e_p * np.exp(1j * x[:nm])
@@ -620,8 +599,9 @@ def run_transient(
     # Python floats so the battery acts on the reported POI frequency.
     f_mon = [[0.0] for _ in monitor]
     th_prev = [0.0] * len(monitor)
-    smr_series = np.empty(n_steps + 1) if smr is not None else None
-    bess_series = np.empty(n_steps + 1) if bess is not None else None
+    smr_series = bess_series = None
+    if ies is not None:
+        smr_series, bess_series = np.empty(n_steps + 1), np.empty(n_steps + 1)
     event_log: list[dict] = []
 
     state0 = None
@@ -654,17 +634,13 @@ def run_transient(
                 f_j = f_mon[j]
                 f_j.append(washout_update(f_j[-1], th, th_prev[j], alpha_f, dt))
             th_prev[j] = th
-        if smr is not None:
-            smr_series[k] = p_mech[smr_mi] * sbase
-        if bess is not None:
-            bess_series[k] = bess_state.p_out * bess.params.p_rating
-
         # Drift bookkeeping over the device states that can move.
         moving = []
-        if bess is not None:
-            moving += [bess_state.integrator, bess_state.p_out]
-        if smr is not None:
-            moving += [p_mech[smr_mi], valve_cmd, p_mech_cmd]
+        if ies is not None:
+            smr_series[k] = p_mech[smr_mi] * sbase
+            bess_series[k] = bess_state.p_out * bess.p_rating
+            moving = [bess_state.integrator, bess_state.p_out,
+                      p_mech[smr_mi], valve_cmd, p_mech_cmd]
         svec = np.concatenate((x, moving))
         if state0 is None:
             state0 = svec
@@ -675,34 +651,30 @@ def run_transient(
             break
 
         # Controller updates (piecewise-constant over the step).
-        if bess is not None:
+        if ies is not None:
             df_pu = -f_mon[poi_j][-1] / f_nom
-            p_out, bess_state = bess_power(df_pu, bess_state, bess.params, dt)
-            s_b = complex(p_out * bess.params.p_rating / sbase, 0.0)
+            p_out, bess_state = bess_power(df_pu, bess_state, bess, dt)
+            s_b = complex(p_out * bess.p_rating / sbase, 0.0)
             bess_i_inj = np.conj(s_b / v[net.bess_port])
-        if smr is not None and machines.active[smr_mi]:
+        if ies is not None and machines.active[smr_mi]:
             mi = smr_mi
             p_e_mw = float(
                 (emf[mi] * np.conj((emf[mi] - v[smr_port]) * y_m[mi])).real
             ) * sbase
-            droop = compute_droop(
-                min(max(p_e_mw, 0.0), smr.params.p_max), q_dot, smr.params
-            )
+            droop = compute_droop(min(max(p_e_mw, 0.0), smr.p_max), q_dot, smr)
             corr = governor_power_correction(
-                float(x[nm + mi]), droop, smr.params.freq_deadband
+                float(x[nm + mi]), droop, smr.freq_deadband
             )
-            target = smr.p_dispatch_mw / smr.params.p_max + corr
+            target = ies.p_dispatch_mw / smr.p_max + corr
             target = min(max(target, 0.0), 1.0)
-            a = 1.0 - math.exp(-dt / smr.params.t_actuator)
+            a = 1.0 - math.exp(-dt / smr.t_actuator)
             valve_cmd = valve_cmd + a * (target - valve_cmd)
-            p_cmd = apply_load_limiter(valve_cmd, p_mech_cmd, smr.params.ramp_limit, dt)
+            p_cmd = apply_load_limiter(valve_cmd, p_mech_cmd, smr.ramp_limit, dt)
             smr_ramp_max = max(smr_ramp_max, abs(p_cmd - p_mech_cmd) / dt)
             p_mech_cmd = p_cmd
-            m_hp, m_lp = smr_flows_from_power(p_cmd * smr.params.p_max, smr.params)
+            m_hp, m_lp = smr_flows_from_power(p_cmd * smr.p_max, smr)
             p_mech[mi] = (
-                turbine_mechanical_power(
-                    smr.params.eta_t, smr.params.dh_hp, smr.params.dh_lp, m_hp, m_lp
-                )
+                turbine_mechanical_power(smr.eta_t, smr.dh_hp, smr.dh_lp, m_hp, m_lp)
                 / sbase
             )
 

@@ -27,8 +27,9 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class IesSpec:
-    smr_rating_mw: float = 50.0
-    bess_rating_mw: float = 10.0
+    """The datacenter's SMR and battery; their ratings are
+    `smr_params.p_max` and `bess_params.p_rating`."""
+
     smr_params: dyn.SmrParams = field(default_factory=dyn.SmrParams)
     smr_machine: dyn.MachineParams = field(
         default_factory=lambda: dyn.MachineParams(h=6.0, d=10.0, xd_p=0.3, mva_base=60.0)
@@ -36,11 +37,15 @@ class IesSpec:
     bess_params: dyn.BessParams = field(default_factory=dyn.BessParams)
     thermal_extraction_factor: float = 1.0  # cooling MW-th routed to the SMR
 
+    def __post_init__(self):
+        if not self.thermal_extraction_factor >= 0:
+            raise ScenarioError("thermal_extraction_factor must be >= 0")
+
 
 @dataclass(frozen=True)
 class Configuration:
     kind: str  # "grid_only" | "with_ies"
-    dc_bus: int
+    dc_bus: int = 25
     ies: IesSpec | None = None
     dc_power_factor: float = 0.98
 
@@ -49,6 +54,8 @@ class Configuration:
             raise ScenarioError(f"unknown configuration kind '{self.kind}'")
         if self.kind == "with_ies" and self.ies is None:
             raise ScenarioError("with_ies configuration requires an ies section")
+        if not 0.0 < self.dc_power_factor <= 1.0:
+            raise ScenarioError("dc_power_factor must be in (0, 1]")
 
     def q_for(self, p_mw: float) -> float:
         phi = math.acos(self.dc_power_factor)
@@ -172,11 +179,11 @@ def snapshot_case(
     q_dc = cfg.q_for(p_dc_mw)
     smr_dispatch = 0.0
     if cfg.kind == "with_ies":
-        smr_dispatch = min(p_dc_mw, cfg.ies.smr_rating_mw)
+        smr_dispatch = min(p_dc_mw, cfg.ies.smr_params.p_max)
     snap = pf.apply_snapshot(
         case, cfg.dc_bus, p_dc_mw, q_dc,
         local_gen_mw=smr_dispatch,
-        local_gen_limit_mw=cfg.ies.smr_rating_mw if cfg.ies else None,
+        local_gen_limit_mw=cfg.ies.smr_params.p_max if cfg.ies else None,
     )
     return snap, smr_dispatch
 
@@ -308,32 +315,6 @@ def resolve_events(
     ]
 
 
-def build_devices(
-    case_snap: NetworkCase,
-    cfg: Configuration,
-    smr_dispatch_mw: float,
-    thermal_mw: float,
-) -> dyn.DeviceSet:
-    machines = dyn.default_machines(case_snap)
-    smr = bess = None
-    if cfg.kind == "with_ies":
-        ies = cfg.ies
-        smr = dyn.SmrUnit(
-            bus=cfg.dc_bus,
-            machine=ies.smr_machine,
-            params=ies.smr_params,
-            p_dispatch_mw=smr_dispatch_mw,
-            thermal_mw=min(
-                thermal_mw * ies.thermal_extraction_factor, ies.smr_params.q_dot_max
-            ),
-        )
-        bess = dyn.BessDevice(
-            bus=cfg.dc_bus,
-            params=replace(ies.bess_params, p_rating=ies.bess_rating_mw),
-        )
-    return dyn.DeviceSet(machines=machines, smr=smr, bess=bess)
-
-
 def run_contingency(
     case: NetworkCase,
     profile: LoadProfile,
@@ -358,12 +339,21 @@ def run_contingency(
         raise ScenarioError(f"snapshot bin {snapshot_bin} did not converge")
     if events is None:
         events = resolve_events(snap, cfg, spec)
-    devices = build_devices(snap, cfg, smr_dispatch, q_th)
+    ies = None
+    if cfg.kind == "with_ies":
+        ies = dyn.IesUnit(
+            bus=cfg.dc_bus,
+            machine=cfg.ies.smr_machine,
+            smr=cfg.ies.smr_params,
+            bess=cfg.ies.bess_params,
+            p_dispatch_mw=smr_dispatch,
+            thermal_mw=q_th * cfg.ies.thermal_extraction_factor,
+        )
     if cfg.dc_bus not in simcfg.monitor_buses:
         simcfg = replace(
             simcfg, monitor_buses=tuple(simcfg.monitor_buses) + (cfg.dc_bus,)
         )
-    return dyn.run_transient(snap, sol, devices, events, simcfg, ybus=ybus)
+    return dyn.run_transient(snap, sol, ies, events, simcfg, ybus=ybus)
 
 
 # -- metrics -----------------------------------------------------------------

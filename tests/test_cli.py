@@ -1,15 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smrgrid import powerflow as pf
-from smrgrid.cli import main
+from smrgrid.cli import RunConfig, main
 
 from conftest import zero_valued
 
 
 CASE = "src/smrgrid/data/ieee118.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -194,6 +196,52 @@ class TestConfigHandling:
         (workdir / "config.json").write_text(json.dumps(cfg))
         assert run(workdir, "powerflow") == 0  # simulation unused there
         assert run(workdir, "transient") == 2
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("configuration", "dc_buss"),
+            ("ies", "thermal_extraction_factr"),
+            ("ies", "smr_rating_mw"),  # the rating is ies.smr.p_max
+        ],
+    )
+    def test_unknown_configuration_key_rejected(self, workdir, capsys, section, key):
+        cfg = json.loads((workdir / "config.json").read_text())
+        sec = cfg["configuration"]
+        (sec if section == "configuration" else sec["ies"])[key] = 40.0
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "powerflow") == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("configuration", "dc_power_factor", "high"),
+            ("configuration", "dc_power_factor", 1.5),
+            ("ies", "thermal_extraction_factor", "x"),
+        ],
+    )
+    def test_bad_configuration_value_rejected(
+        self, workdir, capsys, section, key, value
+    ):
+        cfg = json.loads((workdir / "config.json").read_text())
+        sec = cfg["configuration"]
+        (sec if section == "configuration" else sec["ies"])[key] = value
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "powerflow") == 2
+        assert (workdir / "out/error.json").exists()
+
+    def test_readme_minimal_config_parses(self, tmp_path):
+        text = README.read_text()
+        block = text.split("Minimal config:", 1)[1].split("```json", 1)[1]
+        cfg = RunConfig(json.loads(block.split("```", 1)[0]), tmp_path, 0, 1)
+        configuration = cfg.configuration()
+        assert configuration.kind == "with_ies"
+        assert configuration.ies is not None
+        assert cfg.simconfig().t_end > 0
+        assert cfg.scenarios()
 
     def test_env_seed_override(self, workdir, monkeypatch, capsys):
         cfg = json.loads((workdir / "config.json").read_text())

@@ -11,19 +11,19 @@ from smrgrid.dynamics import (
     BessParams,
     BessState,
     BusFault3ph,
-    DeviceSet,
     Event,
     GenTrip,
+    IesUnit,
     LineTrip,
     LoadStep,
     MachineParams,
     SimConfig,
+    SimulationError,
     SmrParams,
     apply_load_limiter,
     bess_power,
     bus_frequency_estimate,
     compute_droop,
-    default_machines,
     governor_power_correction,
     rk4_step,
     run_transient,
@@ -261,28 +261,25 @@ def snapshot(case118):
 
 class TestRunTransient:
     def test_equilibrium_hold(self, case118, snapshot):
-        devices = DeviceSet(machines=default_machines(case118))
         cfg = SimConfig(dt=0.005, t_end=5.0, monitor_buses=(25,))
-        res = run_transient(case118, snapshot, devices, [], cfg)
+        res = run_transient(case118, snapshot, None, [], cfg)
         assert res.max_state_drift <= 1e-6
         v25 = res.v_mag[25]
         assert np.max(np.abs(v25 - v25[0])) <= 1e-6
         assert np.max(np.abs(res.freq_dev[25])) <= 1e-6
 
     def test_zero_load_step_is_equilibrium(self, case118, snapshot):
-        devices = DeviceSet(machines=default_machines(case118))
         cfg = SimConfig(dt=0.005, t_end=4.0, monitor_buses=(25,))
         res = run_transient(
-            case118, snapshot, devices,
+            case118, snapshot, None,
             [Event(1.0, LoadStep(25, 0.0, 0.0))], cfg,
         )
         assert res.max_state_drift <= 1e-6
 
     def test_load_step_perturbs_then_logs(self, case118, snapshot):
-        devices = DeviceSet(machines=default_machines(case118))
         cfg = SimConfig(dt=0.005, t_end=4.0, monitor_buses=(25,))
         res = run_transient(
-            case118, snapshot, devices,
+            case118, snapshot, None,
             [Event(1.0, LoadStep(25, 40.0, 10.0))], cfg,
         )
         assert res.max_state_drift > 1e-4
@@ -294,18 +291,27 @@ class TestRunTransient:
         assert v25[-1] < v25[0]  # extra load depresses the bus voltage
 
     def test_t_end_must_cover_events(self, case118, snapshot):
-        devices = DeviceSet(machines=default_machines(case118))
         with pytest.raises(ValueError):
             run_transient(
-                case118, snapshot, devices,
+                case118, snapshot, None,
                 [Event(5.0, LoadStep(25, 1.0))],
                 SimConfig(t_end=4.0),
             )
 
+    def test_smr_dispatch_above_rating_rejected(self, case118, snapshot):
+        ies = IesUnit(
+            bus=25,
+            machine=MachineParams(h=6.0, d=10.0, xd_p=0.3, mva_base=60.0),
+            smr=SmrParams(p_max=40.0),
+            bess=BessParams(),
+            p_dispatch_mw=40.5,
+        )
+        with pytest.raises(SimulationError, match="exceeds rating"):
+            run_transient(case118, snapshot, ies, [], SimConfig(t_end=1.0))
+
     def test_csv_export_layout(self, case118, snapshot, tmp_path):
-        devices = DeviceSet(machines=default_machines(case118))
         cfg = SimConfig(dt=0.01, t_end=1.0, monitor_buses=(25,))
-        res = run_transient(case118, snapshot, devices, [], cfg)
+        res = run_transient(case118, snapshot, None, [], cfg)
         path = tmp_path / "out.csv"
         write_result_csv(res, path)
         lines = path.read_text().splitlines()
@@ -323,11 +329,10 @@ class TestRunTransient:
     ):
         # Bus 2 is a PQ bus with no machine; the load step alone makes it a
         # network port, so monitoring it must leave every shared trace as is.
-        devices = DeviceSet(machines=default_machines(case118))
         events = [Event(1.0, LoadStep(2, 40.0, 10.0))]
         plain, watched = (
             run_transient(
-                case118, snapshot, devices, events,
+                case118, snapshot, None, events,
                 SimConfig(dt=0.005, t_end=3.0, monitor_buses=mon),
             )
             for mon in ((25,), (25, 2))
@@ -353,8 +358,7 @@ class TestReducedNetwork:
     @pytest.mark.parametrize("topology", ["pre_fault", "fault", "line_trip", "gen_trip"])
     def test_port_voltages_match_full_solve(self, case118, snapshot, topology):
         ybus = build_ybus(case118)
-        devices = DeviceSet(machines=default_machines(case118))
-        machines, s_load = initialize_devices(case118, ybus, snapshot, devices)
+        machines, s_load = initialize_devices(case118, ybus, snapshot, None)
         bess_idx = case118.bus_index(2)
         monitored = [case118.bus_index(b) for b in (25, 75)]
         net = _Network(

@@ -69,6 +69,14 @@ class TestConfiguration:
         with pytest.raises(ScenarioError):
             Configuration(kind="islanded", dc_bus=25)
 
+    def test_power_factor_range(self):
+        with pytest.raises(ScenarioError):
+            Configuration(kind="grid_only", dc_bus=25, dc_power_factor=1.5)
+
+    def test_negative_thermal_extraction_rejected(self):
+        with pytest.raises(ScenarioError):
+            IesSpec(thermal_extraction_factor=-1.0)
+
     def test_reactive_power_from_power_factor(self):
         cfg = Configuration(kind="grid_only", dc_bus=25, dc_power_factor=0.98)
         q = cfg.q_for(60.0)
@@ -324,20 +332,34 @@ class TestRunContingency:
         dp = np.abs(np.diff(res.smr_p_mech_mw)) / ies_config.ies.smr_params.p_max
         assert np.max(dp) / self.SIM.dt <= limit + 1e-9
 
-    def test_battery_acts_on_reported_frequency(self, case118, small_profile, ies_config):
+    @pytest.mark.parametrize("p_rating", [10.0, 20.0])
+    def test_battery_acts_on_reported_frequency(self, case118, small_profile, p_rating):
         # The battery output recorded after each step is the PI update on the
-        # POI frequency reported at that step, to the last bit.
+        # POI frequency reported at that step, to the last bit, at the
+        # battery's own rating.
+        ies = IesSpec(bess_params=dyn.BessParams(p_rating=p_rating))
+        cfg = Configuration(kind="with_ies", dc_bus=25, ies=ies)
         spec = ContingencySpec(kind="bus_fault", t_apply=3.0, rng_seed=4)
-        res = run_contingency(case118, small_profile, 4, ies_config, spec, self.SIM)
-        params = replace(
-            ies_config.ies.bess_params, p_rating=ies_config.ies.bess_rating_mw
-        )
+        res = run_contingency(case118, small_profile, 4, cfg, spec, self.SIM)
+        params = ies.bess_params
         state, replayed = dyn.BessState(), []
         for f in res.freq_dev[25][:-1]:
             p, state = dyn.bess_power(-f / self.SIM.f_nominal, state, params, self.SIM.dt)
             replayed.append(p * params.p_rating)
         assert np.max(np.abs(res.bess_p_mw)) > 1e-3
         assert np.array_equal(replayed, res.bess_p_mw[1:])
+
+    def test_smr_rating_is_smr_params_p_max(self, case118, small_profile):
+        # At the 60 MW bin a 40 MW SMR runs at its rating and the grid
+        # carries the rest.
+        b = select_snapshot_bins(small_profile, ("max",))[0]
+        assert small_profile.p_total[b] > 40.0
+        cfg = Configuration(
+            kind="with_ies", dc_bus=25, ies=IesSpec(smr_params=dyn.SmrParams(p_max=40.0))
+        )
+        spec = ContingencySpec(kind="bus_fault", t_apply=3.0, rng_seed=4)
+        res = run_contingency(case118, small_profile, b, cfg, spec, self.SIM)
+        assert res.smr_p_mech_mw[0] == pytest.approx(40.0, abs=1e-6)
 
 
 COMPARE_SIM = dyn.SimConfig(dt=0.005, t_end=6.0, monitor_buses=(25,))
