@@ -45,11 +45,26 @@ class ConfigError(Exception):
     pass
 
 
-def _dataclass_from(cls, doc: dict, ctx: str):
-    known = {f.name for f in fields(cls)}
+# Keys of the config document and of its `profile` section; the other
+# sections are checked against their dataclasses.
+_TOP_KEYS = frozenset({
+    "case", "profile", "configuration", "simulation", "scenarios",
+    "snapshot_selector", "seed", "jobs", "out_dir",
+})
+_PROFILE_KEYS = frozenset({
+    "profile_csv", "tasks_csv", "machine_events_csv", "t0", "t1",
+    "target_total_peak_mw", "it", "chiller", "ambient",
+})
+
+
+def _check_keys(doc: dict, known, ctx: str) -> None:
     bad = set(doc) - known
     if bad:
         raise ConfigError(f"{ctx}: unknown keys {sorted(bad)}")
+
+
+def _dataclass_from(cls, doc: dict, ctx: str):
+    _check_keys(doc, {f.name for f in fields(cls)}, ctx)
     try:
         return cls(**doc)
     except (TypeError, ValueError) as exc:
@@ -65,9 +80,7 @@ _IES_PARAMS = {
 
 
 def _ies_from(doc: dict) -> sc.IesSpec:
-    bad = set(doc) - set(_IES_PARAMS) - {"thermal_extraction_factor"}
-    if bad:
-        raise ConfigError(f"configuration.ies: unknown keys {sorted(bad)}")
+    _check_keys(doc, {*_IES_PARAMS, "thermal_extraction_factor"}, "configuration.ies")
     spec = {k: v for k, v in doc.items() if k not in _IES_PARAMS}
     for key, (name, cls) in _IES_PARAMS.items():
         if key in doc:
@@ -87,6 +100,7 @@ class RunConfig:
     """Validated view over the JSON config document."""
 
     def __init__(self, doc: dict, out_dir: Path, seed: int, jobs: int):
+        _check_keys(doc, _TOP_KEYS, "config")
         self.doc = doc
         self.out_dir = out_dir
         self.seed = seed
@@ -126,6 +140,7 @@ class RunConfig:
         sec = self.doc.get("profile")
         if not sec:
             raise ConfigError("config missing 'profile' section")
+        _check_keys(sec, _PROFILE_KEYS, "profile")
         return sec
 
     def chiller(self) -> ChillerParams:
@@ -156,9 +171,13 @@ class RunConfig:
         chiller = self.chiller()
         ambient = self.ambient()
         if "target_total_peak_mw" in sec:
+            # The target sets the IT capacity, so `it` may hold only the
+            # idle fraction.
+            it_sec = sec.get("it", {})
+            _check_keys(it_sec, {"idle_fraction"}, "profile.it")
             it = calibrate_it_capacity(
                 float(sec["target_total_peak_mw"]), chiller, ambient,
-                idle_fraction=float(sec.get("it", {}).get("idle_fraction", 0.5)),
+                idle_fraction=float(it_sec.get("idle_fraction", 0.5)),
             )
         else:
             it = _dataclass_from(ItPowerParams, sec.get("it", {}), "profile.it")

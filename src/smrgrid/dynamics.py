@@ -30,10 +30,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .network import (
     AdmittanceMatrix,
@@ -42,6 +41,9 @@ from .network import (
     build_ybus,
 )
 from .powerflow import PowerFlowSolution
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 F_NOMINAL_HZ = 60.0
 
@@ -458,6 +460,9 @@ class _Network:
         self.bess_port = None if bess_idx is None else self.port_of[bess_idx]
 
     def refactor(self, machines: _Machines):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         y = self.ybase
         if self.tripped:
             y = y - self.branches.stamp(self.n, np.array(sorted(self.tripped)))

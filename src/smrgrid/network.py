@@ -12,9 +12,12 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class CaseError(Exception):
@@ -285,6 +288,8 @@ class BranchAdmittances:
 
     def stamp(self, n: int, k: np.ndarray) -> sp.csc_matrix:
         """The n x n nodal admittance contribution of the branches k."""
+        import scipy.sparse as sp
+
         f, t = self.f[k], self.t[k]
         # Entries interleaved per branch so duplicates sum in branch order.
         rows = np.column_stack([f, f, t, t]).ravel()

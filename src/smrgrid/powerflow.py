@@ -1,4 +1,4 @@
-"""Newton-Raphson AC power flow in polar form with sparse LU linear solves.
+"""Newton-Raphson AC power flow in polar form with banded LU linear solves.
 
 Produces the pre-fault operating point for each 5-minute load snapshot.
 Non-convergence is a result state (converged=False), not an exception, so
@@ -19,22 +19,29 @@ only on the Y-bus and the PV/PQ partition: jacobian_pattern computes the
 CSC structure and the scatter indices, and each pattern is cached on its
 AdmittanceMatrix, so a weekly sweep on one Y-bus builds a handful of them.
 Every iteration only computes the per-entry derivative values and sums
-them into the CSC data with one bincount. The pattern also holds the
-sparse LU column ordering (COLAMD), which depends on the structure alone,
-so it is computed once per pattern, as KLU does (Davis & Palamadai
-Natarajan, ACM TOMS 37(3), 2010), and not on every factorisation: the
-Newton loop copies the Jacobian into that column order and factors it with
-SuperLU's natural ordering.
+them into the CSC data with one bincount.
+
+The Newton step is a banded LU. Once per pattern, the unknowns are put in
+the reverse Cuthill-McKee order of the symmetrised Jacobian structure
+(Cuthill & McKee, 1969), which gathers the entries into a band of kl
+sub- and ku super-diagonals (kl = ku = 38 at 181 unknowns on the shipped
+118-bus case, 1051 entries), and the slot of every CSC entry in LAPACK
+band storage is fixed. Each Newton loop owns one band buffer; every
+iteration zeroes it, scatters the Jacobian data into it and solves with
+LAPACK's dgbsv (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999),
+which pivots partially inside the band. That costs O(n kl (kl + ku)) time and
+(2 kl + ku + 1) n doubles of memory, so it suits networks whose band
+stays narrow, as transmission grids of this size do; it is not meant for
+cases of many thousand buses.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .network import (
     AdmittanceMatrix,
@@ -42,6 +49,9 @@ from .network import (
     branch_admittances,
     build_ybus,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class SingularJacobianError(Exception):
@@ -138,13 +148,13 @@ class JacobianPattern:
     ``src`` fall inside the J11/J21/J12/J22 blocks and sum into
     ``data[dest]`` of the CSC matrix (indices, indptr).
 
-    The LU column order takes natural column ``col_perm[k]`` as column k;
-    in that order the matrix has the CSC structure of ``lu_order``, and its
-    data is ``data[perm_map]``. ``natural`` has the structure (indices,
-    indptr). A pattern is shared by every solve on its Y-bus, threads
-    included, so it holds no buffer that a solve writes: the two template
-    matrices have read-only zero data, and compute_jacobian and lu_matrix
-    hand out copies with data of their own.
+    For the Newton step, band row and column k hold unknown ``order[k]``;
+    in that order every entry lies within ``kl`` sub- and ``ku``
+    super-diagonals, and CSC entry i goes to ``band_slot[i]`` of a
+    band_matrix() read in Fortran order. A pattern is shared by every solve
+    on its Y-bus, threads included, so it holds no buffer that a solve
+    writes: the ``natural`` template has read-only zero data, and
+    compute_jacobian and band_matrix hand out arrays of their own.
     """
 
     rows: np.ndarray  # bus row of each Y-bus entry
@@ -156,17 +166,21 @@ class JacobianPattern:
     indptr: np.ndarray
     dim: int
     pvpq: np.ndarray  # PV+PQ bus indices, sorted: the angle unknowns
-    col_perm: np.ndarray
-    perm_map: np.ndarray
+    order: np.ndarray
+    kl: int
+    ku: int
+    band_slot: np.ndarray
     natural: sp.csc_matrix = field(repr=False, compare=False)
-    lu_order: sp.csc_matrix = field(repr=False, compare=False)
 
-    def lu_matrix(self) -> sp.csc_matrix:
-        """A new CSC matrix of the LU-order structure, data zero."""
-        return _with_data(self.lu_order, np.zeros(len(self.perm_map)))
+    def band_matrix(self) -> np.ndarray:
+        """A new zero array in LAPACK band storage for this pattern:
+        (2 kl + ku + 1) rows, one column per unknown, Fortran order."""
+        return np.zeros((2 * self.kl + self.ku + 1, self.dim), order="F")
 
 
 def _template(indices: np.ndarray, indptr: np.ndarray) -> sp.csc_matrix:
+    import scipy.sparse as sp
+
     dim = len(indptr) - 1
     data = np.zeros(len(indices))
     data.flags.writeable = False
@@ -185,26 +199,24 @@ def _with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
     return m
 
 
-def _column_ordering(structure: sp.csc_matrix) -> np.ndarray:
-    """SuperLU's COLAMD column order of a square CSC structure (with every
-    diagonal entry present), as the natural column at each position.
+def _band_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Reverse Cuthill-McKee order of a square CSC structure, symmetrised:
+    the unknown at each band position."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    The ordering, elimination-tree postorder included, depends on the
-    structure alone, so it is read off a strictly diagonally dominant matrix
-    of that structure, which cannot be singular.
-    """
-    indices, dim = structure.indices, structure.shape[0]
-    col = np.repeat(np.arange(dim), np.diff(structure.indptr))
-    row_len = np.bincount(indices, minlength=dim)
-    data = np.where(indices == col, row_len[indices], 1.0)
-    # perm_c[j] is the position of natural column j.
-    return np.argsort(spla.splu(_with_data(structure, data)).perm_c)
+    dim = len(indptr) - 1
+    if dim == 0:
+        return np.zeros(0, dtype=np.intp)
+    ones = csc_matrix((np.ones(len(indices)), indices, indptr), shape=(dim, dim))
+    return reverse_cuthill_mckee(ones, symmetric_mode=False).astype(np.intp)
 
 
 def jacobian_pattern(
     ybus: AdmittanceMatrix, pv_idx: np.ndarray, pq_idx: np.ndarray
 ) -> JacobianPattern:
-    """Scatter indices of every Jacobian term into a fixed CSC structure."""
+    """Scatter indices of every Jacobian term into a fixed CSC structure,
+    and the band order and band slots of that structure."""
     n = ybus.dimension
     y = ybus.matrix.tocoo()
     pvpq = np.sort(np.concatenate([pv_idx, pq_idx]))
@@ -230,13 +242,14 @@ def jacobian_pattern(
     slots, dest = np.unique(jc * dim + jr, return_inverse=True)
     indices = (slots % dim).astype(np.int32)
     indptr = np.searchsorted(slots, dim * np.arange(dim + 1)).astype(np.int32)
-    natural = _template(indices, indptr)
-    col_perm = _column_ordering(natural)
-    col_len = np.diff(indptr)[col_perm]
-    perm_indptr = np.concatenate([[0], np.cumsum(col_len)]).astype(np.int32)
-    perm_map = np.repeat(indptr[col_perm] - perm_indptr[:-1], col_len) + np.arange(
-        len(indices)
-    )
+    order = _band_order(indices, indptr)
+    # Band position of each CSC entry's row and column.
+    position = np.empty(dim, dtype=np.intp)
+    position[order] = np.arange(dim)
+    br = position[indices]
+    bc = position[np.repeat(np.arange(dim), np.diff(indptr))]
+    kl = int(np.max(br - bc, initial=0))
+    ku = int(np.max(bc - br, initial=0))
     return JacobianPattern(
         rows=y.row.astype(np.intp),
         cols=y.col.astype(np.intp),
@@ -247,10 +260,12 @@ def jacobian_pattern(
         indptr=indptr,
         dim=dim,
         pvpq=pvpq,
-        col_perm=col_perm,
-        perm_map=perm_map,
-        natural=natural,
-        lu_order=_template(indices[perm_map], perm_indptr),
+        order=order,
+        kl=kl,
+        ku=ku,
+        # Band storage keeps entry (i, j) at row kl + ku + i - j of column j.
+        band_slot=bc * (2 * kl + ku + 1) + kl + ku + br - bc,
+        natural=_template(indices, indptr),
     )
 
 
@@ -321,26 +336,31 @@ def _initial_voltage(case: NetworkCase, flat_start: bool) -> np.ndarray:
     return v
 
 
-# SuperLU's panel width, in columns. Its default of 10 serves wide
-# supernodes; the 118-bus Jacobian (181 columns, 2070 entries in L+U)
-# factors in 184 us with one-column panels against 221 us with the default
-# (2-core Xeon VM, scipy 1.17.1).
-LU_PANEL_SIZE = 1
-
-
 def _newton_step(
-    pattern: JacobianPattern, jac: sp.csc_matrix, mis: np.ndarray, work: sp.csc_matrix
+    pattern: JacobianPattern,
+    jac: sp.csc_matrix,
+    mis: np.ndarray,
+    band: np.ndarray,
+    iteration: int,
 ) -> np.ndarray:
-    """Solve jac @ dx = mis by LU in the pattern's column order.
+    """Solve jac @ dx = mis by banded LU in the pattern's band order.
 
-    jac has the pattern's CSC structure; work is a pattern.lu_matrix(),
-    whose data is overwritten. SuperLU raises RuntimeError on an exactly
-    singular factor.
+    jac has the pattern's CSC structure; band is a pattern.band_matrix(),
+    which is overwritten. Raises SingularJacobianError(iteration) when a
+    pivot is exactly zero.
     """
-    np.take(jac.data, pattern.perm_map, out=work.data)
-    lu = spla.splu(work, permc_spec="NATURAL", panel_size=LU_PANEL_SIZE)
+    from scipy.linalg.lapack import dgbsv
+
+    band.fill(0.0)
+    band.ravel(order="F")[pattern.band_slot] = jac.data
+    _, _, x, info = dgbsv(
+        pattern.kl, pattern.ku, band, mis[pattern.order],
+        overwrite_ab=True, overwrite_b=True,
+    )
+    if info > 0:
+        raise SingularJacobianError(iteration)
     dx = np.empty_like(mis)
-    dx[pattern.col_perm] = lu.solve(mis)
+    dx[pattern.order] = x
     return dx
 
 
@@ -362,7 +382,7 @@ def _nr_core(case, ybus, v0, opts, pv_idx=None, pq_idx=None, s_sched=None):
         s_sched = scheduled_injection(case)
     pattern = _cached_pattern(ybus, pv_idx, pq_idx)
     pvpq = pattern.pvpq
-    work = pattern.lu_matrix()
+    band = pattern.band_matrix()
     v = v0.copy()
     ibus = ybus.matrix @ v
     mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx, s_sched, ibus)
@@ -371,10 +391,7 @@ def _nr_core(case, ybus, v0, opts, pv_idx=None, pq_idx=None, s_sched=None):
     it = 0
     while norm > opts.tol and it < opts.max_iter and norm <= DIVERGENCE_FACTOR * best:
         jac = compute_jacobian(case, ybus, v, pv_idx, pq_idx, pattern, ibus)
-        try:
-            dx = _newton_step(pattern, jac, mis, work)
-        except RuntimeError as exc:
-            raise SingularJacobianError(it) from exc
+        dx = _newton_step(pattern, jac, mis, band, it)
         if not np.all(np.isfinite(dx)):
             raise SingularJacobianError(it)
         th = np.angle(v)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +219,32 @@ class TestConfigHandling:
         assert key in err["message"]
 
     @pytest.mark.parametrize(
+        "command, path",
+        [
+            # A typo of t1 used to fall back to a one-week profile.
+            ("profile", ("profile", "t_1")),
+            # A typo of snapshot_selector used to fall back to the median.
+            ("compare", ("snapshot_selecter",)),
+            # Beside a target peak, a typo of idle_fraction fell back to 0.5.
+            ("profile", ("profile", "it", "idle_frac")),
+        ],
+    )
+    def test_unknown_top_level_or_profile_key_rejected(
+        self, workdir, capsys, command, path
+    ):
+        cfg = json.loads((workdir / "config.json").read_text())
+        sec = cfg
+        for name in path[:-1]:
+            sec = sec.setdefault(name, {})
+        sec[path[-1]] = 0.9
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, command) == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert path[-1] in err["message"]
+        assert not (workdir / "out/profile.csv").exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("configuration", "dc_power_factor", "high"),
@@ -237,6 +266,7 @@ class TestConfigHandling:
         text = README.read_text()
         block = text.split("Minimal config:", 1)[1].split("```json", 1)[1]
         cfg = RunConfig(json.loads(block.split("```", 1)[0]), tmp_path, 0, 1)
+        assert cfg.profile_section()
         configuration = cfg.configuration()
         assert configuration.kind == "with_ies"
         assert configuration.ies is not None
@@ -253,3 +283,19 @@ class TestConfigHandling:
              "--out", str(workdir / "out"), "transient", "--snapshot", "max"]
         ) == 0
         assert (workdir / "out/bus_fault_s99_with_ies.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # `smrgrid profile` needs no scipy, so importing the CLI must not load
+    # it; power flow and dynamics import it where they build or factor.
+    src = Path(__import__("smrgrid").__file__).resolve().parent.parent
+    probe = (
+        "import sys, smrgrid.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"

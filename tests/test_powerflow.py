@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.sparse.csgraph as csgraph
 
 from smrgrid import powerflow as pf
 from smrgrid import scenario as sc
@@ -288,77 +288,102 @@ def q_limited_partition(case, sol):
 
 
 def newton_step_error(case, ybus, pattern, pv_idx, pq_idx, v):
-    """Relative difference of the cached-ordering Newton step from spsolve."""
+    """Relative difference of the banded Newton step from a dense solve."""
     jac = compute_jacobian(case, ybus, v, pv_idx, pq_idx, pattern)
     mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx)
-    dx = _newton_step(pattern, jac, mis, pattern.lu_matrix())
-    ref = spla.spsolve(jac, mis)
+    dx = _newton_step(pattern, jac, mis, pattern.band_matrix(), 0)
+    ref = np.linalg.solve(jac.toarray(), mis)
     return np.max(np.abs(dx - ref)) / np.max(np.abs(ref))
 
 
+def tripped_first_branch(case):
+    br = case.branches
+    return replace(case, branches=(replace(br[0], status=False),) + br[1:])
+
+
 class TestColumnOrdering:
-    def test_ordering_is_the_solved_jacobians(self, case118):
-        # The ordering is read off a surrogate of the same structure; it
-        # must be the one SuperLU computes for the real Jacobian.
+    """The band order of each Jacobian pattern and the banded Newton step."""
+
+    def test_band_holds_the_reordered_jacobian(self, case118):
         ybus = build_ybus(case118)
         sol = solve(case118, ybus)
-        assert len(sol.q_limited_buses) == 4
-        for pv_idx, pq_idx in (_bus_partitions(case118), q_limited_partition(case118, sol)):
-            pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
-            jac = compute_jacobian(case118, ybus, sol.v, pv_idx, pq_idx, pattern)
-            np.testing.assert_array_equal(
-                pattern.col_perm, np.argsort(spla.splu(jac).perm_c)
-            )
-            # The LU-order matrix is the Jacobian with its columns permuted.
-            work = pattern.lu_matrix()
-            np.take(jac.data, pattern.perm_map, out=work.data)
-            np.testing.assert_array_equal(
-                work.toarray(), jac.toarray()[:, pattern.col_perm]
-            )
+        pv_idx, pq_idx = _bus_partitions(case118)
+        pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
+        assert (pattern.dim, len(pattern.indices)) == (181, 1051)
+        assert (pattern.kl, pattern.ku) == (38, 38)
+        jac = compute_jacobian(case118, ybus, sol.v, pv_idx, pq_idx, pattern)
+        sym = (abs(jac) + abs(jac).T).tocsr()
+        np.testing.assert_array_equal(
+            pattern.order, csgraph.reverse_cuthill_mckee(sym, symmetric_mode=True)
+        )
+        # Read the band back into a dense matrix: it must be the Jacobian
+        # with rows and columns in band order, nothing outside the band.
+        band = pattern.band_matrix()
+        band.ravel(order="F")[pattern.band_slot] = jac.data
+        n, kl, ku = pattern.dim, pattern.kl, pattern.ku
+        dense = np.zeros((n, n))
+        for j in range(n):
+            i = np.arange(max(0, j - ku), min(n, j + kl + 1))
+            dense[i, j] = band[kl + ku + i - j, j]
+        order = pattern.order
+        np.testing.assert_array_equal(dense, jac.toarray()[np.ix_(order, order)])
 
-    def test_newton_step_matches_spsolve(self, case118, sweep_ybus):
+    def test_newton_step_matches_dense_solve(self, case118, sweep_ybus):
+        # Every partition a sweep met, the Q-limited partition of the base
+        # solve, and the base partition on a Y-bus with a tripped line.
         sol = solve(case118, sweep_ybus)
-        partitions = {
-            key: (np.frombuffer(key[0], dtype=np.intp), np.frombuffer(key[1], dtype=np.intp))
+        cases = [
+            (case118, sweep_ybus,
+             np.frombuffer(key[0], dtype=np.intp), np.frombuffer(key[1], dtype=np.intp))
             for key in sweep_ybus.jacobian_patterns
-        }
-        assert len(partitions) > 1
-        pv_idx, pq_idx = q_limited_partition(case118, sol)
-        partitions[pv_idx.tobytes(), pq_idx.tobytes()] = (pv_idx, pq_idx)
+        ]
+        assert len(cases) > 1
+        cases.append((case118, sweep_ybus) + q_limited_partition(case118, sol))
+        tripped = tripped_first_branch(case118)
+        cases.append((tripped, build_ybus(tripped)) + _bus_partitions(tripped))
         rng = np.random.default_rng(3)
         points = [np.ones(case118.n_bus, dtype=complex), sol.v] + [
             sol.v * (1 + 0.05 * rng.standard_normal(case118.n_bus))
             * np.exp(0.05j * rng.standard_normal(case118.n_bus))
             for _ in range(2)
         ]
-        for pv_idx, pq_idx in partitions.values():
-            pattern = _cached_pattern(sweep_ybus, pv_idx, pq_idx)
+        for case, ybus, pv_idx, pq_idx in cases:
+            pattern = _cached_pattern(ybus, pv_idx, pq_idx)
             for v in points:
-                err = newton_step_error(case118, sweep_ybus, pattern, pv_idx, pq_idx, v)
-                assert err <= 1e-12
+                assert newton_step_error(case, ybus, pattern, pv_idx, pq_idx, v) <= 1e-10
+
+    def test_band_order_built_once_per_pattern(self, case118, monkeypatch):
+        real = csgraph.reverse_cuthill_mckee
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", counting)
+        ybus = build_ybus(case118)
+        snaps = [apply_snapshot(case118, 25, p) for p in np.linspace(0.0, 300.0, 12)]
+        for snap in snaps * 2:
+            assert solve(snap, ybus).converged
+        assert len(ybus.jacobian_patterns) > 1
+        assert len(calls) == len(ybus.jacobian_patterns)
 
     def test_tripped_line_gets_its_own_ordering(self, case118):
         ybus = build_ybus(case118)
-        br = case118.branches
-        tripped = replace(case118, branches=(replace(br[0], status=False),) + br[1:])
+        tripped = tripped_first_branch(case118)
         ybus_tripped = build_ybus(tripped)
         pv_idx, pq_idx = _bus_partitions(case118)
         base = _cached_pattern(ybus, pv_idx, pq_idx)
         own = _cached_pattern(ybus_tripped, pv_idx, pq_idx)
-        assert own.lu_order.nnz < base.lu_order.nnz
+        assert len(own.indices) < len(base.indices)
         fresh = jacobian_pattern(ybus_tripped, pv_idx, pq_idx)
-        for name in ("col_perm", "perm_map"):
+        assert (own.kl, own.ku) == (fresh.kl, fresh.ku)
+        for name in ("order", "band_slot"):
             np.testing.assert_array_equal(getattr(own, name), getattr(fresh, name))
-        for part in ("indices", "indptr"):
-            np.testing.assert_array_equal(
-                getattr(own.lu_order, part), getattr(fresh.lu_order, part)
-            )
         sol = solve(tripped, ybus_tripped)
         assert sol.converged
-        jac = compute_jacobian(tripped, ybus_tripped, sol.v, pv_idx, pq_idx, own)
-        np.testing.assert_array_equal(own.col_perm, np.argsort(spla.splu(jac).perm_c))
         for v in (np.ones(case118.n_bus, dtype=complex), sol.v):
-            assert newton_step_error(tripped, ybus_tripped, own, pv_idx, pq_idx, v) <= 1e-12
+            assert newton_step_error(tripped, ybus_tripped, own, pv_idx, pq_idx, v) <= 1e-10
 
     def test_threads_share_patterns(self, case118):
         # compare solves on a thread pool, and every solve on one Y-bus
@@ -381,6 +406,31 @@ class TestColumnOrdering:
             not p.natural.data.flags.writeable and not p.natural.data.any()
             for p in shared.jacobian_patterns.values()
         )
+
+    def test_exactly_singular_step_raises(self, case118):
+        # One zero column stays exactly zero through the elimination, so
+        # its pivot is exactly zero whatever the row exchanges.
+        ybus = build_ybus(case118)
+        sol = solve(case118, ybus)
+        pv_idx, pq_idx = _bus_partitions(case118)
+        pattern = _cached_pattern(ybus, pv_idx, pq_idx)
+        jac = compute_jacobian(case118, ybus, sol.v, pv_idx, pq_idx, pattern)
+        mis = compute_mismatch(case118, ybus, sol.v * 1.01, pv_idx, pq_idx)
+        k = pattern.dim // 2
+        jac.data[jac.indptr[k]:jac.indptr[k + 1]] = 0.0
+        with pytest.raises(SingularJacobianError) as exc:
+            _newton_step(pattern, jac, mis, pattern.band_matrix(), 5)
+        assert exc.value.iteration == 5
+
+    def test_one_bus_case_has_no_unknowns(self):
+        case = one_bus_case(p_load=0.0)
+        ybus = build_ybus(case)
+        pattern = jacobian_pattern(ybus, *_bus_partitions(case))
+        assert pattern.dim == 0 and len(pattern.order) == 0
+        assert (pattern.kl, pattern.ku) == (0, 0)
+        assert pattern.band_matrix().shape == (1, 0)
+        sol = solve(case, ybus)
+        assert sol.converged and sol.iterations == 0
 
     @pytest.mark.parametrize("singular_call", [1, 3])
     def test_singular_jacobian_raises(self, case118, monkeypatch, singular_call):
