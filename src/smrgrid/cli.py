@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .datacenter import (
     ItPowerParams,
     LoadProfile,
     TraceError,
-    UtilizationTrace,
     bin_tasks,
     build_profile,
     calibrate_it_capacity,
@@ -38,73 +40,160 @@ from .datacenter import (
     read_tasks_csv,
     write_profile_csv,
 )
-from .network import CaseError, NetworkCase, parse_case
+from .network import CaseError, parse_case
 
 
 class ConfigError(Exception):
     pass
 
 
-# Keys of the config document and of its `profile` section; the other
-# sections are checked against their dataclasses.
-_TOP_KEYS = frozenset({
-    "case", "profile", "configuration", "simulation", "scenarios",
-    "snapshot_selector", "seed", "jobs", "out_dir",
-})
-_PROFILE_KEYS = frozenset({
-    "profile_csv", "tasks_csv", "machine_events_csv", "t0", "t1",
-    "target_total_peak_mw", "it", "chiller", "ambient",
-})
+# -- typed config reader -----------------------------------------------------
 
 
-def _check_keys(doc: dict, known, ctx: str) -> None:
-    bad = set(doc) - known
-    if bad:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(bad)}")
+def _fits(hint, value) -> bool:
+    """Whether `value` has the JSON kind of `hint`: an object for a record,
+    an array for a tuple, else an instance, where an int is also a float or
+    a complex, a bool is no number and a number must be finite."""
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if get_origin(hint) is tuple:
+        return isinstance(value, list)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    kinds = (int, float) if hint in (float, complex) else hint
+    return isinstance(value, bool) == (hint is bool) and isinstance(value, kinds)
 
 
-def _dataclass_from(cls, doc: dict, ctx: str):
-    _check_keys(doc, {f.name for f in fields(cls)}, ctx)
+def _value(hint, value, ctx: str):
+    """`value` checked against the type hint `hint` at key path `ctx`:
+    records are read by `_record` and arrays become tuples; any other value
+    is returned as given, so an int stays an int in a float field."""
+    arms = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    arm = next((a for a in arms if _fits(a, value)), None)
+    if arm is None:
+        want = hint.__name__ if isinstance(hint, type) else hint
+        raise ConfigError(f"{ctx}: expected {want}, got {json.dumps(value)[:40]}")
+    if is_dataclass(arm):
+        return _record(arm, value, ctx)
+    if get_origin(arm) is tuple:
+        items = get_args(arm)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        elif len(items) != len(value):
+            raise ConfigError(f"{ctx}: expected {len(items)} items, got {len(value)}")
+        return tuple(_value(items[i], v, f"{ctx}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+def _record(cls, value, ctx: str, **defaults):
+    """A `cls` record from the JSON object `value` at key path `ctx`: each
+    key must be a field of `cls` and each value must fit the field's type
+    hint. `defaults` fill fields that `value` leaves out."""
+    hints = get_type_hints(cls)
+    unknown = set(value) - set(hints)
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+    given = {k: _value(hints[k], v, f"{ctx}.{k}") for k, v in value.items()}
     try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
+        return cls(**{**defaults, **given})
+    except (TypeError, ValueError, sc.ScenarioError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-# `configuration.ies` subsection -> (IesSpec field, parameter class).
-_IES_PARAMS = {
-    "smr": ("smr_params", dyn.SmrParams),
-    "smr_machine": ("smr_machine", dyn.MachineParams),
-    "bess": ("bess_params", dyn.BessParams),
+@dataclass(frozen=True)
+class ItSpec:
+    """`profile.it`; `target_total_peak_mw`, when given, sets `p_max`."""
+
+    p_max: float | None = None
+    idle_fraction: float = ItPowerParams.idle_fraction
+
+    def __post_init__(self):
+        # ItPowerParams holds the checks; 1.0 stands in for a p_max to come.
+        ItPowerParams(1.0 if self.p_max is None else self.p_max, self.idle_fraction)
+
+
+@dataclass(frozen=True)
+class ProfileSpec:
+    """The `profile` section: a prebuilt `profile_csv`, or the task and
+    machine-event traces binned over [t0, t1), by default one week."""
+
+    profile_csv: str | None = None
+    tasks_csv: str | None = None
+    machine_events_csv: str | None = None
+    t0: float = 0.0
+    t1: float | None = None
+    target_total_peak_mw: float | None = None
+    it: ItSpec = ItSpec()
+    chiller: ChillerParams = DEFAULT_CHILLER
+    ambient: AmbientConditions = AmbientConditions()
+
+    def __post_init__(self):
+        if self.profile_csv is not None:
+            return
+        if None in (self.tasks_csv, self.machine_events_csv):
+            raise ValueError("give profile_csv, or tasks_csv and machine_events_csv")
+        if (self.it.p_max is None) == (self.target_total_peak_mw is None):
+            raise ValueError("give one of target_total_peak_mw and it.p_max")
+
+    def build(self) -> LoadProfile:
+        if self.profile_csv is not None:
+            return read_profile_csv(self.profile_csv)
+        t1 = self.t0 + 7 * 24 * 3600 if self.t1 is None else self.t1
+        # Each trace is binned before the next is read, so that only one is
+        # held at a time.
+        usage = bin_tasks(read_tasks_csv(self.tasks_csv), self.t0, t1)
+        capacity = estimate_capacity(
+            read_machine_events_csv(self.machine_events_csv), self.t0, t1
+        )
+        trace = normalize(usage, capacity)
+        if self.target_total_peak_mw is None:
+            it = ItPowerParams(self.it.p_max, self.it.idle_fraction)
+        else:
+            it = calibrate_it_capacity(
+                self.target_total_peak_mw, self.chiller, self.ambient,
+                idle_fraction=self.it.idle_fraction,
+            )
+        return build_profile(trace, it, self.chiller, self.ambient, t_start=self.t0)
+
+
+#: Top-level key -> (type, default); a None default marks a required key.
+#: A subcommand reads only the keys it uses.
+_TOP = {
+    "case": (str, None), "profile": (ProfileSpec, None),
+    "configuration": (sc.Configuration, None), "scenarios": (tuple[dict, ...], None),
+    "simulation": (dyn.SimConfig, dyn.SimConfig()),
+    "snapshot_selector": (tuple[str | int, ...], ("median",)),
+    "seed": (int, 0), "jobs": (int, 1), "out_dir": (str, "out"),
 }
 
 
-def _ies_from(doc: dict) -> sc.IesSpec:
-    _check_keys(doc, {*_IES_PARAMS, "thermal_extraction_factor"}, "configuration.ies")
-    spec = {k: v for k, v in doc.items() if k not in _IES_PARAMS}
-    for key, (name, cls) in _IES_PARAMS.items():
-        if key in doc:
-            spec[name] = _dataclass_from(cls, doc[key], f"configuration.ies.{key}")
-    return _dataclass_from(sc.IesSpec, spec, "configuration.ies")
+def _top(doc: dict, key: str):
+    hint, default = _TOP[key]
+    if key not in doc and default is None:
+        raise ConfigError(f"config missing '{key}'")
+    return _value(hint, doc[key], key) if key in doc else default
 
 
-def _out_dir(args, doc: dict) -> Path:
-    return Path(args.out or os.environ.get("SMRGRID_OUT") or doc.get("out_dir", "out"))
-
-
-def _tupled(doc: dict) -> dict:
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+def _setting(args, doc: dict, flag: str):
+    """The flag, else the SMRGRID_<FLAG> env var, else the config key or its default."""
+    key = "out_dir" if flag == "out" else flag
+    env = os.environ.get(f"SMRGRID_{flag.upper()}")
+    if getattr(args, flag, None) not in (None, ""):
+        return getattr(args, flag)
+    return _TOP[key][0](env) if env else _top(doc, key)
 
 
 class RunConfig:
-    """Validated view over the JSON config document."""
+    """The JSON config document; `get` reads a top-level key when it is used."""
 
-    def __init__(self, doc: dict, out_dir: Path, seed: int, jobs: int):
-        _check_keys(doc, _TOP_KEYS, "config")
+    def __init__(self, doc: dict, args=None):
+        unknown = set(doc) - set(_TOP)
+        if unknown:
+            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         self.doc = doc
-        self.out_dir = out_dir
-        self.seed = seed
-        self.jobs = jobs
+        self.out_dir = Path(_setting(args, doc, "out"))
+        self.seed = _setting(args, doc, "seed")
+        self.jobs = _setting(args, doc, "jobs")
 
     @classmethod
     def load(cls, args) -> "RunConfig":
@@ -116,110 +205,27 @@ class RunConfig:
             doc = json.loads(p.read_text())
             if not isinstance(doc, dict):
                 raise ConfigError(f"{p}: config must be a JSON object")
-        seed = (
-            args.seed
-            if args.seed is not None
-            else int(os.environ.get("SMRGRID_SEED", doc.get("seed", 0)))
-        )
-        jobs = (
-            args.jobs
-            if args.jobs is not None
-            else int(os.environ.get("SMRGRID_JOBS", doc.get("jobs", 1)))
-        )
-        return cls(doc, _out_dir(args, doc), seed, jobs)
+        return cls(doc, args)
 
-    # -- section accessors ---------------------------------------------------
-
-    def case(self) -> NetworkCase:
-        path = self.doc.get("case")
-        if not path:
-            raise ConfigError("config missing 'case' path")
-        return parse_case(path)
-
-    def profile_section(self) -> dict:
-        sec = self.doc.get("profile")
-        if not sec:
-            raise ConfigError("config missing 'profile' section")
-        _check_keys(sec, _PROFILE_KEYS, "profile")
-        return sec
-
-    def chiller(self) -> ChillerParams:
-        sec = self.doc.get("profile", {}).get("chiller")
-        if not sec:
-            return DEFAULT_CHILLER
-        return _dataclass_from(ChillerParams, _tupled(sec), "profile.chiller")
-
-    def ambient(self) -> AmbientConditions:
-        sec = self.doc.get("profile", {}).get("ambient")
-        if not sec:
-            return AmbientConditions()
-        return _dataclass_from(AmbientConditions, sec, "profile.ambient")
-
-    def build_or_read_profile(self) -> LoadProfile:
-        sec = self.profile_section()
-        if "profile_csv" in sec:
-            return read_profile_csv(sec["profile_csv"])
-        t0 = float(sec.get("t0", 0.0))
-        t1 = float(sec.get("t1", t0 + 7 * 24 * 3600))
-        # Each trace is binned before the next is read, so that only one is
-        # held at a time.
-        usage = bin_tasks(read_tasks_csv(sec["tasks_csv"]), t0, t1)
-        capacity = estimate_capacity(
-            read_machine_events_csv(sec["machine_events_csv"]), t0, t1
-        )
-        trace = normalize(usage, capacity)
-        chiller = self.chiller()
-        ambient = self.ambient()
-        if "target_total_peak_mw" in sec:
-            # The target sets the IT capacity, so `it` may hold only the
-            # idle fraction.
-            it_sec = sec.get("it", {})
-            _check_keys(it_sec, {"idle_fraction"}, "profile.it")
-            it = calibrate_it_capacity(
-                float(sec["target_total_peak_mw"]), chiller, ambient,
-                idle_fraction=float(it_sec.get("idle_fraction", 0.5)),
-            )
-        else:
-            it = _dataclass_from(ItPowerParams, sec.get("it", {}), "profile.it")
-        return build_profile(trace, it, chiller, ambient, t_start=t0)
-
-    def configuration(self) -> sc.Configuration:
-        sec = self.doc.get("configuration")
-        if not sec:
-            raise ConfigError("config missing 'configuration' section")
-        sec = dict(sec)
-        if sec.get("ies") is None:
-            sec.setdefault("kind", "grid_only")
-        else:
-            sec["ies"] = _ies_from(sec["ies"])
-            sec.setdefault("kind", "with_ies")
-        return _dataclass_from(sc.Configuration, sec, "configuration")
-
-    def simconfig(self) -> dyn.SimConfig:
-        sec = dict(self.doc.get("simulation", {}))
-        if "monitor_buses" in sec:
-            sec["monitor_buses"] = tuple(sec["monitor_buses"])
-        return _dataclass_from(dyn.SimConfig, sec, "simulation")
+    def get(self, key: str):
+        return _top(self.doc, key)
 
     def scenarios(self) -> list[sc.ContingencySpec]:
-        docs = self.doc.get("scenarios")
-        if not docs:
-            raise ConfigError("config missing 'scenarios' section")
-        out = []
-        for i, d in enumerate(docs):
-            d = dict(d)
-            if "target" in d and isinstance(d["target"], list):
-                d["target"] = tuple(d["target"])
-            d.setdefault("rng_seed", self.seed + i)
-            out.append(_dataclass_from(sc.ContingencySpec, d, f"scenarios[{i}]"))
-        return out
+        return [
+            _record(sc.ContingencySpec, d, f"scenarios[{i}]", rng_seed=self.seed + i)
+            for i, d in enumerate(self.get("scenarios"))
+        ]
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_profile(cfg: RunConfig) -> int:
-    profile = cfg.build_or_read_profile()
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+
+
+def cmd_profile(cfg: RunConfig, args) -> int:
+    profile = cfg.get("profile").build()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_profile_csv(profile, cfg.out_dir / "profile.csv")
     summary = {
@@ -229,16 +235,14 @@ def cmd_profile(cfg: RunConfig) -> int:
         "min_total_mw": float(profile.p_total.min()),
         "mean_total_mw": float(profile.p_total.mean()),
     }
-    (cfg.out_dir / "profile_summary.json").write_text(
-        json.dumps(summary, indent=1, sort_keys=True)
-    )
+    _write_json(cfg.out_dir / "profile_summary.json", summary)
     print(f"profile: {summary['bins']} bins, peak {summary['peak_total_mw']:.2f} MW")
     return 0
 
 
-def cmd_powerflow(cfg: RunConfig) -> int:
-    case = cfg.case()
-    configuration = cfg.configuration()
+def cmd_powerflow(cfg: RunConfig, args) -> int:
+    case = parse_case(cfg.get("case"))
+    configuration = cfg.get("configuration")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     # Base-case solution, one row per bus.
@@ -246,11 +250,10 @@ def cmd_powerflow(cfg: RunConfig) -> int:
     with open(cfg.out_dir / "powerflow_base.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp_s", "bus", "v_mag", "v_ang_deg"])
-        for b in case.buses:
-            i = case.bus_index(b.id)
-            w.writerow(
-                ["0", b.id, f"{abs(sol.v[i]):.9f}", f"{np.degrees(np.angle(sol.v[i])):.9f}"]
-            )
+        w.writerows(
+            ["0", b.id, f"{abs(v):.9f}", f"{np.degrees(np.angle(v)):.9f}"]
+            for b, v in zip(case.buses, sol.v)
+        )
 
     summary = {
         "base_converged": bool(sol.converged),
@@ -259,29 +262,24 @@ def cmd_powerflow(cfg: RunConfig) -> int:
         "base_slack_q_mvar": float(sol.slack_q * case.system_mva_base),
     }
     if "profile" in cfg.doc:
-        profile = cfg.build_or_read_profile()
+        profile = cfg.get("profile").build()
         sweep = sc.snapshot_sweep(case, profile, configuration)
         with open(cfg.out_dir / "snapshot_sweep.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(
                 ["timestamp_s", "converged", "poi_v_mag", "slack_p_mw", "iterations"]
             )
-            for k in range(len(sweep.timestamps)):
-                w.writerow(
-                    [
-                        f"{sweep.timestamps[k]:.0f}",
-                        int(sweep.converged[k]),
-                        f"{sweep.poi_v_mag[k]:.9f}",
-                        f"{sweep.slack_p_mw[k]:.6f}",
-                        sweep.iterations[k],
-                    ]
+            w.writerows(
+                [f"{t:.0f}", int(ok), f"{v:.9f}", f"{p:.6f}", n]
+                for t, ok, v, p, n in zip(
+                    sweep.timestamps, sweep.converged, sweep.poi_v_mag,
+                    sweep.slack_p_mw, sweep.iterations,
                 )
+            )
         summary["sweep_bins"] = int(len(sweep.timestamps))
         summary["sweep_failed"] = int(sweep.n_failed)
         summary["sweep_max_iterations"] = int(sweep.iterations.max())
-    (cfg.out_dir / "powerflow_summary.json").write_text(
-        json.dumps(summary, indent=1, sort_keys=True)
-    )
+    _write_json(cfg.out_dir / "powerflow_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
     return 0 if sol.converged and summary.get("sweep_failed", 0) == 0 else 3
 
@@ -302,10 +300,10 @@ unset multiplot
 
 
 def cmd_transient(cfg: RunConfig, args) -> int:
-    case = cfg.case()
-    configuration = cfg.configuration()
-    profile = cfg.build_or_read_profile()
-    simcfg = cfg.simconfig()
+    case = parse_case(cfg.get("case"))
+    configuration = cfg.get("configuration")
+    profile = cfg.get("profile").build()
+    simcfg = cfg.get("simulation")
     specs = cfg.scenarios()
     idx = args.scenario
     if not (0 <= idx < len(specs)):
@@ -320,9 +318,7 @@ def cmd_transient(cfg: RunConfig, args) -> int:
     dyn.write_result_csv(result, csv_path)
     dyn.write_event_log(result, cfg.out_dir / f"{stem}_events.json")
     metrics = sc.extract_metrics(result, spec.t_apply, configuration.dc_bus)
-    (cfg.out_dir / f"{stem}_metrics.json").write_text(
-        json.dumps(metrics.__dict__, indent=1, sort_keys=True)
-    )
+    _write_json(cfg.out_dir / f"{stem}_metrics.json", metrics.__dict__)
     (cfg.out_dir / f"{stem}.gp").write_text(
         _PLOT_SCRIPT.format(stem=stem, csv=csv_path.name)
     )
@@ -338,16 +334,15 @@ def cmd_transient(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    case = cfg.case()
-    configuration = cfg.configuration()
-    profile = cfg.build_or_read_profile()
-    simcfg = cfg.simconfig()
+def cmd_compare(cfg: RunConfig, args) -> int:
+    case = parse_case(cfg.get("case"))
+    configuration = cfg.get("configuration")
+    profile = cfg.get("profile").build()
+    simcfg = cfg.get("simulation")
     specs = cfg.scenarios()
-    selector = tuple(cfg.doc.get("snapshot_selector", ["median"]))
     report = sc.compare(
         case, profile, specs, simcfg, configuration,
-        snapshot_selector=selector, jobs=cfg.jobs,
+        snapshot_selector=cfg.get("snapshot_selector"), jobs=cfg.jobs,
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "comparison_report.json").write_text(report.to_json())
@@ -371,6 +366,13 @@ def cmd_compare(cfg: RunConfig) -> int:
     (cfg.out_dir / "comparison_summary.txt").write_text(table + "\n")
     print(table)
     return 0 if not report.failed else 3
+
+
+#: Failures that `main` reports in error.json; numpy overflows on huge config ints.
+HANDLED_ERRORS = (
+    ConfigError, CaseError, TraceError, sc.ScenarioError, dyn.SimulationError,
+    pf.SingularJacobianError, ValueError, OverflowError, OSError,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -399,30 +401,17 @@ def main(argv: list[str] | None = None) -> int:
     cfg = None
     try:
         cfg = RunConfig.load(args)
-        if args.command == "profile":
-            return cmd_profile(cfg)
-        if args.command == "powerflow":
-            return cmd_powerflow(cfg)
-        if args.command == "transient":
-            return cmd_transient(cfg, args)
-        return cmd_compare(cfg)
-    except (
-        ConfigError,
-        CaseError,
-        TraceError,
-        sc.ScenarioError,
-        dyn.SimulationError,
-        pf.SingularJacobianError,
-        ValueError,
-        OSError,
-    ) as exc:
+        commands = {"profile": cmd_profile, "powerflow": cmd_powerflow,
+                    "transient": cmd_transient, "compare": cmd_compare}
+        return commands[args.command](cfg, args)
+    except HANDLED_ERRORS as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         try:
             # Without a loaded config, resolve the same way minus its out_dir.
-            out = cfg.out_dir if cfg is not None else _out_dir(args, {})
+            out = cfg.out_dir if cfg is not None else Path(_setting(args, {}, "out"))
             out.mkdir(parents=True, exist_ok=True)
-            (out / "error.json").write_text(json.dumps(err, indent=1, sort_keys=True))
+            _write_json(out / "error.json", err)
         except OSError:
             pass
         return 2

@@ -27,14 +27,14 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class IesSpec:
-    """The datacenter's SMR and battery; their ratings are
-    `smr_params.p_max` and `bess_params.p_rating`."""
+    """The datacenter's SMR and battery; their ratings are `smr.p_max` and
+    `bess.p_rating`."""
 
-    smr_params: dyn.SmrParams = field(default_factory=dyn.SmrParams)
+    smr: dyn.SmrParams = field(default_factory=dyn.SmrParams)
     smr_machine: dyn.MachineParams = field(
         default_factory=lambda: dyn.MachineParams(h=6.0, d=10.0, xd_p=0.3, mva_base=60.0)
     )
-    bess_params: dyn.BessParams = field(default_factory=dyn.BessParams)
+    bess: dyn.BessParams = field(default_factory=dyn.BessParams)
     thermal_extraction_factor: float = 1.0  # cooling MW-th routed to the SMR
 
     def __post_init__(self):
@@ -44,12 +44,14 @@ class IesSpec:
 
 @dataclass(frozen=True)
 class Configuration:
-    kind: str  # "grid_only" | "with_ies"
+    kind: str | None = None  # "grid_only" | "with_ies"; default: with_ies given an ies
     dc_bus: int = 25
     ies: IesSpec | None = None
     dc_power_factor: float = 0.98
 
     def __post_init__(self):
+        if self.kind is None:
+            object.__setattr__(self, "kind", "with_ies" if self.ies else "grid_only")
         if self.kind not in ("grid_only", "with_ies"):
             raise ScenarioError(f"unknown configuration kind '{self.kind}'")
         if self.kind == "with_ies" and self.ies is None:
@@ -81,6 +83,10 @@ class ContingencySpec:
             raise ScenarioError("t_apply must be > 0")
         if self.kind == "bus_fault" and self.duration <= 0:
             raise ScenarioError("fault duration must be > 0")
+        pair = self.kind == "line_trip"
+        if self.target is not None and isinstance(self.target, tuple) != pair:
+            shape = "a [from, to] pair" if pair else "a bus id"
+            raise ScenarioError(f"{self.kind} target {self.target!r} is not {shape}")
 
 
 @dataclass(frozen=True)
@@ -179,11 +185,11 @@ def snapshot_case(
     q_dc = cfg.q_for(p_dc_mw)
     smr_dispatch = 0.0
     if cfg.kind == "with_ies":
-        smr_dispatch = min(p_dc_mw, cfg.ies.smr_params.p_max)
+        smr_dispatch = min(p_dc_mw, cfg.ies.smr.p_max)
     snap = pf.apply_snapshot(
         case, cfg.dc_bus, p_dc_mw, q_dc,
         local_gen_mw=smr_dispatch,
-        local_gen_limit_mw=cfg.ies.smr_params.p_max if cfg.ies else None,
+        local_gen_limit_mw=cfg.ies.smr.p_max if cfg.ies else None,
     )
     return snap, smr_dispatch
 
@@ -233,6 +239,7 @@ def snapshot_sweep(
 
 def electrical_neighborhood(case: NetworkCase, bus: int, k: int) -> set[int]:
     """Bus ids within k in-service branch hops of the given bus."""
+    case.bus_index(bus)  # an unknown bus raises CaseError
     adj: dict[int, set[int]] = {b.id: set() for b in case.buses}
     for br in case.branches:
         if br.status:
@@ -344,8 +351,8 @@ def run_contingency(
         ies = dyn.IesUnit(
             bus=cfg.dc_bus,
             machine=cfg.ies.smr_machine,
-            smr=cfg.ies.smr_params,
-            bess=cfg.ies.bess_params,
+            smr=cfg.ies.smr,
+            bess=cfg.ies.bess,
             p_dispatch_mw=smr_dispatch,
             thermal_mw=q_th * cfg.ies.thermal_extraction_factor,
         )
@@ -424,8 +431,12 @@ def select_snapshot_bins(profile: LoadProfile, selector) -> list[int]:
         elif sel == "median":
             order = np.argsort(total, kind="stable")
             out.append(int(order[len(order) // 2]))
-        else:
+        elif str(sel).isdecimal() and int(sel) < len(total):
             out.append(int(sel))
+        else:
+            raise ScenarioError(
+                f"snapshot_selector {sel!r}: not min, median, max or a bin < {len(total)}"
+            )
     return out
 
 

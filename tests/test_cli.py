@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smrgrid import powerflow as pf
-from smrgrid.cli import RunConfig, main
+from smrgrid.cli import HANDLED_ERRORS, RunConfig, main
 
 from conftest import zero_valued
 
@@ -29,11 +31,16 @@ def workdir(tmp_path):
     machines = ["t_s,kind,machine_id,capacity"]
     machines += [f"0.0,add,m{i},4.0" for i in range(60)]
     (tmp_path / "machines.csv").write_text("\n".join(machines) + "\n")
-    config = {
+    (tmp_path / "config.json").write_text(json.dumps(fixture_config(tmp_path)))
+    return tmp_path
+
+
+def fixture_config(root: Path) -> dict:
+    return {
         "case": CASE,
         "profile": {
-            "tasks_csv": str(tmp_path / "tasks.csv"),
-            "machine_events_csv": str(tmp_path / "machines.csv"),
+            "tasks_csv": str(root / "tasks.csv"),
+            "machine_events_csv": str(root / "machines.csv"),
             "t0": 0,
             "t1": 3600,
             "target_total_peak_mw": 60.0,
@@ -45,8 +52,6 @@ def workdir(tmp_path):
         ],
         "snapshot_selector": ["max"],
     }
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    return tmp_path
 
 
 def run(workdir, *args, out="out"):
@@ -265,12 +270,12 @@ class TestConfigHandling:
     def test_readme_minimal_config_parses(self, tmp_path):
         text = README.read_text()
         block = text.split("Minimal config:", 1)[1].split("```json", 1)[1]
-        cfg = RunConfig(json.loads(block.split("```", 1)[0]), tmp_path, 0, 1)
-        assert cfg.profile_section()
-        configuration = cfg.configuration()
+        cfg = RunConfig(json.loads(block.split("```", 1)[0]))
+        assert cfg.get("profile").tasks_csv
+        configuration = cfg.get("configuration")
         assert configuration.kind == "with_ies"
         assert configuration.ies is not None
-        assert cfg.simconfig().t_end > 0
+        assert cfg.get("simulation").t_end > 0
         assert cfg.scenarios()
 
     def test_env_seed_override(self, workdir, monkeypatch, capsys):
@@ -283,6 +288,131 @@ class TestConfigHandling:
              "--out", str(workdir / "out"), "transient", "--snapshot", "max"]
         ) == 0
         assert (workdir / "out/bus_fault_s99_with_ies.csv").exists()
+
+
+ALL = ("profile", "powerflow", "transient", "compare")
+DELETE = object()
+
+
+def _malformed_cases():
+    """(key path, new value or DELETE, subcommands, fragments of the error)."""
+    table = [
+        (("profile",), 5, ALL, ["profile"]),
+        (("profile", "it"), 5, ALL, ["profile.it"]),
+        (("profile", "chiller"), 5, ALL, ["profile.chiller"]),
+        (("profile", "t0"), [1], ALL, ["profile.t0"]),
+        (("profile", "tasks_csv"), DELETE, ALL, ["profile", "tasks_csv"]),
+        (("configuration",), 5, ("powerflow", "compare"), ["configuration"]),
+        (("configuration", "ies"), 5, ("powerflow", "compare"), ["configuration.ies"]),
+        (("configuration", "ies", "smr"), 5, ("powerflow", "compare"),
+         ["configuration.ies.smr"]),
+        (("simulation",), 5, ("compare",), ["simulation"]),
+        (("simulation", "monitor_buses"), 5, ("compare",), ["simulation.monitor_buses"]),
+        (("scenarios",), 5, ("compare",), ["scenarios"]),
+        (("scenarios",), [5], ("compare",), ["scenarios[0]"]),
+        (("scenarios", 0, "fault_admittance"), [0, -1e4], ("compare",),
+         ["scenarios[0].fault_admittance"]),
+        (("seed",), [1], ALL, ["seed"]),
+        (("jobs",), None, ALL, ["jobs"]),
+        (("case",), 5, ("powerflow", "compare"), ["case"]),
+        (("snapshot_selector",), 5, ("compare",), ["snapshot_selector"]),
+        (("profile", "tasks_csv"), 0, ("profile",), ["profile.tasks_csv"]),
+        # An explicit snapshot index must lie in the profile's 12 bins.
+        (("snapshot_selector",), [99999], ("compare",), ["snapshot_selector", "99999"]),
+        (("snapshot_selector",), [-1], ("compare",), ["snapshot_selector", "-1"]),
+        # A POI that is not in the case fails in compare as in powerflow.
+        (("configuration", "dc_bus"), 99999, ("powerflow", "compare"),
+         ["unknown bus id 99999"]),
+        # The target's shape must suit the contingency kind.
+        (("scenarios", 0, "target"), [24, 26], ("compare",), ["scenarios[0]", "target"]),
+        (("scenarios", 0), {"kind": "line_trip", "target": 24}, ("compare",),
+         ["scenarios[0]", "target"]),
+    ]
+    for path, value, commands, fragments in table:
+        for command in commands:
+            key = ".".join(map(str, path))
+            shown = "del" if value is DELETE else json.dumps(value)
+            yield pytest.param(
+                path, value, [command], fragments, id=f"{command}-{key}={shown}"
+            )
+    for index in ("99999", "-1"):
+        yield pytest.param(
+            (), DELETE, ["transient", "--snapshot", index], ["snapshot_selector", index],
+            id=f"transient---snapshot-{index}",
+        )
+
+
+def _replace(doc: dict, path: tuple, value) -> None:
+    """Set (or, for DELETE, remove) the key at `path` in `doc`."""
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+@pytest.fixture()
+def stdin_at_eof():
+    """fd 0 reads as /dev/null, so that a CLI reading stdin gets nothing
+    rather than the terminal or the runner's pipe."""
+    saved = os.dup(0)
+    null = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(null, 0)
+    os.close(null)
+    yield
+    os.dup2(saved, 0)
+    os.close(saved)
+
+
+@pytest.mark.parametrize("path, value, argv, fragments", _malformed_cases())
+def test_malformed_config_reports_error(
+    workdir, stdin_at_eof, capsys, path, value, argv, fragments
+):
+    cfg = json.loads((workdir / "config.json").read_text())
+    if path:
+        _replace(cfg, path, value)
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    assert run(workdir, *argv) == 2
+    err = json.loads((workdir / "out/error.json").read_text())
+    for fragment in fragments:
+        assert fragment in err["message"]
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _key_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_FIXTURE = fixture_config(Path("data"))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(path=st.sampled_from(sorted(_key_paths(_FIXTURE), key=repr)), value=_JSON)
+def test_any_replaced_value_raises_only_handled_errors(path, value):
+    doc = json.loads(json.dumps(_FIXTURE))
+    _replace(doc, path, value)
+    args = argparse.Namespace(out="out", seed=None, jobs=None)
+    try:
+        cfg = RunConfig(doc, args)
+        for key in ("case", "profile", "configuration", "simulation",
+                    "snapshot_selector"):
+            cfg.get(key)
+        cfg.scenarios()
+    except HANDLED_ERRORS:
+        pass
 
 
 def test_cli_import_loads_no_scipy():

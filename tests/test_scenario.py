@@ -65,6 +65,10 @@ class TestConfiguration:
         with pytest.raises(ScenarioError):
             Configuration(kind="with_ies", dc_bus=25)
 
+    def test_kind_defaults_from_ies(self):
+        assert Configuration(ies=IesSpec()).kind == "with_ies"
+        assert Configuration().kind == "grid_only"
+
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError):
             Configuration(kind="islanded", dc_bus=25)
@@ -325,9 +329,9 @@ class TestRunContingency:
     def test_ramp_limit_respected(self, case118, small_profile, ies_config):
         spec = ContingencySpec(kind="bus_fault", t_apply=3.0, rng_seed=4)
         res = run_contingency(case118, small_profile, 4, ies_config, spec, self.SIM)
-        limit = ies_config.ies.smr_params.ramp_limit
+        limit = ies_config.ies.smr.ramp_limit
         assert res.smr_ramp_max <= limit + 1e-9
-        dp = np.abs(np.diff(res.smr_p_mech_mw)) / ies_config.ies.smr_params.p_max
+        dp = np.abs(np.diff(res.smr_p_mech_mw)) / ies_config.ies.smr.p_max
         assert np.max(dp) / self.SIM.dt <= limit + 1e-9
 
     @pytest.mark.parametrize("p_rating", [10.0, 20.0])
@@ -335,11 +339,11 @@ class TestRunContingency:
         # The battery output recorded after each step is the PI update on the
         # POI frequency reported at that step, to the last bit, at the
         # battery's own rating.
-        ies = IesSpec(bess_params=dyn.BessParams(p_rating=p_rating))
+        ies = IesSpec(bess=dyn.BessParams(p_rating=p_rating))
         cfg = Configuration(kind="with_ies", dc_bus=25, ies=ies)
         spec = ContingencySpec(kind="bus_fault", t_apply=3.0, rng_seed=4)
         res = run_contingency(case118, small_profile, 4, cfg, spec, self.SIM)
-        params = ies.bess_params
+        params = ies.bess
         state, replayed = dyn.BessState(), []
         for f in res.freq_dev[25][:-1]:
             p, state = dyn.bess_power(-f / self.SIM.f_nominal, state, params, self.SIM.dt)
@@ -347,13 +351,13 @@ class TestRunContingency:
         assert np.max(np.abs(res.bess_p_mw)) > 1e-3
         assert np.array_equal(replayed, res.bess_p_mw[1:])
 
-    def test_smr_rating_is_smr_params_p_max(self, case118, small_profile):
+    def test_smr_rating_is_smr_p_max(self, case118, small_profile):
         # At the 60 MW bin a 40 MW SMR runs at its rating and the grid
         # carries the rest.
         b = select_snapshot_bins(small_profile, ("max",))[0]
         assert small_profile.p_total[b] > 40.0
         cfg = Configuration(
-            kind="with_ies", dc_bus=25, ies=IesSpec(smr_params=dyn.SmrParams(p_max=40.0))
+            kind="with_ies", dc_bus=25, ies=IesSpec(smr=dyn.SmrParams(p_max=40.0))
         )
         spec = ContingencySpec(kind="bus_fault", t_apply=3.0, rng_seed=4)
         res = run_contingency(case118, small_profile, b, cfg, spec, self.SIM)
