@@ -10,13 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,64 +37,11 @@ from .datacenter import (
     read_tasks_csv,
     write_profile_csv,
 )
-from .network import CaseError, parse_case
+from .network import parse_case, read_value
 
 
 class ConfigError(Exception):
     pass
-
-
-# -- typed config reader -----------------------------------------------------
-
-
-def _fits(hint, value) -> bool:
-    """Whether `value` has the JSON kind of `hint`: an object for a record,
-    an array for a tuple, else an instance, where an int is also a float or
-    a complex, a bool is no number and a number must be finite."""
-    if is_dataclass(hint):
-        return isinstance(value, dict)
-    if get_origin(hint) is tuple:
-        return isinstance(value, list)
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    kinds = (int, float) if hint in (float, complex) else hint
-    return isinstance(value, bool) == (hint is bool) and isinstance(value, kinds)
-
-
-def _value(hint, value, ctx: str):
-    """`value` checked against the type hint `hint` at key path `ctx`:
-    records are read by `_record` and arrays become tuples; any other value
-    is returned as given, so an int stays an int in a float field."""
-    arms = get_args(hint) if get_origin(hint) is UnionType else (hint,)
-    arm = next((a for a in arms if _fits(a, value)), None)
-    if arm is None:
-        want = hint.__name__ if isinstance(hint, type) else hint
-        raise ConfigError(f"{ctx}: expected {want}, got {json.dumps(value)[:40]}")
-    if is_dataclass(arm):
-        return _record(arm, value, ctx)
-    if get_origin(arm) is tuple:
-        items = get_args(arm)
-        if items[-1] is Ellipsis:
-            items = items[:1] * len(value)
-        elif len(items) != len(value):
-            raise ConfigError(f"{ctx}: expected {len(items)} items, got {len(value)}")
-        return tuple(_value(items[i], v, f"{ctx}[{i}]") for i, v in enumerate(value))
-    return value
-
-
-def _record(cls, value, ctx: str, **defaults):
-    """A `cls` record from the JSON object `value` at key path `ctx`: each
-    key must be a field of `cls` and each value must fit the field's type
-    hint. `defaults` fill fields that `value` leaves out."""
-    hints = get_type_hints(cls)
-    unknown = set(value) - set(hints)
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
-    given = {k: _value(hints[k], v, f"{ctx}.{k}") for k, v in value.items()}
-    try:
-        return cls(**{**defaults, **given})
-    except (TypeError, ValueError, sc.ScenarioError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -171,16 +115,23 @@ def _top(doc: dict, key: str):
     hint, default = _TOP[key]
     if key not in doc and default is None:
         raise ConfigError(f"config missing '{key}'")
-    return _value(hint, doc[key], key) if key in doc else default
+    return read_value(hint, doc[key], key, ConfigError) if key in doc else default
 
 
 def _setting(args, doc: dict, flag: str):
     """The flag, else the SMRGRID_<FLAG> env var, else the config key or its default."""
     key = "out_dir" if flag == "out" else flag
-    env = os.environ.get(f"SMRGRID_{flag.upper()}")
+    name = f"SMRGRID_{flag.upper()}"
+    env = os.environ.get(name)
     if getattr(args, flag, None) not in (None, ""):
         return getattr(args, flag)
-    return _TOP[key][0](env) if env else _top(doc, key)
+    if not env:
+        return _top(doc, key)
+    cast = _TOP[key][0]
+    try:
+        return cast(env)
+    except ValueError:
+        raise ConfigError(f"{name}: expected {cast.__name__}, got {env!r}") from None
 
 
 class RunConfig:
@@ -212,7 +163,8 @@ class RunConfig:
 
     def scenarios(self) -> list[sc.ContingencySpec]:
         return [
-            _record(sc.ContingencySpec, d, f"scenarios[{i}]", rng_seed=self.seed + i)
+            read_value(sc.ContingencySpec, {"rng_seed": self.seed + i, **d},
+                       f"scenarios[{i}]", ConfigError)
             for i, d in enumerate(self.get("scenarios"))
         ]
 
@@ -243,10 +195,12 @@ def cmd_profile(cfg: RunConfig, args) -> int:
 def cmd_powerflow(cfg: RunConfig, args) -> int:
     case = parse_case(cfg.get("case"))
     configuration = cfg.get("configuration")
+    profile = cfg.get("profile").build() if "profile" in cfg.doc else None
+    sol = pf.solve(case)
+    sweep = None if profile is None else sc.snapshot_sweep(case, profile, configuration)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     # Base-case solution, one row per bus.
-    sol = pf.solve(case)
     with open(cfg.out_dir / "powerflow_base.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp_s", "bus", "v_mag", "v_ang_deg"])
@@ -261,9 +215,7 @@ def cmd_powerflow(cfg: RunConfig, args) -> int:
         "base_slack_p_mw": float(sol.slack_p * case.system_mva_base),
         "base_slack_q_mvar": float(sol.slack_q * case.system_mva_base),
     }
-    if "profile" in cfg.doc:
-        profile = cfg.get("profile").build()
-        sweep = sc.snapshot_sweep(case, profile, configuration)
+    if sweep is not None:
         with open(cfg.out_dir / "snapshot_sweep.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(
@@ -368,10 +320,11 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     return 0 if not report.failed else 3
 
 
-#: Failures that `main` reports in error.json; numpy overflows on huge config ints.
+#: Failures that `main` reports in error.json, `CaseError` and `ScenarioError`
+#: among the ValueErrors; numpy overflows on huge config ints.
 HANDLED_ERRORS = (
-    ConfigError, CaseError, TraceError, sc.ScenarioError, dyn.SimulationError,
-    pf.SingularJacobianError, ValueError, OverflowError, OSError,
+    ConfigError, TraceError, dyn.SimulationError, pf.SingularJacobianError,
+    ValueError, OverflowError, OSError,
 )
 
 

@@ -1,18 +1,21 @@
 """Transmission network data model, JSON case ingestion, and Y-bus assembly.
 
-All electrical quantities are per-unit on the system MVA base internally.
-MW/MVAr and degrees appear only at the file boundary.
+The case records keep the file's units: loads and generator outputs in
+MW/MVAr, bus angles in degrees. The solvers convert them where they use
+them and work per-unit on the system MVA base.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from types import UnionType
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -20,7 +23,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-class CaseError(Exception):
+class CaseError(ValueError):
     """Raised for schema violations or invariant failures in a network case."""
 
 
@@ -35,7 +38,7 @@ class Bus:
     id: int
     kind: BusKind
     v_mag: float = 1.0
-    v_ang: float = 0.0  # radians
+    v_ang_deg: float = 0.0
     base_kv: float = 138.0
     p_load: float = 0.0  # MW
     q_load: float = 0.0  # MVAr
@@ -171,7 +174,7 @@ class NetworkCase:
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...] = ()
-    _index: dict[int, int] = field(default=None, repr=False, compare=False)
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _slack: int = field(init=False, repr=False, compare=False)
     arrays: CaseArrays = field(init=False, repr=False, compare=False)
 
@@ -330,113 +333,109 @@ def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
     return AdmittanceMatrix(dimension=case.n_bus, matrix=y)
 
 
-# -- JSON case file boundary -------------------------------------------------
-
-_BUS_KINDS = {"slack": BusKind.SLACK, "pv": BusKind.PV, "pq": BusKind.PQ}
+# -- JSON records ------------------------------------------------------------
 
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise CaseError(f"{ctx}: missing field '{key}'")
-    return d[key]
+@functools.cache
+def _fields(cls) -> dict:
+    """Init field name -> type hint of the record class `cls`."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
 
-def case_from_dict(doc: dict) -> NetworkCase:
-    if not isinstance(doc, dict):
-        raise CaseError("case document must be a JSON object")
-    base = _require(doc, "system_mva_base", "case")
-    buses = []
-    for raw in _require(doc, "buses", "case"):
-        kind = str(_require(raw, "kind", "bus")).lower()
-        if kind not in _BUS_KINDS:
-            raise CaseError(f"bus {raw.get('id')}: unknown kind '{kind}'")
-        buses.append(
-            Bus(
-                id=int(_require(raw, "id", "bus")),
-                kind=_BUS_KINDS[kind],
-                v_mag=float(raw.get("v_mag", 1.0)),
-                v_ang=math.radians(float(raw.get("v_ang_deg", 0.0))),
-                base_kv=float(raw.get("base_kv", 138.0)),
-                p_load=float(raw.get("p_load", 0.0)),
-                q_load=float(raw.get("q_load", 0.0)),
-            )
-        )
-    branches = []
-    for raw in _require(doc, "branches", "case"):
-        branches.append(
-            Branch(
-                from_bus=int(_require(raw, "from_bus", "branch")),
-                to_bus=int(_require(raw, "to_bus", "branch")),
-                r=float(_require(raw, "r", "branch")),
-                x=float(_require(raw, "x", "branch")),
-                b_shunt=float(raw.get("b_shunt", 0.0)),
-                tap=float(raw.get("tap", 1.0)),
-                status=bool(raw.get("status", True)),
-            )
-        )
-    generators = []
-    for raw in doc.get("generators", []):
-        generators.append(
-            Generator(
-                bus=int(_require(raw, "bus", "generator")),
-                p_set=float(_require(raw, "p_set", "generator")),
-                q_min=float(raw.get("q_min", -9999.0)),
-                q_max=float(raw.get("q_max", 9999.0)),
-                mva_base=float(raw.get("mva_base", 100.0)),
-                v_set=float(raw.get("v_set", 1.0)),
-                dynamic_model=raw.get("dynamic_model"),
-                status=bool(raw.get("status", True)),
-            )
-        )
-    return NetworkCase(
-        system_mva_base=float(base),
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(generators),
+@functools.cache
+def _arms(hint) -> tuple:
+    """(arm, shape, JSON types) for each alternative of the union hint
+    `hint`, or for the hint alone; the shape is "record", "tuple", "enum"
+    or "plain"."""
+    arms = []
+    for arm in get_args(hint) if get_origin(hint) is UnionType else (hint,):
+        if is_dataclass(arm):
+            arms.append((arm, "record", dict))
+        elif get_origin(arm) is tuple:
+            arms.append((arm, "tuple", list))
+        elif isinstance(arm, type) and issubclass(arm, Enum):
+            arms.append((arm, "enum", str))
+        else:
+            types = (int, float) if arm in (float, complex) else arm
+            arms.append((arm, "plain", types))
+    return tuple(arms)
+
+
+def _fits(arm, shape: str, types, value) -> bool:
+    """Whether `value` has the JSON kind of `arm`: an object for a record,
+    an array for a tuple, a member's exact value for an enum, else an
+    instance, where an int is also a float or a complex, a bool is no
+    number and a number must be finite."""
+    if not isinstance(value, types) or isinstance(value, bool) != (arm is bool):
+        return False
+    if shape == "enum":
+        return value in arm._value2member_map_
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _fail(error: type[Exception], ctx: str, message: str) -> Exception:
+    return error(f"{ctx}: {message}" if ctx else message)
+
+
+def read_value(hint, value, ctx: str, error: type[Exception]):
+    """`value` checked against the type hint `hint` at key path `ctx`; a
+    mismatch raises `error` naming the path. An object becomes a record
+    whose keys must all be its init fields, an array a tuple and a string
+    an enum member; any other value is returned as given, so an int stays
+    an int in a float field. A record constructor's TypeError, ValueError
+    or OverflowError is raised as `error` too."""
+    for arm, shape, types in _arms(hint):
+        if _fits(arm, shape, types, value):
+            break
+    else:
+        want = hint.__name__ if isinstance(hint, type) else hint
+        raise _fail(error, ctx, f"expected {want}, got {json.dumps(value)[:40]}")
+    if shape == "plain":
+        return value
+    if shape == "enum":
+        return arm(value)
+    if shape == "record":
+        known = _fields(arm)
+        unknown = value.keys() - known.keys()
+        if unknown:
+            raise _fail(error, ctx, f"unknown keys {sorted(unknown)}")
+        given = {
+            k: read_value(known[k], v, f"{ctx}.{k}" if ctx else k, error)
+            for k, v in value.items()
+        }
+        try:
+            return arm(**given)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _fail(error, ctx, str(exc)) from exc
+    items = get_args(arm)
+    if items[-1] is Ellipsis:
+        items = items[:1] * len(value)
+    elif len(items) != len(value):
+        raise _fail(error, ctx, f"expected {len(items)} items, got {len(value)}")
+    return tuple(
+        read_value(t, v, f"{ctx}[{i}]", error)
+        for i, (t, v) in enumerate(zip(items, value))
     )
 
 
+def _plain(value):
+    """The JSON form of a record, tuple or enum member; `read_value` inverts it."""
+    if is_dataclass(value):
+        return {k: _plain(getattr(value, k)) for k in _fields(type(value))}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+def case_from_dict(doc) -> NetworkCase:
+    """The case in the JSON document `doc`; any failure is a `CaseError`
+    naming the key path, such as `buses[3].v_mag`."""
+    return read_value(NetworkCase, doc, "", CaseError)
+
+
 def case_to_dict(case: NetworkCase) -> dict:
-    return {
-        "system_mva_base": case.system_mva_base,
-        "buses": [
-            {
-                "id": b.id,
-                "kind": b.kind.value,
-                "v_mag": b.v_mag,
-                "v_ang_deg": math.degrees(b.v_ang),
-                "base_kv": b.base_kv,
-                "p_load": b.p_load,
-                "q_load": b.q_load,
-            }
-            for b in case.buses
-        ],
-        "branches": [
-            {
-                "from_bus": br.from_bus,
-                "to_bus": br.to_bus,
-                "r": br.r,
-                "x": br.x,
-                "b_shunt": br.b_shunt,
-                "tap": br.tap,
-                "status": br.status,
-            }
-            for br in case.branches
-        ],
-        "generators": [
-            {
-                "bus": g.bus,
-                "p_set": g.p_set,
-                "q_min": g.q_min,
-                "q_max": g.q_max,
-                "mva_base": g.mva_base,
-                "v_set": g.v_set,
-                "dynamic_model": g.dynamic_model,
-                "status": g.status,
-            }
-            for g in case.generators
-        ],
-    }
+    return _plain(case)
 
 
 def parse_case(path: str | Path) -> NetworkCase:
@@ -444,10 +443,11 @@ def parse_case(path: str | Path) -> NetworkCase:
     if not path.exists():
         raise CaseError(f"case file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return case_from_dict(json.loads(path.read_text()))
+    except CaseError as exc:
+        raise CaseError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
         raise CaseError(f"{path}: invalid JSON ({exc})") from exc
-    return case_from_dict(doc)
 
 
 def save_case(case: NetworkCase, path: str | Path) -> None:

@@ -38,6 +38,7 @@ cases of many thousand buses.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -327,7 +328,8 @@ def _initial_voltage(case: NetworkCase, flat_start: bool) -> np.ndarray:
         v = np.ones(case.n_bus, dtype=complex)
     else:
         v = np.array(
-            [b.v_mag * np.exp(1j * b.v_ang) for b in case.buses], dtype=complex
+            [b.v_mag * np.exp(1j * math.radians(b.v_ang_deg)) for b in case.buses],
+            dtype=complex,
         )
     # PV/slack magnitudes pinned to generator setpoints.
     a = case.arrays

@@ -21,7 +21,7 @@ from .datacenter import LoadProfile
 from .network import AdmittanceMatrix, BusKind, NetworkCase, build_ybus
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     pass
 
 

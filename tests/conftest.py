@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -38,9 +39,9 @@ def make_two_bus(p_load=0.5, q_load=0.2, x=0.1, r=0.0, mva_base=100.0) -> Networ
     return NetworkCase(
         system_mva_base=mva_base,
         buses=(
-            Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0, base_kv=138.0),
+            Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
             Bus(
-                id=2, kind=BusKind.PQ, v_mag=1.0, v_ang=0.0, base_kv=138.0,
+                id=2, kind=BusKind.PQ, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0,
                 p_load=p_load * mva_base, q_load=q_load * mva_base,
             ),
         ),
@@ -63,3 +64,32 @@ def two_bus_exact_voltage(p_load=0.5, q_load=0.2, x=0.1) -> complex:
         raise ValueError("load beyond the static transfer limit")
     e = 0.5 * (1.0 + np.sqrt(disc))
     return e + 1j * f
+
+
+#: Any JSON value, NaN and the infinities included (Python's json reads them).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+DELETE = object()
+
+
+def key_paths(doc, prefix=()):
+    """The key path of every value in the JSON document `doc`, at any depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, prefix + (key,))
+
+
+def replace_at(doc, path: tuple, value) -> None:
+    """Set (or, for DELETE, remove) the key at `path` in `doc`."""
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value

@@ -11,8 +11,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smrgrid import powerflow as pf
 from smrgrid.cli import HANDLED_ERRORS, RunConfig, main
+from smrgrid.network import CaseError, case_to_dict, parse_case
 
-from conftest import zero_valued
+from conftest import (
+    DELETE, JSON_VALUES, key_paths, make_two_bus, replace_at, zero_valued,
+)
 
 
 CASE = "src/smrgrid/data/ieee118.json"
@@ -291,11 +294,11 @@ class TestConfigHandling:
 
 
 ALL = ("profile", "powerflow", "transient", "compare")
-DELETE = object()
 
 
 def _malformed_cases():
-    """(key path, new value or DELETE, subcommands, fragments of the error)."""
+    """(key path, new value or DELETE, subcommands, fragments of the error,
+    environment)."""
     table = [
         (("profile",), 5, ALL, ["profile"]),
         (("profile", "it"), 5, ALL, ["profile.it"]),
@@ -333,23 +336,18 @@ def _malformed_cases():
             key = ".".join(map(str, path))
             shown = "del" if value is DELETE else json.dumps(value)
             yield pytest.param(
-                path, value, [command], fragments, id=f"{command}-{key}={shown}"
+                path, value, [command], fragments, {}, id=f"{command}-{key}={shown}"
             )
     for index in ("99999", "-1"):
         yield pytest.param(
             (), DELETE, ["transient", "--snapshot", index], ["snapshot_selector", index],
-            id=f"transient---snapshot-{index}",
+            {}, id=f"transient---snapshot-{index}",
         )
-
-
-def _replace(doc: dict, path: tuple, value) -> None:
-    """Set (or, for DELETE, remove) the key at `path` in `doc`."""
-    for key in path[:-1]:
-        doc = doc[key]
-    if value is DELETE:
-        del doc[path[-1]]
-    else:
-        doc[path[-1]] = value
+    for name, value in (("SMRGRID_SEED", "x"), ("SMRGRID_JOBS", "1.5")):
+        yield pytest.param(
+            (), DELETE, ["profile"], [name, value], {name: value},
+            id=f"profile-{name}={value}",
+        )
 
 
 @pytest.fixture()
@@ -365,15 +363,19 @@ def stdin_at_eof():
     os.close(saved)
 
 
-@pytest.mark.parametrize("path, value, argv, fragments", _malformed_cases())
+@pytest.mark.parametrize("path, value, argv, fragments, env", _malformed_cases())
 def test_malformed_config_reports_error(
-    workdir, stdin_at_eof, capsys, path, value, argv, fragments
+    workdir, stdin_at_eof, capsys, monkeypatch, path, value, argv, fragments, env
 ):
+    for name, setting in env.items():
+        monkeypatch.setenv(name, setting)
     cfg = json.loads((workdir / "config.json").read_text())
     if path:
-        _replace(cfg, path, value)
+        replace_at(cfg, path, value)
     (workdir / "config.json").write_text(json.dumps(cfg))
     assert run(workdir, *argv) == 2
+    # Every section the subcommand uses is read before any output is written.
+    assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
     err = json.loads((workdir / "out/error.json").read_text())
     for fragment in fragments:
         assert fragment in err["message"]
@@ -381,29 +383,62 @@ def test_malformed_config_reports_error(
     assert "Traceback" not in captured.out + captured.err
 
 
-def _key_paths(doc, prefix=()):
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-    for key, value in items:
-        yield prefix + (key,)
-        if isinstance(value, (dict, list)):
-            yield from _key_paths(value, prefix + (key,))
+#: Malformed case documents: (key path in the two-bus case, new value,
+#: fragments of the error).
+MALFORMED_CASES = [
+    (("buses", 1, "v_mag"), None, ["buses[1].v_mag"]),
+    (("buses",), 5, ["buses"]),
+    (("buses",), [5], ["buses[0]"]),
+    # A boolean is a JSON boolean, not a string.
+    (("generators", 0, "status"), "false", ["generators[0].status"]),
+    # A misspelt key is an error, not a load of 0 MW.
+    (("buses", 1, "p_laod"), 50, ["buses[1]", "p_laod"]),
+    # An id is an integer, not a number to truncate.
+    (("buses", 0, "id"), 1.9, ["buses[0].id"]),
+    (("buses", 1, "v_mag"), float("nan"), ["buses[1].v_mag"]),
+    (("system_mva_base",), "100", ["system_mva_base"]),
+    # A kind is one of the exact lowercase values.
+    (("buses", 0, "kind"), "SLACK", ["buses[0].kind"]),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, fragments", MALFORMED_CASES,
+    ids=[f"{'.'.join(map(str, p))}={json.dumps(v)}" for p, v, _ in MALFORMED_CASES],
+)
+def test_malformed_case_reports_error(tmp_path, capsys, path, value, fragments):
+    doc = case_to_dict(make_two_bus())
+    replace_at(doc, path, value)
+    case_path = tmp_path / "case.json"
+    case_path.write_text(json.dumps(doc))
+    with pytest.raises(CaseError) as exc:
+        parse_case(case_path)
+    for fragment in [str(case_path)] + fragments:
+        assert fragment in str(exc.value)
+
+    (tmp_path / "config.json").write_text(
+        json.dumps({"case": str(case_path), "configuration": {"kind": "grid_only"}})
+    )
+    out = tmp_path / "out"
+    argv = ["--config", str(tmp_path / "config.json"), "--out", str(out), "powerflow"]
+    assert main(argv) == 2
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "CaseError"
+    for fragment in [str(case_path)] + fragments:
+        assert fragment in err["message"]
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 _FIXTURE = fixture_config(Path("data"))
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=8,
-)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(path=st.sampled_from(sorted(_key_paths(_FIXTURE), key=repr)), value=_JSON)
+@given(path=st.sampled_from(sorted(key_paths(_FIXTURE), key=repr)), value=JSON_VALUES)
 def test_any_replaced_value_raises_only_handled_errors(path, value):
     doc = json.loads(json.dumps(_FIXTURE))
-    _replace(doc, path, value)
+    replace_at(doc, path, value)
     args = argparse.Namespace(out="out", seed=None, jobs=None)
     try:
         cfg = RunConfig(doc, args)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smrgrid.network import (
     Bus,
@@ -18,8 +19,9 @@ from smrgrid.network import (
     parse_case,
     save_case,
 )
+from smrgrid.powerflow import _initial_voltage
 
-from conftest import make_two_bus
+from conftest import JSON_VALUES, key_paths, make_two_bus, replace_at
 
 
 def dense_pi_assembly(case: NetworkCase) -> np.ndarray:
@@ -52,8 +54,8 @@ class TestCaseValidation:
             NetworkCase(
                 system_mva_base=100.0,
                 buses=(
-                    Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0, base_kv=138.0),
-                    Bus(id=2, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0, base_kv=138.0),
+                    Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
+                    Bus(id=2, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
                 ),
                 branches=(Branch(from_bus=1, to_bus=2, r=0.0, x=0.1),),
             )
@@ -63,7 +65,7 @@ class TestCaseValidation:
             NetworkCase(
                 system_mva_base=100.0,
                 buses=(
-                    Bus(id=1, kind=BusKind.PQ, v_mag=1.0, v_ang=0.0, base_kv=138.0),
+                    Bus(id=1, kind=BusKind.PQ, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
                 ),
                 branches=(),
             )
@@ -73,7 +75,7 @@ class TestCaseValidation:
             NetworkCase(
                 system_mva_base=100.0,
                 buses=(
-                    Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0, base_kv=138.0),
+                    Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
                 ),
                 branches=(Branch(from_bus=1, to_bus=9, r=0.0, x=0.1),),
             )
@@ -83,9 +85,9 @@ class TestCaseValidation:
             NetworkCase(
                 system_mva_base=100.0,
                 buses=(
-                    Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0, base_kv=138.0),
-                    Bus(id=2, kind=BusKind.PQ, v_mag=1.0, v_ang=0.0, base_kv=138.0),
-                    Bus(id=3, kind=BusKind.PQ, v_mag=1.0, v_ang=0.0, base_kv=138.0),
+                    Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
+                    Bus(id=2, kind=BusKind.PQ, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
+                    Bus(id=3, kind=BusKind.PQ, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
                 ),
                 branches=(Branch(from_bus=1, to_bus=2, r=0.0, x=0.1),),
             )
@@ -158,8 +160,8 @@ class TestYbus:
 
     def test_out_of_service_branch_excluded(self):
         buses = (
-            Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0, base_kv=138.0),
-            Bus(id=2, kind=BusKind.PQ, v_mag=1.0, v_ang=0.0, base_kv=138.0),
+            Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
+            Bus(id=2, kind=BusKind.PQ, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
         )
         on = Branch(from_bus=1, to_bus=2, r=0.01, x=0.1, b_shunt=0.02)
         off = Branch(from_bus=1, to_bus=2, r=0.05, x=0.5, status=False)
@@ -172,7 +174,7 @@ class TestYbus:
     def test_triangle_row_sums_equal_shunts(self):
         buses = tuple(
             Bus(id=i, kind=BusKind.SLACK if i == 1 else BusKind.PQ,
-                v_mag=1.0, v_ang=0.0, base_kv=138.0)
+                v_mag=1.0, v_ang_deg=0.0, base_kv=138.0)
             for i in (1, 2, 3)
         )
         b_sh = 0.04
@@ -194,7 +196,7 @@ class TestYbus:
         rng = np.random.default_rng(3)
         buses = tuple(
             Bus(id=i, kind=BusKind.SLACK if i == 1 else BusKind.PQ,
-                v_mag=1.0, v_ang=0.0, base_kv=138.0)
+                v_mag=1.0, v_ang_deg=0.0, base_kv=138.0)
             for i in range(1, 7)
         )
         branches = []
@@ -262,11 +264,14 @@ class TestSerialization:
     def test_angles_stored_in_degrees(self):
         case = make_two_bus()
         case = case.with_bus(
-            Bus(id=2, kind=BusKind.PQ, v_mag=1.0, v_ang=np.pi / 6, base_kv=138.0)
+            Bus(id=2, kind=BusKind.PQ, v_mag=1.0, v_ang_deg=30.0, base_kv=138.0)
         )
         doc = case_to_dict(case)
         bus2 = next(b for b in doc["buses"] if b["id"] == 2)
-        assert bus2["v_ang_deg"] == pytest.approx(30.0)
+        assert bus2["v_ang_deg"] == 30.0
+        # The power flow's starting point converts to radians where it is used.
+        v = _initial_voltage(case_from_dict(doc), flat_start=False)
+        assert np.angle(v[1]) == pytest.approx(np.pi / 6, abs=1e-15)
 
     def test_missing_field_reported(self, tmp_path):
         doc = case_to_dict(make_two_bus())
@@ -279,3 +284,24 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CaseError):
             parse_case(tmp_path / "nope.json")
+
+    def test_overlong_integer_reported(self, tmp_path):
+        # json reads no integer of more than 4300 digits.
+        path = tmp_path / "big.json"
+        path.write_text('{"system_mva_base": ' + "9" * 5000 + "}")
+        with pytest.raises(CaseError, match="invalid JSON"):
+            parse_case(path)
+
+
+_TWO_BUS = case_to_dict(make_two_bus())
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(sorted(key_paths(_TWO_BUS), key=repr)), value=JSON_VALUES)
+def test_any_replaced_case_value_raises_only_case_error(path, value):
+    doc = json.loads(json.dumps(_TWO_BUS))
+    replace_at(doc, path, value)
+    try:
+        assert isinstance(case_from_dict(doc), NetworkCase)
+    except CaseError:
+        pass

@@ -85,7 +85,7 @@ def one_bus_case(p_load=0.0):
     return NetworkCase(
         system_mva_base=100.0,
         buses=(
-            Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0, base_kv=138.0,
+            Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0,
                 p_load=p_load),
         ),
         branches=(),
@@ -457,8 +457,8 @@ class TestQLimits:
         return NetworkCase(
             system_mva_base=100.0,
             buses=(
-                Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0, base_kv=138.0),
-                Bus(id=2, kind=BusKind.PV, v_mag=1.05, v_ang=0.0, base_kv=138.0,
+                Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
+                Bus(id=2, kind=BusKind.PV, v_mag=1.05, v_ang_deg=0.0, base_kv=138.0,
                     p_load=80.0, q_load=60.0),
             ),
             branches=(Branch(from_bus=1, to_bus=2, r=0.01, x=0.1),),
