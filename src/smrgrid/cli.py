@@ -218,14 +218,16 @@ def cmd_powerflow(cfg: RunConfig, args) -> int:
     if sweep is not None:
         with open(cfg.out_dir / "snapshot_sweep.csv", "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(
-                ["timestamp_s", "converged", "poi_v_mag", "slack_p_mw", "iterations"]
-            )
+            w.writerow([
+                "timestamp_s", "converged", "poi_v_mag", "slack_p_mw", "iterations",
+                "max_mismatch_pu", "q_limited",
+            ])
             w.writerows(
-                [f"{t:.0f}", int(ok), f"{v:.9f}", f"{p:.6f}", n]
-                for t, ok, v, p, n in zip(
+                [f"{t:.0f}", int(ok), f"{v:.9f}", f"{p:.6f}", n, f"{m:.3e}", q]
+                for t, ok, v, p, n, m, q in zip(
                     sweep.timestamps, sweep.converged, sweep.poi_v_mag,
-                    sweep.slack_p_mw, sweep.iterations,
+                    sweep.slack_p_mw, sweep.iterations, sweep.max_mismatch_pu,
+                    sweep.q_limited,
                 )
             )
         summary["sweep_bins"] = int(len(sweep.timestamps))

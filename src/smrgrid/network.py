@@ -7,11 +7,10 @@ them and work per-unit on the system MVA base.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import UnionType
@@ -93,35 +92,46 @@ class Generator:
 
 @dataclass(frozen=True, eq=False)
 class CaseArrays:
-    """Bus and in-service generator data of a case as read-only arrays in
-    bus order, for vectorised solvers.
+    """Bus and in-service generator data of a case as read-only arrays, for
+    vectorised solvers: everything a power flow needs that stays fixed for
+    the case, so each solve derives none of it again.
 
-    Loads are MW/MVAr as on the buses. Generator quantities are per-unit on
-    the system base; per-bus Q limits are summed in generator order, and a
-    bus's setpoint is its last generator's.
+    Loads are MW/MVAr as on the buses; generator quantities are per-unit on
+    the system base. The checked buses are the PV buses with an in-service
+    generator, whose Q limits the power flow enforces; their limits are
+    summed in generator order. A bus's setpoint is its last generator's.
     """
 
     is_pv: np.ndarray  # bool per bus
     is_pq: np.ndarray  # bool per bus
+    pv_idx: np.ndarray  # indices of the PV buses
+    pq_idx: np.ndarray  # indices of the PQ buses
     p_load: np.ndarray  # MW per bus
     q_load: np.ndarray  # MVAr per bus
-    gen_bus: np.ndarray  # bus index of each in-service generator
-    gen_p: np.ndarray  # its p_set, pu
+    gen_p: np.ndarray  # scheduled P of the non-slack generators, pu per bus
     has_gen: np.ndarray  # bool per bus
-    q_min: np.ndarray  # pu per bus, 0 where no generator
-    q_max: np.ndarray
     v_set: np.ndarray  # pu per bus, nan where no generator
+    checked: np.ndarray  # indices of the checked buses, ascending
+    q_min: np.ndarray  # pu per checked bus
+    q_max: np.ndarray
 
-    def with_bus(self, i: int, bus: Bus) -> "CaseArrays":
-        """The arrays with bus index i replaced by bus; generator arrays
-        are shared."""
-        return replace(
+    def with_load(self, i: int, p_load: float, q_load: float) -> "CaseArrays":
+        """The arrays with the load of bus index i replaced; every other
+        array is shared."""
+        return _copy_with(
             self,
-            is_pv=_frozen_with(self.is_pv, i, bus.kind is BusKind.PV),
-            is_pq=_frozen_with(self.is_pq, i, bus.kind is BusKind.PQ),
-            p_load=_frozen_with(self.p_load, i, bus.p_load),
-            q_load=_frozen_with(self.q_load, i, bus.q_load),
+            p_load=_frozen_with(self.p_load, i, p_load),
+            q_load=_frozen_with(self.q_load, i, q_load),
         )
+
+
+def _copy_with(record, **changes):
+    """Shallow copy of `record` with some attributes replaced. Unlike
+    dataclasses.replace or a constructor it runs no checks, so callers
+    change only what keeps the record valid."""
+    new = object.__new__(type(record))
+    new.__dict__.update(record.__dict__, **changes)
+    return new
 
 
 def _frozen(a, dtype=None) -> np.ndarray:
@@ -143,18 +153,26 @@ def _case_arrays(case: "NetworkCase") -> CaseArrays:
     v_set = np.full(n, np.nan)
     for i, g in zip(gen_bus, gens):
         v_set[i] = g.v_set
+    is_pv = np.array([b.kind is BusKind.PV for b in buses], dtype=bool)
+    is_pq = np.array([b.kind is BusKind.PQ for b in buses], dtype=bool)
+    has_gen = np.bincount(gen_bus, minlength=n) > 0
+    checked = np.flatnonzero(is_pv & has_gen)
+    p_set = np.array([g.p_set / base for g in gens], dtype=float)
+    scheduled = gen_bus != case.slack_index  # slack generation is solved for
+    # bincount adds each bus's generators in case order, from 0.0.
     return CaseArrays(
-        is_pv=_frozen([b.kind is BusKind.PV for b in buses], bool),
-        is_pq=_frozen([b.kind is BusKind.PQ for b in buses], bool),
+        is_pv=_frozen(is_pv),
+        is_pq=_frozen(is_pq),
+        pv_idx=_frozen(np.flatnonzero(is_pv)),
+        pq_idx=_frozen(np.flatnonzero(is_pq)),
         p_load=_frozen([b.p_load for b in buses], float),
         q_load=_frozen([b.q_load for b in buses], float),
-        gen_bus=_frozen(gen_bus),
-        gen_p=_frozen([g.p_set / base for g in gens], float),
-        has_gen=_frozen(np.bincount(gen_bus, minlength=n) > 0),
-        # bincount adds each bus's generators in case order, from 0.0.
-        q_min=_frozen(np.bincount(gen_bus, [g.q_min / base for g in gens], n)),
-        q_max=_frozen(np.bincount(gen_bus, [g.q_max / base for g in gens], n)),
+        gen_p=_frozen(np.bincount(gen_bus[scheduled], p_set[scheduled], n)),
+        has_gen=_frozen(has_gen),
         v_set=_frozen(v_set),
+        checked=_frozen(checked),
+        q_min=_frozen(np.bincount(gen_bus, [g.q_min / base for g in gens], n)[checked]),
+        q_max=_frozen(np.bincount(gen_bus, [g.q_max / base for g in gens], n)[checked]),
     )
 
 
@@ -241,17 +259,18 @@ class NetworkCase:
         """Copy of the case with one bus replaced (same id).
 
         Bus ids, branches and generators are unchanged, so the copy skips
-        the id, reference and connectivity checks, shares the bus index and
-        the generator arrays, and only checks that one slack bus remains.
+        the id, reference and connectivity checks and shares the bus index.
+        A bus of the same kind changes only the load arrays, and the copy
+        shares every other array; a change of kind checks that one slack
+        bus remains and derives the arrays again.
         """
         i = self.bus_index(bus.id)
-        buses = list(self.buses)
-        buses[i] = bus
-        new = copy.copy(self)
-        object.__setattr__(new, "buses", tuple(buses))
-        if (bus.kind is BusKind.SLACK) != (i == self._slack):
-            object.__setattr__(new, "_slack", _slack_of(new.buses))
-        object.__setattr__(new, "arrays", self.arrays.with_bus(i, bus))
+        buses = self.buses[:i] + (bus,) + self.buses[i + 1:]
+        if bus.kind is self.buses[i].kind:
+            arrays = self.arrays.with_load(i, bus.p_load, bus.q_load)
+            return _copy_with(self, buses=buses, arrays=arrays)
+        new = _copy_with(self, buses=buses, _slack=_slack_of(buses))
+        object.__setattr__(new, "arrays", _case_arrays(new))
         return new
 
     def load_pu(self) -> np.ndarray:
@@ -362,6 +381,41 @@ def _arms(hint) -> tuple:
     return tuple(arms)
 
 
+#: JSON kind of each plain hint, (singular, plural), for error messages.
+_PLAIN_KINDS = {
+    bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+    float: ("a number", "numbers"), complex: ("a number", "numbers"),
+    str: ("a string", "strings"), dict: ("an object", "objects"),
+    type(None): ("null", "nulls"),
+}
+
+
+@functools.cache
+def _json_kind(hint, plural: bool = False) -> str:
+    """The JSON kind `read_value` accepts for `hint`, in words: "an object
+    (Bus)", "an array of Bus objects", "an integer or null"; with plural,
+    "Bus objects" and the like."""
+    kinds = []
+    for arm, shape, _ in _arms(hint):
+        if shape == "record":
+            kinds.append(f"{arm.__name__} objects" if plural else f"an object ({arm.__name__})")
+        elif shape == "enum":
+            values = ", ".join(json.dumps(m.value) for m in arm)
+            kinds.append(f"strings from {values}" if plural else f"one of {values}")
+        elif shape == "tuple":
+            items = get_args(arm)
+            if items[-1] is Ellipsis:
+                what = _json_kind(items[0], True)
+            elif len(set(items)) == 1:
+                what = f"{len(items)} {_json_kind(items[0], True)}"
+            else:
+                what = f"{len(items)} items"
+            kinds.append(f"{'arrays' if plural else 'an array'} of {what}")
+        else:
+            kinds.append(_PLAIN_KINDS[arm][plural])
+    return " or ".join(kinds)
+
+
 def _fits(arm, shape: str, types, value) -> bool:
     """Whether `value` has the JSON kind of `arm`: an object for a record,
     an array for a tuple, a member's exact value for an enum, else an
@@ -389,8 +443,7 @@ def read_value(hint, value, ctx: str, error: type[Exception]):
         if _fits(arm, shape, types, value):
             break
     else:
-        want = hint.__name__ if isinstance(hint, type) else hint
-        raise _fail(error, ctx, f"expected {want}, got {json.dumps(value)[:40]}")
+        raise _fail(error, ctx, f"expected {_json_kind(hint)}, got {json.dumps(value)[:40]}")
     if shape == "plain":
         return value
     if shape == "enum":

@@ -7,12 +7,22 @@ grows far beyond its best value stops early as non-converged. A singular
 Jacobian raises SingularJacobianError, which sweeps record as a
 non-converged bin.
 
-solve works on the case's bus arrays (NetworkCase.arrays): it derives the
-scheduled injection, the PV/PQ masks, the Q limits and the setpoints once
-per call. Q-limit enforcement switches a PV bus to PQ by mask, as MATPOWER
-does with its bus types: the bus joins the PQ set and its generator Q,
-pinned at the limit, moves into the scheduled injection. No case copy is
-made.
+solve works on the case's bus arrays (NetworkCase.arrays), which hold
+everything that stays fixed for the case: the PV/PQ partition, the per-bus
+generator injection, and the index, Q limits and setpoints of the checked
+buses (PV buses with an in-service generator). A snapshot copy made by
+NetworkCase.with_bus shares all of them and only replaces its loads, so a
+sweep derives none of them per bin. Q-limit enforcement switches a checked
+bus to PQ by mask, as MATPOWER does with its bus types: the bus joins the
+PQ set and its generator Q, pinned at the limit, moves into the scheduled
+injection. No case copy is made. The check after each pass looks at the
+checked buses only, and the slack power is read from the slack bus's own
+entries.
+
+A warm start (v0) keeps each PV bus at its magnitude in v0, not at its
+setpoint. Resetting it to the setpoint changes the sweep's iteration
+counts, so it is left for a change that also re-records the benchmark's
+reference iterations.
 
 The Jacobian is assembled into a fixed sparsity pattern, which depends
 only on the Y-bus and the PV/PQ partition: jacobian_pattern computes the
@@ -23,21 +33,25 @@ them into the CSC data with one bincount.
 
 The Newton step is a banded LU. Once per pattern, the unknowns are put in
 the reverse Cuthill-McKee order of the symmetrised Jacobian structure
-(Cuthill & McKee, 1969), which gathers the entries into a band of kl
-sub- and ku super-diagonals (kl = ku = 38 at 181 unknowns on the shipped
-118-bus case, 1051 entries), and the slot of every CSC entry in LAPACK
-band storage is fixed. Each Newton loop owns one band buffer; every
-iteration zeroes it, scatters the Jacobian data into it and solves with
-LAPACK's dgbsv (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999),
-which pivots partially inside the band. That costs O(n kl (kl + ku)) time and
-(2 kl + ku + 1) n doubles of memory, so it suits networks whose band
-stays narrow, as transmission grids of this size do; it is not meant for
-cases of many thousand buses.
+(Cuthill & McKee, 1969), each component started at a George-Liu
+pseudo-peripheral node (George & Liu, 1981; Gibbs, Poole & Stockmeyer,
+SIAM J. Numer. Anal. 13(2), 1976) with every tie broken by index, so the
+order depends on the structure alone. That gathers the entries into a
+band of kl sub- and ku super-diagonals: kl = ku = 24 at 181 unknowns and
+1051 entries on the shipped 118-bus case, and at most 25 on every
+partition of the benchmark's seed-0 weekly sweep, where a start at a
+least-degree node gives 38 on each. The
+slot of every CSC entry in LAPACK band storage is fixed. Each Newton loop
+owns one band buffer; every iteration zeroes it, scatters the Jacobian
+data into it and solves with LAPACK's dgbsv (Anderson et al., LAPACK
+Users' Guide, 3rd ed., 1999), which pivots partially inside the band.
+That costs O(n kl (kl + ku)) time and (2 kl + ku + 1) n doubles of
+memory, so it suits networks whose band stays narrow, as transmission
+grids of this size do; it is not meant for cases of many thousand buses.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -47,6 +61,7 @@ import numpy as np
 from .network import (
     AdmittanceMatrix,
     NetworkCase,
+    _copy_with,
     branch_admittances,
     build_ybus,
 )
@@ -105,8 +120,7 @@ def scheduled_injection(
     base = case.system_mva_base
     q_load = a.q_load if q_fixed is None else a.q_load - q_fixed * base
     s = -((a.p_load + 1j * q_load) / base)
-    gen = a.gen_bus != case.slack_index
-    np.add.at(s, a.gen_bus[gen], a.gen_p[gen])
+    s.real += a.gen_p
     return s
 
 
@@ -114,7 +128,7 @@ def compute_mismatch(
     case: NetworkCase,
     ybus: AdmittanceMatrix,
     v: np.ndarray,
-    pv_idx: np.ndarray | None = None,
+    pvpq: np.ndarray | None = None,
     pq_idx: np.ndarray | None = None,
     s_sched: np.ndarray | None = None,
     ibus: np.ndarray | None = None,
@@ -122,20 +136,20 @@ def compute_mismatch(
     """Power mismatch [dP at PV+PQ buses; dQ at PQ buses] in bus order, pu.
 
     dP/dQ = scheduled minus computed injection, so at flat start with a pure
-    load the mismatch equals the negated load. s_sched, when given, is
+    load the mismatch equals the negated load. pvpq, the PV and PQ bus
+    indices in ascending order (a pattern's ``pvpq``), and pq_idx default
+    to the case's own partition. s_sched, when given, is
     scheduled_injection(case), hoisted by callers that hold the case fixed;
     ibus, when given, is the bus current ybus.matrix @ v.
     """
-    if pv_idx is None or pq_idx is None:
+    if pvpq is None or pq_idx is None:
         pv_idx, pq_idx = _bus_partitions(case)
+        pvpq = np.union1d(pv_idx, pq_idx)
     if s_sched is None:
         s_sched = scheduled_injection(case)
     if ibus is None:
         ibus = ybus.matrix @ v
-    s_calc = v * np.conj(ibus)
-    ds = s_sched - s_calc
-    pvpq = np.concatenate([pv_idx, pq_idx])
-    pvpq.sort()
+    ds = s_sched - v * np.conj(ibus)
     return np.concatenate([ds[pvpq].real, ds[pq_idx].imag])
 
 
@@ -188,29 +202,65 @@ def _template(indices: np.ndarray, indptr: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
 
-def _with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
-    """A CSC matrix of the template's structure holding data.
-
-    copy.copy skips the constructor's index checks, which the template
-    passed when it was built; they take about 25 us, a third of a Jacobian
-    evaluation on the 118-bus case.
-    """
-    m = copy.copy(template)
-    m.data = data
-    return m
+def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
+    """Level structure rooted at root: the nodes of root's component by
+    distance from root, each level in the order a breadth-first search
+    that visits every adjacency list in order meets them."""
+    seen = {root}
+    levels = [[root]]
+    while True:
+        nxt = []
+        for u in levels[-1]:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            return levels
+        levels.append(nxt)
 
 
 def _band_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Reverse Cuthill-McKee order of a square CSC structure, symmetrised:
-    the unknown at each band position."""
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    the unknown at each band position.
 
+    Each connected component is numbered from a pseudo-peripheral node,
+    found as George and Liu do (Computer Solution of Large Sparse Positive
+    Definite Systems, 1981, sec. 4.3): from the component's node of least
+    degree, move to the least-degree node of the last level for as long as
+    that makes the level structure deeper. Cuthill-McKee then visits
+    neighbours by increasing degree. Every tie goes to the lower index, so
+    the order depends on the structure alone.
+    """
     dim = len(indptr) - 1
-    if dim == 0:
-        return np.zeros(0, dtype=np.intp)
-    ones = csc_matrix((np.ones(len(indices)), indices, indptr), shape=(dim, dim))
-    return reverse_cuthill_mckee(ones, symmetric_mode=False).astype(np.intp)
+    cols = np.repeat(np.arange(dim), np.diff(indptr))
+    r = np.concatenate([indices, cols]).astype(np.intp)
+    c = np.concatenate([cols, indices]).astype(np.intp)
+    edges = np.unique(r[r != c] * dim + c[r != c])  # by node, then neighbour
+    bounds = np.searchsorted(edges // dim, np.arange(dim + 1)).tolist()
+    nbr = (edges % dim).tolist()
+    degree = np.diff(bounds).tolist()
+
+    def rank(w):
+        return degree[w], w
+
+    adj = [sorted(nbr[bounds[i]:bounds[i + 1]], key=rank) for i in range(dim)]
+    placed = np.zeros(dim, dtype=bool)
+    order = []
+    for node in range(dim):
+        if placed[node]:
+            continue
+        component = [w for lv in _levels(adj, node) for w in lv]
+        levels = _levels(adj, min(component, key=rank))
+        while True:
+            deeper = _levels(adj, min(levels[-1], key=rank))
+            if len(deeper) <= len(levels):
+                break
+            levels = deeper
+        cuthill_mckee = [w for lv in levels for w in lv]
+        placed[cuthill_mckee] = True
+        order += cuthill_mckee
+    return np.array(order[::-1], dtype=np.intp)
 
 
 def jacobian_pattern(
@@ -316,11 +366,14 @@ def compute_jacobian(
     ds_dvm = np.concatenate([a / vm[p.cols], np.conj(ibus) * v / vm])
     parts = np.concatenate([ds_dth.real, ds_dth.imag, ds_dvm.real, ds_dvm.imag])
     data = np.bincount(p.dest, weights=parts[p.src], minlength=len(p.indices))
-    return _with_data(p.natural, data)
+    # A copy of the template skips the CSC constructor's index checks, which
+    # the template passed when it was built; they take about 25 us, a third
+    # of a Jacobian evaluation on the 118-bus case.
+    return _copy_with(p.natural, data=data)
 
 
 def _bus_partitions(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
-    return np.flatnonzero(case.arrays.is_pv), np.flatnonzero(case.arrays.is_pq)
+    return case.arrays.pv_idx, case.arrays.pq_idx
 
 
 def _initial_voltage(case: NetworkCase, flat_start: bool) -> np.ndarray:
@@ -377,33 +430,36 @@ def _nr_core(case, ybus, v0, opts, pv_idx=None, pq_idx=None, s_sched=None):
     own; s_sched defaults to scheduled_injection(case). The loop stops, not
     converged, once the mismatch norm exceeds DIVERGENCE_FACTOR times its
     smallest value. Returns (v, iterations, converged, final mismatch norm,
-    mismatch norms, bus current ybus.matrix @ v)."""
+    mismatch norms, bus current ybus.matrix @ v); v is v0 itself when the
+    loop makes no iteration."""
     if pv_idx is None or pq_idx is None:
         pv_idx, pq_idx = _bus_partitions(case)
     if s_sched is None:
         s_sched = scheduled_injection(case)
     pattern = _cached_pattern(ybus, pv_idx, pq_idx)
     pvpq = pattern.pvpq
+    npvpq = len(pvpq)
     band = pattern.band_matrix()
-    v = v0.copy()
+    v = v0
+    # The angles and magnitudes carry from one iteration to the next, and
+    # v is rebuilt from them.
+    th, vm = np.angle(v), np.abs(v)
     ibus = ybus.matrix @ v
-    mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx, s_sched, ibus)
-    norm = best = np.max(np.abs(mis)) if mis.size else 0.0
+    mis = compute_mismatch(case, ybus, v, pvpq, pq_idx, s_sched, ibus)
+    norm = best = np.abs(mis).max() if mis.size else 0.0
     norms = [norm]
     it = 0
     while norm > opts.tol and it < opts.max_iter and norm <= DIVERGENCE_FACTOR * best:
         jac = compute_jacobian(case, ybus, v, pv_idx, pq_idx, pattern, ibus)
         dx = _newton_step(pattern, jac, mis, band, it)
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise SingularJacobianError(it)
-        th = np.angle(v)
-        vm = np.abs(v)
-        th[pvpq] += dx[: len(pvpq)]
-        vm[pq_idx] += dx[len(pvpq):]
+        th[pvpq] += dx[:npvpq]
+        vm[pq_idx] += dx[npvpq:]
         v = vm * np.exp(1j * th)
         ibus = ybus.matrix @ v
-        mis = compute_mismatch(case, ybus, v, pv_idx, pq_idx, s_sched, ibus)
-        norm = np.max(np.abs(mis)) if mis.size else 0.0
+        mis = compute_mismatch(case, ybus, v, pvpq, pq_idx, s_sched, ibus)
+        norm = np.abs(mis).max() if mis.size else 0.0
         best = min(best, norm)
         norms.append(norm)
         it += 1
@@ -423,64 +479,71 @@ def solve(
     pinned at the limit; a pinned bus whose voltage passes its setpoint on
     the releasing side returns to PV, at most once (prevents cycling). The
     loop makes at most n_bus + 1 passes; if the last one still switches a
-    bus, the result is not converged.
+    bus, the result is not converged. Only the case's checked buses
+    (CaseArrays.checked) can switch, so the check looks at them alone.
     """
     if ybus is None:
         ybus = build_ybus(case)
     a = case.arrays
+    base = case.system_mva_base
     v = v0.copy() if v0 is not None else _initial_voltage(case, opts.flat_start)
-    q_load_pu = a.q_load / case.system_mva_base
-    checked = a.has_gen & a.is_pv  # PV buses whose Q limits are enforced
-    side = np.zeros(case.n_bus, dtype=np.int8)  # +1 pinned at q_max, -1 at q_min
-    released = np.zeros(case.n_bus, dtype=bool)
+    checked = a.checked
+    side = np.zeros(len(checked), dtype=np.int8)  # +1 pinned at q_max, -1 at q_min
+    released = np.zeros(len(checked), dtype=bool)
+    pv_idx, pq_idx = a.pv_idx, a.pq_idx
     s_sched = scheduled_injection(case)
     total_it = 0
     norms = []
     ok, norm = False, np.inf
     for _ in range(case.n_bus + 1):  # each pass may switch buses; bounded
-        pinned = side != 0
         v, it, ok, norm, pass_norms, ibus = _nr_core(
-            case, ybus, v, opts,
-            np.flatnonzero(a.is_pv & ~pinned), np.flatnonzero(a.is_pq | pinned),
-            s_sched,
+            case, ybus, v, opts, pv_idx, pq_idx, s_sched
         )
         total_it += it
         norms += pass_norms
         if not ok or not opts.enforce_q_limits:
             break
-        q_gen = (v * np.conj(ibus)).imag + q_load_pu
-        free = checked & ~pinned
+        vc = v[checked]
+        q_gen = (vc * ibus[checked].conj()).imag + a.q_load[checked] / base
+        free = side == 0
         hi = free & (q_gen > a.q_max + 1e-9)
-        lo = free & ~hi & (q_gen < a.q_min - 1e-9)
+        lo = free & (q_gen < a.q_min - 1e-9)  # q_min <= q_max: never both
         # A pinned bus whose voltage overshoots the setpoint on the
         # releasing side returns to PV once, at its setpoint.
-        vm = np.abs(v)
-        release = (pinned & ~released) & (
-            ((side == 1) & (vm > a.v_set + 1e-6)) | ((side == -1) & (vm < a.v_set - 1e-6))
-        )
-        if not (hi.any() or lo.any() or release.any()):
+        release = np.zeros(len(checked), dtype=bool)
+        if np.count_nonzero(side):
+            vm, v_set = np.abs(vc), a.v_set[checked]
+            release = ~released & (
+                (side == 1) & (vm > v_set + 1e-6) | (side == -1) & (vm < v_set - 1e-6)
+            )
+        if not np.count_nonzero(hi | lo | release):
             break
         side[hi], side[lo], side[release] = 1, -1, 0
         released |= release
-        v[release] = a.v_set[release] * np.exp(1j * np.angle(v[release]))
-        q_fixed = np.where(side == 1, a.q_max, np.where(side == -1, a.q_min, 0.0))
+        back = checked[release]
+        v[back] = a.v_set[back] * np.exp(1j * np.angle(v[back]))
+        pinned = np.zeros(case.n_bus, dtype=bool)
+        pinned[checked[side != 0]] = True
+        pv_idx = np.flatnonzero(a.is_pv & ~pinned)
+        pq_idx = np.flatnonzero(a.is_pq | pinned)
+        q_fixed = np.zeros(case.n_bus)
+        q_fixed[checked] = np.where(side == 1, a.q_max, np.where(side == -1, a.q_min, 0.0))
         s_sched = scheduled_injection(case, q_fixed)
     else:
         ok = False  # out of passes while the last pass still switched
         ibus = ybus.matrix @ v  # released buses moved v after the last pass
     s_inj = v * np.conj(ibus)
     sl = case.slack_index
-    s_load = case.load_pu()
     return PowerFlowSolution(
         v=v,
         p_inj=s_inj.real,
         q_inj=s_inj.imag,
-        slack_p=float(s_inj.real[sl] + s_load.real[sl]),
-        slack_q=float(s_inj.imag[sl] + s_load.imag[sl]),
+        slack_p=float(s_inj.real[sl] + a.p_load[sl] / base),
+        slack_q=float(s_inj.imag[sl] + a.q_load[sl] / base),
         iterations=total_it,
         converged=ok,
         max_mismatch=float(norm),
-        q_limited_buses=tuple(sorted(case.buses[i].id for i in np.flatnonzero(side))),
+        q_limited_buses=tuple(sorted(case.buses[i].id for i in checked[side != 0])),
         mismatch_norms=tuple(map(float, norms)),
     )
 

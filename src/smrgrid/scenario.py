@@ -171,6 +171,8 @@ class SweepResult:
     poi_v_mag: np.ndarray
     slack_p_mw: np.ndarray
     iterations: np.ndarray
+    max_mismatch_pu: np.ndarray  # final mismatch norm; nan for a singular Jacobian
+    q_limited: np.ndarray  # number of buses held at a Q limit
 
     @property
     def n_failed(self) -> int:
@@ -210,11 +212,13 @@ def snapshot_sweep(
     vpoi = np.full(n, np.nan)
     slack = np.full(n, np.nan)
     iters = np.zeros(n, dtype=int)
+    mismatch = np.full(n, np.nan)
+    q_limited = np.zeros(n, dtype=int)
     poi = case.bus_index(cfg.dc_bus)
     ybus = build_ybus(case)  # topology is load-independent across the sweep
     v_warm = None
-    for k in range(n):
-        snap, _ = snapshot_case(case, cfg, float(profile.p_total[k]))
+    for k, p_dc in enumerate(profile.p_total.tolist()):
+        snap, _ = snapshot_case(case, cfg, p_dc)
         try:
             sol = pf.solve(snap, ybus, opts, v0=v_warm)
         except pf.SingularJacobianError:
@@ -222,6 +226,8 @@ def snapshot_sweep(
             continue
         conv[k] = sol.converged
         iters[k] = sol.iterations
+        mismatch[k] = sol.max_mismatch
+        q_limited[k] = len(sol.q_limited_buses)
         if sol.converged:
             vpoi[k] = abs(sol.v[poi])
             slack[k] = sol.slack_p * case.system_mva_base
@@ -231,6 +237,7 @@ def snapshot_sweep(
     return SweepResult(
         timestamps=profile.timestamps.copy(),
         converged=conv, poi_v_mag=vpoi, slack_p_mw=slack, iterations=iters,
+        max_mismatch_pu=mismatch, q_limited=q_limited,
     )
 
 

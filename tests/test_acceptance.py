@@ -19,9 +19,7 @@ from smrgrid.datacenter import (
     ItPowerParams,
     MachineEvent,
     TaskRecord,
-    UtilizationTrace,
     bin_tasks,
-    build_profile,
     calibrate_it_capacity,
     estimate_capacity,
     it_power,
@@ -38,7 +36,7 @@ from smrgrid.scenario import (
     snapshot_sweep,
 )
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, week_profile
 
 SMR = dyn.SmrParams()
 
@@ -62,17 +60,7 @@ def track_ramp(label: str, result: dyn.TransientResult):
 
 @pytest.fixture(scope="module")
 def weekly_profile():
-    rng = np.random.default_rng(2024)
-    u = np.clip(
-        0.55
-        + 0.35 * np.sin(2 * np.pi * np.arange(2016) / 288.0)
-        + 0.08 * rng.standard_normal(2016),
-        0.0,
-        1.0,
-    )
-    u[int(np.argmax(u))] = 1.0  # force the configured 60 MW peak
-    it = calibrate_it_capacity(60.0)
-    return build_profile(UtilizationTrace(u=u), it)
+    return week_profile(2024)
 
 
 @pytest.fixture(scope="module")

@@ -101,6 +101,12 @@ class TestPowerflow:
         assert len(base) == 1 + 118
         sweep = (workdir / "out/snapshot_sweep.csv").read_text().splitlines()
         assert len(sweep) == 1 + 12
+        assert sweep[0].split(",") == [
+            "timestamp_s", "converged", "poi_v_mag", "slack_p_mw", "iterations",
+            "max_mismatch_pu", "q_limited",
+        ]
+        rows = [line.split(",") for line in sweep[1:]]
+        assert all(float(r[5]) <= 1e-6 and int(r[6]) >= 0 for r in rows)
         summary = json.loads((workdir / "out/powerflow_summary.json").read_text())
         assert summary["base_converged"] is True
         assert summary["sweep_failed"] == 0
@@ -300,7 +306,7 @@ def _malformed_cases():
     """(key path, new value or DELETE, subcommands, fragments of the error,
     environment)."""
     table = [
-        (("profile",), 5, ALL, ["profile"]),
+        (("profile",), 5, ALL, ["profile: expected an object (ProfileSpec), got 5"]),
         (("profile", "it"), 5, ALL, ["profile.it"]),
         (("profile", "chiller"), 5, ALL, ["profile.chiller"]),
         (("profile", "t0"), [1], ALL, ["profile.t0"]),
@@ -387,8 +393,8 @@ def test_malformed_config_reports_error(
 #: fragments of the error).
 MALFORMED_CASES = [
     (("buses", 1, "v_mag"), None, ["buses[1].v_mag"]),
-    (("buses",), 5, ["buses"]),
-    (("buses",), [5], ["buses[0]"]),
+    (("buses",), 5, ["buses: expected an array of Bus objects, got 5"]),
+    (("buses",), [5], ["buses[0]: expected an object (Bus), got 5"]),
     # A boolean is a JSON boolean, not a string.
     (("generators", 0, "status"), "false", ["generators[0].status"]),
     # A misspelt key is an error, not a load of 0 MW.

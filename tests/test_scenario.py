@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,10 +9,12 @@ from smrgrid import powerflow as pf
 from smrgrid import scenario as sc
 from smrgrid.datacenter import (
     ItPowerParams,
+    LoadProfile,
     UtilizationTrace,
     build_profile,
     calibrate_it_capacity,
 )
+from smrgrid.network import CaseArrays, NetworkCase, build_ybus
 from smrgrid.powerflow import solve
 from smrgrid.scenario import (
     Configuration,
@@ -29,7 +31,7 @@ from smrgrid.scenario import (
     snapshot_sweep,
 )
 
-from conftest import make_two_bus, zero_valued
+from conftest import make_two_bus, week_profile, zero_valued
 
 
 def synthetic_result(freq, v=None, dt=0.005, bus=25):
@@ -136,6 +138,59 @@ class TestSnapshot:
         )
         assert sweep.converged.tolist() == [False] + [True] * (len(small_profile) - 1)
         assert np.isnan(sweep.poi_v_mag[0]) and np.isnan(sweep.slack_p_mw[0])
+
+    def test_sweep_bins_equal_solves_on_fresh_cases(self, case118, monkeypatch):
+        # Each bin's case is built by the full constructor, so its arrays
+        # are derived afresh rather than shared through with_bus, and each
+        # solve is warm-started from the previous bin's voltage.
+        week = week_profile(2024)  # criterion 2's profile
+        profile = LoadProfile(
+            **{f.name: getattr(week, f.name)[:96] for f in fields(LoadProfile)}
+        )
+        cfg = Configuration(kind="grid_only", dc_bus=25)
+        swept, cases = [], []
+
+        def recording_solve(case, *args, **kwargs):
+            cases.append(case)
+            swept.append(solve(case, *args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(pf, "solve", recording_solve)
+        sweep = snapshot_sweep(case118, profile, cfg)
+        assert len(swept) == len(profile)
+        ybus = build_ybus(case118)
+        poi = case118.bus_index(25)
+        v = None
+        for k, got in enumerate(swept):
+            p = float(profile.p_total[k])
+            buses = list(case118.buses)
+            bus = buses[poi]
+            buses[poi] = replace(
+                bus, p_load=bus.p_load + p, q_load=bus.q_load + cfg.q_for(p)
+            )
+            fresh = NetworkCase(
+                case118.system_mva_base, tuple(buses), case118.branches,
+                case118.generators,
+            )
+            for name in CaseArrays.__dataclass_fields__:
+                np.testing.assert_array_equal(
+                    getattr(cases[k].arrays, name), getattr(fresh.arrays, name)
+                )
+            want = solve(fresh, ybus, v0=v)
+            v = want.v
+            assert (got.iterations, got.converged, got.q_limited_buses) == (
+                want.iterations, want.converged, want.q_limited_buses
+            )
+            assert np.max(np.abs(got.v - want.v)) <= 1e-12
+            assert sweep.iterations[k] == want.iterations
+            assert sweep.q_limited[k] == len(want.q_limited_buses)
+            assert sweep.max_mismatch_pu[k] == want.mismatch_norms[-1]
+            assert sweep.poi_v_mag[k] == pytest.approx(abs(want.v[poi]), abs=1e-12)
+            assert sweep.slack_p_mw[k] == pytest.approx(
+                want.slack_p * case118.system_mva_base, abs=1e-9
+            )
+        # The window meets Q-limited bins, with and without switching.
+        assert sweep.q_limited.max() > 0
 
     def test_sweep_pattern_cache_matches_fresh_patterns(self, case118, monkeypatch):
         real_build_ybus = sc.build_ybus
