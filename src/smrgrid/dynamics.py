@@ -5,13 +5,16 @@ battery, and network fault/trip/load-step events.
 Scheme: device ODEs advance with RK4 over dt; at every stage the network is
 solved algebraically with loads as constant admittance (converted at the
 pre-fault voltage), machines as EMF-behind-reactance sources, and the battery
-as a current injection. The network is then linear between events, so it is
-Kron-reduced to its ports (machine, battery, monitored and load-step buses)
-and each solve is a small dense product. Events restamp the augmented
-admittance matrix, and rebuild the reduction, at their timestamps. The
-datacenter's SMR and battery are one `IesUnit`; every machine, the SMR's
-included, is an entry of one record of arrays (`initialize_devices`), which
-the network and the events act on.
+as a current injection. The network is then linear between events, so once
+per topology it is reduced to two real operators on the stage input
+[cos delta; sin delta; battery current] (see `_Network`): one gives the
+machine currents, already scaled by e_p/2H, and each RK4 stage is one
+matrix-vector product with it; the other gives the voltages at the buses
+that are read (monitored, battery and load-step buses), once per step
+boundary. Events restamp the augmented admittance matrix, and rebuild both
+operators, at their timestamps. The datacenter's SMR and battery are one
+`IesUnit`; every machine, the SMR's included, is an entry of one record of
+arrays (`initialize_devices`), which the network and the events act on.
 
 Bus frequency is measured once, online: each step the washout filter
 (`washout_update`) advances for every monitored bus, the battery acts on the
@@ -27,7 +30,6 @@ Sign conventions (documented, the source material leaves them open):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -424,15 +426,34 @@ def initialize_devices(
 # -- transient engine --------------------------------------------------------
 
 
+_SOLVE_BLOCK = 32  # right-hand sides per sparse triangular solve
+
+
+def _real_form(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The real matrix of u -> [Re y; Im y], y = m (c + j s) + b i, on the
+    stage input u = [c; s; Re i; Im i]; `m` is r x nm, `b` has r entries."""
+    b = b[:, None]
+    return np.block([[m.real, -m.imag, b.real, -b.imag],
+                     [m.imag, m.real, b.imag, b.real]])
+
+
 class _Network:
     """Augmented admittance matrix with load/machine stamps and event state,
-    Kron-reduced to its ports.
+    Kron-reduced to the machine currents and the voltages that are read.
 
-    The ports are every machine bus, the battery bus and the buses given at
-    construction (monitored and load-step buses). Current is injected only at
-    ports and only port voltages are read, so after each `refactor` the
-    network is the dense port impedance Z = (Y_aug^-1)[P, P], folded with
-    the machine admittances into one matrix from machine EMFs to voltages.
+    Current enters only at machine buses (y_m E behind each active machine's
+    reactance, E = e_p e^{j delta}) and at the battery bus (i_b), and only
+    the machine currents and the read buses' voltages (monitored, battery
+    and load-step buses) are needed. So after each `refactor` the network is
+    two real operators on the stage input u = [cos delta; sin delta; Re i_b;
+    Im i_b]:
+
+      * `current` maps u to [Re J; Im J], the machine currents
+        y_m (E - V_terminal) scaled by e_p/2H, zero for tripped machines;
+        the electrical power over 2H is then cos delta Re J + sin delta Im J;
+      * `read_op` maps u to the read-bus voltages, ordered as `read` and
+        interleaved (Re V_0, Im V_0, Re V_1, ...) so the product views as
+        complex.
     """
 
     def __init__(
@@ -442,7 +463,7 @@ class _Network:
         s_load: np.ndarray,
         v0: np.ndarray,
         machines: _Machines,
-        port_buses,
+        read_buses,
         bess_idx: int | None = None,
     ):
         self.branches = branch_admittances(case)
@@ -453,11 +474,14 @@ class _Network:
         self.fault_shunts: dict[int, complex] = {}
         self.tripped: set[int] = set()  # branch indices
         self.load_extra = np.zeros(self.n, dtype=complex)
-        extra = list(port_buses) + ([] if bess_idx is None else [bess_idx])
-        self.ports = np.union1d(machines.bus_idx, np.array(extra, dtype=int))
-        self.port_of = {int(b): k for k, b in enumerate(self.ports)}
-        self.machine_port = np.searchsorted(self.ports, machines.bus_idx)
-        self.bess_port = None if bess_idx is None else self.port_of[bess_idx]
+        battery = [] if bess_idx is None else [bess_idx]
+        self.read = np.unique(np.array(list(read_buses) + battery, dtype=int))
+        self.read_of = {int(b): k for k, b in enumerate(self.read)}
+        self.sources = np.union1d(machines.bus_idx, np.array(battery, dtype=int))
+        self.machine_col = np.searchsorted(self.sources, machines.bus_idx)
+        self.bess_col = None if bess_idx is None else int(
+            np.searchsorted(self.sources, bess_idx)
+        )
 
     def refactor(self, machines: _Machines):
         import scipy.sparse as sp
@@ -475,35 +499,49 @@ class _Network:
             lu = spla.splu((y + sp.diags(diag)).tocsc())
         except RuntimeError as exc:
             raise SimulationError(f"singular network matrix: {exc}") from exc
-        n_port = self.ports.size
-        unit = np.zeros((self.n, n_port), dtype=complex)
-        unit[self.ports, np.arange(n_port)] = 1.0
-        z = lu.solve(unit)[self.ports]
-        # Machine k drives the current y_m * E_k into its bus while active.
-        y_src = np.where(on, machines.y_m, 0j)
-        self.a_port = z[:, self.machine_port] * y_src
-        self.a_term = self.a_port[self.machine_port]
-        self.b_port = self.b_term = None
-        if self.bess_port is not None:
-            self.b_port = z[:, self.bess_port].copy()
-            self.b_term = self.b_port[self.machine_port]
+        # Columns of the impedance matrix at the sources, solved in blocks:
+        # from about 51 right-hand sides on the 118-bus case, SuperLU's
+        # BLAS-3 calls go to OpenBLAS's thread pool, which took 27-32 ms per
+        # 54-column solve on a busy 2-core host, against 0.3 ms in blocks.
+        n_src = self.sources.size
+        unit = np.zeros((self.n, n_src), dtype=complex)
+        unit[self.sources, np.arange(n_src)] = 1.0
+        z = np.hstack([
+            lu.solve(unit[:, k:k + _SOLVE_BLOCK])
+            for k in range(0, n_src, _SOLVE_BLOCK)
+        ])
+        # Bus voltages per unit e^{j delta} of each active machine, and per
+        # unit battery current.
+        v_m = z[:, self.machine_col] * np.where(on, machines.y_m * machines.e_p, 0j)
+        v_b = np.zeros(self.n, dtype=complex)
+        if self.bess_col is not None:
+            v_b = z[:, self.bess_col]
+        rows = machines.bus_idx
+        g = machines.y_m * machines.e_p * on / machines.h2
+        self.current = _real_form(
+            g[:, None] * (np.diag(machines.e_p) - v_m[rows]), -g * v_b[rows]
+        )
+        r = self.read.size
+        self.read_op = (
+            _real_form(v_m[self.read], v_b[self.read])
+            .reshape(2, r, -1).swapaxes(0, 1).reshape(2 * r, -1)
+        )
+        self.finite = bool(
+            np.isfinite(self.current).all() and np.isfinite(self.read_op).all()
+        )
 
-    def solve(self, emf: np.ndarray, i_bess: complex, ports: bool = False):
-        """Voltages at the machine terminals, one per machine, or with
-        `ports` at every port (ordered as `self.ports`), for machine EMFs
-        `emf` and the battery current injection `i_bess`."""
-        a, b = (self.a_port, self.b_port) if ports else (self.a_term, self.b_term)
-        v = a @ emf
-        if b is not None:
-            v += b * i_bess
-        return v
+    def solve(self, u: np.ndarray, read: bool = False) -> np.ndarray:
+        """The scaled machine currents for the stage input `u`, or with
+        `read` the read-bus voltages (see the class docstring)."""
+        return (self.read_op if read else self.current) @ u
 
 
 def _apply_event(
     net: _Network, case: NetworkCase, machines: _Machines, kind: EventKind, v_pre
 ):
     """Apply one event to the network state; `v_pre` holds the pre-event
-    port voltages. The caller refactors afterwards."""
+    read-bus voltages (ordered as `net.read`). The caller refactors
+    afterwards."""
     if isinstance(kind, BusFault3ph):
         net.fault_shunts[case.bus_index(kind.bus)] = kind.fault_admittance
     elif isinstance(kind, ClearFault):
@@ -529,7 +567,7 @@ def _apply_event(
     elif isinstance(kind, LoadStep):
         i = case.bus_index(kind.bus)
         ds = complex(kind.dp_mw, kind.dq_mvar) / case.system_mva_base
-        net.load_extra[i] += np.conj(ds) / (abs(v_pre[net.port_of[i]]) ** 2)
+        net.load_extra[i] += np.conj(ds) / (abs(v_pre[net.read_of[i]]) ** 2)
     else:
         raise SimulationError(f"unknown event kind {kind!r}")
 
@@ -571,86 +609,96 @@ def run_transient(
         [case.bus_index(b) for b in monitor + step_buses], ies_bidx,
     )
     net.refactor(machines)
-    mon_ports = np.array([net.port_of[case.bus_index(b)] for b in monitor])
-    smr_port = net.machine_port[smr_mi] if ies is not None else None
+    # Where each monitored bus's (Re V, Im V) pair sits in a read vector.
+    mon_at = [2 * net.read_of[case.bus_index(b)] for b in monitor]
 
     nm = len(machines.bus_idx)
-    e_p, p_mech, y_m, d_sys = machines.e_p, machines.p_mech, machines.y_m, machines.d
-    # Tripped machines hold their angle and speed.
-    w_gain, h2_inv = w_s * machines.active, machines.active / machines.h2
+    p_mech, d_sys = machines.p_mech, machines.d
 
-    v = solution.v[net.ports]  # port voltages
-    bess_i_inj = 0.0 + 0.0j
+    def scaled():
+        """Per-machine rates over 2H; tripped machines hold angle and speed."""
+        h2_inv = machines.active / machines.h2
+        return w_s * machines.active, p_mech * h2_inv, d_sys * h2_inv
+
+    w_gain, pm_h, dh = scaled()
+    # The stage input of `net.solve`: [cos delta; sin delta; Re i_b; Im i_b].
+    u = np.zeros(2 * nm + 2)
+    cos_d, sin_d, trig = u[:nm], u[nm:2 * nm], u[:2 * nm]
+    i_bess = u[2 * nm:].view(complex)  # the battery current injection
+    # trig * J: its halves sum to the electrical power over 2H.
+    pe2 = np.empty(2 * nm)
+    pe_c, pe_s = pe2[:nm], pe2[nm:]
+
+    def load_trig(xs):
+        d = xs[:nm]
+        np.cos(d, out=cos_d)
+        np.sin(d, out=sin_d)
+
     if ies is not None:
         smr, bess = ies.smr, ies.bess
         bess_state = BessState()
-        poi_j = monitor.index(ies.bus)
+        poi_j, poi_at = monitor.index(ies.bus), 2 * net.read_of[ies_bidx]
+        e_smr, y_smr = float(machines.e_p[smr_mi]), complex(machines.y_m[smr_mi])
+        h2_inv_smr = 1.0 / float(machines.h2[smr_mi])
+        p_smr = float(p_mech[smr_mi])
         valve_cmd = p_mech_cmd = ies.p_dispatch_mw / smr.p_max  # pu of p_max
         q_dot = min(ies.thermal_mw, smr.q_dot_max)  # MW-thermal
+        a_act = 1.0 - math.exp(-dt / smr.t_actuator)
 
-    def deriv(_t, x):
-        emf = e_p * np.exp(1j * x[:nm])
-        v_t = net.solve(emf, bess_i_inj)
-        p_e = (emf * np.conj((emf - v_t) * y_m)).real
-        w = x[nm:]
-        dx = np.empty_like(x)
-        dx[:nm] = w_gain * w
-        dx[nm:] = (p_mech - p_e - d_sys * w) * h2_inv
-        return dx
+    def deriv(_t, xs):
+        if xs is not x:  # the first stage reuses the step boundary's trig
+            load_trig(xs)
+        np.multiply(trig, net.solve(u), out=pe2)
+        w = xs[nm:]
+        return np.concatenate((w_gain * w, pm_h - (pe_c + pe_s) - dh * w))
 
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    v_mon = np.empty((n_steps + 1, len(monitor)), dtype=complex)
+    v_hist = np.empty((n_steps + 1, 2 * net.read.size))  # read vectors
     # Washout-filtered frequency of every monitored bus, filtered online on
     # Python floats so the battery acts on the reported POI frequency.
     f_mon = [[0.0] for _ in monitor]
     th_prev = [0.0] * len(monitor)
-    smr_series = bess_series = None
-    if ies is not None:
-        smr_series, bess_series = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    # The IES states per step boundary: battery integrator and output, SMR
+    # mechanical power (pu system base), valve and mechanical commands.
+    ies_states = np.empty((n_steps + 1, 5))
     event_log: list[dict] = []
 
-    state0 = None
-    max_drift = 0.0
     smr_ramp_max = 0.0
     ev_i = 0
     alpha_f = dt / cfg.freq_filter_tc
 
     x = np.concatenate([machines.delta, np.zeros(nm)])
+    # Drift bookkeeping: the running extremes of the machine states (the IES
+    # states are kept per step). Rounding is monotone, so max - x0 is the
+    # largest rounded x - x0.
+    x0, x_hi, x_lo = x, x.copy(), x.copy()
     for k in range(n_steps + 1):
         t = t_grid[k]
         # Fire events due at this step boundary.
         while ev_i < len(events) and events[ev_i].t <= t + 1e-12:
             ev = events[ev_i]
-            _apply_event(net, case, machines, ev.kind, v)
+            v_pre = v_hist[k - 1].view(complex) if k else solution.v[net.read]
+            _apply_event(net, case, machines, ev.kind, v_pre)
             net.refactor(machines)
-            w_gain, h2_inv = w_s * machines.active, machines.active / machines.h2
+            w_gain, pm_h, dh = scaled()
             event_log.append({"t": float(ev.t), "kind": type(ev.kind).__name__,
                               "detail": repr(ev.kind)})
             ev_i += 1
 
-        emf = e_p * np.exp(1j * x[:nm])
-        v = net.solve(emf, bess_i_inj, ports=True)
-        if not np.isfinite(v).all():
+        load_trig(x)
+        v_hist[k] = v_vec = net.solve(u, read=True)
+        v_out = v_vec.tolist()  # Re V, Im V of every read bus, as floats
+        if not (net.finite and math.isfinite(sum(v_out))):
             raise SimulationError(f"NaN in network solution at t={t:.4f}s")
-        v_mon[k] = v[mon_ports]
-        for j, v_j in enumerate(v_mon[k].tolist()):
-            th = cmath.phase(v_j)
+        for j, at in enumerate(mon_at):
+            th = math.atan2(v_out[at + 1], v_out[at])
             if k:
                 f_j = f_mon[j]
                 f_j.append(washout_update(f_j[-1], th, th_prev[j], alpha_f, dt))
             th_prev[j] = th
-        # Drift bookkeeping over the device states that can move.
-        moving = []
         if ies is not None:
-            smr_series[k] = p_mech[smr_mi] * sbase
-            bess_series[k] = bess_state.p_out * bess.p_rating
-            moving = [bess_state.integrator, bess_state.p_out,
-                      p_mech[smr_mi], valve_cmd, p_mech_cmd]
-        svec = np.concatenate((x, moving))
-        if state0 is None:
-            state0 = svec
-        else:
-            max_drift = max(max_drift, float(np.abs(svec - state0).max()))
+            ies_states[k] = (bess_state.integrator, bess_state.p_out,
+                             p_smr, valve_cmd, p_mech_cmd)
 
         if k == n_steps:
             break
@@ -659,37 +707,47 @@ def run_transient(
         if ies is not None:
             df_pu = -f_mon[poi_j][-1] / f_nom
             p_out, bess_state = bess_power(df_pu, bess_state, bess, dt)
+            v_poi = complex(v_out[poi_at], v_out[poi_at + 1])
+            if v_poi == 0:
+                raise SimulationError(f"zero voltage at the battery bus at t={t:.4f}s")
             s_b = complex(p_out * bess.p_rating / sbase, 0.0)
-            bess_i_inj = np.conj(s_b / v[net.bess_port])
+            i_bess[0] = (s_b / v_poi).conjugate()
         if ies is not None and machines.active[smr_mi]:
             mi = smr_mi
-            p_e_mw = float(
-                (emf[mi] * np.conj((emf[mi] - v[smr_port]) * y_m[mi])).real
-            ) * sbase
+            emf = e_smr * complex(cos_d[mi], sin_d[mi])
+            p_e_mw = (emf * ((emf - v_poi) * y_smr).conjugate()).real * sbase
             droop = compute_droop(min(max(p_e_mw, 0.0), smr.p_max), q_dot, smr)
             corr = governor_power_correction(
                 float(x[nm + mi]), droop, smr.freq_deadband
             )
             target = ies.p_dispatch_mw / smr.p_max + corr
             target = min(max(target, 0.0), 1.0)
-            a = 1.0 - math.exp(-dt / smr.t_actuator)
-            valve_cmd = valve_cmd + a * (target - valve_cmd)
+            valve_cmd = valve_cmd + a_act * (target - valve_cmd)
             p_cmd = apply_load_limiter(valve_cmd, p_mech_cmd, smr.ramp_limit, dt)
             smr_ramp_max = max(smr_ramp_max, abs(p_cmd - p_mech_cmd) / dt)
             p_mech_cmd = p_cmd
-            m_hp, m_lp = smr_flows_from_power(p_cmd * smr.p_max, smr)
-            p_mech[mi] = (
-                turbine_mechanical_power(smr.eta_t, smr.dh_hp, smr.dh_lp, m_hp, m_lp)
-                / sbase
-            )
+            # The steam path is a declared identity: the HP/LP flows that
+            # smr_flows_from_power gives turbine_mechanical_power p_cmd back.
+            p_smr = p_cmd * smr.p_max / sbase
+            p_mech[mi] = p_smr
+            pm_h[mi] = p_smr * h2_inv_smr
 
         x = rk4_step(deriv, t, x, dt)
-        if not np.isfinite(x).all():
+        if not math.isfinite(x.sum()):
             raise SimulationError(f"NaN in device states at t={t + dt:.4f}s")
+        np.maximum(x_hi, x, out=x_hi)
+        np.minimum(x_lo, x, out=x_lo)
 
+    max_drift = float(max((x_hi - x0).max(initial=0.0), (x0 - x_lo).max(initial=0.0)))
+    smr_series = bess_series = None
+    if ies is not None:
+        max_drift = max(max_drift, float(np.abs(ies_states - ies_states[0]).max()))
+        smr_series = ies_states[:, 2] * sbase
+        bess_series = ies_states[:, 1] * bess.p_rating
+    v_hist = v_hist.view(complex)
     return TransientResult(
         t=t_grid,
-        v_mag={b: np.abs(v_mon[:, j]) for j, b in enumerate(monitor)},
+        v_mag={b: np.abs(v_hist[:, at // 2]) for at, b in zip(mon_at, monitor)},
         freq_dev={b: np.array(f_mon[j]) for j, b in enumerate(monitor)},
         smr_p_mech_mw=smr_series,
         bess_p_mw=bess_series,

@@ -99,11 +99,15 @@ class PowerFlowSolution:
     slack_q: float
     iterations: int
     converged: bool
-    max_mismatch: float
-    q_limited_buses: tuple[int, ...] = ()  # bus ids switched PV->PQ
     # Max-abs mismatch, pu, before the first and after every Newton
-    # iteration, over all Q-limit passes in order.
-    mismatch_norms: tuple[float, ...] = ()
+    # iteration, over all Q-limit passes in order; never empty.
+    mismatch_norms: tuple[float, ...]
+    q_limited_buses: tuple[int, ...] = ()  # bus ids switched PV->PQ
+
+    @property
+    def max_mismatch(self) -> float:
+        """The final max-abs mismatch, pu."""
+        return self.mismatch_norms[-1]
 
 
 def scheduled_injection(
@@ -494,9 +498,9 @@ def solve(
     s_sched = scheduled_injection(case)
     total_it = 0
     norms = []
-    ok, norm = False, np.inf
+    ok = False
     for _ in range(case.n_bus + 1):  # each pass may switch buses; bounded
-        v, it, ok, norm, pass_norms, ibus = _nr_core(
+        v, it, ok, _, pass_norms, ibus = _nr_core(
             case, ybus, v, opts, pv_idx, pq_idx, s_sched
         )
         total_it += it
@@ -542,9 +546,8 @@ def solve(
         slack_q=float(s_inj.imag[sl] + a.q_load[sl] / base),
         iterations=total_it,
         converged=ok,
-        max_mismatch=float(norm),
-        q_limited_buses=tuple(sorted(case.buses[i].id for i in checked[side != 0])),
         mismatch_norms=tuple(map(float, norms)),
+        q_limited_buses=tuple(sorted(case.buses[i].id for i in checked[side != 0])),
     )
 
 

@@ -7,10 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import smrgrid.dynamics as dynamics
 from smrgrid.dynamics import (
     BessParams,
     BessState,
     BusFault3ph,
+    ClearFault,
     Event,
     GenTrip,
     IesUnit,
@@ -67,6 +69,15 @@ class TestTurbinePower:
         m_hp, _ = smr_flows_from_power(50.0, SMR)
         expected = SMR.hp_fraction * (50_000.0 / SMR.eta_t) / SMR.dh_hp
         assert m_hp == pytest.approx(expected)
+
+    @given(p=st.floats(0.0, SMR.p_max))
+    @settings(max_examples=500)
+    def test_steam_path_is_an_identity(self, p):
+        # run_transient sets the SMR's mechanical power to its command
+        # directly; this round trip is what that skips.
+        m_hp, m_lp = smr_flows_from_power(p, SMR)
+        back = turbine_mechanical_power(SMR.eta_t, SMR.dh_hp, SMR.dh_lp, m_hp, m_lp)
+        assert abs(back - p) <= 4 * math.ulp(p)
 
 
 class TestDroop:
@@ -324,6 +335,31 @@ class TestRunTransient:
         assert "bess_p_mw" not in header
         assert len(lines) == 1 + len(res.t)
 
+    @pytest.mark.parametrize("dp_mw", [40.0, -40.0])
+    def test_drift_is_the_largest_state_change(
+        self, case118, snapshot, monkeypatch, dp_mw
+    ):
+        # A grid-only run moves only the machine states, which rk4_step
+        # returns; the reported drift is their largest change from x(0),
+        # whether the speeds fall (load added) or rise (load shed).
+        rk4 = dynamics.rk4_step
+        states = []
+
+        def recording(f, t, x, dt):
+            if not states:
+                states.append(x.copy())
+            states.append(rk4(f, t, x, dt))
+            return states[-1]
+
+        monkeypatch.setattr(dynamics, "rk4_step", recording)
+        cfg = SimConfig(dt=0.005, t_end=2.0, monitor_buses=(25,))
+        res = run_transient(
+            case118, snapshot, None, [Event(0.5, LoadStep(25, dp_mw))], cfg
+        )
+        assert len(states) == len(res.t)
+        x = np.array(states)
+        assert res.max_state_drift == np.abs(x - x[0]).max() > 1e-4
+
     def test_monitoring_a_load_step_bus_does_not_change_dynamics(
         self, case118, snapshot
     ):
@@ -347,8 +383,91 @@ class TestRunTransient:
         assert v2[-1] < v2[0]  # the step depresses its own bus
 
 
+IES_UNIT = IesUnit(
+    bus=25,
+    machine=MachineParams(h=6.0, d=10.0, xd_p=0.3, mva_base=60.0),
+    smr=SmrParams(),
+    bess=BessParams(),
+    p_dispatch_mw=20.0,
+)
+
+
+class TestFailurePaths:
+    """Each numerical failure ends as a SimulationError that names the time
+    of the step boundary where it was seen."""
+
+    CFG = SimConfig(dt=0.005, t_end=1.0, monitor_buses=(25,))
+    STEP = [Event(0.5, LoadStep(25, 10.0))]
+    NETWORK_NAN = r"NaN in network solution at t=0\.5000s"
+
+    def test_nan_in_the_network_operator(self, case118, snapshot, monkeypatch):
+        # Poison every dense operator that the event's refactor builds.
+        refactor = _Network.refactor
+        calls = []
+
+        def poisoned(net, machines):
+            refactor(net, machines)
+            calls.append(machines)
+            if len(calls) > 1:
+                for value in vars(net).values():
+                    if isinstance(value, np.ndarray) and value.ndim == 2:
+                        value[...] = np.nan
+
+        monkeypatch.setattr(_Network, "refactor", poisoned)
+        with pytest.raises(SimulationError, match=self.NETWORK_NAN):
+            run_transient(case118, snapshot, None, self.STEP, self.CFG)
+        assert len(calls) == 2
+
+    def test_nan_from_the_factorisation(self, case118, snapshot, monkeypatch):
+        # The event's sparse LU solves to NaN, so every operator built from
+        # it is NaN before any step uses it.
+        real_splu = spla.splu
+        calls = []
+
+        class NanLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return np.full_like(self.lu.solve(b), np.nan)
+
+        def splu(a, *args, **kwargs):
+            calls.append(a)
+            lu = real_splu(a, *args, **kwargs)
+            return NanLU(lu) if len(calls) > 1 else lu
+
+        monkeypatch.setattr(spla, "splu", splu)
+        with pytest.raises(SimulationError, match=self.NETWORK_NAN):
+            run_transient(case118, snapshot, None, self.STEP, self.CFG)
+        assert len(calls) == 2
+
+    def test_nan_in_the_device_states(self, case118, snapshot, monkeypatch):
+        rk4 = dynamics.rk4_step
+
+        def nan_from_half_time(f, t, x, dt):
+            x = rk4(f, t, x, dt)
+            if t >= 0.5 - 1e-9:
+                x[0] = np.nan
+            return x
+
+        monkeypatch.setattr(dynamics, "rk4_step", nan_from_half_time)
+        states_nan = r"NaN in device states at t=0\.5050s"
+        with pytest.raises(SimulationError, match=states_nan):
+            run_transient(case118, snapshot, IES_UNIT, [], self.CFG)
+
+    def test_bolted_fault_at_the_battery_bus(self, case118, snapshot):
+        # An infinite fault admittance holds the POI at exactly 0 V, where
+        # the battery's constant-power current is undefined.
+        events = [
+            Event(0.5, BusFault3ph(25, complex(0.0, -math.inf))),
+            Event(0.6, ClearFault(25)),
+        ]
+        with pytest.raises(SimulationError, match=r"t=0\.5"):
+            run_transient(case118, snapshot, IES_UNIT, events, self.CFG)
+
+
 class TestReducedNetwork:
-    """The port-reduced network against a full sparse solve of the augmented
+    """The network operators against a full sparse solve of the augmented
     admittance matrix, built here from the case without the event stamps."""
 
     FAULT_BUS = 30
@@ -356,9 +475,12 @@ class TestReducedNetwork:
     GEN_BUS = 26
 
     @pytest.mark.parametrize("topology", ["pre_fault", "fault", "line_trip", "gen_trip"])
-    def test_port_voltages_match_full_solve(self, case118, snapshot, topology):
+    def test_operators_match_full_solve(self, case118, snapshot, topology):
         ybus = build_ybus(case118)
         machines, s_load = initialize_devices(case118, ybus, snapshot, None)
+        rng = np.random.default_rng(11)
+        # Random EMF magnitudes, folded into the operators at refactor.
+        machines.e_p[:] = rng.uniform(0.8, 1.3, machines.e_p.size)
         bess_idx = case118.bus_index(2)
         monitored = [case118.bus_index(b) for b in (25, 75)]
         net = _Network(
@@ -375,7 +497,7 @@ class TestReducedNetwork:
             "gen_trip": GenTrip(self.GEN_BUS),
         }[topology]
         if kind is not None:
-            _apply_event(net, case118, machines, kind, snapshot.v[net.ports])
+            _apply_event(net, case118, machines, kind, snapshot.v[net.read])
             net.refactor(machines)
         if topology == "fault":
             shunt[case118.bus_index(self.FAULT_BUS)] += -1e4j
@@ -396,20 +518,31 @@ class TestReducedNetwork:
         np.add.at(shunt, machines.bus_idx[on], machines.y_m[on])
         y_aug = (build_ybus(full_case).matrix + sp.diags(shunt)).tocsc()
 
-        rng = np.random.default_rng(11)
         machine_bus = machines.bus_idx
         nm = len(machine_bus)
+        # Machine currents are read scaled by e_p/2H, tripped machines as 0.
+        scale = np.where(on, machines.e_p / machines.h2, 0.0)
         for _ in range(3):
-            emf = rng.normal(size=nm) + 1j * rng.normal(size=nm)
+            delta = rng.uniform(-np.pi, np.pi, nm)
+            emf = machines.e_p * np.exp(1j * delta)
             i_bess = complex(rng.normal(), rng.normal())
             rhs = np.zeros(case118.n_bus, dtype=complex)
             np.add.at(rhs, machine_bus[on], machines.y_m[on] * emf[on])
             rhs[bess_idx] += i_bess
             v_full = spla.spsolve(y_aug, rhs)
+            i_full = scale * machines.y_m * (emf - v_full[machine_bus])
+
+            u = np.concatenate(
+                [np.cos(delta), np.sin(delta), [i_bess.real, i_bess.imag]]
+            )
+            j = net.solve(u)
+            p_e = (np.exp(1j * delta) * np.conj(i_full)).real  # P_e / 2H
             for got, want in (
-                (net.solve(emf, i_bess, ports=True), v_full[net.ports]),
-                (net.solve(emf, i_bess), v_full[machine_bus]),
+                (j[:nm] + 1j * j[nm:], i_full),
+                (net.solve(u, read=True).view(complex), v_full[net.read]),
+                (u[:nm] * j[:nm] + u[nm:2 * nm] * j[nm:], p_e),  # as deriv forms it
             ):
                 rel = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert rel <= 1e-12
-        assert set(net.ports) >= set(machine_bus) | set(monitored) | {bess_idx}
+            assert (j[:nm][~on] == 0).all() and (j[nm:][~on] == 0).all()
+        assert set(net.read) >= set(monitored) | {bess_idx}
