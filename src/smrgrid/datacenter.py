@@ -446,7 +446,7 @@ def calibrate_it_capacity(
     target_total_peak_mw: float,
     chiller: ChillerParams = DEFAULT_CHILLER,
     ambient: AmbientConditions = AmbientConditions(),
-    idle_fraction: float = 0.5,
+    idle_fraction: float = ItPowerParams.idle_fraction,
     tol: float = 1e-6,
 ) -> ItPowerParams:
     """IT capacity such that IT + cooling at full utilization meets a target

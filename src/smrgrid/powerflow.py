@@ -24,15 +24,12 @@ setpoint. Resetting it to the setpoint changes the sweep's iteration
 counts, so it is left for a change that also re-records the benchmark's
 reference iterations.
 
-The Jacobian is assembled into a fixed sparsity pattern, which depends
-only on the Y-bus and the PV/PQ partition: jacobian_pattern computes the
-CSC structure and the scatter indices, and each pattern is cached on its
-AdmittanceMatrix, so a weekly sweep on one Y-bus builds a handful of them.
-Every iteration only computes the per-entry derivative values and sums
-them into the CSC data with one bincount.
-
-The Newton step is a banded LU. Once per pattern, the unknowns are put in
-the reverse Cuthill-McKee order of the symmetrised Jacobian structure
+The Jacobian is built directly in LAPACK band storage, the form the
+Newton step solves. Its layout depends only on the Y-bus and the PV/PQ
+partition, so jacobian_pattern computes it once per partition and each
+pattern is cached on its AdmittanceMatrix: a weekly sweep on one Y-bus
+builds a handful of them. Once per pattern, the unknowns are put in the
+reverse Cuthill-McKee order of the symmetrised Jacobian structure
 (Cuthill & McKee, 1969), each component started at a George-Liu
 pseudo-peripheral node (George & Liu, 1981; Gibbs, Poole & Stockmeyer,
 SIAM J. Numer. Anal. 13(2), 1976) with every tie broken by index, so the
@@ -40,34 +37,24 @@ order depends on the structure alone. That gathers the entries into a
 band of kl sub- and ku super-diagonals: kl = ku = 24 at 181 unknowns and
 1051 entries on the shipped 118-bus case, and at most 25 on every
 partition of the benchmark's seed-0 weekly sweep, where a start at a
-least-degree node gives 38 on each. The
-slot of every CSC entry in LAPACK band storage is fixed. Each Newton loop
-owns one band buffer; every iteration zeroes it, scatters the Jacobian
-data into it and solves with LAPACK's dgbsv (Anderson et al., LAPACK
-Users' Guide, 3rd ed., 1999), which pivots partially inside the band.
-That costs O(n kl (kl + ku)) time and (2 kl + ku + 1) n doubles of
-memory, so it suits networks whose band stays narrow, as transmission
-grids of this size do; it is not meant for cases of many thousand buses.
+least-degree node gives 38 on each. The pattern maps every derivative
+term to its slot in the band, so each iteration computes the terms and
+sums them into a new band with one bincount. The step is LAPACK's dgbsv
+(Anderson et al., LAPACK Users' Guide, 3rd ed., 1999), which pivots
+partially inside the band. That costs O(n kl (kl + ku)) time and
+(2 kl + ku + 1) n doubles of memory, so it suits networks whose band
+stays narrow, as transmission grids of this size do; it is not meant for
+cases of many thousand buses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import (
-    AdmittanceMatrix,
-    NetworkCase,
-    _copy_with,
-    branch_admittances,
-    build_ybus,
-)
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .network import AdmittanceMatrix, NetworkCase, branch_admittances, build_ybus
 
 
 class SingularJacobianError(Exception):
@@ -147,8 +134,8 @@ def compute_mismatch(
     ibus, when given, is the bus current ybus.matrix @ v.
     """
     if pvpq is None or pq_idx is None:
-        pv_idx, pq_idx = _bus_partitions(case)
-        pvpq = np.union1d(pv_idx, pq_idx)
+        pq_idx = case.arrays.pq_idx
+        pvpq = np.union1d(case.arrays.pv_idx, pq_idx)
     if s_sched is None:
         s_sched = scheduled_injection(case)
     if ibus is None:
@@ -159,51 +146,31 @@ def compute_mismatch(
 
 @dataclass(frozen=True)
 class JacobianPattern:
-    """Fixed CSC structure of the Jacobian for one (Y-bus, PV/PQ partition).
+    """Band layout of the Jacobian for one (Y-bus, PV/PQ partition).
 
     Each Y-bus entry (rows, cols, y), followed by one diagonal term per bus,
     contributes a dS/dth and a dS/d|V| value. Of the stacked vector
     [dS/dth.real, dS/dth.imag, dS/d|V|.real, dS/d|V|.imag], the elements at
-    ``src`` fall inside the J11/J21/J12/J22 blocks and sum into
-    ``data[dest]`` of the CSC matrix (indices, indptr).
+    ``src`` fall inside the J11/J21/J12/J22 blocks.
 
-    For the Newton step, band row and column k hold unknown ``order[k]``;
-    in that order every entry lies within ``kl`` sub- and ``ku``
-    super-diagonals, and CSC entry i goes to ``band_slot[i]`` of a
-    band_matrix() read in Fortran order. A pattern is shared by every solve
-    on its Y-bus, threads included, so it holds no buffer that a solve
-    writes: the ``natural`` template has read-only zero data, and
-    compute_jacobian and band_matrix hand out arrays of their own.
+    Band row and column k hold unknown ``order[k]``; in that order every
+    entry lies within ``kl`` sub- and ``ku`` super-diagonals, and term
+    ``src[i]`` sums into element ``band_dest[i]`` of a LAPACK band array of
+    (2 kl + ku + 1) rows and ``dim`` columns, read in Fortran order. A
+    pattern is shared by every solve on its Y-bus, threads included; it
+    holds no buffer, and compute_jacobian hands out a new band per call.
     """
 
     rows: np.ndarray  # bus row of each Y-bus entry
     cols: np.ndarray  # bus column of each Y-bus entry
     y: np.ndarray  # Y-bus entry values
     src: np.ndarray
-    dest: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    band_dest: np.ndarray
     dim: int
     pvpq: np.ndarray  # PV+PQ bus indices, sorted: the angle unknowns
     order: np.ndarray
     kl: int
     ku: int
-    band_slot: np.ndarray
-    natural: sp.csc_matrix = field(repr=False, compare=False)
-
-    def band_matrix(self) -> np.ndarray:
-        """A new zero array in LAPACK band storage for this pattern:
-        (2 kl + ku + 1) rows, one column per unknown, Fortran order."""
-        return np.zeros((2 * self.kl + self.ku + 1, self.dim), order="F")
-
-
-def _template(indices: np.ndarray, indptr: np.ndarray) -> sp.csc_matrix:
-    import scipy.sparse as sp
-
-    dim = len(indptr) - 1
-    data = np.zeros(len(indices))
-    data.flags.writeable = False
-    return sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
@@ -224,9 +191,10 @@ def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
         levels.append(nxt)
 
 
-def _band_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Reverse Cuthill-McKee order of a square CSC structure, symmetrised:
-    the unknown at each band position.
+def _band_order(r: np.ndarray, c: np.ndarray, dim: int) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the dim x dim structure with entries
+    at (r, c), repeats allowed, symmetrised: the unknown at each band
+    position.
 
     Each connected component is numbered from a pseudo-peripheral node,
     found as George and Liu do (Computer Solution of Large Sparse Positive
@@ -236,10 +204,7 @@ def _band_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     neighbours by increasing degree. Every tie goes to the lower index, so
     the order depends on the structure alone.
     """
-    dim = len(indptr) - 1
-    cols = np.repeat(np.arange(dim), np.diff(indptr))
-    r = np.concatenate([indices, cols]).astype(np.intp)
-    c = np.concatenate([cols, indices]).astype(np.intp)
+    r, c = np.concatenate([r, c]), np.concatenate([c, r])
     edges = np.unique(r[r != c] * dim + c[r != c])  # by node, then neighbour
     bounds = np.searchsorted(edges // dim, np.arange(dim + 1)).tolist()
     nbr = (edges % dim).tolist()
@@ -270,8 +235,8 @@ def _band_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 def jacobian_pattern(
     ybus: AdmittanceMatrix, pv_idx: np.ndarray, pq_idx: np.ndarray
 ) -> JacobianPattern:
-    """Scatter indices of every Jacobian term into a fixed CSC structure,
-    and the band order and band slots of that structure."""
+    """The band order of the Jacobian's structure and the band slot of
+    every Jacobian term."""
     n = ybus.dimension
     y = ybus.matrix.tocoo()
     pvpq = np.sort(np.concatenate([pv_idx, pq_idx]))
@@ -294,15 +259,11 @@ def jacobian_pattern(
         jr.append(rr[keep])
         jc.append(cc[keep])
     jr, jc = np.concatenate(jr), np.concatenate(jc)
-    slots, dest = np.unique(jc * dim + jr, return_inverse=True)
-    indices = (slots % dim).astype(np.int32)
-    indptr = np.searchsorted(slots, dim * np.arange(dim + 1)).astype(np.int32)
-    order = _band_order(indices, indptr)
-    # Band position of each CSC entry's row and column.
+    order = _band_order(jr, jc, dim)
+    # Band position of each term's row and column.
     position = np.empty(dim, dtype=np.intp)
     position[order] = np.arange(dim)
-    br = position[indices]
-    bc = position[np.repeat(np.arange(dim), np.diff(indptr))]
+    br, bc = position[jr], position[jc]
     kl = int(np.max(br - bc, initial=0))
     ku = int(np.max(bc - br, initial=0))
     return JacobianPattern(
@@ -310,17 +271,13 @@ def jacobian_pattern(
         cols=y.col.astype(np.intp),
         y=y.data,
         src=np.concatenate(src),
-        dest=dest,
-        indices=indices,
-        indptr=indptr,
+        # Band storage keeps entry (i, j) at row kl + ku + i - j of column j.
+        band_dest=bc * (2 * kl + ku + 1) + kl + ku + br - bc,
         dim=dim,
         pvpq=pvpq,
         order=order,
         kl=kl,
         ku=ku,
-        # Band storage keeps entry (i, j) at row kl + ku + i - j of column j.
-        band_slot=bc * (2 * kl + ku + 1) + kl + ku + br - bc,
-        natural=_template(indices, indptr),
     )
 
 
@@ -339,25 +296,18 @@ def _cached_pattern(
 
 
 def compute_jacobian(
-    case: NetworkCase,
     ybus: AdmittanceMatrix,
     v: np.ndarray,
-    pv_idx: np.ndarray | None = None,
-    pq_idx: np.ndarray | None = None,
-    pattern: JacobianPattern | None = None,
+    pattern: JacobianPattern,
     ibus: np.ndarray | None = None,
-) -> sp.csc_matrix:
+) -> np.ndarray:
     """Polar-form Jacobian [dP/dth dP/dVm; dQ/dth dQ/dVm] of the computed
-    injections, row/column ordered as compute_mismatch unknowns, as CSC.
-
-    pattern, when given, is jacobian_pattern(ybus, pv_idx, pq_idx); without
-    it the pattern cached on the Y-bus for the partition is used. ibus, when
-    given, is the bus current ybus.matrix @ v.
+    injections, unknowns ordered as compute_mismatch's, in the LAPACK band
+    storage of pattern, a jacobian_pattern of ybus: a new array of
+    (2 kl + ku + 1) rows and one column per unknown, Fortran order, whose
+    row kl + ku + i - j of column j holds the entry at band position (i, j).
+    ibus, when given, is the bus current ybus.matrix @ v.
     """
-    if pattern is None:
-        if pv_idx is None or pq_idx is None:
-            pv_idx, pq_idx = _bus_partitions(case)
-        pattern = _cached_pattern(ybus, pv_idx, pq_idx)
     p = pattern
     vm = np.abs(v)
     if ibus is None:
@@ -369,15 +319,9 @@ def compute_jacobian(
     ds_dth = np.concatenate([-1j * a, 1j * v * np.conj(ibus)])
     ds_dvm = np.concatenate([a / vm[p.cols], np.conj(ibus) * v / vm])
     parts = np.concatenate([ds_dth.real, ds_dth.imag, ds_dvm.real, ds_dvm.imag])
-    data = np.bincount(p.dest, weights=parts[p.src], minlength=len(p.indices))
-    # A copy of the template skips the CSC constructor's index checks, which
-    # the template passed when it was built; they take about 25 us, a third
-    # of a Jacobian evaluation on the 118-bus case.
-    return _copy_with(p.natural, data=data)
-
-
-def _bus_partitions(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
-    return case.arrays.pv_idx, case.arrays.pq_idx
+    height = 2 * p.kl + p.ku + 1
+    band = np.bincount(p.band_dest, weights=parts[p.src], minlength=height * p.dim)
+    return band.reshape((height, p.dim), order="F")
 
 
 def _initial_voltage(case: NetworkCase, flat_start: bool) -> np.ndarray:
@@ -396,22 +340,15 @@ def _initial_voltage(case: NetworkCase, flat_start: bool) -> np.ndarray:
 
 
 def _newton_step(
-    pattern: JacobianPattern,
-    jac: sp.csc_matrix,
-    mis: np.ndarray,
-    band: np.ndarray,
-    iteration: int,
+    pattern: JacobianPattern, band: np.ndarray, mis: np.ndarray, iteration: int
 ) -> np.ndarray:
     """Solve jac @ dx = mis by banded LU in the pattern's band order.
 
-    jac has the pattern's CSC structure; band is a pattern.band_matrix(),
-    which is overwritten. Raises SingularJacobianError(iteration) when a
-    pivot is exactly zero.
+    band is jac as compute_jacobian returns it, and is overwritten. Raises
+    SingularJacobianError(iteration) when a pivot is exactly zero.
     """
     from scipy.linalg.lapack import dgbsv
 
-    band.fill(0.0)
-    band.ravel(order="F")[pattern.band_slot] = jac.data
     _, _, x, info = dgbsv(
         pattern.kl, pattern.ku, band, mis[pattern.order],
         overwrite_ab=True, overwrite_b=True,
@@ -429,21 +366,16 @@ def _newton_step(
 DIVERGENCE_FACTOR = 1e3
 
 
-def _nr_core(case, ybus, v0, opts, pv_idx=None, pq_idx=None, s_sched=None):
-    """One Newton loop for a fixed PV/PQ partition, by default the case's
-    own; s_sched defaults to scheduled_injection(case). The loop stops, not
-    converged, once the mismatch norm exceeds DIVERGENCE_FACTOR times its
-    smallest value. Returns (v, iterations, converged, final mismatch norm,
-    mismatch norms, bus current ybus.matrix @ v); v is v0 itself when the
-    loop makes no iteration."""
-    if pv_idx is None or pq_idx is None:
-        pv_idx, pq_idx = _bus_partitions(case)
-    if s_sched is None:
-        s_sched = scheduled_injection(case)
+def _nr_core(case, ybus, v0, opts, pv_idx, pq_idx, s_sched):
+    """One Newton loop for the PV/PQ partition (pv_idx, pq_idx) and the
+    scheduled injection s_sched. The loop stops, not converged, once the
+    mismatch norm exceeds DIVERGENCE_FACTOR times its smallest value.
+    Returns (v, iterations, converged, final mismatch norm, mismatch norms,
+    bus current ybus.matrix @ v); v is v0 itself when the loop makes no
+    iteration."""
     pattern = _cached_pattern(ybus, pv_idx, pq_idx)
     pvpq = pattern.pvpq
     npvpq = len(pvpq)
-    band = pattern.band_matrix()
     v = v0
     # The angles and magnitudes carry from one iteration to the next, and
     # v is rebuilt from them.
@@ -454,8 +386,8 @@ def _nr_core(case, ybus, v0, opts, pv_idx=None, pq_idx=None, s_sched=None):
     norms = [norm]
     it = 0
     while norm > opts.tol and it < opts.max_iter and norm <= DIVERGENCE_FACTOR * best:
-        jac = compute_jacobian(case, ybus, v, pv_idx, pq_idx, pattern, ibus)
-        dx = _newton_step(pattern, jac, mis, band, it)
+        band = compute_jacobian(ybus, v, pattern, ibus)
+        dx = _newton_step(pattern, band, mis, it)
         if not np.isfinite(dx).all():
             raise SingularJacobianError(it)
         th[pvpq] += dx[:npvpq]

@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import powerflow as pf
 from .datacenter import LoadProfile
-from .network import AdmittanceMatrix, BusKind, NetworkCase, build_ybus
+from .network import AdmittanceMatrix, BusKind, CaseError, NetworkCase, build_ybus
 
 
 class ScenarioError(ValueError):
@@ -72,7 +72,7 @@ class ContingencySpec:
     t_apply: float = 3.0
     duration: float = 0.1  # faults only
     rng_seed: int = 0
-    fault_admittance: complex = -1e4j
+    fault_admittance: complex = dyn.BusFault3ph.fault_admittance
     load_step_mw: float = 0.0
     load_step_mvar: float = 0.0
 
@@ -265,17 +265,28 @@ def electrical_neighborhood(case: NetworkCase, bus: int, k: int) -> set[int]:
     return set(seen)
 
 
+def _target_bus(case: NetworkCase, spec: ContingencySpec) -> int:
+    bus = int(spec.target)
+    try:
+        case.bus_index(bus)
+    except CaseError:
+        raise ScenarioError(f"{spec.kind} target bus {bus} is not in the case") from None
+    return bus
+
+
 def resolve_events(
     case: NetworkCase, cfg: Configuration, spec: ContingencySpec
 ) -> list[dyn.Event]:
     """Concrete event list for a contingency spec. Random targets draw from
     the POI's electrical neighborhood with the spec's own seed, so paired
-    runs resolve identically."""
+    runs resolve identically. An explicit target must be in the case: a
+    bus that exists, an in-service branch, or a bus with an in-service
+    generator; otherwise ScenarioError names it."""
     rng = np.random.default_rng(spec.rng_seed)
     near = sorted(electrical_neighborhood(case, cfg.dc_bus, spec.max_distance))
     if spec.kind == "bus_fault":
         if spec.target is not None:
-            bus = int(spec.target)
+            bus = _target_bus(case, spec)
         else:
             cands = [b for b in near if b != cfg.dc_bus]
             bus = int(rng.choice(cands))
@@ -285,7 +296,13 @@ def resolve_events(
         ]
     if spec.kind == "line_trip":
         if spec.target is not None:
-            f, t = spec.target
+            f, t = map(int, spec.target)
+            if not any(
+                br.status and {br.from_bus, br.to_bus} == {f, t} for br in case.branches
+            ):
+                raise ScenarioError(
+                    f"line_trip target [{f}, {t}] is not an in-service branch"
+                )
         else:
             nearset = set(near)
             cands = [
@@ -307,6 +324,10 @@ def resolve_events(
     if spec.kind == "gen_trip":
         if spec.target is not None:
             bus = int(spec.target)
+            if not any(g.status and g.bus == bus for g in case.generators):
+                raise ScenarioError(
+                    f"gen_trip target bus {bus} has no in-service generator"
+                )
         else:
             slack_id = case.buses[case.slack_index].id
             nearset = set(near)
@@ -323,7 +344,7 @@ def resolve_events(
             bus = int(rng.choice(cands))
         return [dyn.Event(spec.t_apply, dyn.GenTrip(bus))]
     # load_step
-    bus = int(spec.target) if spec.target is not None else cfg.dc_bus
+    bus = _target_bus(case, spec) if spec.target is not None else cfg.dc_bus
     return [
         dyn.Event(spec.t_apply, dyn.LoadStep(bus, spec.load_step_mw, spec.load_step_mvar))
     ]
@@ -346,13 +367,13 @@ def run_contingency(
     p_dc = float(profile.p_total[snapshot_bin])
     q_th = float(profile.q_cool[snapshot_bin])
     snap, smr_dispatch = snapshot_case(case, cfg, p_dc)
+    if events is None:
+        events = resolve_events(snap, cfg, spec)
     if ybus is None:
         ybus = build_ybus(snap)
     sol = pf.solve(snap, ybus)
     if not sol.converged:
         raise ScenarioError(f"snapshot bin {snapshot_bin} did not converge")
-    if events is None:
-        events = resolve_events(snap, cfg, spec)
     ies = None
     if cfg.kind == "with_ies":
         ies = dyn.IesUnit(
@@ -459,7 +480,9 @@ def compare(
     """Run every (contingency, snapshot) pair under both configurations with
     identical events; a failed run, including a singular snapshot power
     flow, voids only its pair, which is listed in `failed` with its
-    exception type."""
+    exception type. jobs is the number of pairs run at once, at least 1."""
+    if jobs < 1:
+        raise ScenarioError(f"jobs must be >= 1, got {jobs}")
     if not specs:
         raise ScenarioError("no contingency specs")
     if ies_config.kind != "with_ies":

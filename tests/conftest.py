@@ -1,6 +1,7 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import strategies as st
 
 ACCEPTANCE_LINES: list[str] = []
@@ -26,6 +27,7 @@ from smrgrid.network import (
     NetworkCase,
     load_ieee118,
 )
+from smrgrid.powerflow import jacobian_pattern
 
 
 def week_profile(seed: int, n_bins: int = 2016) -> LoadProfile:
@@ -51,11 +53,45 @@ def case118() -> NetworkCase:
     return load_ieee118()
 
 
-def zero_valued(jac: sp.csc_matrix) -> sp.csc_matrix:
-    """A singular Jacobian: jac's CSC structure with every value zero."""
-    return sp.csc_matrix(
-        (np.zeros_like(jac.data), jac.indices, jac.indptr), shape=jac.shape
-    )
+def zero_valued(band: np.ndarray) -> np.ndarray:
+    """A singular Jacobian: a band of band's shape and order, all zero."""
+    return np.zeros_like(band)
+
+
+def band_to_dense(pattern, band: np.ndarray) -> np.ndarray:
+    """The Jacobian held in `band`, compute_jacobian's LAPACK band storage
+    for `pattern`, as a dense matrix with its unknowns in natural order.
+    Fails if the band is not (2 kl + ku + 1) x dim or if anything sits in
+    the band array outside the kl sub- and ku super-diagonals."""
+    n, kl, ku = pattern.dim, pattern.kl, pattern.ku
+    assert band.shape == (2 * kl + ku + 1, n)
+    dense = np.zeros((n, n))  # rows and columns in band order
+    held = np.zeros(band.shape, dtype=bool)
+    for j in range(n):
+        i = np.arange(max(0, j - ku), min(n, j + kl + 1))
+        dense[i, j] = band[kl + ku + i - j, j]
+        held[kl + ku + i - j, j] = True
+    assert not band[~held].any(), "values outside the band"
+    natural = np.empty_like(dense)
+    natural[np.ix_(pattern.order, pattern.order)] = dense
+    return natural
+
+
+def assert_cached_patterns_fresh(ybus) -> None:
+    """Every Jacobian pattern cached on ybus equals a fresh jacobian_pattern
+    build for its partition, field by field and array for array."""
+    assert ybus.jacobian_patterns
+    for (pv_bytes, pq_bytes), pattern in ybus.jacobian_patterns.items():
+        pv_idx = np.frombuffer(pv_bytes, dtype=np.intp)
+        pq_idx = np.frombuffer(pq_bytes, dtype=np.intp)
+        fresh = jacobian_pattern(ybus, pv_idx, pq_idx)
+        for f in fields(pattern):
+            got, want = getattr(pattern, f.name), getattr(fresh, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, f.name
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
+            else:
+                assert got == want, f.name
 
 
 def make_two_bus(p_load=0.5, q_load=0.2, x=0.1, r=0.0, mva_base=100.0) -> NetworkCase:

@@ -171,6 +171,26 @@ class TestCompare:
         err = json.loads((workdir / "out/error.json").read_text())
         assert "ies" in err["message"]
 
+    @pytest.mark.parametrize("flags, env, config_jobs, jobs", [
+        (["--jobs", "0"], {}, None, 0),
+        (["--jobs", "-2"], {}, None, -2),
+        ([], {"SMRGRID_JOBS": "0"}, None, 0),
+        ([], {}, 0, 0),
+    ], ids=["flag-0", "flag-minus-2", "env-0", "config-0"])
+    def test_jobs_below_one_rejected(
+        self, workdir, monkeypatch, capsys, flags, env, config_jobs, jobs
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if config_jobs is not None:
+            cfg = json.loads((workdir / "config.json").read_text())
+            cfg["jobs"] = config_jobs
+            (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, *flags, "compare") == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ScenarioError", "message": f"jobs must be >= 1, got {jobs}"}
+
 
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from smrgrid import powerflow as pf
 from smrgrid import scenario as sc
@@ -21,7 +20,6 @@ from smrgrid.powerflow import (
     DIVERGENCE_FACTOR,
     PowerFlowOptions,
     SingularJacobianError,
-    _bus_partitions,
     _cached_pattern,
     _initial_voltage,
     _newton_step,
@@ -35,7 +33,14 @@ from smrgrid.powerflow import (
     total_losses,
 )
 
-from conftest import make_two_bus, two_bus_exact_voltage, week_profile, zero_valued
+from conftest import (
+    assert_cached_patterns_fresh,
+    band_to_dense,
+    make_two_bus,
+    two_bus_exact_voltage,
+    week_profile,
+    zero_valued,
+)
 
 
 def finite_difference_jacobian(case, ybus, v, eps=1e-7):
@@ -44,7 +49,7 @@ def finite_difference_jacobian(case, ybus, v, eps=1e-7):
     compute_mismatch returns scheduled - computed, so its derivative is the
     negated Jacobian of the computed injections.
     """
-    pv_idx, pq_idx = _bus_partitions(case)
+    pv_idx, pq_idx = case.arrays.pv_idx, case.arrays.pq_idx
     pvpq = np.sort(np.concatenate([pv_idx, pq_idx]))
     th0 = np.angle(v)
     vm0 = np.abs(v)
@@ -68,6 +73,29 @@ def finite_difference_jacobian(case, ybus, v, eps=1e-7):
         lo = mism(th0, vm)
         cols.append(-(hi - lo) / (2 * eps))
     return np.column_stack(cols)
+
+
+def dense_jacobian(case, ybus, v):
+    """compute_jacobian on the case's own partition, read back from the
+    band into natural order."""
+    pattern = jacobian_pattern(ybus, case.arrays.pv_idx, case.arrays.pq_idx)
+    return band_to_dense(pattern, compute_jacobian(ybus, v, pattern))
+
+
+def dense_oracle_jacobian(ybus, v, pv_idx, pq_idx):
+    """The same Jacobian from dense matrix products, as MATPOWER's dSbus_dV
+    forms it (Zimmerman, Murillo-Sanchez & Thomas, IEEE Trans. Power Syst.
+    26(1), 2011): dS/dth = j diag(V) conj(diag(I) - Y diag(V)) and
+    dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|)."""
+    y = ybus.dense()
+    i = y @ v
+    d_th = 1j * np.diag(v) @ np.conj(np.diag(i) - y @ np.diag(v))
+    d_vm = np.diag(v) @ np.conj(y @ np.diag(v / abs(v))) + np.diag(np.conj(i) * v / abs(v))
+    pvpq = np.sort(np.concatenate([pv_idx, pq_idx]))
+    return np.block([
+        [d_th.real[np.ix_(pvpq, pvpq)], d_vm.real[np.ix_(pvpq, pq_idx)]],
+        [d_th.imag[np.ix_(pq_idx, pvpq)], d_vm.imag[np.ix_(pq_idx, pq_idx)]],
+    ])
 
 
 def q_limits_by_bus(case):
@@ -121,14 +149,14 @@ class TestJacobian:
             case = replace(case, branches=(replace(case.branches[0], tap=tap),))
             ybus = build_ybus(case)
             v = np.array([1.0 + 0j, 0.97 * np.exp(-0.06j)])
-            jac = compute_jacobian(case, ybus, v).toarray()
+            jac = dense_jacobian(case, ybus, v)
             fd = finite_difference_jacobian(case, ybus, v)
             assert np.max(np.abs(jac - fd)) < 1e-6
 
     def test_118_bus_flat_start_matches_finite_differences(self, case118):
         ybus = build_ybus(case118)
         v = np.ones(case118.n_bus, dtype=complex)
-        jac = compute_jacobian(case118, ybus, v).toarray()
+        jac = dense_jacobian(case118, ybus, v)
         fd = finite_difference_jacobian(case118, ybus, v)
         assert np.max(np.abs(jac - fd)) < 1e-5
 
@@ -142,15 +170,18 @@ class TestJacobian:
         for bid in sol.q_limited_buses:
             q_limited = q_limited.with_bus(replace(q_limited.bus(bid), kind=BusKind.PQ))
         for case in (case118, q_limited):
-            jac = compute_jacobian(case, ybus, sol.v)
-            assert jac.format == "csc"
+            pattern = jacobian_pattern(ybus, case.arrays.pv_idx, case.arrays.pq_idx)
+            band = compute_jacobian(ybus, sol.v, pattern)
+            # LAPACK band storage that dgbsv takes without a copy.
+            assert band.shape == (2 * pattern.kl + pattern.ku + 1, pattern.dim)
+            assert band.dtype == np.float64 and band.flags.f_contiguous
             fd = finite_difference_jacobian(case, ybus, sol.v)
-            assert np.max(np.abs(jac.toarray() - fd)) < 1e-5
+            assert np.max(np.abs(band_to_dense(pattern, band) - fd)) < 1e-5
 
     def test_lossless_line_decoupled_at_flat_start(self):
         case = make_two_bus(r=0.0)
         ybus = build_ybus(case)
-        jac = compute_jacobian(case, ybus, np.ones(2, dtype=complex)).toarray()
+        jac = dense_jacobian(case, ybus, np.ones(2, dtype=complex))
         # unknowns: [theta_2, vm_2]; dP/dV and dQ/dtheta cross terms vanish
         assert abs(jac[0, 1]) < 1e-12
         assert abs(jac[1, 0]) < 1e-12
@@ -282,17 +313,18 @@ def sweep_ybus(case118):
 
 def q_limited_partition(case, sol):
     """The base PV/PQ partition with sol's Q-limited buses moved to PQ."""
-    pv_idx, pq_idx = _bus_partitions(case)
+    pv_idx, pq_idx = case.arrays.pv_idx, case.arrays.pq_idx
     lim = [case.bus_index(b) for b in sol.q_limited_buses]
     return np.setdiff1d(pv_idx, lim), np.union1d(pq_idx, lim)
 
 
 def newton_step_error(case, ybus, pattern, pv_idx, pq_idx, v):
     """Relative difference of the banded Newton step from a dense solve."""
-    jac = compute_jacobian(case, ybus, v, pv_idx, pq_idx, pattern)
+    band = compute_jacobian(ybus, v, pattern)
+    jac = band_to_dense(pattern, band)  # before the step overwrites band
     mis = compute_mismatch(case, ybus, v, pattern.pvpq, pq_idx)
-    dx = _newton_step(pattern, jac, mis, pattern.band_matrix(), 0)
-    ref = np.linalg.solve(jac.toarray(), mis)
+    dx = _newton_step(pattern, band, mis, 0)
+    ref = np.linalg.solve(jac, mis)
     return np.max(np.abs(dx - ref)) / np.max(np.abs(ref))
 
 
@@ -307,9 +339,10 @@ class TestColumnOrdering:
     def test_band_holds_the_reordered_jacobian(self, case118):
         ybus = build_ybus(case118)
         sol = solve(case118, ybus)
-        pv_idx, pq_idx = _bus_partitions(case118)
+        pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
         pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
-        assert (pattern.dim, len(pattern.indices)) == (181, 1051)
+        # 1051 structural entries, each with a band slot of its own.
+        assert (pattern.dim, len(np.unique(pattern.band_dest))) == (181, 1051)
         # scipy's reverse Cuthill-McKee, started at a least-degree node,
         # gives 38 here.
         assert (pattern.kl, pattern.ku) == (24, 24)
@@ -318,18 +351,15 @@ class TestColumnOrdering:
         # Y-bus of its own, gives the same one.
         again = jacobian_pattern(build_ybus(case118), pv_idx, pq_idx)
         np.testing.assert_array_equal(again.order, pattern.order)
-        jac = compute_jacobian(case118, ybus, sol.v, pv_idx, pq_idx, pattern)
-        # Read the band back into a dense matrix: it must be the Jacobian
-        # with rows and columns in band order, nothing outside the band.
-        band = pattern.band_matrix()
-        band.ravel(order="F")[pattern.band_slot] = jac.data
-        n, kl, ku = pattern.dim, pattern.kl, pattern.ku
-        dense = np.zeros((n, n))
-        for j in range(n):
-            i = np.arange(max(0, j - ku), min(n, j + kl + 1))
-            dense[i, j] = band[kl + ku + i - j, j]
-        order = pattern.order
-        np.testing.assert_array_equal(dense, jac.toarray()[np.ix_(order, order)])
+        # Read back, the band must be the Jacobian with rows and columns in
+        # band order and nothing outside the band, and match a dense build.
+        # At the solution every one of its 1051 slots holds a nonzero; at
+        # flat start, lines without resistance give exact zeros.
+        for v in (np.ones(case118.n_bus, dtype=complex), sol.v):
+            jac = band_to_dense(pattern, compute_jacobian(ybus, v, pattern))
+            oracle = dense_oracle_jacobian(ybus, v, pv_idx, pq_idx)
+            assert np.max(np.abs(jac - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert np.count_nonzero(jac) == 1051
 
     def test_newton_step_matches_dense_solve(self, case118, sweep_ybus):
         # Every partition a sweep met, the Q-limited partition of the base
@@ -343,7 +373,9 @@ class TestColumnOrdering:
         assert len(cases) > 1
         cases.append((case118, sweep_ybus) + q_limited_partition(case118, sol))
         tripped = tripped_first_branch(case118)
-        cases.append((tripped, build_ybus(tripped)) + _bus_partitions(tripped))
+        cases.append(
+            (tripped, build_ybus(tripped), tripped.arrays.pv_idx, tripped.arrays.pq_idx)
+        )
         rng = np.random.default_rng(3)
         points = [np.ones(case118.n_bus, dtype=complex), sol.v] + [
             sol.v * (1 + 0.05 * rng.standard_normal(case118.n_bus))
@@ -379,11 +411,19 @@ class TestColumnOrdering:
         rng = np.random.default_rng(5)
         label = rng.permutation(17)
         edges = [(k, k + 1) for k in range(9)] + [(k, k + 1) for k in range(10, 16)]
-        rows = [label[a] for a, b in edges] + [label[b] for a, b in edges]
-        cols = [label[b] for a, b in edges] + [label[a] for a, b in edges]
-        structure = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(17, 17))
-        order = pf._band_order(structure.indices, structure.indptr)
+        rows = np.array([label[a] for a, b in edges] + [label[b] for a, b in edges])
+        cols = np.array([label[b] for a, b in edges] + [label[a] for a, b in edges])
+        order = pf._band_order(rows, cols, 17)
         np.testing.assert_array_equal(np.sort(order), np.arange(17))
+        # Diagonal entries, repeated entries, one triangle only, and the
+        # entries in another order leave the order as it is.
+        diag = np.arange(17)
+        k = rng.permutation(len(edges))
+        for r, c in (
+            (np.concatenate([rows, rows, diag]), np.concatenate([cols, cols, diag])),
+            (rows[: len(edges)][k], cols[: len(edges)][k]),
+        ):
+            np.testing.assert_array_equal(pf._band_order(r, c, 17), order)
         position = np.empty(17, dtype=np.intp)
         position[order] = np.arange(17)
         assert np.max(np.abs(position[rows] - position[cols])) == 1
@@ -408,14 +448,11 @@ class TestColumnOrdering:
         ybus = build_ybus(case118)
         tripped = tripped_first_branch(case118)
         ybus_tripped = build_ybus(tripped)
-        pv_idx, pq_idx = _bus_partitions(case118)
+        pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
         base = _cached_pattern(ybus, pv_idx, pq_idx)
         own = _cached_pattern(ybus_tripped, pv_idx, pq_idx)
-        assert len(own.indices) < len(base.indices)
-        fresh = jacobian_pattern(ybus_tripped, pv_idx, pq_idx)
-        assert (own.kl, own.ku) == (fresh.kl, fresh.ku)
-        for name in ("order", "band_slot"):
-            np.testing.assert_array_equal(getattr(own, name), getattr(fresh, name))
+        assert len(np.unique(own.band_dest)) < len(np.unique(base.band_dest))
+        assert_cached_patterns_fresh(ybus_tripped)  # holds `own` alone
         sol = solve(tripped, ybus_tripped)
         assert sol.converged
         for v in (np.ones(case118.n_bus, dtype=complex), sol.v):
@@ -424,7 +461,8 @@ class TestColumnOrdering:
     def test_threads_share_patterns(self, case118):
         # compare solves on a thread pool, and every solve on one Y-bus
         # shares its cached patterns; each Newton loop writes only its own
-        # matrices, so concurrent solves equal serial ones bit for bit.
+        # bands, so concurrent solves equal serial ones bit for bit, and
+        # every shared pattern is left as a fresh build makes it.
         snaps = [apply_snapshot(case118, 25, p, 0.2 * p) for p in (0.0, 60.0, 250.0, 400.0)]
         serial = [solve(s, build_ybus(s)).v for s in snaps]
         shared = build_ybus(case118)
@@ -438,33 +476,31 @@ class TestColumnOrdering:
             sys.setswitchinterval(interval)
         for k, sol in enumerate(results):
             np.testing.assert_array_equal(sol.v, serial[k % len(snaps)])
-        assert all(
-            not p.natural.data.flags.writeable and not p.natural.data.any()
-            for p in shared.jacobian_patterns.values()
-        )
+        assert_cached_patterns_fresh(shared)
 
     def test_exactly_singular_step_raises(self, case118):
         # One zero column stays exactly zero through the elimination, so
         # its pivot is exactly zero whatever the row exchanges.
         ybus = build_ybus(case118)
         sol = solve(case118, ybus)
-        pv_idx, pq_idx = _bus_partitions(case118)
+        pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
         pattern = _cached_pattern(ybus, pv_idx, pq_idx)
-        jac = compute_jacobian(case118, ybus, sol.v, pv_idx, pq_idx, pattern)
+        band = compute_jacobian(ybus, sol.v, pattern)
         mis = compute_mismatch(case118, ybus, sol.v * 1.01, pattern.pvpq, pq_idx)
         k = pattern.dim // 2
-        jac.data[jac.indptr[k]:jac.indptr[k + 1]] = 0.0
+        assert band[:, k].any()
+        band[:, k] = 0.0
         with pytest.raises(SingularJacobianError) as exc:
-            _newton_step(pattern, jac, mis, pattern.band_matrix(), 5)
+            _newton_step(pattern, band, mis, 5)
         assert exc.value.iteration == 5
 
     def test_one_bus_case_has_no_unknowns(self):
         case = one_bus_case(p_load=0.0)
         ybus = build_ybus(case)
-        pattern = jacobian_pattern(ybus, *_bus_partitions(case))
+        pattern = jacobian_pattern(ybus, case.arrays.pv_idx, case.arrays.pq_idx)
         assert pattern.dim == 0 and len(pattern.order) == 0
         assert (pattern.kl, pattern.ku) == (0, 0)
-        assert pattern.band_matrix().shape == (1, 0)
+        assert compute_jacobian(ybus, np.ones(1, dtype=complex), pattern).shape == (1, 0)
         sol = solve(case, ybus)
         assert sol.converged and sol.iterations == 0
 
@@ -553,7 +589,10 @@ class TestQLimits:
         vset = {g.bus: g.v_set for g in case.generators if g.status}
         work, pinned, released, total = case, {}, set(), 0
         for _ in range(case.n_bus + 1):
-            v, it, ok, _, _, _ = _nr_core(work, ybus, v, opts)
+            v, it, ok, _, _, _ = _nr_core(
+                work, ybus, v, opts, work.arrays.pv_idx, work.arrays.pq_idx,
+                scheduled_injection(work),
+            )
             total += it
             assert ok
             q_gen = (v * np.conj(ybus.matrix @ v)).imag
@@ -608,6 +647,50 @@ class TestQLimits:
         )
         assert np.max(np.abs(sol.v - v)) <= 1e-10
         assert sol.iterations == iterations
+
+
+def relabelled(case, seed):
+    """case with new random bus ids, its buses and its branches each in a
+    random order; returns the case and the map old id -> new id."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(np.arange(1, 10 * case.n_bus), case.n_bus, replace=False)
+    new_id = {b.id: int(i) for b, i in zip(case.buses, ids)}
+    buses = [replace(b, id=new_id[b.id]) for b in case.buses]
+    branches = [
+        replace(br, from_bus=new_id[br.from_bus], to_bus=new_id[br.to_bus])
+        for br in case.branches
+    ]
+    return NetworkCase(
+        case.system_mva_base,
+        tuple(buses[k] for k in rng.permutation(len(buses))),
+        tuple(branches[k] for k in rng.permutation(len(branches))),
+        tuple(replace(g, bus=new_id[g.bus]) for g in case.generators),
+    ), new_id
+
+
+class TestMetamorphic:
+    """Relations between solves that need no reference solution (Chen,
+    Cheung & Yiu, HKUST-CS98-01, 1998)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p_dc_mw", [0.0, 250.0])
+    def test_relabelled_case_has_the_same_solution(self, case118, seed, p_dc_mw):
+        # Renumbering and reordering the buses and reordering the branches
+        # permutes the unknowns, so the band order and its pattern change;
+        # the solution must not.
+        snap = apply_snapshot(case118, 25, p_dc_mw, 0.2 * p_dc_mw)
+        other, new_id = relabelled(snap, seed)
+        assert [b.id for b in other.buses] != [new_id[b.id] for b in snap.buses]
+        want, got = solve(snap), solve(other)
+        assert want.converged and got.converged and want.q_limited_buses
+        back = [other.bus_index(new_id[b.id]) for b in snap.buses]
+        assert np.max(np.abs(got.v[back] - want.v)) <= 1e-9
+        assert set(got.q_limited_buses) == {new_id[b] for b in want.q_limited_buses}
+
+    def test_shipped_ybus_is_symmetric(self, case118):
+        # Taps are real and no branch shifts phase, so Y = Y^T exactly.
+        y = build_ybus(case118).dense()
+        np.testing.assert_array_equal(y, y.T)
 
 
 class TestApplySnapshot:

@@ -31,7 +31,7 @@ from smrgrid.scenario import (
     snapshot_sweep,
 )
 
-from conftest import make_two_bus, week_profile, zero_valued
+from conftest import assert_cached_patterns_fresh, make_two_bus, week_profile, zero_valued
 
 
 def synthetic_result(freq, v=None, dt=0.005, bus=25):
@@ -208,24 +208,10 @@ class TestSnapshot:
         )
         assert np.all(sweep.converged)
         (ybus,) = built
-        cached = ybus.jacobian_patterns
         # More than one partition occurs, and far fewer patterns than
         # Newton loops are built.
-        assert 1 < len(cached) < len(profile)
-        for (pv_bytes, pq_bytes), pattern in cached.items():
-            pv_idx = np.frombuffer(pv_bytes, dtype=np.intp)
-            pq_idx = np.frombuffer(pq_bytes, dtype=np.intp)
-            fresh = pf.jacobian_pattern(ybus, pv_idx, pq_idx)
-            assert (pattern.dim, pattern.kl, pattern.ku) == (fresh.dim, fresh.kl, fresh.ku)
-            for name in (
-                "rows", "cols", "y", "src", "dest", "indices", "indptr",
-                "pvpq", "order", "band_slot",
-            ):
-                np.testing.assert_array_equal(getattr(pattern, name), getattr(fresh, name))
-            for part in ("indices", "indptr"):
-                np.testing.assert_array_equal(
-                    getattr(pattern.natural, part), getattr(fresh.natural, part)
-                )
+        assert 1 < len(ybus.jacobian_patterns) < len(profile)
+        assert_cached_patterns_fresh(ybus)
 
     def test_ies_netting_relieves_the_grid(self, case118, small_profile):
         base = solve(case118)
@@ -285,6 +271,18 @@ class TestResolveEvents:
             spec = ContingencySpec(kind="gen_trip", rng_seed=seed, max_distance=4)
             (event,) = resolve_events(case118, ies_config, spec)
             assert event.kind.bus not in (25, slack_id)
+
+    @pytest.mark.parametrize("kind, target, message", [
+        ("gen_trip", 2, "gen_trip target bus 2 has no in-service generator"),
+        ("line_trip", (1, 118), r"line_trip target \[1, 118\] is not an in-service branch"),
+    ])
+    def test_explicit_target_must_be_in_the_case(
+        self, case118, ies_config, kind, target, message
+    ):
+        # Buses that exist, but no generator at bus 2 and no branch 1-118.
+        spec = ContingencySpec(kind=kind, target=target)
+        with pytest.raises(ScenarioError, match=message):
+            resolve_events(case118, ies_config, spec)
 
     def test_line_trip_targets_near_poi(self, case118, ies_config):
         spec = ContingencySpec(kind="line_trip", rng_seed=5)
@@ -513,6 +511,36 @@ class TestCompare:
             "error_type": "SingularJacobianError",
         }]
         assert rep.aggregate()["failed"] == 1
+
+    @pytest.mark.parametrize("kind, target, message", [
+        ("bus_fault", 999, "bus_fault target bus 999 is not in the case"),
+        ("load_step", 999, "load_step target bus 999 is not in the case"),
+        ("line_trip", (25, 999), "line_trip target [25, 999] is not an in-service branch"),
+        ("gen_trip", 999, "gen_trip target bus 999 has no in-service generator"),
+    ])
+    def test_unknown_target_voids_only_its_pair(
+        self, case118, small_profile, ies_config, monkeypatch, kind, target, message
+    ):
+        # The bad pair fails as it resolves its events, before any power
+        # flow; the good pair's two runs make the only two solves.
+        solves = []
+        real = pf.solve
+        monkeypatch.setattr(pf, "solve", lambda *a, **k: solves.append(1) or real(*a, **k))
+        bad = ContingencySpec(kind=kind, target=target, rng_seed=4)
+        good = ContingencySpec(kind="load_step", load_step_mw=10.0, rng_seed=5)
+        rep = compare(
+            case118, small_profile, [bad, good],
+            dyn.SimConfig(dt=0.005, t_end=4.0, monitor_buses=(25,)),
+            ies_config, snapshot_selector=("max",),
+        )
+        b = select_snapshot_bins(small_profile, ("max",))[0]
+        assert [p.scenario_id for p in rep.pairs] == [f"load_step_s5_bin{b}"]
+        assert rep.failed == [{
+            "scenario": f"{kind}_s4_bin{b}",
+            "error": message,
+            "error_type": "ScenarioError",
+        }]
+        assert len(solves) == 2
 
     def test_requires_ies_configuration(self, case118, small_profile):
         with pytest.raises(ScenarioError):
