@@ -418,20 +418,13 @@ def build_profile(
     trace: UtilizationTrace,
     it: ItPowerParams,
     chiller: ChillerParams = DEFAULT_CHILLER,
-    ambient: AmbientConditions | Sequence[AmbientConditions] = AmbientConditions(),
+    ambient: AmbientConditions = AmbientConditions(),
     t_start: float = 0.0,
 ) -> LoadProfile:
     """End-to-end profile: IT power per bin, unity heat rejection into the
-    chiller bank, staged cooling draw. `ambient` is one condition for every
-    bin or one per bin."""
+    chiller bank, staged cooling draw. Each field of `ambient` holds one
+    value for every bin or an array with one value per bin."""
     n = len(trace.u)
-    if not isinstance(ambient, AmbientConditions):
-        if len(ambient) != n:
-            raise ValueError("ambient series length mismatch")
-        t_amb, phi_amb, t_rw = np.array(
-            [(a.t_amb, a.phi_amb, a.t_rw) for a in ambient], dtype=float
-        ).reshape(-1, 3).T
-        ambient = AmbientConditions(t_amb=t_amb, phi_amb=phi_amb, t_rw=t_rw)
     p_it = it_power(trace.u, it)
     q_cool = p_it.copy()  # every IT watt rejected as heat
     n_ch, p_th = staging_and_thermal(q_cool, ambient, chiller)
@@ -450,14 +443,15 @@ def calibrate_it_capacity(
     tol: float = 1e-6,
 ) -> ItPowerParams:
     """IT capacity such that IT + cooling at full utilization meets a target
-    total peak (bisection on p_max)."""
+    total peak (bisection on p_max). The total is at least p_max, so the
+    target itself bounds the search; a target beyond the chiller bank's
+    capacity fails as staging_and_thermal does."""
     def total(p_max):
         _, p_th = staging_and_thermal(p_max, ambient, chiller)
         return p_max + p_th
 
     lo, hi = 1e-3, target_total_peak_mw
-    if total(hi) < target_total_peak_mw:
-        raise ValueError("target peak exceeds plant capability")
+    total(hi)  # raises when the bank cannot cool the target
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if total(mid) < target_total_peak_mw:
@@ -494,19 +488,30 @@ def read_tasks_csv(path: str | Path) -> TaskTable:
             ))
         except (ValueError, TraceError) as exc:
             raise TraceError(
-                _bad_line(path, lambda row: _task_record(row, cols)) or f"{path}: {exc}"
+                _bad_line(path, lambda row: _task_record(row, cols), exc)
             ) from exc
 
 
 def _task_record(row: list[str], cols: list[int]) -> TaskRecord:
+    """The task in a CSV row, its fields read as np.loadtxt reads them."""
     if len(row) <= max(cols):
         raise TraceError(f"expected {max(cols) + 1} fields, got {len(row)}")
-    return TaskRecord(*(float(row[c]) for c in cols))
+    return TaskRecord(*(_loadtxt_float(row[c]) for c in cols))
 
 
-def _bad_line(path: str | Path, check) -> str | None:
-    """`path:line: reason` for the first data row on which check(row) raises;
-    the bulk parsers do not report lines reliably."""
+def _loadtxt_float(field: str) -> float:
+    """float(field) in np.loadtxt's grammar, which also refuses digit
+    separators ("1_000") and non-ASCII digits."""
+    text = field.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(text)
+
+
+def _bad_line(path: str | Path, check, exc: Exception) -> str:
+    """`path:line: reason` for the first data row on which check(row) raises,
+    which the bulk parsers do not report reliably; `path: exc`, the bulk
+    parser's own error, when no row does."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -515,9 +520,9 @@ def _bad_line(path: str | Path, check) -> str | None:
                 continue
             try:
                 check(row)
-            except (ValueError, TraceError) as exc:
-                return f"{path}:{reader.line_num}: {exc}"
-    return None
+            except (ValueError, TraceError) as row_exc:
+                return f"{path}:{reader.line_num}: {row_exc}"
+    return f"{path}: {exc}"
 
 
 _EVENT_COLUMNS = ("t_s", "kind", "machine_id", "capacity")
@@ -538,8 +543,7 @@ def read_machine_events_csv(path: str | Path) -> MachineEventTable:
             return _event_table(reader, cols)
         except (ValueError, TraceError) as exc:
             raise TraceError(
-                _bad_line(path, lambda row: _event_table([row], cols))
-                or f"{path}: {exc}"
+                _bad_line(path, lambda row: _event_table([row], cols), exc)
             ) from exc
 
 

@@ -663,7 +663,6 @@ def run_transient(
     ies_states = np.empty((n_steps + 1, 5))
     event_log: list[dict] = []
 
-    smr_ramp_max = 0.0
     ev_i = 0
     alpha_f = dt / cfg.freq_filter_tc
 
@@ -724,7 +723,6 @@ def run_transient(
             target = min(max(target, 0.0), 1.0)
             valve_cmd = valve_cmd + a_act * (target - valve_cmd)
             p_cmd = apply_load_limiter(valve_cmd, p_mech_cmd, smr.ramp_limit, dt)
-            smr_ramp_max = max(smr_ramp_max, abs(p_cmd - p_mech_cmd) / dt)
             p_mech_cmd = p_cmd
             # The steam path is a declared identity: the HP/LP flows that
             # smr_flows_from_power gives turbine_mechanical_power p_cmd back.
@@ -740,10 +738,12 @@ def run_transient(
 
     max_drift = float(max((x_hi - x0).max(initial=0.0), (x0 - x_lo).max(initial=0.0)))
     smr_series = bess_series = None
+    smr_ramp_max = 0.0
     if ies is not None:
         max_drift = max(max_drift, float(np.abs(ies_states - ies_states[0]).max()))
         smr_series = ies_states[:, 2] * sbase
         bess_series = ies_states[:, 1] * bess.p_rating
+        smr_ramp_max = float(np.abs(np.diff(ies_states[:, 4])).max(initial=0.0)) / dt
     v_hist = v_hist.view(complex)
     return TransientResult(
         t=t_grid,

@@ -406,10 +406,8 @@ def _json_kind(hint, plural: bool = False) -> str:
             items = get_args(arm)
             if items[-1] is Ellipsis:
                 what = _json_kind(items[0], True)
-            elif len(set(items)) == 1:
+            else:  # every fixed-length tuple of the records is homogeneous
                 what = f"{len(items)} {_json_kind(items[0], True)}"
-            else:
-                what = f"{len(items)} items"
             kinds.append(f"{'arrays' if plural else 'an array'} of {what}")
         else:
             kinds.append(_PLAIN_KINDS[arm][plural])

@@ -116,30 +116,20 @@ def scheduled_injection(
 
 
 def compute_mismatch(
-    case: NetworkCase,
-    ybus: AdmittanceMatrix,
     v: np.ndarray,
-    pvpq: np.ndarray | None = None,
-    pq_idx: np.ndarray | None = None,
-    s_sched: np.ndarray | None = None,
-    ibus: np.ndarray | None = None,
+    ibus: np.ndarray,
+    s_sched: np.ndarray,
+    pvpq: np.ndarray,
+    pq_idx: np.ndarray,
 ) -> np.ndarray:
-    """Power mismatch [dP at PV+PQ buses; dQ at PQ buses] in bus order, pu.
+    """Power mismatch [dP at pvpq; dQ at pq_idx] in bus order, pu.
 
     dP/dQ = scheduled minus computed injection, so at flat start with a pure
-    load the mismatch equals the negated load. pvpq, the PV and PQ bus
-    indices in ascending order (a pattern's ``pvpq``), and pq_idx default
-    to the case's own partition. s_sched, when given, is
-    scheduled_injection(case), hoisted by callers that hold the case fixed;
-    ibus, when given, is the bus current ybus.matrix @ v.
+    load the mismatch equals the negated load. ibus is the bus current
+    ybus.matrix @ v, s_sched the scheduled injection (scheduled_injection),
+    pvpq the PV and PQ bus indices in ascending order (a pattern's
+    ``pvpq``) and pq_idx the PQ bus indices.
     """
-    if pvpq is None or pq_idx is None:
-        pq_idx = case.arrays.pq_idx
-        pvpq = np.union1d(case.arrays.pv_idx, pq_idx)
-    if s_sched is None:
-        s_sched = scheduled_injection(case)
-    if ibus is None:
-        ibus = ybus.matrix @ v
     ds = s_sched - v * np.conj(ibus)
     return np.concatenate([ds[pvpq].real, ds[pq_idx].imag])
 
@@ -296,22 +286,17 @@ def _cached_pattern(
 
 
 def compute_jacobian(
-    ybus: AdmittanceMatrix,
-    v: np.ndarray,
-    pattern: JacobianPattern,
-    ibus: np.ndarray | None = None,
+    v: np.ndarray, pattern: JacobianPattern, ibus: np.ndarray
 ) -> np.ndarray:
     """Polar-form Jacobian [dP/dth dP/dVm; dQ/dth dQ/dVm] of the computed
     injections, unknowns ordered as compute_mismatch's, in the LAPACK band
-    storage of pattern, a jacobian_pattern of ybus: a new array of
+    storage of pattern, a jacobian_pattern of the Y-bus: a new array of
     (2 kl + ku + 1) rows and one column per unknown, Fortran order, whose
     row kl + ku + i - j of column j holds the entry at band position (i, j).
-    ibus, when given, is the bus current ybus.matrix @ v.
+    ibus is the bus current ybus.matrix @ v.
     """
     p = pattern
     vm = np.abs(v)
-    if ibus is None:
-        ibus = ybus.matrix @ v
     # Y-bus entry (r, c): dS_r/dth_c = -j V_r conj(y V_c) and
     # dS_r/d|V_c| = V_r conj(y V_c) / |V_c|; plus the bus diagonal terms
     # j V conj(I) and conj(I) V / |V|.
@@ -366,7 +351,7 @@ def _newton_step(
 DIVERGENCE_FACTOR = 1e3
 
 
-def _nr_core(case, ybus, v0, opts, pv_idx, pq_idx, s_sched):
+def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched):
     """One Newton loop for the PV/PQ partition (pv_idx, pq_idx) and the
     scheduled injection s_sched. The loop stops, not converged, once the
     mismatch norm exceeds DIVERGENCE_FACTOR times its smallest value.
@@ -381,12 +366,12 @@ def _nr_core(case, ybus, v0, opts, pv_idx, pq_idx, s_sched):
     # v is rebuilt from them.
     th, vm = np.angle(v), np.abs(v)
     ibus = ybus.matrix @ v
-    mis = compute_mismatch(case, ybus, v, pvpq, pq_idx, s_sched, ibus)
+    mis = compute_mismatch(v, ibus, s_sched, pvpq, pq_idx)
     norm = best = np.abs(mis).max() if mis.size else 0.0
     norms = [norm]
     it = 0
     while norm > opts.tol and it < opts.max_iter and norm <= DIVERGENCE_FACTOR * best:
-        band = compute_jacobian(ybus, v, pattern, ibus)
+        band = compute_jacobian(v, pattern, ibus)
         dx = _newton_step(pattern, band, mis, it)
         if not np.isfinite(dx).all():
             raise SingularJacobianError(it)
@@ -394,7 +379,7 @@ def _nr_core(case, ybus, v0, opts, pv_idx, pq_idx, s_sched):
         vm[pq_idx] += dx[npvpq:]
         v = vm * np.exp(1j * th)
         ibus = ybus.matrix @ v
-        mis = compute_mismatch(case, ybus, v, pvpq, pq_idx, s_sched, ibus)
+        mis = compute_mismatch(v, ibus, s_sched, pvpq, pq_idx)
         norm = np.abs(mis).max() if mis.size else 0.0
         best = min(best, norm)
         norms.append(norm)
@@ -432,9 +417,7 @@ def solve(
     norms = []
     ok = False
     for _ in range(case.n_bus + 1):  # each pass may switch buses; bounded
-        v, it, ok, _, pass_norms, ibus = _nr_core(
-            case, ybus, v, opts, pv_idx, pq_idx, s_sched
-        )
+        v, it, ok, _, pass_norms, ibus = _nr_core(ybus, v, opts, pv_idx, pq_idx, s_sched)
         total_it += it
         norms += pass_norms
         if not ok or not opts.enforce_q_limits:

@@ -397,14 +397,13 @@ def run_contingency(
 def extract_metrics(
     result: dyn.TransientResult,
     t_apply: float,
-    poi_bus: int | None = None,
+    poi_bus: int,
     f_band_hz: float = 0.02,
     v_band_pu: float = 0.01,
 ) -> StabilityMetrics:
     """Nadir/peak, settling times against the post-fault steady value, and
-    maximum RoCoF, all evaluated from the apply time onward."""
-    if poi_bus is None:
-        poi_bus = next(iter(result.v_mag))
+    maximum RoCoF at the monitored bus poi_bus, all evaluated from the apply
+    time onward."""
     t = result.t
     if t.size == 0:
         raise ScenarioError("empty result series")

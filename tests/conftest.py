@@ -27,7 +27,7 @@ from smrgrid.network import (
     NetworkCase,
     load_ieee118,
 )
-from smrgrid.powerflow import jacobian_pattern
+from smrgrid.powerflow import compute_mismatch, jacobian_pattern, scheduled_injection
 
 
 def week_profile(seed: int, n_bins: int = 2016) -> LoadProfile:
@@ -51,6 +51,15 @@ def week_profile(seed: int, n_bins: int = 2016) -> LoadProfile:
 @pytest.fixture(scope="session")
 def case118() -> NetworkCase:
     return load_ieee118()
+
+
+def case_mismatch(case, ybus, v, pvpq=None, pq_idx=None) -> np.ndarray:
+    """compute_mismatch at v for the case's scheduled injection, on the
+    partition (pvpq, pq_idx), by default the case's own."""
+    if pq_idx is None:
+        pq_idx = case.arrays.pq_idx
+        pvpq = np.union1d(case.arrays.pv_idx, pq_idx)
+    return compute_mismatch(v, ybus.matrix @ v, scheduled_injection(case), pvpq, pq_idx)
 
 
 def zero_valued(band: np.ndarray) -> np.ndarray:

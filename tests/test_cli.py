@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -11,10 +12,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smrgrid import powerflow as pf
 from smrgrid.cli import HANDLED_ERRORS, RunConfig, main
+from smrgrid.datacenter import write_profile_csv
 from smrgrid.network import CaseError, case_to_dict, parse_case
 
 from conftest import (
-    DELETE, JSON_VALUES, key_paths, make_two_bus, replace_at, zero_valued,
+    DELETE, JSON_VALUES, key_paths, make_two_bus, replace_at, week_profile, zero_valued,
 )
 
 
@@ -151,6 +153,35 @@ class TestTransient:
 
     def test_bad_scenario_index(self, workdir, capsys):
         assert run(workdir, "transient", "--scenario", "5") == 2
+
+    def test_dt_check(self, tmp_path, capsys):
+        # Criterion 6's fault, cut to a 3.5 s horizon.
+        write_profile_csv(week_profile(2024), tmp_path / "week.csv")
+        config = {
+            "case": CASE,
+            "profile": {"profile_csv": str(tmp_path / "week.csv")},
+            "configuration": {"kind": "with_ies", "dc_bus": 25, "ies": {}},
+            "simulation": {"dt": 0.005, "t_end": 3.5, "monitor_buses": [25]},
+            "scenarios": [{"kind": "bus_fault", "t_apply": 3.0, "rng_seed": 60}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run(tmp_path, "transient", "--dt-check") == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        assert printed.startswith("step-halving max |dV| = ") and printed.endswith(" pu")
+        dv = float(printed.split("=")[1].split()[0])
+
+        def poi_voltage(name):
+            with open(tmp_path / "out" / name, newline="") as fh:
+                return np.array([float(r["bus_25_vmag_pu"]) for r in csv.DictReader(fh)])
+
+        full = poi_voltage("bus_fault_s60_with_ies.csv")
+        half = poi_voltage("bus_fault_s60_with_ies_halfstep.csv")
+        n = round(3.5 / 0.005)
+        assert (len(full), len(half)) == (n + 1, 2 * n + 1)
+        # The CSVs hold 9 decimals and the printout 4 significant digits.
+        recomputed = np.max(np.abs(full - half[::2]))
+        assert abs(dv - recomputed) <= 1e-9 + 5e-4 * dv
+        assert 0 < dv <= 1e-4
 
 
 class TestCompare:
@@ -306,6 +337,62 @@ class TestConfigHandling:
         assert configuration.ies is not None
         assert cfg.get("simulation").t_end > 0
         assert cfg.scenarios()
+
+    def test_it_p_max_sets_the_it_capacity(self, workdir, capsys):
+        cfg = json.loads((workdir / "config.json").read_text())
+        del cfg["profile"]["target_total_peak_mw"]
+        cfg["profile"]["it"] = {"p_max": 40.0, "idle_fraction": 0.25}
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "profile") == 0
+        rows = list(csv.DictReader((workdir / "out/profile.csv").open(newline="")))
+        u = np.array([float(r["u"]) for r in rows])
+        p_it = np.array([float(r["p_it_mw"]) for r in rows])
+        # P_it = p_idle + (p_max - p_idle) u, from columns held to 6 decimals.
+        assert np.max(np.abs(p_it - (10.0 + 30.0 * u))) <= 30 * 5e-7 + 5e-7
+
+    @pytest.mark.parametrize("p_max", [40.0, None], ids=["both", "neither"])
+    def test_it_capacity_given_once(self, workdir, capsys, p_max):
+        cfg = json.loads((workdir / "config.json").read_text())
+        if p_max is None:
+            del cfg["profile"]["target_total_peak_mw"]
+        else:
+            cfg["profile"]["it"] = {"p_max": p_max}
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "profile") == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {
+            "error": "ConfigError",
+            "message": "profile: give one of target_total_peak_mw and it.p_max",
+        }
+
+    def test_missing_required_key(self, workdir, capsys):
+        cfg = json.loads((workdir / "config.json").read_text())
+        del cfg["case"]
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "powerflow") == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ConfigError", "message": "config missing 'case'"}
+
+    @pytest.mark.parametrize("target, message", [
+        ("x", 'scenarios[0].target: expected an integer or an array of 2 integers '
+              'or null, got "x"'),
+        ([1, 2, 3], "scenarios[0].target: expected 2 items, got 3"),
+    ])
+    def test_malformed_scenario_target(self, workdir, capsys, target, message):
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["scenarios"][0]["target"] = target
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "transient") == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ConfigError", "message": message}
+
+    def test_output_path_that_is_a_file(self, workdir, capsys):
+        # Not even error.json can be written; the error still reaches stderr.
+        (workdir / "taken").write_text("")
+        assert run(workdir, "profile", out="taken") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileExistsError"
+        assert (workdir / "taken").read_text() == ""
 
     def test_env_seed_override(self, workdir, monkeypatch, capsys):
         cfg = json.loads((workdir / "config.json").read_text())

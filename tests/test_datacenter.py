@@ -1,12 +1,14 @@
 import csv
 import io
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smrgrid import datacenter
 from smrgrid.datacenter import (
     AmbientConditions,
     BIN_SECONDS,
@@ -417,14 +419,20 @@ class TestBuildProfile:
     def test_per_bin_ambient_matches_single_ambient_calls(self):
         u = np.array([0.0, 0.3, 1.0])
         it = ItPowerParams(p_max=60.0)
-        conds = [AmbientConditions(t_amb=t) for t in (10.0, 30.0, 40.0)]
-        profile = build_profile(UtilizationTrace(u=u), it, ambient=conds)
-        for k, cond in enumerate(conds):
-            one = build_profile(UtilizationTrace(u=u[k:k + 1]), it, ambient=cond)
+        t_amb = np.array([10.0, 30.0, 40.0])
+        profile = build_profile(
+            UtilizationTrace(u=u), it, ambient=AmbientConditions(t_amb=t_amb)
+        )
+        for k, t in enumerate(t_amb.tolist()):
+            one = build_profile(
+                UtilizationTrace(u=u[k:k + 1]), it, ambient=AmbientConditions(t_amb=t)
+            )
             assert profile.n_ch[k] == one.n_ch[0]
             assert abs(profile.p_thermal[k] - one.p_thermal[0]) <= 1e-12
-        with pytest.raises(ValueError, match="length mismatch"):
-            build_profile(UtilizationTrace(u=u), it, ambient=conds[:2])
+        with pytest.raises(ValueError, match="broadcast"):
+            build_profile(
+                UtilizationTrace(u=u), it, ambient=AmbientConditions(t_amb=t_amb[:2])
+            )
 
     def test_calibration_hits_target(self):
         it = calibrate_it_capacity(60.0)
@@ -487,6 +495,23 @@ class TestCsvBoundary:
         path = tmp_path / "tasks.csv"
         path.write_text("start_s,end_s,cpu\n0,600,2.5\nbad,900,1.0\n")
         with pytest.raises(TraceError, match=":3:"):
+            read_tasks_csv(path)
+
+    @pytest.mark.parametrize("value", ["1_000", "\u0661\u0660"], ids=["separator", "arabic"])
+    def test_number_that_only_float_reads_names_line(self, tmp_path, value):
+        # Python's float reads both as numbers, np.loadtxt neither; the row
+        # check must refuse what the bulk parse refuses to find the line.
+        path = tmp_path / "t.csv"
+        path.write_text(f"start_s,end_s,cpu\n0,600,2.5\n0,{value},1.0\n", encoding="utf-8")
+        with pytest.raises(TraceError) as exc:
+            read_tasks_csv(path)
+        assert str(exc.value) == f"{path}:3: could not convert string to float: {value!r}"
+
+    def test_bulk_error_kept_when_no_row_check_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datacenter, "_task_record", lambda row, cols: None)
+        path = tmp_path / "t.csv"
+        path.write_text("start_s,end_s,cpu\n0,600,2.5\n0,x,1.0\n")
+        with pytest.raises(TraceError, match=rf"^{re.escape(str(path))}: could not convert"):
             read_tasks_csv(path)
 
     def test_machine_events(self, tmp_path):
@@ -624,3 +649,66 @@ def _csv_writer_profile(profile) -> bytes:
             f"{profile.p_total[k]:.6f}",
         ])
     return buf.getvalue().encode()
+
+
+COND = AmbientConditions()
+
+
+def chiller(**changes):
+    return ChillerParams(**{**vars(DEFAULT_CHILLER), **changes})
+
+
+#: (call, exception type, message) for each record and argument check.
+CHECKS = [
+    (lambda: TaskRecord(5.0, 5.0, 1.0), TraceError, "task end 5.0 <= start 5.0"),
+    (lambda: TaskRecord(0.0, 5.0, -1.0), TraceError, "task cpu must be >= 0"),
+    (lambda: TaskTable([0.0], [1.0, 2.0], [1.0]), TraceError,
+     "task columns must be 1-D and of one length"),
+    (lambda: MachineEvent(0.0, "move", "m1"), TraceError,
+     "unknown machine event kind 'move'"),
+    (lambda: MachineEvent(math.nan, "add", "m1"), TraceError,
+     "event time nan is not a number"),
+    (lambda: MachineEvent(0.0, "add", "m1", -1.0), TraceError,
+     "capacity must be >= 0"),
+    (lambda: MachineEventTable([0.0], ["add"], ["m1", "m2"], [1.0]), TraceError,
+     "machine event columns must be 1-D and of one length"),
+    (lambda: UtilizationTrace(np.zeros(3), bin_seconds=60), TraceError,
+     "bin width is fixed at 300 s"),
+    (lambda: UtilizationTrace(np.array([0.5, 1.5])), TraceError,
+     "utilization values must lie in [0, 1]"),
+    (lambda: ItPowerParams(p_max=0.0), ValueError, "p_max must be > 0"),
+    (lambda: ItPowerParams(p_max=60.0, idle_fraction=1.5), ValueError,
+     "idle_fraction must be in [0, 1]"),
+    (lambda: AmbientConditions(phi_amb=np.array([0.5, 1.2])), ValueError,
+     "phi_amb must be in [0, 1]"),
+    (lambda: chiller(q_rated=0.0), ValueError, "q_rated must be > 0"),
+    (lambda: chiller(n_total=0), ValueError, "n_total must be >= 1"),
+    (lambda: chiller(flow_min=(15.0, 130.0, 30.0)), ValueError,
+     "min flow exceeds rated flow"),
+    (lambda: LoadProfile(*[np.zeros(2)] * 3, np.zeros(1), *[np.zeros(2)] * 2),
+     ValueError, "series length mismatch in 'q_cool'"),
+    (lambda: datacenter._bin_mean(np.zeros(0), np.zeros(0), 10.0, 10.0), TraceError,
+     "t1 must be > t0"),
+    (lambda: normalize(np.zeros(2), np.ones(3)), TraceError,
+     "usage and capacity series length mismatch"),
+    (lambda: it_power(1.5, ItPowerParams(p_max=60.0)), ValueError,
+     "utilization must lie in [0, 1]"),
+    (lambda: subsystem_power(-1.0, DEFAULT_CHILLER.alpha), ValueError,
+     "mass flow must be >= 0"),
+    (lambda: compressor_power(COND, (20.0, -1.0, 40.0), DEFAULT_CHILLER.compressor_coeffs),
+     ValueError, "mass flows must be >= 0"),
+    (lambda: staging_and_thermal(-1.0, COND, DEFAULT_CHILLER), ValueError,
+     "q_cool must be >= 0"),
+    (lambda: staging_and_thermal(81.0, COND, DEFAULT_CHILLER), ValueError,
+     "cooling capacity exceeded: 81.000 MW-th > 80.000 MW-th"),
+    (lambda: calibrate_it_capacity(1000.0), ValueError,
+     "cooling capacity exceeded: 1000.000 MW-th > 80.000 MW-th"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", CHECKS, ids=[c[2] for c in CHECKS])
+def test_record_and_argument_checks(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -466,6 +467,55 @@ class TestFailurePaths:
             run_transient(case118, snapshot, IES_UNIT, events, self.CFG)
 
 
+class TestRunTimeErrors:
+    """Inputs that a transient cannot run on end as a SimulationError."""
+
+    CFG = SimConfig(dt=0.005, t_end=0.5, monitor_buses=(25,))
+
+    def test_non_converged_snapshot(self, case118, snapshot):
+        with pytest.raises(
+            SimulationError, match="cannot initialize from a non-converged solution"
+        ):
+            run_transient(case118, replace(snapshot, converged=False), None, [], self.CFG)
+
+    def test_islanding_a_bus_without_load_or_machine(self, case118, snapshot):
+        # Bus 10 has no load and hangs on branch 9-10 alone; with its
+        # generator tripped, the trip leaves an all-zero row and column.
+        events = [Event(0.1, GenTrip(10)), Event(0.2, LineTrip(9, 10))]
+        with pytest.raises(SimulationError, match="singular network matrix"):
+            run_transient(case118, snapshot, None, events, self.CFG)
+
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            ([Event(0.1, LineTrip(1, 118))], "no in-service branch 1-118 to trip"),
+            ([Event(0.1, LineTrip(9, 10)), Event(0.2, LineTrip(10, 9))],
+             "no in-service branch 10-9 to trip"),
+            ([Event(0.1, GenTrip(2))], "no active machine at bus 2 to trip"),
+            ([Event(0.1, GenTrip(12)), Event(0.2, GenTrip(12))],
+             "no active machine at bus 12 to trip"),
+            ([Event(0.1, "open breaker")], "unknown event kind 'open breaker'"),
+        ],
+        ids=["no_branch", "branch_tripped", "no_machine", "machine_tripped", "unknown"],
+    )
+    def test_event_that_cannot_apply(self, case118, snapshot, events, message):
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            run_transient(case118, snapshot, None, events, self.CFG)
+
+    def test_ies_bus_joins_the_monitored_buses(self, case118, snapshot):
+        cfg = SimConfig(dt=0.005, t_end=0.1, monitor_buses=(12,))
+        res = run_transient(case118, snapshot, IES_UNIT, [], cfg)
+        assert list(res.v_mag) == list(res.freq_dev) == [12, 25]
+        assert run_transient(
+            case118, snapshot, IES_UNIT, [], replace(cfg, monitor_buses=())
+        ).v_mag.keys() == {25}
+
+    def test_first_bus_monitored_when_none_given(self, case118, snapshot):
+        res = run_transient(case118, snapshot, None, [], SimConfig(t_end=0.1))
+        assert list(res.v_mag) == list(res.freq_dev) == [case118.buses[0].id]
+        assert len(res.v_mag[1]) == len(res.t) == 21
+
+
 class TestReducedNetwork:
     """The network operators against a full sparse solve of the augmented
     admittance matrix, built here from the case without the event stamps."""
@@ -546,3 +596,44 @@ class TestReducedNetwork:
                 assert rel <= 1e-12
             assert (j[:nm][~on] == 0).all() and (j[nm:][~on] == 0).all()
         assert set(net.read) >= set(monitored) | {bess_idx}
+
+
+GRID = dict(h=4.0, d=2.0, xd_p=0.25, mva_base=100.0)
+
+#: (call, exception type, message) for each record and argument check.
+CHECKS = [
+    (lambda: MachineParams(**{**GRID, "h": 0.0}), ValueError, "inertia h must be > 0"),
+    (lambda: MachineParams(**{**GRID, "xd_p": 0.0}), ValueError, "xd_p must be > 0"),
+    (lambda: MachineParams(**{**GRID, "mva_base": 0.0}), ValueError,
+     "mva_base must be > 0"),
+    (lambda: SmrParams(m_min=0.09), ValueError, "need 0 < m_min <= m_max"),
+    (lambda: SmrParams(q_dot_max=-1.0), ValueError,
+     "p_max must be > 0 and q_dot_max >= 0"),
+    (lambda: SmrParams(ramp_limit=0.0), ValueError, "ramp_limit must be > 0"),
+    (lambda: SmrParams(hp_fraction=1.5), ValueError, "hp_fraction must be in [0, 1]"),
+    (lambda: BessParams(p_rating=0.0), ValueError, "p_rating must be > 0"),
+    (lambda: BessParams(k_i=-1.0), ValueError, "gains must be >= 0"),
+    (lambda: Event(-1.0, GenTrip(12)), ValueError, "event time must be >= 0"),
+    (lambda: SimConfig(dt=0.05), ValueError, "dt must be in (0, 0.02]"),
+    (lambda: SimConfig(t_end=0.0), ValueError, "t_end must be > 0"),
+    (lambda: turbine_mechanical_power(0.9, 1100, 850, 10, -1), ValueError,
+     "mass flows must be >= 0"),
+    (lambda: turbine_mechanical_power(1.5, 1100, 850, 10, 10), ValueError,
+     "eta_t must be in (0, 1]"),
+    (lambda: compute_droop(-1.0, 0.0, SMR), ValueError, "loadings must be >= 0"),
+    (lambda: governor_power_correction(0.01, 0.0, 0.0), ValueError, "droop must be > 0"),
+    (lambda: apply_load_limiter(0.5, 0.4, 0.02, 0.0), ValueError, "dt must be > 0"),
+    (lambda: bess_power(0.01, BessState(), BessParams(), 0.0), ValueError,
+     "dt must be > 0"),
+    (lambda: smr_flows_from_power(-1.0, SMR), ValueError, "p_mech must be >= 0"),
+    (lambda: bus_frequency_estimate(np.zeros(1), 0.05, 0.005), ValueError,
+     "need at least 2 samples"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", CHECKS, ids=[c[2] for c in CHECKS])
+def test_record_and_argument_checks(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message

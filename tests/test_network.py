@@ -305,3 +305,41 @@ def test_any_replaced_case_value_raises_only_case_error(path, value):
         assert isinstance(case_from_dict(doc), NetworkCase)
     except CaseError:
         pass
+
+
+TWO_BUS = make_two_bus()
+SLACK, LOAD = TWO_BUS.buses
+
+#: (call, message) for each record and argument check; each raises CaseError.
+CHECKS = [
+    (lambda: Bus(id=0, kind=BusKind.PQ), "bus id must be positive, got 0"),
+    (lambda: Bus(id=3, kind=BusKind.PQ, v_mag=0.0), "bus 3: v_mag must be > 0"),
+    (lambda: Bus(id=3, kind=BusKind.PQ, base_kv=-1.0), "bus 3: base_kv must be > 0"),
+    (lambda: Branch(1, 1, r=0.0, x=0.1), "branch 1-1: self-loop"),
+    (lambda: Branch(1, 2, r=0.0, x=0.0), "branch 1-2: zero impedance in service"),
+    (lambda: Branch(1, 2, r=0.0, x=0.1, tap=0.0), "branch 1-2: tap must be > 0"),
+    (lambda: Generator(bus=1, p_set=0.0, q_min=10.0, q_max=-10.0),
+     "generator at bus 1: q_min > q_max"),
+    (lambda: Generator(bus=1, p_set=0.0, mva_base=0.0),
+     "generator at bus 1: mva_base must be > 0"),
+    (lambda: replace(TWO_BUS, system_mva_base=0.0), "system_mva_base must be > 0"),
+    (lambda: replace(TWO_BUS, buses=(SLACK, replace(LOAD, id=1))), "duplicate bus ids"),
+    (lambda: replace(TWO_BUS, buses=(replace(SLACK, kind=BusKind.PQ), LOAD)),
+     "no slack bus"),
+    (lambda: replace(TWO_BUS, buses=(SLACK, replace(LOAD, kind=BusKind.SLACK))),
+     "multiple slack buses: [1, 2]"),
+    (lambda: replace(TWO_BUS, branches=(Branch(1, 9, r=0.0, x=0.1),)),
+     "branch 1-9: dangling bus reference"),
+    (lambda: replace(TWO_BUS, generators=(Generator(bus=9, p_set=0.0),)),
+     "generator references unknown bus 9"),
+    (lambda: replace(TWO_BUS, branches=()),
+     "network is islanded; unreachable buses include [2]"),
+    (lambda: TWO_BUS.bus_index(9), "unknown bus id 9"),
+]
+
+
+@pytest.mark.parametrize("build, message", CHECKS, ids=[c[1] for c in CHECKS])
+def test_record_and_argument_checks(build, message):
+    with pytest.raises(CaseError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -26,7 +26,6 @@ from smrgrid.powerflow import (
     _nr_core,
     apply_snapshot,
     compute_jacobian,
-    compute_mismatch,
     jacobian_pattern,
     scheduled_injection,
     solve,
@@ -36,6 +35,7 @@ from smrgrid.powerflow import (
 from conftest import (
     assert_cached_patterns_fresh,
     band_to_dense,
+    case_mismatch,
     make_two_bus,
     two_bus_exact_voltage,
     week_profile,
@@ -46,7 +46,7 @@ from conftest import (
 def finite_difference_jacobian(case, ybus, v, eps=1e-7):
     """Central finite differences of the computed-injection mismatch.
 
-    compute_mismatch returns scheduled - computed, so its derivative is the
+    The mismatch is scheduled - computed, so its derivative is the
     negated Jacobian of the computed injections.
     """
     pv_idx, pq_idx = case.arrays.pv_idx, case.arrays.pq_idx
@@ -55,7 +55,7 @@ def finite_difference_jacobian(case, ybus, v, eps=1e-7):
     vm0 = np.abs(v)
 
     def mism(th, vm):
-        return compute_mismatch(case, ybus, vm * np.exp(1j * th), pvpq, pq_idx)
+        return case_mismatch(case, ybus, vm * np.exp(1j * th), pvpq, pq_idx)
 
     cols = []
     for k in pvpq:
@@ -79,7 +79,7 @@ def dense_jacobian(case, ybus, v):
     """compute_jacobian on the case's own partition, read back from the
     band into natural order."""
     pattern = jacobian_pattern(ybus, case.arrays.pv_idx, case.arrays.pq_idx)
-    return band_to_dense(pattern, compute_jacobian(ybus, v, pattern))
+    return band_to_dense(pattern, compute_jacobian(v, pattern, ybus.matrix @ v))
 
 
 def dense_oracle_jacobian(ybus, v, pv_idx, pq_idx):
@@ -125,20 +125,20 @@ class TestMismatch:
     def test_flat_start_two_bus_equals_negated_load(self):
         case = make_two_bus(p_load=0.5, q_load=0.2)
         ybus = build_ybus(case)
-        mis = compute_mismatch(case, ybus, np.ones(2, dtype=complex))
+        mis = case_mismatch(case, ybus, np.ones(2, dtype=complex))
         assert mis == pytest.approx([-0.5, -0.2])
 
     def test_zero_load_flat_start_zero_mismatch(self):
         case = make_two_bus(p_load=0.0, q_load=0.0)
         ybus = build_ybus(case)
-        mis = compute_mismatch(case, ybus, np.ones(2, dtype=complex))
+        mis = case_mismatch(case, ybus, np.ones(2, dtype=complex))
         assert np.max(np.abs(mis)) < 1e-14
 
     def test_exact_solution_is_fixed_point(self):
         case = make_two_bus()
         ybus = build_ybus(case)
         v2 = two_bus_exact_voltage()
-        mis = compute_mismatch(case, ybus, np.array([1.0 + 0j, v2]))
+        mis = case_mismatch(case, ybus, np.array([1.0 + 0j, v2]))
         assert np.max(np.abs(mis)) < 1e-12
 
 
@@ -171,7 +171,7 @@ class TestJacobian:
             q_limited = q_limited.with_bus(replace(q_limited.bus(bid), kind=BusKind.PQ))
         for case in (case118, q_limited):
             pattern = jacobian_pattern(ybus, case.arrays.pv_idx, case.arrays.pq_idx)
-            band = compute_jacobian(ybus, sol.v, pattern)
+            band = compute_jacobian(sol.v, pattern, ybus.matrix @ sol.v)
             # LAPACK band storage that dgbsv takes without a copy.
             assert band.shape == (2 * pattern.kl + pattern.ku + 1, pattern.dim)
             assert band.dtype == np.float64 and band.flags.f_contiguous
@@ -320,9 +320,9 @@ def q_limited_partition(case, sol):
 
 def newton_step_error(case, ybus, pattern, pv_idx, pq_idx, v):
     """Relative difference of the banded Newton step from a dense solve."""
-    band = compute_jacobian(ybus, v, pattern)
+    band = compute_jacobian(v, pattern, ybus.matrix @ v)
     jac = band_to_dense(pattern, band)  # before the step overwrites band
-    mis = compute_mismatch(case, ybus, v, pattern.pvpq, pq_idx)
+    mis = case_mismatch(case, ybus, v, pattern.pvpq, pq_idx)
     dx = _newton_step(pattern, band, mis, 0)
     ref = np.linalg.solve(jac, mis)
     return np.max(np.abs(dx - ref)) / np.max(np.abs(ref))
@@ -356,7 +356,7 @@ class TestColumnOrdering:
         # At the solution every one of its 1051 slots holds a nonzero; at
         # flat start, lines without resistance give exact zeros.
         for v in (np.ones(case118.n_bus, dtype=complex), sol.v):
-            jac = band_to_dense(pattern, compute_jacobian(ybus, v, pattern))
+            jac = band_to_dense(pattern, compute_jacobian(v, pattern, ybus.matrix @ v))
             oracle = dense_oracle_jacobian(ybus, v, pv_idx, pq_idx)
             assert np.max(np.abs(jac - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         assert np.count_nonzero(jac) == 1051
@@ -485,8 +485,8 @@ class TestColumnOrdering:
         sol = solve(case118, ybus)
         pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
         pattern = _cached_pattern(ybus, pv_idx, pq_idx)
-        band = compute_jacobian(ybus, sol.v, pattern)
-        mis = compute_mismatch(case118, ybus, sol.v * 1.01, pattern.pvpq, pq_idx)
+        band = compute_jacobian(sol.v, pattern, ybus.matrix @ sol.v)
+        mis = case_mismatch(case118, ybus, sol.v * 1.01, pattern.pvpq, pq_idx)
         k = pattern.dim // 2
         assert band[:, k].any()
         band[:, k] = 0.0
@@ -500,7 +500,8 @@ class TestColumnOrdering:
         pattern = jacobian_pattern(ybus, case.arrays.pv_idx, case.arrays.pq_idx)
         assert pattern.dim == 0 and len(pattern.order) == 0
         assert (pattern.kl, pattern.ku) == (0, 0)
-        assert compute_jacobian(ybus, np.ones(1, dtype=complex), pattern).shape == (1, 0)
+        v = np.ones(1, dtype=complex)
+        assert compute_jacobian(v, pattern, ybus.matrix @ v).shape == (1, 0)
         sol = solve(case, ybus)
         assert sol.converged and sol.iterations == 0
 
@@ -521,6 +522,25 @@ class TestColumnOrdering:
             solve(case118, opts=PowerFlowOptions(flat_start=True))
         assert exc.value.iteration == singular_call - 1
         assert len(calls) == singular_call
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("changes, message", [
+        ({"tol": 0.0}, "tol must be > 0"),
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+    ])
+    def test_options(self, changes, message):
+        with pytest.raises(ValueError) as exc:
+            PowerFlowOptions(**changes)
+        assert str(exc.value) == message
+
+    def test_non_finite_newton_step(self):
+        # From a 1e300 pu start the Jacobian overflows to inf and nan, and
+        # the banded solve returns a nan step without a zero pivot.
+        case = make_two_bus()
+        with np.errstate(all="ignore"), pytest.raises(SingularJacobianError) as exc:
+            solve(case, v0=np.array([1.0, 1e300], dtype=complex))
+        assert exc.value.iteration == 0
 
 
 class TestQLimits:
@@ -590,7 +610,7 @@ class TestQLimits:
         work, pinned, released, total = case, {}, set(), 0
         for _ in range(case.n_bus + 1):
             v, it, ok, _, _, _ = _nr_core(
-                work, ybus, v, opts, work.arrays.pv_idx, work.arrays.pq_idx,
+                ybus, v, opts, work.arrays.pv_idx, work.arrays.pq_idx,
                 scheduled_injection(work),
             )
             total += it

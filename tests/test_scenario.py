@@ -417,6 +417,96 @@ class TestRunContingency:
         assert res.smr_p_mech_mw[0] == pytest.approx(40.0, abs=1e-6)
 
 
+def flat_profile(p_mw) -> LoadProfile:
+    """A profile whose bins draw p_mw, all of it IT power."""
+    n = len(p_mw)
+    zeros = np.zeros(n)
+    return LoadProfile(
+        timestamps=300.0 * np.arange(n), u=zeros, p_it=np.array(p_mw, dtype=float),
+        q_cool=zeros, n_ch=np.zeros(n, dtype=int), p_thermal=zeros,
+    )
+
+
+GRID = Configuration(kind="grid_only", dc_bus=25)
+
+
+class TestFailurePaths:
+    """Inputs the study cannot use end as a ScenarioError, or as a bin the
+    sweep records as failed."""
+
+    def test_empty_profile(self, case118):
+        with pytest.raises(ScenarioError, match="^empty profile$"):
+            snapshot_sweep(case118, flat_profile([]), GRID)
+
+    def test_diverging_bin_resets_the_warm_start(self, case118, monkeypatch):
+        # 2000 MW at bus 25 diverges (see powerflow.DIVERGENCE_FACTOR); the
+        # bin after it must start cold, and the one after that warm again.
+        cold_starts = []
+        real = pf.solve
+
+        def recording(case, ybus, opts, v0=None):
+            cold_starts.append(v0 is None)
+            return real(case, ybus, opts, v0=v0)
+
+        monkeypatch.setattr(pf, "solve", recording)
+        sweep = snapshot_sweep(case118, flat_profile([40.0, 2000.0, 40.0, 40.0]), GRID)
+        assert sweep.converged.tolist() == [True, False, True, True]
+        assert cold_starts == [True, False, True, False]
+        assert np.isnan(sweep.poi_v_mag[1]) and sweep.max_mismatch_pu[1] > 1.0
+
+    @pytest.mark.parametrize("kind, message", [
+        ("line_trip", "no line-trip candidates near the POI"),
+        ("gen_trip", "no gen-trip candidates near the POI"),
+    ])
+    def test_no_random_candidates(self, kind, message):
+        # The two-bus case's load bus hangs on its only branch, which is the
+        # last path out of the POI, and its only generator is the slack's.
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            resolve_events(
+                make_two_bus(), Configuration(kind="grid_only", dc_bus=2),
+                ContingencySpec(kind=kind, max_distance=1),
+            )
+
+    def test_snapshot_that_does_not_converge(self, case118):
+        with pytest.raises(ScenarioError, match="^snapshot bin 0 did not converge$"):
+            run_contingency(
+                case118, flat_profile([2000.0]), 0, GRID,
+                ContingencySpec(kind="load_step"), dyn.SimConfig(t_end=1.0),
+            )
+
+    def test_empty_result_series(self):
+        with pytest.raises(ScenarioError, match="^empty result series$"):
+            extract_metrics(synthetic_result([]), 1.0, 25)
+
+    def test_no_contingency_specs(self, case118, small_profile, ies_config):
+        with pytest.raises(ScenarioError, match="^no contingency specs$"):
+            compare(case118, small_profile, [], COMPARE_SIM, ies_config)
+
+    def test_paired_runs_with_different_event_logs(
+        self, case118, small_profile, ies_config, monkeypatch
+    ):
+        real = sc.run_contingency
+
+        def extra_event_with_ies(case, profile, b, cfg, *args, **kwargs):
+            res = real(case, profile, b, cfg, *args, **kwargs)
+            if cfg.kind == "with_ies":
+                res.event_log.append({"t": 1.0, "kind": "LoadStep", "detail": ""})
+            return res
+
+        monkeypatch.setattr(sc, "run_contingency", extra_event_with_ies)
+        rep = compare(
+            case118, small_profile, [ContingencySpec(kind="load_step", rng_seed=3)],
+            dyn.SimConfig(dt=0.005, t_end=3.5, monitor_buses=(25,)), ies_config,
+            snapshot_selector=(0,),
+        )
+        assert rep.pairs == []
+        assert rep.failed == [{
+            "scenario": "load_step_s3_bin0",
+            "error": "paired runs consumed different event lists",
+            "error_type": "ScenarioError",
+        }]
+
+
 COMPARE_SIM = dyn.SimConfig(dt=0.005, t_end=6.0, monitor_buses=(25,))
 
 
@@ -550,3 +640,37 @@ class TestCompare:
                 self.SIM,
                 Configuration(kind="grid_only", dc_bus=25),
             )
+
+
+#: (call, message) for each record and argument check; each raises
+#: ScenarioError.
+CHECKS = [
+    (lambda: IesSpec(thermal_extraction_factor=-1.0),
+     "thermal_extraction_factor must be >= 0"),
+    (lambda: Configuration(kind="hybrid"), "unknown configuration kind 'hybrid'"),
+    (lambda: Configuration(kind="with_ies"),
+     "with_ies configuration requires an ies section"),
+    (lambda: Configuration(dc_power_factor=0.0), "dc_power_factor must be in (0, 1]"),
+    (lambda: ContingencySpec(kind="earthquake"), "unknown contingency kind 'earthquake'"),
+    (lambda: ContingencySpec(kind="bus_fault", t_apply=0.0), "t_apply must be > 0"),
+    (lambda: ContingencySpec(kind="bus_fault", duration=0.0),
+     "fault duration must be > 0"),
+    (lambda: ContingencySpec(kind="line_trip", target=25),
+     "line_trip target 25 is not a [from, to] pair"),
+    (lambda: ContingencySpec(kind="gen_trip", target=(25, 26)),
+     "gen_trip target (25, 26) is not a bus id"),
+    (lambda: select_snapshot_bins(flat_profile([1.0, 2.0]), ("peak",)),
+     "snapshot_selector 'peak': not min, median, max or a bin < 2"),
+    (lambda: compare(None, None, [ContingencySpec(kind="bus_fault")], COMPARE_SIM,
+                     Configuration(ies=IesSpec()), jobs=0),
+     "jobs must be >= 1, got 0"),
+    (lambda: compare(None, None, [ContingencySpec(kind="bus_fault")], COMPARE_SIM, GRID),
+     "compare requires the with_ies configuration"),
+]
+
+
+@pytest.mark.parametrize("build, message", CHECKS, ids=[c[1] for c in CHECKS])
+def test_record_and_argument_checks(build, message):
+    with pytest.raises(ScenarioError) as exc:
+        build()
+    assert str(exc.value) == message
