@@ -14,6 +14,7 @@ import csv
 import math
 import warnings
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -443,15 +444,20 @@ def calibrate_it_capacity(
     tol: float = 1e-6,
 ) -> ItPowerParams:
     """IT capacity such that IT + cooling at full utilization meets a target
-    total peak (bisection on p_max). The total is at least p_max, so the
-    target itself bounds the search; a target beyond the chiller bank's
-    capacity fails as staging_and_thermal does."""
+    total peak (bisection on p_max). The total is at least p_max, and the
+    chiller bank cools at most its capacity of IT heat, so the smaller of
+    the two bounds the search; a target above the total at that bound
+    raises ValueError."""
     def total(p_max):
         _, p_th = staging_and_thermal(p_max, ambient, chiller)
         return p_max + p_th
 
-    lo, hi = 1e-3, target_total_peak_mw
-    total(hi)  # raises when the bank cannot cool the target
+    lo, hi = 1e-3, min(target_total_peak_mw, chiller.n_total * chiller.q_rated)
+    if total(hi) < target_total_peak_mw:
+        raise ValueError(
+            f"target total peak {target_total_peak_mw:.6f} MW exceeds the "
+            f"{total(hi):.6f} MW drawn at the chiller bank's capacity"
+        )
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if total(mid) < target_total_peak_mw:
@@ -466,13 +472,32 @@ def calibrate_it_capacity(
 # -- CSV boundary ------------------------------------------------------------
 
 
+@contextmanager
+def _utf8(path: str | Path):
+    """`path` open as UTF-8 text for csv; a byte that is not UTF-8 ends as a
+    TraceError that names the path and the line of the first such byte."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # The stream's error counts from its buffer; the file's counts
+            # from the first byte.
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as first:
+                exc = first
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise TraceError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
 _TASK_COLUMNS = ("start_s", "end_s", "cpu")
 
 
 def read_tasks_csv(path: str | Path) -> TaskTable:
     """Task CSV whose header names start_s, end_s and cpu, in any order;
     other columns are ignored."""
-    with open(path, newline="") as fh:
+    with _utf8(path) as fh:
         header = next(csv.reader([fh.readline()]), [])
         if not set(_TASK_COLUMNS).issubset(header):
             raise TraceError(f"{path}: expected header start_s,end_s,cpu")
@@ -512,7 +537,7 @@ def _bad_line(path: str | Path, check, exc: Exception) -> str:
     """`path:line: reason` for the first data row on which check(row) raises,
     which the bulk parsers do not report reliably; `path: exc`, the bulk
     parser's own error, when no row does."""
-    with open(path, newline="") as fh:
+    with _utf8(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -533,7 +558,7 @@ def read_machine_events_csv(path: str | Path) -> MachineEventTable:
     capacity, in any order; other columns are ignored. kind is case- and
     space-insensitive. Missing trailing fields read as empty, and an empty
     capacity is 0, so a remove needs none."""
-    with open(path, newline="") as fh:
+    with _utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if not set(_EVENT_COLUMNS).issubset(header):
@@ -594,7 +619,7 @@ _PROFILE_COLUMNS = ("timestamp_s", "u", "p_it_mw", "q_cool_mwth", "n_ch", "p_the
 def read_profile_csv(path: str | Path) -> LoadProfile:
     """Profile CSV as written by write_profile_csv; p_total_mw is not read."""
     ts, u, p_it, q, n, p_th = [], [], [], [], [], []
-    with open(path, newline="") as fh:
+    with _utf8(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(_PROFILE_COLUMNS).issubset(
             reader.fieldnames

@@ -2,19 +2,17 @@
 load-dependent droop and a thermal-safety ramp limiter, the PI-controlled
 battery, and network fault/trip/load-step events.
 
-Scheme: device ODEs advance with RK4 over dt; at every stage the network is
-solved algebraically with loads as constant admittance (converted at the
-pre-fault voltage), machines as EMF-behind-reactance sources, and the battery
-as a current injection. The network is then linear between events, so once
-per topology it is reduced to two real operators on the stage input
-[cos delta; sin delta; battery current] (see `_Network`): one gives the
-machine currents, already scaled by e_p/2H, and each RK4 stage is one
-matrix-vector product with it; the other gives the voltages at the buses
-that are read (monitored, battery and load-step buses), once per step
-boundary. Events restamp the augmented admittance matrix, and rebuild both
-operators, at their timestamps. The datacenter's SMR and battery are one
-`IesUnit`; every machine, the SMR's included, is an entry of one record of
-arrays (`initialize_devices`), which the network and the events act on.
+Scheme: a plant and one controller. The plant, `_Network`, holds every
+machine (one record of arrays, `initialize_devices`, the SMR's included) and
+the network, solved at each RK4 stage with loads as constant admittance
+(converted at the pre-fault voltage), machines as EMF-behind-reactance
+sources and the battery as a current injection. Linear between events, the
+network is reduced once per topology to two real operators on the stage input
+[cos delta; sin delta; battery current]: one gives the machine currents scaled
+by e_p/2H for each stage (`_Network.deriv`), the other the read buses'
+voltages at each step boundary (`_Network.read`); events restamp and rebuild
+both. The controller, `_IesControl`, is the `IesUnit`'s SMR governor and
+battery PI loop, updated once per step from the POI frequency and voltage.
 
 Bus frequency is measured once, online: each step the washout filter
 (`washout_update`) advances for every monitored bus, the battery acts on the
@@ -51,7 +49,8 @@ F_NOMINAL_HZ = 60.0
 
 
 class SimulationError(Exception):
-    """Numerical failure during a transient run (singular network, NaN)."""
+    """A transient that cannot run: an event at or past the horizon, an event
+    that cannot apply, or a numerical failure (singular network, NaN)."""
 
 
 # -- device parameters and states --------------------------------------------
@@ -178,6 +177,10 @@ class SimConfig:
             raise ValueError("dt must be in (0, 0.02]")
         if self.t_end <= 0:
             raise ValueError("t_end must be > 0")
+        if not (self.dt <= self.freq_filter_tc < math.inf):  # washout gain <= 1
+            raise ValueError("freq_filter_tc must be finite and >= dt")
+        if not (0.0 < self.f_nominal < math.inf):
+            raise ValueError("f_nominal must be finite and > 0")
 
 
 @dataclass
@@ -438,8 +441,8 @@ def _real_form(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Network:
-    """Augmented admittance matrix with load/machine stamps and event state,
-    Kron-reduced to the machine currents and the voltages that are read.
+    """The plant: the augmented admittance matrix and event state, reduced to
+    the machine currents and read voltages, and the machines' swing equations.
 
     Current enters only at machine buses (y_m E behind each active machine's
     reactance, E = e_p e^{j delta}) and at the battery bus (i_b), and only
@@ -451,7 +454,7 @@ class _Network:
       * `current` maps u to [Re J; Im J], the machine currents
         y_m (E - V_terminal) scaled by e_p/2H, zero for tripped machines;
         the electrical power over 2H is then cos delta Re J + sin delta Im J;
-      * `read_op` maps u to the read-bus voltages, ordered as `read` and
+      * `read_op` maps u to the read-bus voltages, ordered as `read_bus` and
         interleaved (Re V_0, Im V_0, Re V_1, ...) so the product views as
         complex.
     """
@@ -463,10 +466,16 @@ class _Network:
         s_load: np.ndarray,
         v0: np.ndarray,
         machines: _Machines,
+        w_s: float,
         read_buses,
         bess_idx: int | None = None,
     ):
         self.branches = branch_admittances(case)
+        self.w_s = w_s
+        self.nm = nm = machines.bus_idx.size
+        self.u = np.zeros(2 * nm + 2)  # the stage input; the caller sets i_b
+        self.cos, self.sin, self.trig = self.u[:nm], self.u[nm:2 * nm], self.u[:2 * nm]
+        self.x = None  # the state whose cos/sin `u` holds (`read`, `deriv`)
         self.ybase = ybase
         self.n = case.n_bus
         vm2 = np.abs(v0) ** 2
@@ -475,8 +484,8 @@ class _Network:
         self.tripped: set[int] = set()  # branch indices
         self.load_extra = np.zeros(self.n, dtype=complex)
         battery = [] if bess_idx is None else [bess_idx]
-        self.read = np.unique(np.array(list(read_buses) + battery, dtype=int))
-        self.read_of = {int(b): k for k, b in enumerate(self.read)}
+        self.read_bus = np.unique(np.array(list(read_buses) + battery, dtype=int))
+        self.read_of = {int(b): k for k, b in enumerate(self.read_bus)}
         self.sources = np.union1d(machines.bus_idx, np.array(battery, dtype=int))
         self.machine_col = np.searchsorted(self.sources, machines.bus_idx)
         self.bess_col = None if bess_idx is None else int(
@@ -516,14 +525,18 @@ class _Network:
         v_b = np.zeros(self.n, dtype=complex)
         if self.bess_col is not None:
             v_b = z[:, self.bess_col]
+        # Per-machine rates over 2H; tripped ones (h2_inv 0) hold their state.
+        self.h2_inv = h2_inv = on / machines.h2
+        self.w_gain = self.w_s * on
+        self.pm_h, self.dh = machines.p_mech * h2_inv, machines.d * h2_inv
         rows = machines.bus_idx
         g = machines.y_m * machines.e_p * on / machines.h2
         self.current = _real_form(
             g[:, None] * (np.diag(machines.e_p) - v_m[rows]), -g * v_b[rows]
         )
-        r = self.read.size
+        r = self.read_bus.size
         self.read_op = (
-            _real_form(v_m[self.read], v_b[self.read])
+            _real_form(v_m[self.read_bus], v_b[self.read_bus])
             .reshape(2, r, -1).swapaxes(0, 1).reshape(2 * r, -1)
         )
         self.finite = bool(
@@ -535,12 +548,32 @@ class _Network:
         `read` the read-bus voltages (see the class docstring)."""
         return (self.read_op if read else self.current) @ u
 
+    def _load(self, x: np.ndarray):
+        self.x, delta = x, x[:self.nm]
+        np.cos(delta, out=self.cos)
+        np.sin(delta, out=self.sin)
+
+    def read(self, x: np.ndarray) -> np.ndarray:
+        """The read-bus voltages at the step-boundary state `x`."""
+        self._load(x)
+        return self.solve(self.u, read=True)
+
+    def deriv(self, _t: float, x: np.ndarray) -> np.ndarray:
+        """The rates of `x` = [delta; speed]: the swing equations."""
+        if x is not self.x:  # the first stage reuses the step boundary's trig
+            self._load(x)
+        nm = self.nm
+        pe2 = self.trig * self.solve(self.u)  # halves sum to P_e / 2H
+        w = x[nm:]
+        dw = self.pm_h - (pe2[:nm] + pe2[nm:]) - self.dh * w
+        return np.concatenate((self.w_gain * w, dw))
+
 
 def _apply_event(
     net: _Network, case: NetworkCase, machines: _Machines, kind: EventKind, v_pre
 ):
     """Apply one event to the network state; `v_pre` holds the pre-event
-    read-bus voltages (ordered as `net.read`). The caller refactors
+    read-bus voltages (ordered as `net.read_bus`). The caller refactors
     afterwards."""
     if isinstance(kind, BusFault3ph):
         net.fault_shunts[case.bus_index(kind.bus)] = kind.fault_admittance
@@ -572,6 +605,45 @@ def _apply_event(
         raise SimulationError(f"unknown event kind {kind!r}")
 
 
+class _IesControl:
+    """The IES loop, held over each step: the battery's PI state, the SMR
+    governor's valve and ramp-limited command (pu of p_max) and the SMR's
+    mechanical power `p_smr` (pu system base)."""
+
+    def __init__(self, ies: IesUnit, machines: _Machines, sbase: float, cfg: SimConfig):
+        self.ies, self.sbase, self.f_nom, self.dt = ies, sbase, cfg.f_nominal, cfg.dt
+        i = machines.smr
+        self.e, self.y = float(machines.e_p[i]), complex(machines.y_m[i])
+        self.bess = BessState()
+        self.p_smr = float(machines.p_mech[i])
+        self.valve = self.cmd = ies.p_dispatch_mw / ies.smr.p_max
+        self.q_dot = min(ies.thermal_mw, ies.smr.q_dot_max)  # MW-thermal
+        self.a_act = 1.0 - math.exp(-self.dt / ies.smr.t_actuator)
+
+    def state(self) -> tuple[float, float, float, float, float]:
+        """Battery integrator and output, SMR power, valve and command."""
+        return (self.bess.integrator, self.bess.p_out, self.p_smr, self.valve, self.cmd)
+
+    def step(self, f_poi: float, v_poi: complex, rotor: tuple[complex, float] | None):
+        """One update from the POI's filtered frequency deviation (Hz) and
+        voltage (pu) and the SMR's rotor (e^{j delta}, speed in pu), None
+        while the SMR is tripped; returns the battery current (pu)."""
+        ies, smr = self.ies, self.ies.smr
+        p_out, self.bess = bess_power(-f_poi / self.f_nom, self.bess, ies.bess, self.dt)
+        if rotor is not None:
+            emf = self.e * rotor[0]
+            p_e_mw = (emf * ((emf - v_poi) * self.y).conjugate()).real * self.sbase
+            droop = compute_droop(min(max(p_e_mw, 0.0), smr.p_max), self.q_dot, smr)
+            corr = governor_power_correction(rotor[1], droop, smr.freq_deadband)
+            target = min(max(ies.p_dispatch_mw / smr.p_max + corr, 0.0), 1.0)
+            self.valve = self.valve + self.a_act * (target - self.valve)
+            self.cmd = apply_load_limiter(self.valve, self.cmd, smr.ramp_limit, self.dt)
+            # The steam path is a declared identity: the HP/LP flows that
+            # smr_flows_from_power gives turbine_mechanical_power cmd back.
+            self.p_smr = self.cmd * smr.p_max / self.sbase
+        return (complex(p_out * ies.bess.p_rating / self.sbase, 0.0) / v_poi).conjugate()
+
+
 def run_transient(
     case: NetworkCase,
     solution: PowerFlowSolution,
@@ -586,87 +658,42 @@ def run_transient(
         ybus = build_ybus(case)
     events = sorted(events, key=lambda e: e.t)
     if events and cfg.t_end <= events[-1].t:
-        raise ValueError("t_end must exceed the last event time")
+        raise SimulationError("t_end must exceed the last event time")
     machines, s_load = initialize_devices(case, ybus, solution, ies)
-    sbase = case.system_mva_base
-    f_nom = cfg.f_nominal
-    w_s = 2.0 * math.pi * f_nom
     n_steps = int(round(cfg.t_end / cfg.dt))
     dt = cfg.dt
 
-    smr_mi = machines.smr
-    ies_bidx = case.bus_index(ies.bus) if ies is not None else None
-
     monitor = list(cfg.monitor_buses)
-    if ies is not None and ies.bus not in monitor:
-        monitor.append(ies.bus)
-    if not monitor:
-        monitor = [case.buses[0].id]
+    ctl = bess_idx = None
+    smr = machines.smr
+    if ies is not None:
+        ctl = _IesControl(ies, machines, case.system_mva_base, cfg)
+        bess_idx = case.bus_index(ies.bus)
+        if ies.bus not in monitor:
+            monitor.append(ies.bus)
+        poi_j = monitor.index(ies.bus)
+        ies_states = np.tile(ctl.state(), (n_steps + 1, 1))  # one row per boundary
+    monitor = monitor or [case.buses[0].id]
     # _apply_event reads the pre-event voltage at a load-step bus.
     step_buses = [e.kind.bus for e in events if isinstance(e.kind, LoadStep)]
     net = _Network(
-        case, ybus.matrix, s_load, solution.v, machines,
-        [case.bus_index(b) for b in monitor + step_buses], ies_bidx,
+        case, ybus.matrix, s_load, solution.v, machines, 2.0 * math.pi * cfg.f_nominal,
+        [case.bus_index(b) for b in monitor + step_buses], bess_idx,
     )
     net.refactor(machines)
     # Where each monitored bus's (Re V, Im V) pair sits in a read vector.
     mon_at = [2 * net.read_of[case.bus_index(b)] for b in monitor]
 
-    nm = len(machines.bus_idx)
-    p_mech, d_sys = machines.p_mech, machines.d
-
-    def scaled():
-        """Per-machine rates over 2H; tripped machines hold angle and speed."""
-        h2_inv = machines.active / machines.h2
-        return w_s * machines.active, p_mech * h2_inv, d_sys * h2_inv
-
-    w_gain, pm_h, dh = scaled()
-    # The stage input of `net.solve`: [cos delta; sin delta; Re i_b; Im i_b].
-    u = np.zeros(2 * nm + 2)
-    cos_d, sin_d, trig = u[:nm], u[nm:2 * nm], u[:2 * nm]
-    i_bess = u[2 * nm:].view(complex)  # the battery current injection
-    # trig * J: its halves sum to the electrical power over 2H.
-    pe2 = np.empty(2 * nm)
-    pe_c, pe_s = pe2[:nm], pe2[nm:]
-
-    def load_trig(xs):
-        d = xs[:nm]
-        np.cos(d, out=cos_d)
-        np.sin(d, out=sin_d)
-
-    if ies is not None:
-        smr, bess = ies.smr, ies.bess
-        bess_state = BessState()
-        poi_j, poi_at = monitor.index(ies.bus), 2 * net.read_of[ies_bidx]
-        e_smr, y_smr = float(machines.e_p[smr_mi]), complex(machines.y_m[smr_mi])
-        h2_inv_smr = 1.0 / float(machines.h2[smr_mi])
-        p_smr = float(p_mech[smr_mi])
-        valve_cmd = p_mech_cmd = ies.p_dispatch_mw / smr.p_max  # pu of p_max
-        q_dot = min(ies.thermal_mw, smr.q_dot_max)  # MW-thermal
-        a_act = 1.0 - math.exp(-dt / smr.t_actuator)
-
-    def deriv(_t, xs):
-        if xs is not x:  # the first stage reuses the step boundary's trig
-            load_trig(xs)
-        np.multiply(trig, net.solve(u), out=pe2)
-        w = xs[nm:]
-        return np.concatenate((w_gain * w, pm_h - (pe_c + pe_s) - dh * w))
-
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    v_hist = np.empty((n_steps + 1, 2 * net.read.size))  # read vectors
+    v_hist = np.empty((n_steps + 1, 2 * net.read_bus.size))  # read vectors
     # Washout-filtered frequency of every monitored bus, filtered online on
     # Python floats so the battery acts on the reported POI frequency.
     f_mon = [[0.0] for _ in monitor]
     th_prev = [0.0] * len(monitor)
-    # The IES states per step boundary: battery integrator and output, SMR
-    # mechanical power (pu system base), valve and mechanical commands.
-    ies_states = np.empty((n_steps + 1, 5))
     event_log: list[dict] = []
-
-    ev_i = 0
     alpha_f = dt / cfg.freq_filter_tc
 
-    x = np.concatenate([machines.delta, np.zeros(nm)])
+    x = np.concatenate([machines.delta, np.zeros_like(machines.delta)])
     # Drift bookkeeping: the running extremes of the machine states (the IES
     # states are kept per step). Rounding is monotone, so max - x0 is the
     # largest rounded x - x0.
@@ -674,18 +701,15 @@ def run_transient(
     for k in range(n_steps + 1):
         t = t_grid[k]
         # Fire events due at this step boundary.
-        while ev_i < len(events) and events[ev_i].t <= t + 1e-12:
-            ev = events[ev_i]
-            v_pre = v_hist[k - 1].view(complex) if k else solution.v[net.read]
+        while events and events[0].t <= t + 1e-12:
+            ev = events.pop(0)
+            v_pre = v_hist[k - 1].view(complex) if k else solution.v[net.read_bus]
             _apply_event(net, case, machines, ev.kind, v_pre)
             net.refactor(machines)
-            w_gain, pm_h, dh = scaled()
             event_log.append({"t": float(ev.t), "kind": type(ev.kind).__name__,
                               "detail": repr(ev.kind)})
-            ev_i += 1
 
-        load_trig(x)
-        v_hist[k] = v_vec = net.solve(u, read=True)
+        v_hist[k] = v_vec = net.read(x)
         v_out = v_vec.tolist()  # Re V, Im V of every read bus, as floats
         if not (net.finite and math.isfinite(sum(v_out))):
             raise SimulationError(f"NaN in network solution at t={t:.4f}s")
@@ -695,42 +719,23 @@ def run_transient(
                 f_j = f_mon[j]
                 f_j.append(washout_update(f_j[-1], th, th_prev[j], alpha_f, dt))
             th_prev[j] = th
-        if ies is not None:
-            ies_states[k] = (bess_state.integrator, bess_state.p_out,
-                             p_smr, valve_cmd, p_mech_cmd)
 
         if k == n_steps:
             break
 
-        # Controller updates (piecewise-constant over the step).
-        if ies is not None:
-            df_pu = -f_mon[poi_j][-1] / f_nom
-            p_out, bess_state = bess_power(df_pu, bess_state, bess, dt)
-            v_poi = complex(v_out[poi_at], v_out[poi_at + 1])
+        if ctl:
+            v_poi = complex(v_vec.view(complex)[mon_at[poi_j] // 2])
             if v_poi == 0:
                 raise SimulationError(f"zero voltage at the battery bus at t={t:.4f}s")
-            s_b = complex(p_out * bess.p_rating / sbase, 0.0)
-            i_bess[0] = (s_b / v_poi).conjugate()
-        if ies is not None and machines.active[smr_mi]:
-            mi = smr_mi
-            emf = e_smr * complex(cos_d[mi], sin_d[mi])
-            p_e_mw = (emf * ((emf - v_poi) * y_smr).conjugate()).real * sbase
-            droop = compute_droop(min(max(p_e_mw, 0.0), smr.p_max), q_dot, smr)
-            corr = governor_power_correction(
-                float(x[nm + mi]), droop, smr.freq_deadband
-            )
-            target = ies.p_dispatch_mw / smr.p_max + corr
-            target = min(max(target, 0.0), 1.0)
-            valve_cmd = valve_cmd + a_act * (target - valve_cmd)
-            p_cmd = apply_load_limiter(valve_cmd, p_mech_cmd, smr.ramp_limit, dt)
-            p_mech_cmd = p_cmd
-            # The steam path is a declared identity: the HP/LP flows that
-            # smr_flows_from_power gives turbine_mechanical_power p_cmd back.
-            p_smr = p_cmd * smr.p_max / sbase
-            p_mech[mi] = p_smr
-            pm_h[mi] = p_smr * h2_inv_smr
+            rotor = None if not machines.active[smr] else (
+                complex(net.cos[smr], net.sin[smr]), float(x[net.nm + smr]))
+            i_b = ctl.step(f_mon[poi_j][-1], v_poi, rotor)
+            net.u[-2:] = i_b.real, i_b.imag
+            machines.p_mech[smr] = ctl.p_smr
+            net.pm_h[smr] = ctl.p_smr * net.h2_inv[smr]
+            ies_states[k + 1] = ctl.state()
 
-        x = rk4_step(deriv, t, x, dt)
+        x = rk4_step(net.deriv, t, x, dt)
         if not math.isfinite(x.sum()):
             raise SimulationError(f"NaN in device states at t={t + dt:.4f}s")
         np.maximum(x_hi, x, out=x_hi)
@@ -739,10 +744,10 @@ def run_transient(
     max_drift = float(max((x_hi - x0).max(initial=0.0), (x0 - x_lo).max(initial=0.0)))
     smr_series = bess_series = None
     smr_ramp_max = 0.0
-    if ies is not None:
+    if ctl:
         max_drift = max(max_drift, float(np.abs(ies_states - ies_states[0]).max()))
-        smr_series = ies_states[:, 2] * sbase
-        bess_series = ies_states[:, 1] * bess.p_rating
+        smr_series = ies_states[:, 2] * case.system_mva_base
+        bess_series = ies_states[:, 1] * ies.bess.p_rating
         smr_ramp_max = float(np.abs(np.diff(ies_states[:, 4])).max(initial=0.0)) / dt
     v_hist = v_hist.view(complex)
     return TransientResult(

@@ -76,6 +76,16 @@ class TestProfile:
         assert summary["bins"] == 12
         assert 0 < summary["peak_total_mw"] <= 60.0
 
+    def test_target_above_the_cooling_capacity(self, workdir, capsys):
+        # 90 MW of total peak needs about 71 MW of IT, which the 80 MW-th
+        # chiller bank can cool.
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["profile"]["target_total_peak_mw"] = 90.0
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "profile") == 0
+        summary = json.loads((workdir / "out/profile_summary.json").read_text())
+        assert 0 < summary["peak_total_mw"] <= 90.0
+
     def test_malformed_row_reports_error(self, workdir, capsys):
         tasks = workdir / "tasks.csv"
         tasks.write_text("start_s,end_s,cpu\n0,600,2.5\nbroken,row,here\n")
@@ -154,6 +164,22 @@ class TestTransient:
     def test_bad_scenario_index(self, workdir, capsys):
         assert run(workdir, "transient", "--scenario", "5") == 2
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("freq_filter_tc", 0, "freq_filter_tc must be finite and >= dt"),
+        ("freq_filter_tc", 0.002, "freq_filter_tc must be finite and >= dt"),
+        ("f_nominal", 0, "f_nominal must be finite and > 0"),
+        ("f_nominal", -60, "f_nominal must be finite and > 0"),
+    ])
+    def test_simulation_settings_that_break_the_run(
+        self, workdir, capsys, key, value, message
+    ):
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["simulation"][key] = value
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "transient") == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert message in err["message"]
+
     def test_dt_check(self, tmp_path, capsys):
         # Criterion 6's fault, cut to a 3.5 s horizon.
         write_profile_csv(week_profile(2024), tmp_path / "week.csv")
@@ -193,6 +219,18 @@ class TestCompare:
         assert ra == rb
         table = (workdir / "a/comparison_summary.txt").read_text()
         assert "wins:" in table
+
+    def test_scenario_past_the_horizon_fails_only_its_pair(self, workdir, capsys):
+        cfg = json.loads((workdir / "config.json").read_text())
+        late = {"kind": "load_step", "t_apply": 6.0, "load_step_mw": 10.0}
+        cfg["scenarios"].append(late)
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "compare") == 3
+        report = json.loads((workdir / "out/comparison_report.json").read_text())
+        assert len(report["pairs"]) == 1
+        assert [f["error_type"] for f in report["failed"]] == ["SimulationError"]
+        assert report["pairs"][0]["scenario_id"].startswith("bus_fault_")
+        assert report["failed"][0]["scenario"].startswith("load_step_")
 
     def test_missing_ies_rejected(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())

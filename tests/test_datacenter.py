@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smrgrid import datacenter
 from smrgrid.datacenter import (
@@ -439,6 +439,15 @@ class TestBuildProfile:
         _, p_th = staging_and_thermal(it.p_max, AmbientConditions(), DEFAULT_CHILLER)
         assert it.p_max + p_th == pytest.approx(60.0, abs=1e-4)
 
+    @pytest.mark.parametrize("target, p_max", [(90.0, 71.10), (100.0, 79.99)])
+    def test_calibration_above_the_cooling_capacity(self, target, p_max):
+        # The 80 MW-th bank cools 80 MW of IT, which draws 100.01 MW in
+        # total, so these targets need less IT heat than the target itself.
+        it = calibrate_it_capacity(target)
+        _, p_th = staging_and_thermal(it.p_max, AmbientConditions(), DEFAULT_CHILLER)
+        assert it.p_max == pytest.approx(p_max, abs=5e-3)
+        assert abs(it.p_max + p_th - target) <= 1e-6
+
 
 class TestCsvBoundary:
     def test_task_round_trip(self, tmp_path):
@@ -490,6 +499,32 @@ class TestCsvBoundary:
         path.write_text("start_s,end_s,cpu\n" + rows)
         with pytest.raises(TraceError, match=f":{line}: .*{reason}"):
             read_tasks_csv(path)
+
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"start_s,end_s,cpu\n0,600,2.5\n0,\xff,1.0\n")
+        for read in (read_tasks_csv, read_machine_events_csv, read_profile_csv):
+            with pytest.raises(TraceError) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}:3: not UTF-8 text (invalid start byte)"
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        header=st.sampled_from([
+            "", "start_s,end_s,cpu\n", "t_s,kind,machine_id,capacity\n",
+            ",".join(datacenter._PROFILE_HEADER) + "\r\n",
+        ]),
+        body=st.binary(max_size=80),
+        read=st.sampled_from([read_tasks_csv, read_machine_events_csv, read_profile_csv]),
+    )
+    def test_any_bytes_give_a_table_or_a_trace_error(self, tmp_path, header, body, read):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(header.encode() + body)
+        try:
+            read(path)
+        except TraceError as exc:
+            assert str(exc).startswith(str(path))
 
     def test_task_error_names_line(self, tmp_path):
         path = tmp_path / "tasks.csv"
@@ -701,8 +736,9 @@ CHECKS = [
      "q_cool must be >= 0"),
     (lambda: staging_and_thermal(81.0, COND, DEFAULT_CHILLER), ValueError,
      "cooling capacity exceeded: 81.000 MW-th > 80.000 MW-th"),
-    (lambda: calibrate_it_capacity(1000.0), ValueError,
-     "cooling capacity exceeded: 1000.000 MW-th > 80.000 MW-th"),
+    (lambda: calibrate_it_capacity(101.0), ValueError,
+     "target total peak 101.000000 MW exceeds the 100.009920 MW drawn at the "
+     "chiller bank's capacity"),
 ]
 
 

@@ -34,6 +34,7 @@ from smrgrid.dynamics import (
     turbine_mechanical_power,
     write_result_csv,
     _apply_event,
+    _IesControl,
     _Network,
     initialize_devices,
 )
@@ -42,6 +43,7 @@ from smrgrid.network import build_ybus
 
 
 SMR = SmrParams()
+W_S = 2 * math.pi * 60.0  # synchronous speed, rad/s
 
 
 class TestTurbinePower:
@@ -303,7 +305,7 @@ class TestRunTransient:
         assert v25[-1] < v25[0]  # extra load depresses the bus voltage
 
     def test_t_end_must_cover_events(self, case118, snapshot):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match="t_end must exceed the last event time"):
             run_transient(
                 case118, snapshot, None,
                 [Event(5.0, LoadStep(25, 1.0))],
@@ -534,7 +536,7 @@ class TestReducedNetwork:
         bess_idx = case118.bus_index(2)
         monitored = [case118.bus_index(b) for b in (25, 75)]
         net = _Network(
-            case118, ybus.matrix, s_load, snapshot.v, machines, monitored, bess_idx
+            case118, ybus.matrix, s_load, snapshot.v, machines, W_S, monitored, bess_idx
         )
         net.refactor(machines)
 
@@ -547,7 +549,7 @@ class TestReducedNetwork:
             "gen_trip": GenTrip(self.GEN_BUS),
         }[topology]
         if kind is not None:
-            _apply_event(net, case118, machines, kind, snapshot.v[net.read])
+            _apply_event(net, case118, machines, kind, snapshot.v[net.read_bus])
             net.refactor(machines)
         if topology == "fault":
             shunt[case118.bus_index(self.FAULT_BUS)] += -1e4j
@@ -589,13 +591,94 @@ class TestReducedNetwork:
             p_e = (np.exp(1j * delta) * np.conj(i_full)).real  # P_e / 2H
             for got, want in (
                 (j[:nm] + 1j * j[nm:], i_full),
-                (net.solve(u, read=True).view(complex), v_full[net.read]),
+                (net.solve(u, read=True).view(complex), v_full[net.read_bus]),
                 (u[:nm] * j[:nm] + u[nm:2 * nm] * j[nm:], p_e),  # as deriv forms it
             ):
                 rel = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert rel <= 1e-12
             assert (j[:nm][~on] == 0).all() and (j[nm:][~on] == 0).all()
-        assert set(net.read) >= set(monitored) | {bess_idx}
+        assert set(net.read_bus) >= set(monitored) | {bess_idx}
+
+
+def plant(case, sol, ies):
+    """The transient's plant and machines at the snapshot `sol`, set up as
+    run_transient sets them up, reading bus 25 and the battery bus of `ies`."""
+    ybus = build_ybus(case)
+    machines, s_load = initialize_devices(case, ybus, sol, ies)
+    bess_idx = None if ies is None else case.bus_index(ies.bus)
+    net = _Network(
+        case, ybus.matrix, s_load, sol.v, machines, W_S, [case.bus_index(25)], bess_idx
+    )
+    net.refactor(machines)
+    return net, machines
+
+
+class TestPlantAndController:
+    """The plant's swing equations and the IES controller, each alone."""
+
+    CFG = SimConfig(dt=0.005, t_end=1.0, monitor_buses=(25,))
+
+    @pytest.mark.parametrize("ies", [None, IES_UNIT], ids=["grid_only", "ies"])
+    def test_rates_vanish_at_the_initial_equilibrium(self, case118, snapshot, ies):
+        net, machines = plant(case118, snapshot, ies)
+        x = np.concatenate([machines.delta, np.zeros(machines.delta.size)])
+        net.read(x)
+        assert np.abs(net.deriv(0.0, x)).max() <= 1e-12
+        assert np.abs(net.deriv(0.0, x.copy())).max() <= 1e-12  # trig taken afresh
+
+    def test_rk4_step_matches_a_textbook_rk4(self, case118, snapshot):
+        # Speeds of 1e-2 pu turn the rotors by about 1e-2 rad within a step,
+        # so a stage that reused the step boundary's cos/sin would be off.
+        net, machines = plant(case118, snapshot, IES_UNIT)
+        nm = machines.delta.size
+        rng = np.random.default_rng(5)
+        x = np.concatenate([machines.delta, rng.uniform(-1e-2, 1e-2, nm)])
+        net.u[2 * nm:] = 0.05, -0.02  # a battery current
+
+        def f(_t, xs):
+            d, w = xs[:nm], xs[nm:]
+            j = net.current @ np.concatenate([np.cos(d), np.sin(d), net.u[2 * nm:]])
+            p_e = np.cos(d) * j[:nm] + np.sin(d) * j[nm:]
+            return np.concatenate([net.w_gain * w, net.pm_h - p_e - net.dh * w])
+
+        dt = self.CFG.dt
+        k1 = f(0.0, x)
+        k2 = f(0.5 * dt, x + 0.5 * dt * k1)
+        k3 = f(0.5 * dt, x + 0.5 * dt * k2)
+        k4 = f(dt, x + dt * k3)
+        want = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        net.read(x)
+        got = rk4_step(net.deriv, 0.0, x, dt)
+        assert np.abs(got - want).max() <= 1e-13
+        assert np.abs(want - x).max() > 1e-4  # the step moves the state
+
+    def test_controller_respects_the_ramp_limit(self, case118, snapshot):
+        _, machines = plant(case118, snapshot, IES_UNIT)
+        ctl = _IesControl(IES_UNIT, machines, case118.system_mva_base, self.CFG)
+        limit = IES_UNIT.smr.ramp_limit * self.CFG.dt
+        rng = np.random.default_rng(3)
+        cmds = [ctl.cmd]
+        for k in range(400):
+            # Frequency steps of up to +-3 Hz, held for 40 steps each.
+            if k % 40 == 0:
+                f_poi = rng.uniform(-3.0, 3.0)
+                speed = -f_poi / self.CFG.f_nominal
+            i_b = ctl.step(f_poi, 1.0 + 0j, (complex(1.0, 0.1), speed))
+            assert abs(ctl.cmd - cmds[-1]) <= limit + 1e-15
+            assert 0.0 <= ctl.cmd <= 1.0
+            assert ctl.p_smr == ctl.cmd * IES_UNIT.smr.p_max / case118.system_mva_base
+            assert ctl.state()[1] == ctl.bess.p_out
+            assert math.isfinite(abs(i_b))
+            cmds.append(ctl.cmd)
+        assert max(cmds) - min(cmds) > 20 * limit  # the limiter was reached
+
+    def test_battery_acts_while_the_smr_is_tripped(self, case118, snapshot):
+        _, machines = plant(case118, snapshot, IES_UNIT)
+        ctl = _IesControl(IES_UNIT, machines, case118.system_mva_base, self.CFG)
+        smr_state = ctl.state()[2:]
+        i_b = ctl.step(-0.5, 1.0 + 0j, None)  # under-frequency
+        assert i_b.real > 0 and ctl.bess.p_out > 0  # discharge
+        assert ctl.state()[2:] == smr_state  # SMR power, valve and command hold
 
 
 GRID = dict(h=4.0, d=2.0, xd_p=0.25, mva_base=100.0)
@@ -616,6 +699,15 @@ CHECKS = [
     (lambda: Event(-1.0, GenTrip(12)), ValueError, "event time must be >= 0"),
     (lambda: SimConfig(dt=0.05), ValueError, "dt must be in (0, 0.02]"),
     (lambda: SimConfig(t_end=0.0), ValueError, "t_end must be > 0"),
+    *[
+        (lambda v=v: SimConfig(freq_filter_tc=v), ValueError,
+         "freq_filter_tc must be finite and >= dt")
+        for v in (0.0, 0.002, math.inf, math.nan)
+    ],
+    *[
+        (lambda v=v: SimConfig(f_nominal=v), ValueError, "f_nominal must be finite and > 0")
+        for v in (0.0, -60.0, math.inf, math.nan)
+    ],
     (lambda: turbine_mechanical_power(0.9, 1100, 850, 10, -1), ValueError,
      "mass flows must be >= 0"),
     (lambda: turbine_mechanical_power(1.5, 1100, 850, 10, 10), ValueError,
