@@ -6,12 +6,20 @@ width is fixed by the profile contract. Traces are columnar: the readers
 return a `TaskTable` and a `MachineEventTable`, and the power models take a
 scalar or an array with one value per bin, so a profile is computed and
 written a column at a time.
+
+The task and machine-event readers check the header with csv, then hand
+np.loadtxt the file's path, so that numpy parses the body in C (the bulk
+path). A bad row is found again with csv (the row path), which names its
+line. The machine-event reader also reads with the row path every file the
+bulk path cannot read as csv does, such as one with short rows. A leading
+UTF-8 byte-order mark is accepted.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -239,6 +247,11 @@ def _bin_mean(times: np.ndarray, deltas: np.ndarray, t0: float, t1: float) -> np
     integral, and deltas[i] to the level every later bin starts at (a prefix
     sum over bins). Each term stays local to one bin, so there is no
     cancellation between large running integrals. O(N + B).
+
+    The bin is the rounded quotient (t - t0) / BIN_SECONDS truncated, so a
+    time within one ulp below an edge may land in the bin after it. The
+    bin mean is continuous across an edge, so that moves a mean by at most
+    |deltas[i]| times one ulp.
     """
     if t1 <= t0:
         raise TraceError("t1 must be > t0")
@@ -246,7 +259,7 @@ def _bin_mean(times: np.ndarray, deltas: np.ndarray, t0: float, t1: float) -> np
     edges = np.minimum(t0 + BIN_SECONDS * np.arange(n_bins + 1), t1)
     width = np.diff(edges)
     t = np.clip(times, t0, t1)
-    k = np.minimum((t - t0) // BIN_SECONDS, n_bins - 1).astype(np.intp)
+    k = np.minimum(((t - t0) / BIN_SECONDS).astype(np.intp), n_bins - 1)
     inside = np.bincount(k, deltas * (edges[k + 1] - t), minlength=n_bins)
     per_bin = np.bincount(k, deltas, minlength=n_bins)
     level = np.concatenate(([0.0], np.cumsum(per_bin[:-1])))
@@ -474,9 +487,10 @@ def calibrate_it_capacity(
 
 @contextmanager
 def _utf8(path: str | Path):
-    """`path` open as UTF-8 text for csv; a byte that is not UTF-8 ends as a
-    TraceError that names the path and the line of the first such byte."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """`path` open as UTF-8 text for csv, a leading byte-order mark dropped;
+    a byte that is not UTF-8 ends as a TraceError that names the path and
+    the line of the first such byte."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -491,6 +505,21 @@ def _utf8(path: str | Path):
             raise TraceError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
 
 
+#: Suffixes by which np.loadtxt decompresses a file it is given by path.
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _loadtxt(path: str | Path, **kwargs) -> np.ndarray:
+    """np.loadtxt of the CSV at `path`. Given a path, numpy parses the file
+    in chunks in C; given a handle, it takes one line at a time in Python.
+    The path is made absolute, so numpy cannot read it as a URL, and a file
+    named as compressed (its header was read as plain text) goes by handle."""
+    if Path(path).suffix in _COMPRESSED:
+        with _utf8(path) as fh:
+            return np.loadtxt(fh, **kwargs)
+    return np.loadtxt(os.path.abspath(path), encoding="utf-8", **kwargs)
+
+
 _TASK_COLUMNS = ("start_s", "end_s", "cpu")
 
 
@@ -502,19 +531,19 @@ def read_tasks_csv(path: str | Path) -> TaskTable:
         if not set(_TASK_COLUMNS).issubset(header):
             raise TraceError(f"{path}: expected header start_s,end_s,cpu")
         cols = [header.index(name) for name in _TASK_COLUMNS]
-        first_row = fh.tell()
-        if not fh.read().strip():  # np.loadtxt would warn on an empty body
+        # np.loadtxt would warn on an empty body; this reads up to the
+        # first line that is not blank.
+        if not any(map(str.strip, fh)):
             return TaskTable(np.empty(0), np.empty(0), np.empty(0))
-        fh.seek(first_row)
-        try:
-            return TaskTable(*np.loadtxt(
-                fh, delimiter=",", usecols=cols, ndmin=2, unpack=True,
-                quotechar='"', comments=None,
-            ))
-        except (ValueError, TraceError) as exc:
-            raise TraceError(
-                _bad_line(path, lambda row: _task_record(row, cols), exc)
-            ) from exc
+    try:
+        return TaskTable(*_loadtxt(
+            path, delimiter=",", usecols=cols, skiprows=1, ndmin=2,
+            unpack=True, quotechar='"', comments=None,
+        ))
+    except (ValueError, TraceError) as exc:
+        raise TraceError(
+            _bad_line(path, lambda row: _task_record(row, cols), exc)
+        ) from exc
 
 
 def _task_record(row: list[str], cols: list[int]) -> TaskRecord:
@@ -551,19 +580,44 @@ def _bad_line(path: str | Path, check, exc: Exception) -> str:
 
 
 _EVENT_COLUMNS = ("t_s", "kind", "machine_id", "capacity")
+_EVENT_DTYPE = np.dtype([
+    ("t", float), ("kind", object), ("machine_id", object), ("capacity", object),
+])
 
 
 def read_machine_events_csv(path: str | Path) -> MachineEventTable:
     """Machine-event CSV whose header names t_s, kind, machine_id and
     capacity, in any order; other columns are ignored. kind is case- and
     space-insensitive. Missing trailing fields read as empty, and an empty
-    capacity is 0, so a remove needs none."""
+    capacity is 0, so a remove needs none.
+
+    One np.loadtxt pass reads the file. Where it fails, or where it may
+    have changed a quoted line end in a machine_id, the csv row path reads
+    it instead: that path alone takes short rows and numbers that only
+    Python's float reads, such as 1_000, and it names a bad line."""
     with _utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if not set(_EVENT_COLUMNS).issubset(header):
             raise TraceError(f"{path}: expected header t_s,kind,machine_id,capacity")
         cols = [header.index(name) for name in _EVENT_COLUMNS]
+        header_lines = reader.line_num
+        if not any(reader):  # np.loadtxt would warn on an empty body
+            return MachineEventTable(np.empty(0), [], [], [])
+    try:
+        t, kind, machine_id, capacity = _loadtxt(
+            path, dtype=_EVENT_DTYPE, delimiter=",", usecols=cols,
+            skiprows=header_lines, ndmin=1, unpack=True, quotechar='"',
+            comments=None,
+        )
+        # numpy reads a quoted \r or \r\n as \n, where csv keeps it.
+        if "\n" not in "".join(machine_id.tolist()):
+            return _event_columns(t, kind.tolist(), machine_id, capacity.tolist())
+    except (ValueError, TraceError):
+        pass  # the row path reads the file, or names its bad line
+    with _utf8(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
         try:
             return _event_table(reader, cols)
         except (ValueError, TraceError) as exc:
@@ -585,9 +639,17 @@ def _event_table(rows, cols: list[int]) -> MachineEventTable:
     # would traverse every kept list on each full collection.
     picked = map(itemgetter(*cols), padded)
     t, kind, machine_id, capacity = list(zip(*picked)) or [()] * 4
+    return _event_columns(
+        np.fromiter(map(float, t), float, len(t)), kind, machine_id, capacity
+    )
+
+
+def _event_columns(t: np.ndarray, kind, machine_id, capacity) -> MachineEventTable:
+    """The table of event times and of the kind, machine_id and capacity
+    fields as the CSV holds them."""
     normal = {k: k.strip().lower() for k in set(kind)}  # one string per kind
     return MachineEventTable(
-        t=np.fromiter(map(float, t), float, len(t)),
+        t=t,
         kind=[normal[k] for k in kind],
         machine_id=machine_id,
         capacity=np.fromiter((float(c or 0.0) for c in capacity), float, len(t)),

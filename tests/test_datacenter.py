@@ -3,6 +3,7 @@ import io
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smrgrid import datacenter
 from smrgrid.datacenter import (
+    _event_table,
     AmbientConditions,
     BIN_SECONDS,
     ChillerParams,
@@ -40,15 +42,18 @@ from smrgrid.datacenter import (
 
 
 def brute_force_bins(tasks, t0, t1):
-    """Per-second accumulation oracle; exact for integer-second boundaries."""
+    """Per-second accumulation oracle; exact for integer-second boundaries.
+    A partial last bin is averaged over the seconds it covers."""
     n_bins = math.ceil((t1 - t0) / BIN_SECONDS)
     out = np.zeros(n_bins)
+    counts = np.zeros(n_bins)
     for s in range(int(t0), int(t1)):
         k = (s - int(t0)) // BIN_SECONDS
         for task in tasks:
             if task.start <= s < task.end:
-                out[k] += task.cpu / BIN_SECONDS
-    return out
+                out[k] += task.cpu
+        counts[k] += 1
+    return out / counts
 
 
 def brute_force_capacity(events, t0, t1):
@@ -229,6 +234,60 @@ class TestEstimateCapacity:
             MachineEvent(values["t"], "add", "m1", values["capacity"])
         with pytest.raises(TraceError):
             MachineEventTable([values["t"]], ["add"], ["m1"], [values["capacity"]])
+
+
+class TestBinEdges:
+    """Jumps exactly on a bin edge, one ulp to either side of one, and at t0
+    and t1. The per-second oracles read the integer times; moving a jump by
+    one ulp moves a bin mean by about |delta| * 1e-16."""
+
+    T0, T1 = 600.0, 600.0 + 4 * BIN_SECONDS + 120.0  # a partial last bin
+    POINTS = [T0, *(T0 + BIN_SECONDS * np.arange(1, 5)).tolist(), T1]
+
+    @staticmethod
+    def beside(rng):
+        """One shift per point, -1, 0 or +1 ulp, so that tied jumps stay tied."""
+        side = {p: int(rng.integers(-1, 2)) for p in TestBinEdges.POINTS}
+        return lambda p: float(np.nextafter(p, side[p] * math.inf)) if side[p] else p
+
+    def test_tasks_match_per_second_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            shift = self.beside(rng)
+            tasks = []
+            for _ in range(int(rng.integers(1, 12))):
+                a, b = sorted(rng.choice(len(self.POINTS), 2, replace=False).tolist())
+                tasks.append(TaskRecord(self.POINTS[a], self.POINTS[b],
+                                        float(rng.uniform(0.1, 5.0))))
+            table = TaskTable([shift(t.start) for t in tasks],
+                              [shift(t.end) for t in tasks], [t.cpu for t in tasks])
+            want = brute_force_bins(tasks, self.T0, self.T1)
+            np.testing.assert_allclose(bin_tasks(table, self.T0, self.T1), want,
+                                       rtol=1e-12, atol=1e-12 * want.max())
+
+    def test_events_match_per_second_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            shift = self.beside(rng)
+            events = [
+                MachineEvent(
+                    self.POINTS[int(rng.integers(len(self.POINTS)))],
+                    str(rng.choice(["add", "remove", "update"])),
+                    f"m{int(rng.integers(0, 3))}",
+                    float(rng.uniform(1.0, 10.0)),
+                )
+                for _ in range(int(rng.integers(1, 15)))
+            ]
+            table = MachineEventTable(
+                [shift(e.t) for e in events], [e.kind for e in events],
+                [e.machine_id for e in events], [e.capacity for e in events],
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = estimate_capacity(table, self.T0, self.T1)
+                want = brute_force_capacity(events, self.T0, self.T1)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * max(want.max(), 1.0))
 
 
 class TestNormalize:
@@ -617,6 +676,117 @@ class TestCsvBoundary:
         path.write_text("t_s,kind,machine_id,capacity\n" + rows)
         with pytest.raises(TraceError, match=f":{line}: .*{reason}"):
             read_machine_events_csv(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_machine_events_read_as_the_row_path_reads_them(self, tmp_path, data):
+        # The bulk np.loadtxt pass must give what csv.reader rows through
+        # _event_table give, field by field, or the same TraceError; and
+        # it must read every valid file whose rows are all full-width, whose
+        # times numpy's grammar takes and whose machine ids hold no line end.
+        names = data.draw(st.permutations(
+            [*datacenter._EVENT_COLUMNS,
+             *data.draw(st.lists(st.sampled_from(["zone", '"n,o"', '"n\no"']),
+                                 max_size=2))]
+        ))
+        # Fields that both paths read come thrice as often as the rest, so
+        # that many files are valid and reach the bulk path whole.
+        values = {
+            "t_s": ["0", "60", " 30 ", "1.5", "-2e2", '"45"'] * 3
+            + ["1_000", "\u0661\u0660", "x"],
+            "kind": ["add", "ADD", " Remove ", "remove", "update", '"Update "'] * 2
+            + ["explode"],
+            "machine_id": ["m1", "m2", " m1 ", '"m,1"', '"m\n1"', '"m\r1"',
+                           '"m\r\n1"', '"m""1"', ""],
+            "capacity": ["4", " 2.5 ", "", "0", '"3"', "1"] * 3 + ["-1", "1_000"],
+        }
+        lines = [",".join(names)]
+        for _ in range(data.draw(st.integers(0, 4))):
+            row = [data.draw(st.sampled_from(values.get(n, ["z", '"a,b"', ""])))
+                   for n in names]
+            cut = data.draw(st.sampled_from(
+                [len(names)] * 8 + [len(names) + 1] * 2 + list(range(1, len(names)))
+            ))
+            lines.append(",".join((row + ["w"])[:cut]))
+            lines += data.draw(st.lists(st.sampled_from(["", "", "", "", "", " ", "\t"]),
+                                        max_size=1))
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        path = tmp_path / "events.csv"
+        path.write_bytes((end.join(lines) + data.draw(st.sampled_from([end, ""])))
+                         .encode())
+
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            cols = [header.index(n) for n in datacenter._EVENT_COLUMNS]
+            rows = [row for row in reader if row]
+        try:
+            want = _event_table(rows, cols)
+        except (ValueError, TraceError) as exc:
+            want = TraceError(datacenter._bad_line(
+                path, lambda row: _event_table([row], cols), exc))
+        with mock.patch.object(datacenter, "_event_table", wraps=_event_table) as rows_read:
+            try:
+                got = read_machine_events_csv(path)
+            except TraceError as exc:
+                got = exc
+        if isinstance(want, TraceError):
+            assert isinstance(got, TraceError) and str(got) == str(want)
+            return
+        assert isinstance(got, MachineEventTable)
+        for field in ("t", "kind", "machine_id", "capacity"):
+            assert getattr(got, field).dtype == getattr(want, field).dtype
+            assert getattr(got, field).tolist() == getattr(want, field).tolist()
+        bulk_reads = (
+            all(len(row) > max(cols) for row in rows)
+            and all("_" not in row[cols[0]] and row[cols[0]].isascii() for row in rows)
+            and not any("\r" in m or "\n" in m for m in want.machine_id.tolist())
+        )
+        assert rows_read.called != bulk_reads
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        profile = build_profile(UtilizationTrace(u=np.array([0.0, 0.5])),
+                                ItPowerParams(p_max=60.0))
+        write_profile_csv(profile, tmp_path / "profile.csv")
+        texts = {
+            read_tasks_csv: "start_s,end_s,cpu\n0,600,2.5\n",
+            read_machine_events_csv: "t_s,kind,machine_id,capacity\n0,add,m1,4\n",
+            read_profile_csv: (tmp_path / "profile.csv").read_text(),
+        }
+        for read, text in texts.items():
+            plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+            plain.write_bytes(text.encode())
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            want, got = read(plain), read(marked)
+            for field in vars(want):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize("suffix", datacenter._COMPRESSED)
+    def test_plain_file_with_a_compression_suffix(self, tmp_path, suffix):
+        # np.loadtxt would decompress a path by its suffix.
+        tasks = tmp_path / f"tasks.csv{suffix}"
+        tasks.write_text("start_s,end_s,cpu\n0,600,2.5\n")
+        assert read_tasks_csv(tasks).end.tolist() == [600.0]
+        events = tmp_path / f"events.csv{suffix}"
+        events.write_text("t_s,kind,machine_id,capacity\n0,add,m1,4\n")
+        assert read_machine_events_csv(events).machine_id.tolist() == ["m1"]
+
+    def test_path_that_reads_as_a_url_stays_local(self, tmp_path, monkeypatch):
+        # np.loadtxt fetches a path with a scheme and a host; the local file
+        # http:/host/tasks.csv must be read instead, with no fetch.
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("tried to fetch a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "tasks.csv").write_text("start_s,end_s,cpu\n0,600,2.5\n")
+        (tmp_path / "http:" / "host" / "events.csv").write_text(
+            "t_s,kind,machine_id,capacity\n0,add,m1,4\n"
+        )
+        assert read_tasks_csv("http://host/tasks.csv").end.tolist() == [600.0]
+        assert read_machine_events_csv("http://host/events.csv").t.tolist() == [0.0]
 
     def test_profile_round_trip(self, tmp_path):
         trace = UtilizationTrace(u=np.array([0.0, 0.5, 1.0]))
