@@ -21,7 +21,6 @@ import csv
 import math
 import os
 import warnings
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -133,11 +132,8 @@ class MachineEventTable:
 @dataclass(frozen=True)
 class UtilizationTrace:
     u: np.ndarray  # normalized utilization per 5-minute bin
-    bin_seconds: int = BIN_SECONDS
 
     def __post_init__(self):
-        if self.bin_seconds != BIN_SECONDS:
-            raise TraceError("bin width is fixed at 300 s")
         u = np.asarray(self.u, dtype=float)
         if u.size and (u.min() < 0.0 or u.max() > 1.0):
             raise TraceError("utilization values must lie in [0, 1]")
@@ -266,13 +262,9 @@ def _bin_mean(times: np.ndarray, deltas: np.ndarray, t0: float, t1: float) -> np
     return (level * width + inside) / width
 
 
-def bin_tasks(tasks: TaskTable | list[TaskRecord], t0: float, t1: float) -> np.ndarray:
+def bin_tasks(tasks: TaskTable, t0: float, t1: float) -> np.ndarray:
     """Per-bin mean active cpu: each task spreads its cpu in proportion to the
-    overlap of its active interval with each 5-minute bin. `tasks` is a
-    TaskTable or any sequence of TaskRecord."""
-    if not isinstance(tasks, TaskTable):
-        rows = np.array([(t.start, t.end, t.cpu) for t in tasks], dtype=float)
-        tasks = TaskTable(*rows.reshape(-1, 3).T)
+    overlap of its active interval with each 5-minute bin."""
     return _bin_mean(
         np.concatenate([tasks.start, tasks.end]),
         np.concatenate([tasks.cpu, -tasks.cpu]),
@@ -280,15 +272,9 @@ def bin_tasks(tasks: TaskTable | list[TaskRecord], t0: float, t1: float) -> np.n
     )
 
 
-def estimate_capacity(
-    events: MachineEventTable | Sequence[MachineEvent], t0: float, t1: float
-) -> np.ndarray:
+def estimate_capacity(events: MachineEventTable, t0: float, t1: float) -> np.ndarray:
     """Per-bin time-weighted average of total fleet capacity from the
-    add/remove/update event stream, applied in stable time order. `events`
-    is a MachineEventTable or any sequence of MachineEvent."""
-    if not isinstance(events, MachineEventTable):
-        rows = [(e.t, e.kind, e.machine_id, e.capacity) for e in events]
-        events = MachineEventTable(*(zip(*rows) if rows else ([],) * 4))
+    add/remove/update event stream, applied in stable time order."""
     order = np.argsort(events.t, kind="stable")
     fleet: dict[str, float] = {}
     times: list[float] = []
@@ -449,12 +435,16 @@ def build_profile(
     )
 
 
+#: calibrate_it_capacity's bisection stops once its p_max bracket is this
+#: narrow, MW.
+CALIBRATION_TOL_MW = 1e-6
+
+
 def calibrate_it_capacity(
     target_total_peak_mw: float,
     chiller: ChillerParams = DEFAULT_CHILLER,
     ambient: AmbientConditions = AmbientConditions(),
     idle_fraction: float = ItPowerParams.idle_fraction,
-    tol: float = 1e-6,
 ) -> ItPowerParams:
     """IT capacity such that IT + cooling at full utilization meets a target
     total peak (bisection on p_max). The total is at least p_max, and the
@@ -477,7 +467,7 @@ def calibrate_it_capacity(
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < CALIBRATION_TOL_MW:
             break
     return ItPowerParams(p_max=hi, idle_fraction=idle_fraction)
 
@@ -505,6 +495,17 @@ def _utf8(path: str | Path):
             raise TraceError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
 
 
+@contextmanager
+def _csv_errors(path: str | Path, reader):
+    """`reader`, a csv reader of the file at `path`; a csv.Error that it
+    raises, such as a field over csv's size limit, ends as a TraceError that
+    names the path and the reader's line."""
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise TraceError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 #: Suffixes by which np.loadtxt decompresses a file it is given by path.
 _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 
@@ -526,8 +527,8 @@ _TASK_COLUMNS = ("start_s", "end_s", "cpu")
 def read_tasks_csv(path: str | Path) -> TaskTable:
     """Task CSV whose header names start_s, end_s and cpu, in any order;
     other columns are ignored."""
-    with _utf8(path) as fh:
-        header = next(csv.reader([fh.readline()]), [])
+    with _utf8(path) as fh, _csv_errors(path, csv.reader([fh.readline()])) as head:
+        header = next(head, [])
         if not set(_TASK_COLUMNS).issubset(header):
             raise TraceError(f"{path}: expected header start_s,end_s,cpu")
         cols = [header.index(name) for name in _TASK_COLUMNS]
@@ -566,8 +567,7 @@ def _bad_line(path: str | Path, check, exc: Exception) -> str:
     """`path:line: reason` for the first data row on which check(row) raises,
     which the bulk parsers do not report reliably; `path: exc`, the bulk
     parser's own error, when no row does."""
-    with _utf8(path) as fh:
-        reader = csv.reader(fh)
+    with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
         next(reader)
         for row in reader:
             if not row:  # blank line, skipped by the bulk parsers too
@@ -593,10 +593,9 @@ def read_machine_events_csv(path: str | Path) -> MachineEventTable:
 
     One np.loadtxt pass reads the file. Where it fails, or where it may
     have changed a quoted line end in a machine_id, the csv row path reads
-    it instead: that path alone takes short rows and numbers that only
-    Python's float reads, such as 1_000, and it names a bad line."""
-    with _utf8(path) as fh:
-        reader = csv.reader(fh)
+    it instead: that path alone takes short rows, and it names a bad line.
+    Both read times and capacities in np.loadtxt's grammar."""
+    with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
         header = next(reader, [])
         if not set(_EVENT_COLUMNS).issubset(header):
             raise TraceError(f"{path}: expected header t_s,kind,machine_id,capacity")
@@ -615,8 +614,7 @@ def read_machine_events_csv(path: str | Path) -> MachineEventTable:
             return _event_columns(t, kind.tolist(), machine_id, capacity.tolist())
     except (ValueError, TraceError):
         pass  # the row path reads the file, or names its bad line
-    with _utf8(path) as fh:
-        reader = csv.reader(fh)
+    with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
         next(reader)
         try:
             return _event_table(reader, cols)
@@ -640,13 +638,16 @@ def _event_table(rows, cols: list[int]) -> MachineEventTable:
     picked = map(itemgetter(*cols), padded)
     t, kind, machine_id, capacity = list(zip(*picked)) or [()] * 4
     return _event_columns(
-        np.fromiter(map(float, t), float, len(t)), kind, machine_id, capacity
+        np.fromiter(map(_loadtxt_float, t), float, len(t)), kind, machine_id, capacity
     )
 
 
 def _event_columns(t: np.ndarray, kind, machine_id, capacity) -> MachineEventTable:
     """The table of event times and of the kind, machine_id and capacity
-    fields as the CSV holds them."""
+    fields as the CSV holds them; an empty capacity is 0."""
+    text = "".join(capacity)  # one check for the column, not one per field
+    if "_" in text or not text.isascii():
+        _loadtxt_float(next(c for c in capacity if "_" in c or not c.isascii()))
     normal = {k: k.strip().lower() for k in set(kind)}  # one string per kind
     return MachineEventTable(
         t=t,
@@ -683,20 +684,23 @@ def read_profile_csv(path: str | Path) -> LoadProfile:
     ts, u, p_it, q, n, p_th = [], [], [], [], [], []
     with _utf8(path) as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(_PROFILE_COLUMNS).issubset(
-            reader.fieldnames
-        ):
-            raise TraceError(f"{path}: expected header {','.join(_PROFILE_COLUMNS)}")
-        for row in reader:
-            try:
-                ts.append(float(row["timestamp_s"]))
-                u.append(float(row["u"]))
-                p_it.append(float(row["p_it_mw"]))
-                q.append(float(row["q_cool_mwth"]))
-                n.append(int(row["n_ch"]))
-                p_th.append(float(row["p_thermal_mw"]))
-            except (TypeError, ValueError) as exc:
-                raise TraceError(f"{path}:{reader.line_num}: {exc}") from exc
+        # DictReader counts a line only once it is read whole; its csv
+        # reader counts the line it fails on.
+        with _csv_errors(path, reader.reader):
+            if reader.fieldnames is None or not set(_PROFILE_COLUMNS).issubset(
+                reader.fieldnames
+            ):
+                raise TraceError(f"{path}: expected header {','.join(_PROFILE_COLUMNS)}")
+            for row in reader:
+                try:
+                    ts.append(float(row["timestamp_s"]))
+                    u.append(float(row["u"]))
+                    p_it.append(float(row["p_it_mw"]))
+                    q.append(float(row["q_cool_mwth"]))
+                    n.append(int(row["n_ch"]))
+                    p_th.append(float(row["p_thermal_mw"]))
+                except (TypeError, ValueError) as exc:
+                    raise TraceError(f"{path}:{reader.line_num}: {exc}") from exc
     return LoadProfile(
         timestamps=np.array(ts), u=np.array(u), p_it=np.array(p_it),
         q_cool=np.array(q), n_ch=np.array(n), p_thermal=np.array(p_th),

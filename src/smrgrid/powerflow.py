@@ -67,7 +67,6 @@ class SingularJacobianError(Exception):
 class PowerFlowOptions:
     tol: float = 1e-6
     max_iter: int = 20
-    flat_start: bool = False
     enforce_q_limits: bool = True
 
     def __post_init__(self):
@@ -309,14 +308,11 @@ def compute_jacobian(
     return band.reshape((height, p.dim), order="F")
 
 
-def _initial_voltage(case: NetworkCase, flat_start: bool) -> np.ndarray:
-    if flat_start:
-        v = np.ones(case.n_bus, dtype=complex)
-    else:
-        v = np.array(
-            [b.v_mag * np.exp(1j * math.radians(b.v_ang_deg)) for b in case.buses],
-            dtype=complex,
-        )
+def _initial_voltage(case: NetworkCase) -> np.ndarray:
+    v = np.array(
+        [b.v_mag * np.exp(1j * math.radians(b.v_ang_deg)) for b in case.buses],
+        dtype=complex,
+    )
     # PV/slack magnitudes pinned to generator setpoints.
     a = case.arrays
     pin = a.has_gen & ~a.is_pq
@@ -395,7 +391,9 @@ def solve(
 ) -> PowerFlowSolution:
     """Full Newton-Raphson solve with optional PV->PQ Q-limit switching.
 
-    v0 overrides the starting voltage (warm starts for snapshot sweeps).
+    v0 sets the start of the solve (a flat start, or a warm start as in
+    snapshot sweeps); without it, the solve starts from the case's bus
+    voltages with each generator bus at its setpoint magnitude.
     A PV bus whose generator Q leaves its limits switches to PQ with Q
     pinned at the limit; a pinned bus whose voltage passes its setpoint on
     the releasing side returns to PV, at most once (prevents cycling). The
@@ -407,7 +405,7 @@ def solve(
         ybus = build_ybus(case)
     a = case.arrays
     base = case.system_mva_base
-    v = v0.copy() if v0 is not None else _initial_voltage(case, opts.flat_start)
+    v = v0.copy() if v0 is not None else _initial_voltage(case)
     checked = a.checked
     side = np.zeros(len(checked), dtype=np.int8)  # +1 pinned at q_max, -1 at q_min
     released = np.zeros(len(checked), dtype=bool)
@@ -475,7 +473,6 @@ def apply_snapshot(
     p_mw: float,
     q_mvar: float = 0.0,
     local_gen_mw: float = 0.0,
-    local_gen_limit_mw: float | None = None,
 ) -> NetworkCase:
     """Case copy with the datacenter load placed at dc_bus.
 
@@ -483,11 +480,6 @@ def apply_snapshot(
     later run a transient with explicit IES devices must account for the
     netting (dynamics un-nets device dispatch when converting loads).
     """
-    if local_gen_limit_mw is not None and local_gen_mw > local_gen_limit_mw + 1e-9:
-        raise ValueError(
-            f"local generation dispatch {local_gen_mw} MW exceeds rating "
-            f"{local_gen_limit_mw} MW"
-        )
     bus = case.bus(dc_bus)
     return case.with_bus(
         replace(

@@ -89,6 +89,15 @@ class ContingencySpec:
             raise ScenarioError(f"{self.kind} target {self.target!r} is not {shape}")
 
 
+#: extract_metrics' settling bands around the post-fault steady values.
+SETTLE_F_BAND_HZ = 0.02
+SETTLE_V_BAND_PU = 0.01
+#: A with-IES frequency settling time at most this much later than the
+#: grid-only one (two washout time constants) is a tie: the difference sits
+#: under the resolution of the filtered frequency measurement.
+SETTLE_TIE_S = 0.1
+
+
 @dataclass(frozen=True)
 class StabilityMetrics:
     f_nadir_hz: float
@@ -117,15 +126,14 @@ class ComparisonPair:
             "t_settle_f": self.with_ies.t_settle_f - self.grid_only.t_settle_f,
         }
 
-    def wins(self, settle_tolerance_s: float = 0.1) -> dict:
-        """Per-metric "IES no worse" outcomes. Settling differences below
-        settle_tolerance_s (two washout time constants) count as ties: they
-        sit under the resolution of the filtered frequency measurement."""
+    def wins(self) -> dict:
+        """Per-metric "IES no worse" outcomes, a settling time up to
+        SETTLE_TIE_S later counting as a tie."""
         d = self.deltas()
         return {
             "f_nadir": d["abs_f_nadir"] <= 0.0,
             "v_min": d["v_min"] >= 0.0,
-            "t_settle_f": d["t_settle_f"] <= settle_tolerance_s,
+            "t_settle_f": d["t_settle_f"] <= SETTLE_TIE_S,
         }
 
 
@@ -188,20 +196,11 @@ def snapshot_case(
     smr_dispatch = 0.0
     if cfg.kind == "with_ies":
         smr_dispatch = min(p_dc_mw, cfg.ies.smr.p_max)
-    snap = pf.apply_snapshot(
-        case, cfg.dc_bus, p_dc_mw, q_dc,
-        local_gen_mw=smr_dispatch,
-        local_gen_limit_mw=cfg.ies.smr.p_max if cfg.ies else None,
-    )
+    snap = pf.apply_snapshot(case, cfg.dc_bus, p_dc_mw, q_dc, local_gen_mw=smr_dispatch)
     return snap, smr_dispatch
 
 
-def snapshot_sweep(
-    case: NetworkCase,
-    profile: LoadProfile,
-    cfg: Configuration,
-    opts: pf.PowerFlowOptions = pf.PowerFlowOptions(),
-) -> SweepResult:
+def snapshot_sweep(case: NetworkCase, profile: LoadProfile, cfg: Configuration) -> SweepResult:
     """One power-flow solve per profile bin; non-convergence, including a
     singular Jacobian, is recorded, not fatal. Warm-started from the previous
     bin's converged solution."""
@@ -220,7 +219,7 @@ def snapshot_sweep(
     for k, p_dc in enumerate(profile.p_total.tolist()):
         snap, _ = snapshot_case(case, cfg, p_dc)
         try:
-            sol = pf.solve(snap, ybus, opts, v0=v_warm)
+            sol = pf.solve(snap, ybus, v0=v_warm)
         except pf.SingularJacobianError:
             v_warm = None
             continue
@@ -395,15 +394,11 @@ def run_contingency(
 
 
 def extract_metrics(
-    result: dyn.TransientResult,
-    t_apply: float,
-    poi_bus: int,
-    f_band_hz: float = 0.02,
-    v_band_pu: float = 0.01,
+    result: dyn.TransientResult, t_apply: float, poi_bus: int
 ) -> StabilityMetrics:
-    """Nadir/peak, settling times against the post-fault steady value, and
-    maximum RoCoF at the monitored bus poi_bus, all evaluated from the apply
-    time onward."""
+    """Nadir/peak, settling times against the post-fault steady value (into
+    bands of SETTLE_F_BAND_HZ and SETTLE_V_BAND_PU), and maximum RoCoF at
+    the monitored bus poi_bus, all evaluated from the apply time onward."""
     t = result.t
     if t.size == 0:
         raise ScenarioError("empty result series")
@@ -427,8 +422,8 @@ def extract_metrics(
             return float(tw[-1]), False
         return float(tw[last + 1]), True
 
-    t_f, f_ok = settle(fw, f_steady, f_band_hz)
-    t_v, v_ok = settle(vw, v_steady, v_band_pu)
+    t_f, f_ok = settle(fw, f_steady, SETTLE_F_BAND_HZ)
+    t_v, v_ok = settle(vw, v_steady, SETTLE_V_BAND_PU)
     rocof = float(np.max(np.abs(np.gradient(fw, dt)))) if fw.size > 2 else 0.0
     return StabilityMetrics(
         f_nadir_hz=float(min(fw.min(), 0.0)),

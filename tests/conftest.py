@@ -15,6 +15,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from smrgrid.datacenter import (
     LoadProfile,
+    MachineEventTable,
+    TaskTable,
     UtilizationTrace,
     build_profile,
     calibrate_it_capacity,
@@ -48,9 +50,33 @@ def week_profile(seed: int, n_bins: int = 2016) -> LoadProfile:
     return build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
 
 
+def task_table(tasks) -> TaskTable:
+    """The TaskTable of a list of TaskRecord, in list order."""
+    return TaskTable([t.start for t in tasks], [t.end for t in tasks],
+                     [t.cpu for t in tasks])
+
+
+def event_table(events) -> MachineEventTable:
+    """The MachineEventTable of a list of MachineEvent, in list order."""
+    return MachineEventTable(
+        [e.t for e in events], [e.kind for e in events],
+        [e.machine_id for e in events], [e.capacity for e in events],
+    )
+
+
 @pytest.fixture(scope="session")
 def case118() -> NetworkCase:
     return load_ieee118()
+
+
+def flat_start(case: NetworkCase) -> np.ndarray:
+    """The flat start: every bus at 1 pu and angle 0, except that each
+    generator bus that is not PQ sits at its setpoint magnitude."""
+    a = case.arrays
+    v = np.ones(case.n_bus, dtype=complex)
+    pin = a.has_gen & ~a.is_pq
+    v[pin] = a.v_set[pin]
+    return v
 
 
 def case_mismatch(case, ybus, v, pvpq=None, pq_idx=None) -> np.ndarray:

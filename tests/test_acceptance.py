@@ -36,7 +36,7 @@ from smrgrid.scenario import (
     snapshot_sweep,
 )
 
-from conftest import ACCEPTANCE_LINES, week_profile
+from conftest import ACCEPTANCE_LINES, event_table, task_table, week_profile
 
 SMR = dyn.SmrParams()
 
@@ -345,7 +345,7 @@ def test_criterion_8_trace_oracles():
             a = int(rng.integers(0, int(t1) - 1))
             b = int(rng.integers(a + 1, int(t1) + 1))
             tasks.append(TaskRecord(float(a), float(b), float(rng.uniform(0.1, 4))))
-        got = bin_tasks(tasks, 0.0, t1)
+        got = bin_tasks(task_table(tasks), 0.0, t1)
         active = np.zeros(int(t1))
         for tk in tasks:
             active[int(tk.start):int(tk.end)] += tk.cpu
@@ -368,7 +368,7 @@ def test_criterion_8_trace_oracles():
             if rng.random() < 0.5:
                 t_rm = int(rng.integers(t_add, int(t1)))
                 events.append(MachineEvent(float(t_rm), "remove", f"m{mid}", 0.0))
-        got_c = estimate_capacity(list(events), 0.0, t1)
+        got_c = estimate_capacity(event_table(events), 0.0, t1)
         level = np.zeros(int(t1))
         fleet = {}
         evs = sorted(events, key=lambda e: e.t)

@@ -270,7 +270,7 @@ class TestSerialization:
         bus2 = next(b for b in doc["buses"] if b["id"] == 2)
         assert bus2["v_ang_deg"] == 30.0
         # The power flow's starting point converts to radians where it is used.
-        v = _initial_voltage(case_from_dict(doc), flat_start=False)
+        v = _initial_voltage(case_from_dict(doc))
         assert np.angle(v[1]) == pytest.approx(np.pi / 6, abs=1e-15)
 
     def test_missing_field_reported(self, tmp_path):

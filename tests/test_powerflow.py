@@ -36,6 +36,7 @@ from conftest import (
     assert_cached_patterns_fresh,
     band_to_dense,
     case_mismatch,
+    flat_start,
     make_two_bus,
     two_bus_exact_voltage,
     week_profile,
@@ -236,8 +237,8 @@ class TestSolve:
         assert abs(np.sum(sol.p_inj) - losses.real) < 1e-8
 
     def test_quadratic_convergence_118(self, case118):
-        opts = PowerFlowOptions(tol=1e-10, flat_start=True, enforce_q_limits=False)
-        sol = solve(case118, opts=opts)
+        opts = PowerFlowOptions(tol=1e-10, enforce_q_limits=False)
+        sol = solve(case118, opts=opts, v0=flat_start(case118))
         assert sol.converged
         norms = sol.mismatch_norms
         assert len(norms) == sol.iterations + 1
@@ -249,7 +250,7 @@ class TestSolve:
             assert nxt <= prev**2
 
     def test_history_spans_every_q_limit_pass(self, case118):
-        sol = solve(case118, opts=PowerFlowOptions(flat_start=True))
+        sol = solve(case118, v0=flat_start(case118))
         assert sol.converged and sol.q_limited_buses
         norms = sol.mismatch_norms
         # Each pass starts with its own initial mismatch, so the history
@@ -519,7 +520,7 @@ class TestColumnOrdering:
         # From flat start the first Newton loop takes 4 iterations, so both
         # calls fall inside it.
         with pytest.raises(SingularJacobianError) as exc:
-            solve(case118, opts=PowerFlowOptions(flat_start=True))
+            solve(case118, v0=flat_start(case118))
         assert exc.value.iteration == singular_call - 1
         assert len(calls) == singular_call
 
@@ -652,7 +653,7 @@ class TestQLimits:
         opts = PowerFlowOptions()
         sol = solve(snap, ybus, opts)
         assert sol.converged and sol.q_limited_buses
-        v0 = _initial_voltage(snap, opts.flat_start)
+        v0 = _initial_voltage(snap)
         v, iterations, switched = self.switched_case_oracle(snap, ybus, v0, opts)
         # The oracle's last pass solved the case with exactly the reported
         # buses set to PQ, their Q pinned at a limit.
@@ -720,18 +721,12 @@ class TestApplySnapshot:
         assert snap.bus(25).q_load == pytest.approx(case118.bus(25).q_load + 12.0)
 
     def test_full_netting_cancels(self, case118):
-        snap = apply_snapshot(case118, 25, 60.0, 0.0, local_gen_mw=60.0,
-                              local_gen_limit_mw=60.0)
+        snap = apply_snapshot(case118, 25, 60.0, 0.0, local_gen_mw=60.0)
         assert snap.bus(25).p_load == pytest.approx(case118.bus(25).p_load)
 
     def test_zero_load_noop(self, case118):
         snap = apply_snapshot(case118, 25, 0.0)
         assert snap.bus(25).p_load == pytest.approx(case118.bus(25).p_load)
-
-    def test_dispatch_over_rating_rejected(self, case118):
-        with pytest.raises(ValueError, match="exceeds rating"):
-            apply_snapshot(case118, 25, 60.0, local_gen_mw=70.0,
-                           local_gen_limit_mw=50.0)
 
     def test_monotone_load_voltage_two_bus(self):
         vmags = []

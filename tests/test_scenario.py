@@ -444,9 +444,9 @@ class TestFailurePaths:
         cold_starts = []
         real = pf.solve
 
-        def recording(case, ybus, opts, v0=None):
+        def recording(case, ybus, v0=None):
             cold_starts.append(v0 is None)
-            return real(case, ybus, opts, v0=v0)
+            return real(case, ybus, v0=v0)
 
         monkeypatch.setattr(pf, "solve", recording)
         sweep = snapshot_sweep(case118, flat_profile([40.0, 2000.0, 40.0, 40.0]), GRID)
