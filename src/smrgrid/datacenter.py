@@ -7,12 +7,14 @@ return a `TaskTable` and a `MachineEventTable`, and the power models take a
 scalar or an array with one value per bin, so a profile is computed and
 written a column at a time.
 
-The task and machine-event readers check the header with csv, then hand
-np.loadtxt the file's path, so that numpy parses the body in C (the bulk
-path). A bad row is found again with csv (the row path), which names its
-line. The machine-event reader also reads with the row path every file the
-bulk path cannot read as csv does, such as one with short rows. A leading
-UTF-8 byte-order mark is accepted.
+The three trace files (tasks, machine events, profile) are read by one
+reader. It checks the header with csv, then hands np.loadtxt the file's
+path, so that numpy parses the body in C (the bulk path). Where that fails,
+or where numpy may have changed a quoted line end in a text field, csv rows
+are read instead (the row path), and a bad row is named by its line. Both
+paths read numbers in np.loadtxt's grammar, which refuses digit separators
+("1_000") and non-ASCII digits. Only the machine-event file takes short
+rows. A leading UTF-8 byte-order mark is accepted.
 """
 
 from __future__ import annotations
@@ -219,9 +221,11 @@ class LoadProfile:
 
     def __post_init__(self):
         n = len(self.timestamps)
-        for name in ("u", "p_it", "q_cool", "n_ch", "p_thermal"):
-            if len(getattr(self, name)) != n:
+        for name, series in vars(self).items():
+            if len(series) != n:
                 raise ValueError(f"series length mismatch in '{name}'")
+            if not np.isfinite(series).all():
+                raise ValueError(f"non-finite value in '{name}'")
 
     @property
     def p_total(self) -> np.ndarray:
@@ -521,56 +525,101 @@ def _loadtxt(path: str | Path, **kwargs) -> np.ndarray:
     return np.loadtxt(os.path.abspath(path), encoding="utf-8", **kwargs)
 
 
-_TASK_COLUMNS = ("start_s", "end_s", "cpu")
+def _loadtxt_float(field: str | None, parse=float):
+    """parse(field), for parse float or int, in np.loadtxt's grammar, which
+    also refuses digit separators ("1_000") and non-ASCII digits. A field
+    that a short row lacks (None) is refused."""
+    if field is None:
+        raise TraceError("row has too few fields")
+    if "_" in field or not field.isascii():
+        raise ValueError(f"could not convert string to {parse.__name__}: {field!r}")
+    return parse(field)
 
 
-def read_tasks_csv(path: str | Path) -> TaskTable:
-    """Task CSV whose header names start_s, end_s and cpu, in any order;
-    other columns are ignored."""
-    with _utf8(path) as fh, _csv_errors(path, csv.reader([fh.readline()])) as head:
-        header = next(head, [])
-        if not set(_TASK_COLUMNS).issubset(header):
-            raise TraceError(f"{path}: expected header start_s,end_s,cpu")
-        cols = [header.index(name) for name in _TASK_COLUMNS]
-        # np.loadtxt would warn on an empty body; this reads up to the
-        # first line that is not blank.
-        if not any(map(str.strip, fh)):
-            return TaskTable(np.empty(0), np.empty(0), np.empty(0))
+def _loadtxt_int(field: str | None) -> int:
+    """_loadtxt_float's int twin, which also refuses a value outside int64."""
+    value = _loadtxt_float(field, int)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"could not convert string to int64: {field!r}")
+    return value
+
+
+#: The columns that np.loadtxt parses as numbers itself; every other column
+#: it keeps as text, which reaches the column's field parser.
+_NUMBER_DTYPES = {_loadtxt_float: float, _loadtxt_int: int}
+
+
+def _read_table(path: str | Path, fields: dict, table):
+    """table(*columns) of the CSV at `path`, one column for each key of
+    `fields`, found by header name in any order; `fields` maps it to the
+    parser of its fields. One np.loadtxt pass by path reads the body (the
+    bulk path). Where that fails, or where it may have changed a quoted line
+    end in a text field, the csv row path reads the file instead and names a
+    bad line. Both paths put the same fields through the same parsers."""
+    with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
+        header = next(reader, [])
+        if not set(fields).issubset(header):
+            raise TraceError(f"{path}: expected header {','.join(fields)}")
+        cols = [header.index(name) for name in fields]
+        header_lines = reader.line_num
+        body = any(reader)
+    dtype = np.dtype([(name, _NUMBER_DTYPES.get(p, object)) for name, p in fields.items()])
     try:
-        return TaskTable(*_loadtxt(
-            path, delimiter=",", usecols=cols, skiprows=1, ndmin=2,
-            unpack=True, quotechar='"', comments=None,
-        ))
-    except (ValueError, TraceError) as exc:
-        raise TraceError(
-            _bad_line(path, lambda row: _task_record(row, cols), exc)
-        ) from exc
+        data = _loadtxt(
+            path, dtype=dtype, delimiter=",", usecols=cols, skiprows=header_lines,
+            ndmin=1, quotechar='"', comments=None,
+        ) if body else np.empty(0, dtype)  # np.loadtxt would warn on an empty body
+        return table(*(_parse_text(parse, data[name]) for name, parse in fields.items()))
+    except (ValueError, TraceError):
+        pass  # the row path reads the file, or names its bad line
+    with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
+        next(reader)
+        try:
+            return _row_table(reader, cols, fields, table)
+        except (ValueError, TraceError) as exc:
+            raise TraceError(_bad_line(
+                path, lambda row: _row_table([row], cols, fields, table), exc
+            )) from exc
 
 
-def _task_record(row: list[str], cols: list[int]) -> TaskRecord:
-    """The task in a CSV row, its fields read as np.loadtxt reads them."""
-    if len(row) <= max(cols):
-        raise TraceError(f"expected {max(cols) + 1} fields, got {len(row)}")
-    return TaskRecord(*(_loadtxt_float(row[c]) for c in cols))
+def _parse_text(parse, column: np.ndarray):
+    """The column np.loadtxt read, a text column's fields put through
+    parse, once for each distinct field. numpy reads a quoted \\r or \\r\\n
+    as \\n, where csv keeps it, so a text field with a line end is refused."""
+    if column.dtype != object:
+        return column
+    texts = column.tolist()
+    distinct = set(texts)
+    if "\n" in "".join(distinct):
+        raise ValueError("a text field holds a line end")
+    parsed = {text: parse(text) for text in distinct}
+    return [parsed[text] for text in texts]
 
 
-def _loadtxt_float(field: str) -> float:
-    """float(field) in np.loadtxt's grammar, which also refuses digit
-    separators ("1_000") and non-ASCII digits."""
-    text = field.strip()
-    if "_" in text or not text.isascii():
-        raise ValueError(f"could not convert string to float: {field!r}")
-    return float(text)
+def _row_table(rows, cols: list[int], fields: dict, table):
+    """The table of CSV rows, blank ones skipped, whose fields at cols go
+    through the parsers of `fields`; a short row's missing fields are None."""
+    width = max(cols) + 1
+    # Each row list is dropped as soon as its fields are picked into a
+    # tuple: the garbage collector stops tracking tuples of strings, but
+    # would traverse every kept list on each full collection.
+    picked = map(
+        itemgetter(*cols), (row + [None] * (width - len(row)) for row in rows if row)
+    )
+    columns = list(zip(*picked)) or [()] * len(cols)
+    return table(*(
+        np.array([parse(field) for field in column], _NUMBER_DTYPES.get(parse, object))
+        for parse, column in zip(fields.values(), columns)
+    ))
 
 
 def _bad_line(path: str | Path, check, exc: Exception) -> str:
-    """`path:line: reason` for the first data row on which check(row) raises,
-    which the bulk parsers do not report reliably; `path: exc`, the bulk
-    parser's own error, when no row does."""
+    """`path:line: reason` for the first data row on which check(row), the
+    table of that one row, raises; `path: exc` when no row does."""
     with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
         next(reader)
         for row in reader:
-            if not row:  # blank line, skipped by the bulk parsers too
+            if not row:  # blank line, skipped by np.loadtxt too
                 continue
             try:
                 check(row)
@@ -579,82 +628,29 @@ def _bad_line(path: str | Path, check, exc: Exception) -> str:
     return f"{path}: {exc}"
 
 
-_EVENT_COLUMNS = ("t_s", "kind", "machine_id", "capacity")
-_EVENT_DTYPE = np.dtype([
-    ("t", float), ("kind", object), ("machine_id", object), ("capacity", object),
-])
+_TASK_FIELDS = dict.fromkeys(("start_s", "end_s", "cpu"), _loadtxt_float)
+
+
+def read_tasks_csv(path: str | Path) -> TaskTable:
+    """Task CSV whose header names start_s, end_s and cpu, in any order;
+    other columns are ignored."""
+    return _read_table(path, _TASK_FIELDS, TaskTable)
+
+
+_EVENT_FIELDS = {
+    "t_s": _loadtxt_float,
+    "kind": lambda kind: (kind or "").strip().lower(),
+    "machine_id": lambda machine_id: machine_id or "",
+    "capacity": lambda capacity: _loadtxt_float(capacity) if capacity else 0.0,
+}
 
 
 def read_machine_events_csv(path: str | Path) -> MachineEventTable:
     """Machine-event CSV whose header names t_s, kind, machine_id and
     capacity, in any order; other columns are ignored. kind is case- and
-    space-insensitive. Missing trailing fields read as empty, and an empty
-    capacity is 0, so a remove needs none.
-
-    One np.loadtxt pass reads the file. Where it fails, or where it may
-    have changed a quoted line end in a machine_id, the csv row path reads
-    it instead: that path alone takes short rows, and it names a bad line.
-    Both read times and capacities in np.loadtxt's grammar."""
-    with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
-        header = next(reader, [])
-        if not set(_EVENT_COLUMNS).issubset(header):
-            raise TraceError(f"{path}: expected header t_s,kind,machine_id,capacity")
-        cols = [header.index(name) for name in _EVENT_COLUMNS]
-        header_lines = reader.line_num
-        if not any(reader):  # np.loadtxt would warn on an empty body
-            return MachineEventTable(np.empty(0), [], [], [])
-    try:
-        t, kind, machine_id, capacity = _loadtxt(
-            path, dtype=_EVENT_DTYPE, delimiter=",", usecols=cols,
-            skiprows=header_lines, ndmin=1, unpack=True, quotechar='"',
-            comments=None,
-        )
-        # numpy reads a quoted \r or \r\n as \n, where csv keeps it.
-        if "\n" not in "".join(machine_id.tolist()):
-            return _event_columns(t, kind.tolist(), machine_id, capacity.tolist())
-    except (ValueError, TraceError):
-        pass  # the row path reads the file, or names its bad line
-    with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
-        next(reader)
-        try:
-            return _event_table(reader, cols)
-        except (ValueError, TraceError) as exc:
-            raise TraceError(
-                _bad_line(path, lambda row: _event_table([row], cols), exc)
-            ) from exc
-
-
-def _event_table(rows, cols: list[int]) -> MachineEventTable:
-    """The table of CSV rows, blank ones skipped, whose event fields sit at
-    cols."""
-    width = max(cols) + 1
-    padded = (
-        row if len(row) >= width else row + [""] * (width - len(row))
-        for row in rows if row
-    )
-    # Each row list is dropped as soon as its fields are picked into a
-    # tuple: the garbage collector stops tracking tuples of strings, but
-    # would traverse every kept list on each full collection.
-    picked = map(itemgetter(*cols), padded)
-    t, kind, machine_id, capacity = list(zip(*picked)) or [()] * 4
-    return _event_columns(
-        np.fromiter(map(_loadtxt_float, t), float, len(t)), kind, machine_id, capacity
-    )
-
-
-def _event_columns(t: np.ndarray, kind, machine_id, capacity) -> MachineEventTable:
-    """The table of event times and of the kind, machine_id and capacity
-    fields as the CSV holds them; an empty capacity is 0."""
-    text = "".join(capacity)  # one check for the column, not one per field
-    if "_" in text or not text.isascii():
-        _loadtxt_float(next(c for c in capacity if "_" in c or not c.isascii()))
-    normal = {k: k.strip().lower() for k in set(kind)}  # one string per kind
-    return MachineEventTable(
-        t=t,
-        kind=[normal[k] for k in kind],
-        machine_id=machine_id,
-        capacity=np.fromiter((float(c or 0.0) for c in capacity), float, len(t)),
-    )
+    space-insensitive. Missing trailing fields other than t_s read as
+    empty, and an empty capacity is 0, so a remove needs none."""
+    return _read_table(path, _EVENT_FIELDS, MachineEventTable)
 
 
 _PROFILE_HEADER = (
@@ -676,32 +672,14 @@ def write_profile_csv(profile: LoadProfile, path: str | Path) -> None:
         fh.write(",".join(_PROFILE_HEADER) + "\r\n" + body)
 
 
-_PROFILE_COLUMNS = ("timestamp_s", "u", "p_it_mw", "q_cool_mwth", "n_ch", "p_thermal_mw")
+_PROFILE_FIELDS = {
+    **dict.fromkeys(("timestamp_s", "u", "p_it_mw", "q_cool_mwth"), _loadtxt_float),
+    "n_ch": _loadtxt_int,
+    "p_thermal_mw": _loadtxt_float,
+}
 
 
 def read_profile_csv(path: str | Path) -> LoadProfile:
-    """Profile CSV as written by write_profile_csv; p_total_mw is not read."""
-    ts, u, p_it, q, n, p_th = [], [], [], [], [], []
-    with _utf8(path) as fh:
-        reader = csv.DictReader(fh)
-        # DictReader counts a line only once it is read whole; its csv
-        # reader counts the line it fails on.
-        with _csv_errors(path, reader.reader):
-            if reader.fieldnames is None or not set(_PROFILE_COLUMNS).issubset(
-                reader.fieldnames
-            ):
-                raise TraceError(f"{path}: expected header {','.join(_PROFILE_COLUMNS)}")
-            for row in reader:
-                try:
-                    ts.append(float(row["timestamp_s"]))
-                    u.append(float(row["u"]))
-                    p_it.append(float(row["p_it_mw"]))
-                    q.append(float(row["q_cool_mwth"]))
-                    n.append(int(row["n_ch"]))
-                    p_th.append(float(row["p_thermal_mw"]))
-                except (TypeError, ValueError) as exc:
-                    raise TraceError(f"{path}:{reader.line_num}: {exc}") from exc
-    return LoadProfile(
-        timestamps=np.array(ts), u=np.array(u), p_it=np.array(p_it),
-        q_cool=np.array(q), n_ch=np.array(n), p_thermal=np.array(p_th),
-    )
+    """Profile CSV as written by write_profile_csv, its columns in any
+    order; p_total_mw is not read."""
+    return _read_table(path, _PROFILE_FIELDS, LoadProfile)

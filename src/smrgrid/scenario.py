@@ -443,6 +443,8 @@ def extract_metrics(
 
 def select_snapshot_bins(profile: LoadProfile, selector) -> list[int]:
     """{min, median, max} labels or explicit indices into the profile."""
+    if len(profile) == 0:
+        raise ScenarioError("empty profile")
     total = profile.p_total
     out = []
     for sel in selector:

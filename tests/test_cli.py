@@ -105,6 +105,18 @@ class TestProfile:
         assert err["error"] == "TraceError"
         assert "expected header" in err["message"]
 
+    @pytest.mark.parametrize("command", ["transient", "compare"])
+    def test_header_only_profile_csv_reports_error(self, workdir, capsys, command):
+        (workdir / "profile.csv").write_text(
+            "timestamp_s,u,p_it_mw,q_cool_mwth,n_ch,p_thermal_mw,p_total_mw\n"
+        )
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["profile"] = {"profile_csv": str(workdir / "profile.csv")}
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, command) == 2
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ScenarioError", "message": "empty profile"}
+
 
 class TestPowerflow:
     def test_base_and_sweep(self, workdir, capsys):

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import warnings
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smrgrid import datacenter
 from smrgrid.datacenter import (
-    _event_table,
     AmbientConditions,
     BIN_SECONDS,
     ChillerParams,
@@ -41,6 +41,16 @@ from smrgrid.datacenter import (
 )
 
 from conftest import event_table, task_table
+
+PROFILE_HEAD = "timestamp_s,u,p_it_mw,q_cool_mwth,n_ch,p_thermal_mw\n"
+TASKS = "start_s,end_s,cpu\n0,600,2.5\n0,{},1.0\n"
+
+#: Each trace reader, with the fields and the table it reads.
+READERS = {
+    read_tasks_csv: (datacenter._TASK_FIELDS, TaskTable),
+    read_machine_events_csv: (datacenter._EVENT_FIELDS, MachineEventTable),
+    read_profile_csv: (datacenter._PROFILE_FIELDS, LoadProfile),
+}
 
 
 def brute_force_bins(tasks, t0, t1):
@@ -599,15 +609,25 @@ class TestCsvBoundary:
         with pytest.raises(TraceError, match=":3:"):
             read_tasks_csv(path)
 
-    @pytest.mark.parametrize("value", ["1_000", "\u0661\u0660"], ids=["separator", "arabic"])
-    def test_number_that_only_float_reads_names_line(self, tmp_path, value):
-        # Python's float reads both as numbers, np.loadtxt neither; the row
-        # check must refuse what the bulk parse refuses to find the line.
+    @pytest.mark.parametrize("read, text, value, kind", [
+        (read_tasks_csv, TASKS, "1_000", "float"),
+        (read_tasks_csv, TASKS, "\u0661\u0660", "float"),
+        (read_profile_csv, PROFILE_HEAD + "0,.5,45,45,5,1\n300,.5,{},45,5,1\n", "4_5",
+         "float"),
+        (read_profile_csv, PROFILE_HEAD + "0,.5,45,45,5,1\n300,.5,45,45,{},1\n", "\u0665",
+         "int"),
+    ], ids=["separator", "arabic", "profile_separator", "profile_arabic_n_ch"])
+    def test_number_that_only_float_reads_names_line(
+        self, tmp_path, read, text, value, kind
+    ):
+        # Python's float and int read these as numbers, np.loadtxt does not;
+        # the row check must refuse what the bulk parse refuses to find the
+        # line.
         path = tmp_path / "t.csv"
-        path.write_text(f"start_s,end_s,cpu\n0,600,2.5\n0,{value},1.0\n", encoding="utf-8")
+        path.write_text(text.format(value), encoding="utf-8")
         with pytest.raises(TraceError) as exc:
-            read_tasks_csv(path)
-        assert str(exc.value) == f"{path}:3: could not convert string to float: {value!r}"
+            read(path)
+        assert str(exc.value) == f"{path}:3: could not convert string to {kind}: {value!r}"
 
     @pytest.mark.parametrize("separator", ["", "60,remove,m1\n"], ids=["bulk", "rows"])
     @pytest.mark.parametrize("row, value", [
@@ -649,8 +669,14 @@ class TestCsvBoundary:
                 read(path)
             assert str(exc.value) == f"{path}:1: field larger than field limit (131072)"
 
-    def test_bulk_error_kept_when_no_row_check_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(datacenter, "_task_record", lambda row, cols: None)
+    def test_file_error_kept_when_no_row_check_fails(self, tmp_path, monkeypatch):
+        # No input fails as a whole file but in none of its rows; a row
+        # path that passes every one-row table stands in for one.
+        row_table = datacenter._row_table
+        monkeypatch.setattr(
+            datacenter, "_row_table",
+            lambda rows, *args: None if isinstance(rows, list) else row_table(rows, *args),
+        )
         path = tmp_path / "t.csv"
         path.write_text("start_s,end_s,cpu\n0,600,2.5\n0,x,1.0\n")
         with pytest.raises(TraceError, match=rf"^{re.escape(str(path))}: could not convert"):
@@ -725,71 +751,89 @@ class TestCsvBoundary:
         with pytest.raises(TraceError, match=f":{line}: .*{reason}"):
             read_machine_events_csv(path)
 
-    @settings(max_examples=300, deadline=None,
+    @settings(max_examples=900, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_machine_events_read_as_the_row_path_reads_them(self, tmp_path, data):
+    def test_trace_files_read_as_the_row_path_reads_them(self, tmp_path, data):
         # The bulk np.loadtxt pass must give what csv.reader rows through
-        # _event_table give, field by field, or the same TraceError; and
-        # it must read every valid file whose rows are all full-width and
-        # whose machine ids hold no line end.
+        # _row_table give, field by field, or the same TraceError; and it
+        # must read every valid file whose rows are all full-width and whose
+        # text fields hold no line end.
+        read = data.draw(st.sampled_from(list(READERS)))
+        fields_of, table = READERS[read]
         names = data.draw(st.permutations(
-            [*datacenter._EVENT_COLUMNS,
+            [*fields_of,
              *data.draw(st.lists(st.sampled_from(["zone", '"n,o"', '"n\no"']),
                                  max_size=2))]
         ))
-        # Fields that both paths read come thrice as often as the rest, so
-        # that many files are valid and reach the bulk path whole.
-        values = {
-            "t_s": ["0", "60", " 30 ", "1.5", "-2e2", '"45"'] * 3
-            + ["1_000", "\u0661\u0660", "x"],
-            "kind": ["add", "ADD", " Remove ", "remove", "update", '"Update "'] * 2
-            + ["explode"],
+        # Each column has common fields, which its table mostly accepts, and
+        # rare ones, which it mostly refuses; two rows in three take common
+        # fields only, so that many files are valid and reach the bulk path
+        # whole.
+        common = {
+            "kind": ["add", "ADD", " Remove ", "remove", "update", '"Update "',
+                     '"add\r\n"'],
             "machine_id": ["m1", "m2", " m1 ", '"m,1"', '"m\n1"', '"m\r1"',
                            '"m\r\n1"', '"m""1"', ""],
-            "capacity": ["4", " 2.5 ", "", "0", '"3"', "1"] * 3
-            + ["-1", "1_000", "\u0661\u0660"],
+            "capacity": ["4", " 2.5 ", "", "0", '"3"', "1"],
+            "end_s": ["600", " 9e2 ", '"700.5"', "inf"],
+            "n_ch": ["0", "5", " 3 ", '"7"', "+2", "-0"],
         }
+        rare = {
+            "kind": ["explode"],
+            "capacity": ["-1", "1_000", "\u0661\u0660", "inf"],
+            "end_s": ["0", "nan", "1_000"],
+            "n_ch": ["5.0", "\u0665", "1_0", "x", "", str(2**63), str(-(2**63))],
+        }
+        number = ["0", "60", " 30 ", "1.5", "-2e2", '"45"']
+        odd_number = ["1_000", "\u0661\u0660", "x", "", "nan", "-inf", "1e400", "-1"]
+        other = ["z", '"a,b"', '"a\r\nb"', ""]
         lines = [",".join(names)]
         for _ in range(data.draw(st.integers(0, 4))):
-            row = [data.draw(st.sampled_from(values.get(n, ["z", '"a,b"', ""])))
-                   for n in names]
+            odd = data.draw(st.sampled_from([False, False, True]))
+            row = [data.draw(st.sampled_from(
+                common.get(n, number if n in fields_of else other)
+                + (rare.get(n, odd_number if n in fields_of else []) if odd else [])
+            )) for n in names]
             cut = data.draw(st.sampled_from(
-                [len(names)] * 8 + [len(names) + 1] * 2 + list(range(1, len(names)))
+                [len(names)] * 16 + [len(names) + 1] * 2 + list(range(1, len(names)))
             ))
             lines.append(",".join((row + ["w"])[:cut]))
             lines += data.draw(st.lists(st.sampled_from(["", "", "", "", "", " ", "\t"]),
                                         max_size=1))
         end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
-        path = tmp_path / "events.csv"
+        path = tmp_path / "trace.csv"
         path.write_bytes((end.join(lines) + data.draw(st.sampled_from([end, ""])))
                          .encode())
 
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            cols = [header.index(n) for n in datacenter._EVENT_COLUMNS]
+            cols = [header.index(n) for n in fields_of]
             rows = [row for row in reader if row]
+        row_table = datacenter._row_table
         try:
-            want = _event_table(rows, cols)
+            want = row_table(rows, cols, fields_of, table)
         except (ValueError, TraceError) as exc:
             want = TraceError(datacenter._bad_line(
-                path, lambda row: _event_table([row], cols), exc))
-        with mock.patch.object(datacenter, "_event_table", wraps=_event_table) as rows_read:
+                path, lambda row: row_table([row], cols, fields_of, table), exc))
+        with mock.patch.object(datacenter, "_row_table", wraps=row_table) as rows_read:
             try:
-                got = read_machine_events_csv(path)
+                got = read(path)
             except TraceError as exc:
                 got = exc
         if isinstance(want, TraceError):
             assert isinstance(got, TraceError) and str(got) == str(want)
             return
-        assert isinstance(got, MachineEventTable)
-        for field in ("t", "kind", "machine_id", "capacity"):
-            assert getattr(got, field).dtype == getattr(want, field).dtype
-            assert getattr(got, field).tolist() == getattr(want, field).tolist()
+        assert isinstance(got, table)
+        for field in fields(table):
+            assert getattr(got, field.name).dtype == getattr(want, field.name).dtype
+            assert getattr(got, field.name).tolist() == getattr(want, field.name).tolist()
+        text_cols = [c for c, parse in zip(cols, fields_of.values())
+                     if parse not in datacenter._NUMBER_DTYPES]
         bulk_reads = (
             all(len(row) > max(cols) for row in rows)
-            and not any("\r" in m or "\n" in m for m in want.machine_id.tolist())
+            and not any("\r" in row[c] or "\n" in row[c] for row in rows for c in text_cols)
         )
         assert rows_read.called != bulk_reads
 
@@ -849,6 +893,42 @@ class TestCsvBoundary:
         assert np.allclose(again.u, profile.u)
         assert np.allclose(again.p_total, profile.p_total)
         assert np.array_equal(again.n_ch, profile.n_ch)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(0, 6))
+    def test_profile_reads_back_to_the_writers_decimals(self, tmp_path, data, n):
+        def series(**bounds):
+            return np.array(data.draw(st.lists(
+                st.floats(allow_nan=False, **bounds), min_size=n, max_size=n
+            )))
+
+        mw = {"min_value": -1e6, "max_value": 1e6}
+        profile = LoadProfile(
+            timestamps=series(min_value=-1e9, max_value=1e9),
+            u=series(min_value=0, max_value=1), p_it=series(**mw), q_cool=series(**mw),
+            n_ch=np.array(data.draw(
+                st.lists(st.integers(0, 10**6), min_size=n, max_size=n)), dtype=int),
+            p_thermal=series(**mw),
+        )
+        path = tmp_path / "profile.csv"
+        write_profile_csv(profile, path)
+        again = read_profile_csv(path)
+        # Timestamps are written to the second, the other floats to 6
+        # decimals; the bound adds an ulp of the largest value.
+        assert np.all(np.abs(again.timestamps - profile.timestamps) <= 0.5 + 1.2e-7)
+        for name in ("u", "p_it", "q_cool", "p_thermal"):
+            assert np.all(np.abs(getattr(again, name) - getattr(profile, name)) <= 5.002e-7)
+        assert again.n_ch.dtype == np.int64
+        assert again.n_ch.tolist() == profile.n_ch.tolist()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_profile_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "profile.csv"
+        path.write_text(PROFILE_HEAD + f"0,0.5,45,45,5,1\n300,0.5,{value},45,5,1\n")
+        with pytest.raises(TraceError) as exc:
+            read_profile_csv(path)
+        assert str(exc.value) == f"{path}:3: non-finite value in 'p_it'"
 
     def test_profile_csv_matches_row_by_row_writer(self, tmp_path):
         rng = np.random.default_rng(29)
@@ -938,6 +1018,8 @@ CHECKS = [
      "min flow exceeds rated flow"),
     (lambda: LoadProfile(*[np.zeros(2)] * 3, np.zeros(1), *[np.zeros(2)] * 2),
      ValueError, "series length mismatch in 'q_cool'"),
+    (lambda: LoadProfile(*[np.zeros(2)] * 2, np.array([0.0, np.nan]), *[np.zeros(2)] * 3),
+     ValueError, "non-finite value in 'p_it'"),
     (lambda: datacenter._bin_mean(np.zeros(0), np.zeros(0), 10.0, 10.0), TraceError,
      "t1 must be > t0"),
     (lambda: normalize(np.zeros(2), np.ones(3)), TraceError,
