@@ -1,8 +1,9 @@
 """Batch front door: profile / powerflow / transient / compare subcommands.
 
-A single JSON config file carries all sections; flags override config values
-and SMRGRID_* environment variables override flag defaults (documented in the
-README). All outputs land under the configured output directory.
+A single JSON config file carries all sections, read and checked as one
+`RunConfig` record before any subcommand runs; the `--out`, `--seed` and
+`--jobs` flags override its keys, which override the defaults (documented in
+the README). All outputs land under the configured output directory.
 """
 
 from __future__ import annotations
@@ -10,9 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,73 +100,53 @@ class ProfileSpec:
         return build_profile(trace, it, self.chiller, self.ambient, t_start=self.t0)
 
 
-#: Top-level key -> (type, default); a None default marks a required key.
-#: A subcommand reads only the keys it uses.
-_TOP = {
-    "case": (str, None), "profile": (ProfileSpec, None),
-    "configuration": (sc.Configuration, None), "scenarios": (tuple[dict, ...], None),
-    "simulation": (dyn.SimConfig, dyn.SimConfig()),
-    "snapshot_selector": (tuple[str | int, ...], ("median",)),
-    "seed": (int, 0), "jobs": (int, 1), "out_dir": (str, "out"),
-}
-
-
-def _top(doc: dict, key: str):
-    hint, default = _TOP[key]
-    if key not in doc and default is None:
-        raise ConfigError(f"config missing '{key}'")
-    return read_value(hint, doc[key], key, ConfigError) if key in doc else default
-
-
-def _setting(args, doc: dict, flag: str):
-    """The flag, else the SMRGRID_<FLAG> env var, else the config key or its default."""
-    key = "out_dir" if flag == "out" else flag
-    name = f"SMRGRID_{flag.upper()}"
-    env = os.environ.get(name)
-    if getattr(args, flag, None) not in (None, ""):
-        return getattr(args, flag)
-    if not env:
-        return _top(doc, key)
-    cast = _TOP[key][0]
-    try:
-        return cast(env)
-    except ValueError:
-        raise ConfigError(f"{name}: expected {cast.__name__}, got {env!r}") from None
-
-
+@dataclass(frozen=True)
 class RunConfig:
-    """The JSON config document; `get` reads a top-level key when it is used."""
+    """The config document as one record, each section read and checked when
+    the record is built. A section left out of `case`, `profile`,
+    `configuration` and `scenarios` is None; a JSON null is refused, as no
+    hint has a null arm. `specs` holds the scenarios, each `rng_seed`
+    defaulting to `seed` plus the entry's index."""
 
-    def __init__(self, doc: dict, args=None):
-        unknown = set(doc) - set(_TOP)
-        if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        self.doc = doc
-        self.out_dir = Path(_setting(args, doc, "out"))
-        self.seed = _setting(args, doc, "seed")
-        self.jobs = _setting(args, doc, "jobs")
+    case: str = None
+    profile: ProfileSpec = None
+    configuration: sc.Configuration = None
+    scenarios: tuple[dict, ...] = None
+    simulation: dyn.SimConfig = dyn.SimConfig()
+    snapshot_selector: tuple[str | int, ...] = ("median",)
+    seed: int = 0
+    jobs: int = 1
+    out_dir: str = "out"
+    specs: tuple[sc.ContingencySpec, ...] = field(init=False, default=())
 
-    @classmethod
-    def load(cls, args) -> "RunConfig":
-        doc = {}
-        if args.config:
-            p = Path(args.config)
-            if not p.exists():
-                raise ConfigError(f"config file not found: {p}")
-            doc = json.loads(p.read_text())
-            if not isinstance(doc, dict):
-                raise ConfigError(f"{p}: config must be a JSON object")
-        return cls(doc, args)
-
-    def get(self, key: str):
-        return _top(self.doc, key)
-
-    def scenarios(self) -> list[sc.ContingencySpec]:
-        return [
+    def __post_init__(self):
+        object.__setattr__(self, "specs", tuple(
             read_value(sc.ContingencySpec, {"rng_seed": self.seed + i, **d},
                        f"scenarios[{i}]", ConfigError)
-            for i, d in enumerate(self.get("scenarios"))
-        ]
+            for i, d in enumerate(self.scenarios or ())
+        ))
+
+    def need(self, key: str):
+        """The section `key`, which the subcommand cannot run without."""
+        if getattr(self, key) is None:
+            raise ConfigError(f"config missing '{key}'")
+        return getattr(self, key)
+
+
+def load_config(args) -> RunConfig:
+    """The record of the `--config` file, or of an empty one, with the
+    `--out`, `--seed` and `--jobs` flags given in place of its keys."""
+    doc = {}
+    if args.config:
+        p = Path(args.config)
+        if not p.exists():
+            raise ConfigError(f"config file not found: {p}")
+        doc = json.loads(p.read_text())
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{p}: config must be a JSON object")
+    flags = {"out_dir": args.out or None, "seed": args.seed, "jobs": args.jobs}
+    return replace(read_value(RunConfig, doc, "", ConfigError),
+                   **{k: v for k, v in flags.items() if v is not None})
 
 
 # -- subcommands -------------------------------------------------------------
@@ -177,9 +157,10 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_profile(cfg: RunConfig, args) -> int:
-    profile = cfg.get("profile").build()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_profile_csv(profile, cfg.out_dir / "profile.csv")
+    profile = cfg.need("profile").build()
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_profile_csv(profile, out / "profile.csv")
     summary = {
         "bins": len(profile),
         "peak_total_mw": float(profile.p_total.max()),
@@ -187,21 +168,22 @@ def cmd_profile(cfg: RunConfig, args) -> int:
         "min_total_mw": float(profile.p_total.min()),
         "mean_total_mw": float(profile.p_total.mean()),
     }
-    _write_json(cfg.out_dir / "profile_summary.json", summary)
+    _write_json(out / "profile_summary.json", summary)
     print(f"profile: {summary['bins']} bins, peak {summary['peak_total_mw']:.2f} MW")
     return 0
 
 
 def cmd_powerflow(cfg: RunConfig, args) -> int:
-    case = parse_case(cfg.get("case"))
-    configuration = cfg.get("configuration")
-    profile = cfg.get("profile").build() if "profile" in cfg.doc else None
+    case = parse_case(cfg.need("case"))
+    configuration = cfg.need("configuration")
+    profile = None if cfg.profile is None else cfg.profile.build()
     sol = pf.solve(case)
     sweep = None if profile is None else sc.snapshot_sweep(case, profile, configuration)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     # Base-case solution, one row per bus.
-    with open(cfg.out_dir / "powerflow_base.csv", "w", newline="") as fh:
+    with open(out / "powerflow_base.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp_s", "bus", "v_mag", "v_ang_deg"])
         w.writerows(
@@ -216,7 +198,7 @@ def cmd_powerflow(cfg: RunConfig, args) -> int:
         "base_slack_q_mvar": float(sol.slack_q * case.system_mva_base),
     }
     if sweep is not None:
-        with open(cfg.out_dir / "snapshot_sweep.csv", "w", newline="") as fh:
+        with open(out / "snapshot_sweep.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow([
                 "timestamp_s", "converged", "poi_v_mag", "slack_p_mw", "iterations",
@@ -233,7 +215,7 @@ def cmd_powerflow(cfg: RunConfig, args) -> int:
         summary["sweep_bins"] = int(len(sweep.timestamps))
         summary["sweep_failed"] = int(sweep.n_failed)
         summary["sweep_max_iterations"] = int(sweep.iterations.max())
-    _write_json(cfg.out_dir / "powerflow_summary.json", summary)
+    _write_json(out / "powerflow_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
     return 0 if sol.converged and summary.get("sweep_failed", 0) == 0 else 3
 
@@ -254,32 +236,33 @@ unset multiplot
 
 
 def cmd_transient(cfg: RunConfig, args) -> int:
-    case = parse_case(cfg.get("case"))
-    configuration = cfg.get("configuration")
-    profile = cfg.get("profile").build()
-    simcfg = cfg.get("simulation")
-    specs = cfg.scenarios()
+    case = parse_case(cfg.need("case"))
+    configuration = cfg.need("configuration")
+    profile = cfg.need("profile").build()
+    simcfg = cfg.simulation
+    cfg.need("scenarios")
     idx = args.scenario
-    if not (0 <= idx < len(specs)):
+    if not (0 <= idx < len(cfg.specs)):
         raise ConfigError(f"scenario index {idx} out of range")
-    spec = specs[idx]
+    spec = cfg.specs[idx]
     bins = sc.select_snapshot_bins(profile, (args.snapshot,))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     result = sc.run_contingency(case, profile, bins[0], configuration, spec, simcfg)
     stem = f"{spec.kind}_s{spec.rng_seed}_{configuration.kind}"
-    csv_path = cfg.out_dir / f"{stem}.csv"
+    csv_path = out / f"{stem}.csv"
     dyn.write_result_csv(result, csv_path)
-    dyn.write_event_log(result, cfg.out_dir / f"{stem}_events.json")
+    dyn.write_event_log(result, out / f"{stem}_events.json")
     metrics = sc.extract_metrics(result, spec.t_apply, configuration.dc_bus)
-    _write_json(cfg.out_dir / f"{stem}_metrics.json", metrics.__dict__)
-    (cfg.out_dir / f"{stem}.gp").write_text(
+    _write_json(out / f"{stem}_metrics.json", metrics.__dict__)
+    (out / f"{stem}.gp").write_text(
         _PLOT_SCRIPT.format(stem=stem, csv=csv_path.name)
     )
     if args.dt_check:
         half = replace(simcfg, dt=simcfg.dt / 2)
         res2 = sc.run_contingency(case, profile, bins[0], configuration, spec, half)
-        dyn.write_result_csv(res2, cfg.out_dir / f"{stem}_halfstep.csv")
+        dyn.write_result_csv(res2, out / f"{stem}_halfstep.csv")
         v1 = result.v_mag[configuration.dc_bus]
         v2 = res2.v_mag[configuration.dc_bus][::2]
         dv = float(np.max(np.abs(v1 - v2)))
@@ -289,17 +272,17 @@ def cmd_transient(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
-    case = parse_case(cfg.get("case"))
-    configuration = cfg.get("configuration")
-    profile = cfg.get("profile").build()
-    simcfg = cfg.get("simulation")
-    specs = cfg.scenarios()
+    case = parse_case(cfg.need("case"))
+    configuration = cfg.need("configuration")
+    profile = cfg.need("profile").build()
+    cfg.need("scenarios")
     report = sc.compare(
-        case, profile, specs, simcfg, configuration,
-        snapshot_selector=cfg.get("snapshot_selector"), jobs=cfg.jobs,
+        case, profile, cfg.specs, cfg.simulation, configuration,
+        snapshot_selector=cfg.snapshot_selector, jobs=cfg.jobs,
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / "comparison_report.json").write_text(report.to_json())
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "comparison_report.json").write_text(report.to_json())
     agg = report.aggregate()
     lines = [
         f"{'scenario':<28} {'|f_nadir| delta':>16} {'v_min delta':>12} "
@@ -317,7 +300,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         f"t_settle_f {agg['wins_t_settle_f']}/{agg['pairs']}"
     )
     table = "\n".join(lines)
-    (cfg.out_dir / "comparison_summary.txt").write_text(table + "\n")
+    (out / "comparison_summary.txt").write_text(table + "\n")
     print(table)
     return 0 if not report.failed else 3
 
@@ -355,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cfg = None
     try:
-        cfg = RunConfig.load(args)
+        cfg = load_config(args)
         commands = {"profile": cmd_profile, "powerflow": cmd_powerflow,
                     "transient": cmd_transient, "compare": cmd_compare}
         return commands[args.command](cfg, args)
@@ -363,8 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         try:
-            # Without a loaded config, resolve the same way minus its out_dir.
-            out = cfg.out_dir if cfg is not None else Path(_setting(args, {}, "out"))
+            # A config that cannot be read names no out_dir.
+            out = Path(cfg.out_dir if cfg is not None else args.out or "out")
             out.mkdir(parents=True, exist_ok=True)
             _write_json(out / "error.json", err)
         except OSError:

@@ -25,7 +25,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -578,7 +578,7 @@ def _read_table(path: str | Path, fields: dict, table):
             return _row_table(reader, cols, fields, table)
         except (ValueError, TraceError) as exc:
             raise TraceError(_bad_line(
-                path, lambda row: _row_table([row], cols, fields, table), exc
+                path, lambda rows: _row_table(rows, cols, fields, table), exc
             )) from exc
 
 
@@ -613,19 +613,34 @@ def _row_table(rows, cols: list[int], fields: dict, table):
     ))
 
 
+#: Rows that _bad_line checks as one table before it checks them one by one.
+_BAD_LINE_BLOCK = 1024
+
+
 def _bad_line(path: str | Path, check, exc: Exception) -> str:
-    """`path:line: reason` for the first data row on which check(row), the
-    table of that one row, raises; `path: exc` when no row does."""
+    """`path:line: reason` for the first data row on which check([row]), the
+    table of that one row, raises; `path: exc` when no row does. Rows go to
+    check a block at a time, and one by one only in a block that fails."""
     with _utf8(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
         next(reader)
-        for row in reader:
-            if not row:  # blank line, skipped by np.loadtxt too
+        # Blank lines are skipped, by np.loadtxt too.
+        rows = ((reader.line_num, row) for row in reader if row)
+        while block := list(islice(rows, _BAD_LINE_BLOCK)):
+            if _raised(check, [row for _, row in block]) is None:
                 continue
-            try:
-                check(row)
-            except (ValueError, TraceError) as row_exc:
-                return f"{path}:{reader.line_num}: {row_exc}"
+            for line, row in block:
+                if (row_exc := _raised(check, [row])) is not None:
+                    return f"{path}:{line}: {row_exc}"
     return f"{path}: {exc}"
+
+
+def _raised(check, rows) -> Exception | None:
+    """The ValueError or TraceError that check(rows) raises, if any."""
+    try:
+        check(rows)
+    except (ValueError, TraceError) as exc:
+        return exc
+    return None
 
 
 _TASK_FIELDS = dict.fromkeys(("start_s", "end_s", "cpu"), _loadtxt_float)

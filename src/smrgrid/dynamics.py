@@ -177,6 +177,9 @@ class SimConfig:
             raise ValueError("dt must be in (0, 0.02]")
         if self.t_end <= 0:
             raise ValueError("t_end must be > 0")
+        steps = self.t_end / self.dt  # so that the run and its dt/2 rerun end at t_end
+        if abs(steps - round(steps)) > 1e-9:
+            raise ValueError("t_end must be a whole number of dt steps")
         if not (self.dt <= self.freq_filter_tc < math.inf):  # washout gain <= 1
             raise ValueError("freq_filter_tc must be finite and >= dt")
         if not (0.0 < self.f_nominal < math.inf):

@@ -83,6 +83,8 @@ class ContingencySpec:
             raise ScenarioError("t_apply must be > 0")
         if self.kind == "bus_fault" and self.duration <= 0:
             raise ScenarioError("fault duration must be > 0")
+        if self.rng_seed < 0:
+            raise ScenarioError("rng_seed must be >= 0")
         pair = self.kind == "line_trip"
         if self.target is not None and isinstance(self.target, tuple) != pair:
             shape = "a [from, to] pair" if pair else "a bus id"

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smrgrid import powerflow as pf
-from smrgrid.cli import HANDLED_ERRORS, RunConfig, main
+from smrgrid.cli import HANDLED_ERRORS, ConfigError, RunConfig, load_config, main
 from smrgrid.datacenter import write_profile_csv
-from smrgrid.network import CaseError, case_to_dict, parse_case
+from smrgrid.network import CaseError, case_to_dict, parse_case, read_value
 
 from conftest import (
     DELETE, JSON_VALUES, key_paths, make_two_bus, replace_at, week_profile, zero_valued,
@@ -22,6 +22,7 @@ from conftest import (
 
 CASE = "src/smrgrid/data/ieee118.json"
 README = Path(__file__).resolve().parent.parent / "README.md"
+ALL = ("profile", "powerflow", "transient", "compare")
 
 
 @pytest.fixture()
@@ -221,6 +222,17 @@ class TestTransient:
         assert abs(dv - recomputed) <= 1e-9 + 5e-4 * dv
         assert 0 < dv <= 1e-4
 
+    def test_t_end_off_the_step_grid_rejected(self, workdir, capsys):
+        # The dt run would end at 1.01 s and its dt/2 check at 1.0075 s.
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["simulation"] = {"dt": 0.005, "t_end": 1.0075}
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "transient", "--dt-check") == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ConfigError",
+                       "message": "simulation: t_end must be a whole number of dt steps"}
+
 
 class TestCompare:
     def test_outputs_and_determinism(self, workdir, capsys):
@@ -252,17 +264,12 @@ class TestCompare:
         err = json.loads((workdir / "out/error.json").read_text())
         assert "ies" in err["message"]
 
-    @pytest.mark.parametrize("flags, env, config_jobs, jobs", [
-        (["--jobs", "0"], {}, None, 0),
-        (["--jobs", "-2"], {}, None, -2),
-        ([], {"SMRGRID_JOBS": "0"}, None, 0),
-        ([], {}, 0, 0),
-    ], ids=["flag-0", "flag-minus-2", "env-0", "config-0"])
-    def test_jobs_below_one_rejected(
-        self, workdir, monkeypatch, capsys, flags, env, config_jobs, jobs
-    ):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    @pytest.mark.parametrize("flags, config_jobs, jobs", [
+        (["--jobs", "0"], None, 0),
+        (["--jobs", "-2"], None, -2),
+        ([], 0, 0),
+    ], ids=["flag-0", "flag-minus-2", "config-0"])
+    def test_jobs_below_one_rejected(self, workdir, capsys, flags, config_jobs, jobs):
         if config_jobs is not None:
             cfg = json.loads((workdir / "config.json").read_text())
             cfg["jobs"] = config_jobs
@@ -278,26 +285,33 @@ class TestConfigHandling:
         assert main(["--config", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "out"), "profile"]) == 2
 
-    def test_error_json_goes_to_env_out_dir_when_config_fails(
+    def test_error_json_goes_to_default_out_dir_when_config_fails(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("SMRGRID_OUT", str(tmp_path / "env_out"))
         assert main(["--config", str(tmp_path / "nope.json"), "profile"]) == 2
-        err = json.loads((tmp_path / "env_out/error.json").read_text())
+        err = json.loads((tmp_path / "out/error.json").read_text())
         assert err["error"] == "ConfigError"
-        assert not (tmp_path / "out").exists()
 
     def test_error_json_goes_to_config_out_dir(self, workdir, monkeypatch, capsys):
         monkeypatch.chdir(workdir)
-        monkeypatch.delenv("SMRGRID_OUT", raising=False)
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["out_dir"] = str(workdir / "cfg_out")
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        # The config reads, so a failed run writes error.json to its out_dir.
+        argv = ["--config", str(workdir / "config.json"), "transient", "--scenario", "5"]
+        assert main(argv) == 2
+        assert [p.name for p in (workdir / "cfg_out").iterdir()] == ["error.json"]
+        assert not (workdir / "out").exists()
+        # A malformed section leaves the config unread, out_dir with it, so
+        # error.json goes to out/.
+        (workdir / "cfg_out/error.json").unlink()
         cfg["configuration"] = {"kind": "with_ies", "dc_bus": 25}
         (workdir / "config.json").write_text(json.dumps(cfg))
         assert main(["--config", str(workdir / "config.json"), "compare"]) == 2
-        assert (workdir / "cfg_out/error.json").exists()
-        assert not (workdir / "out").exists()
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err["message"].startswith("configuration: ")
+        assert not any((workdir / "cfg_out").iterdir())
 
     def test_config_not_an_object_reports_error(self, tmp_path, capsys):
         (tmp_path / "list.json").write_text("[1, 2]")
@@ -309,11 +323,15 @@ class TestConfigHandling:
         assert "JSON object" in err["message"]
 
     def test_unknown_config_key_rejected(self, workdir, capsys):
+        # Every section is read before the run, the ones it does not use too.
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["simulation"]["dtt"] = 0.01
         (workdir / "config.json").write_text(json.dumps(cfg))
-        assert run(workdir, "powerflow") == 0  # simulation unused there
-        assert run(workdir, "transient") == 2
+        for command in ALL:
+            assert run(workdir, command, out=f"out_{command}") == 2, command
+            err = json.loads((workdir / f"out_{command}/error.json").read_text())
+            assert err == {"error": "ConfigError",
+                           "message": "simulation: unknown keys ['dtt']"}, command
 
     @pytest.mark.parametrize(
         "section, key",
@@ -380,13 +398,12 @@ class TestConfigHandling:
     def test_readme_minimal_config_parses(self, tmp_path):
         text = README.read_text()
         block = text.split("Minimal config:", 1)[1].split("```json", 1)[1]
-        cfg = RunConfig(json.loads(block.split("```", 1)[0]))
-        assert cfg.get("profile").tasks_csv
-        configuration = cfg.get("configuration")
-        assert configuration.kind == "with_ies"
-        assert configuration.ies is not None
-        assert cfg.get("simulation").t_end > 0
-        assert cfg.scenarios()
+        cfg = read_value(RunConfig, json.loads(block.split("```", 1)[0]), "", ConfigError)
+        assert cfg.profile.tasks_csv
+        assert cfg.configuration.kind == "with_ies"
+        assert cfg.configuration.ies is not None
+        assert cfg.simulation.t_end > 0
+        assert cfg.specs
 
     def test_it_p_max_sets_the_it_capacity(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
@@ -444,45 +461,70 @@ class TestConfigHandling:
         assert err["error"] == "FileExistsError"
         assert (workdir / "taken").read_text() == ""
 
-    def test_env_seed_override(self, workdir, monkeypatch, capsys):
+    def test_seed_flag_seeds_the_scenarios(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         del cfg["scenarios"][0]["rng_seed"]
+        cfg["seed"] = 5
         (workdir / "config.json").write_text(json.dumps(cfg))
-        monkeypatch.setenv("SMRGRID_SEED", "99")
-        assert main(
-            ["--config", str(workdir / "config.json"),
-             "--out", str(workdir / "out"), "transient", "--snapshot", "max"]
-        ) == 0
+        assert run(workdir, "--seed", "99", "transient", "--snapshot", "max") == 0
         assert (workdir / "out/bus_fault_s99_with_ies.csv").exists()
 
+    @pytest.mark.parametrize("flags, config, want", [
+        ({}, {}, {"out_dir": "out", "seed": 0, "jobs": 1}),
+        ({}, {"out_dir": "o", "seed": 5, "jobs": 2}, {"out_dir": "o", "seed": 5, "jobs": 2}),
+        ({"out": "f", "seed": 9, "jobs": 3}, {"out_dir": "o", "seed": 5, "jobs": 2},
+         {"out_dir": "f", "seed": 9, "jobs": 3}),
+        ({"out": "", "seed": 0}, {"out_dir": "o", "seed": 5}, {"out_dir": "o", "seed": 0}),
+    ], ids=["default", "config", "flag", "empty-out-flag"])
+    def test_flag_over_config_over_default(self, tmp_path, flags, config, want):
+        doc = dict(fixture_config(tmp_path), **config)
+        doc["scenarios"].append({"kind": "load_step"})
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        args = argparse.Namespace(config=str(tmp_path / "config.json"),
+                                  **dict({"out": None, "seed": None, "jobs": None}, **flags))
+        cfg = load_config(args)
+        assert {key: getattr(cfg, key) for key in want} == want
+        # An entry without its own rng_seed takes the seed plus its index.
+        assert [s.rng_seed for s in cfg.specs] == [7, want["seed"] + 1]
 
-ALL = ("profile", "powerflow", "transient", "compare")
+    def test_negative_seed_rejected_before_any_work(self, workdir, capsys):
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["scenarios"].insert(0, {"kind": "load_step", "load_step_mw": 5.0})
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "--seed", "-1", "compare") == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ConfigError",
+                       "message": "scenarios[0]: rng_seed must be >= 0"}
 
 
 def _malformed_cases():
-    """(key path, new value or DELETE, subcommands, fragments of the error,
-    environment)."""
+    """(key path, new value or DELETE, subcommands, fragments of the error).
+    Every section is read before any subcommand runs, so a section that a
+    subcommand does not use fails it too."""
     table = [
         (("profile",), 5, ALL, ["profile: expected an object (ProfileSpec), got 5"]),
+        # An absent section is None in the record; a JSON null is still refused.
+        (("profile",), None, ALL, ["profile: expected an object (ProfileSpec), got null"]),
+        (("case",), None, ALL, ["case: expected a string, got null"]),
         (("profile", "it"), 5, ALL, ["profile.it"]),
         (("profile", "chiller"), 5, ALL, ["profile.chiller"]),
         (("profile", "t0"), [1], ALL, ["profile.t0"]),
         (("profile", "tasks_csv"), DELETE, ALL, ["profile", "tasks_csv"]),
-        (("configuration",), 5, ("powerflow", "compare"), ["configuration"]),
-        (("configuration", "ies"), 5, ("powerflow", "compare"), ["configuration.ies"]),
-        (("configuration", "ies", "smr"), 5, ("powerflow", "compare"),
-         ["configuration.ies.smr"]),
-        (("simulation",), 5, ("compare",), ["simulation"]),
-        (("simulation", "monitor_buses"), 5, ("compare",), ["simulation.monitor_buses"]),
-        (("scenarios",), 5, ("compare",), ["scenarios"]),
-        (("scenarios",), [5], ("compare",), ["scenarios[0]"]),
-        (("scenarios", 0, "fault_admittance"), [0, -1e4], ("compare",),
+        (("configuration",), 5, ALL, ["configuration"]),
+        (("configuration", "ies"), 5, ALL, ["configuration.ies"]),
+        (("configuration", "ies", "smr"), 5, ALL, ["configuration.ies.smr"]),
+        (("simulation",), 5, ALL, ["simulation"]),
+        (("simulation", "monitor_buses"), 5, ALL, ["simulation.monitor_buses"]),
+        (("scenarios",), 5, ALL, ["scenarios"]),
+        (("scenarios",), [5], ALL, ["scenarios[0]"]),
+        (("scenarios", 0, "fault_admittance"), [0, -1e4], ALL,
          ["scenarios[0].fault_admittance"]),
         (("seed",), [1], ALL, ["seed"]),
         (("jobs",), None, ALL, ["jobs"]),
-        (("case",), 5, ("powerflow", "compare"), ["case"]),
-        (("snapshot_selector",), 5, ("compare",), ["snapshot_selector"]),
-        (("profile", "tasks_csv"), 0, ("profile",), ["profile.tasks_csv"]),
+        (("case",), 5, ALL, ["case"]),
+        (("snapshot_selector",), 5, ALL, ["snapshot_selector"]),
+        (("profile", "tasks_csv"), 0, ALL, ["profile.tasks_csv"]),
         # An explicit snapshot index must lie in the profile's 12 bins.
         (("snapshot_selector",), [99999], ("compare",), ["snapshot_selector", "99999"]),
         (("snapshot_selector",), [-1], ("compare",), ["snapshot_selector", "-1"]),
@@ -490,8 +532,8 @@ def _malformed_cases():
         (("configuration", "dc_bus"), 99999, ("powerflow", "compare"),
          ["unknown bus id 99999"]),
         # The target's shape must suit the contingency kind.
-        (("scenarios", 0, "target"), [24, 26], ("compare",), ["scenarios[0]", "target"]),
-        (("scenarios", 0), {"kind": "line_trip", "target": 24}, ("compare",),
+        (("scenarios", 0, "target"), [24, 26], ALL, ["scenarios[0]", "target"]),
+        (("scenarios", 0), {"kind": "line_trip", "target": 24}, ALL,
          ["scenarios[0]", "target"]),
     ]
     for path, value, commands, fragments in table:
@@ -499,17 +541,12 @@ def _malformed_cases():
             key = ".".join(map(str, path))
             shown = "del" if value is DELETE else json.dumps(value)
             yield pytest.param(
-                path, value, [command], fragments, {}, id=f"{command}-{key}={shown}"
+                path, value, [command], fragments, id=f"{command}-{key}={shown}"
             )
     for index in ("99999", "-1"):
         yield pytest.param(
             (), DELETE, ["transient", "--snapshot", index], ["snapshot_selector", index],
-            {}, id=f"transient---snapshot-{index}",
-        )
-    for name, value in (("SMRGRID_SEED", "x"), ("SMRGRID_JOBS", "1.5")):
-        yield pytest.param(
-            (), DELETE, ["profile"], [name, value], {name: value},
-            id=f"profile-{name}={value}",
+            id=f"transient---snapshot-{index}",
         )
 
 
@@ -526,18 +563,16 @@ def stdin_at_eof():
     os.close(saved)
 
 
-@pytest.mark.parametrize("path, value, argv, fragments, env", _malformed_cases())
+@pytest.mark.parametrize("path, value, argv, fragments", _malformed_cases())
 def test_malformed_config_reports_error(
-    workdir, stdin_at_eof, capsys, monkeypatch, path, value, argv, fragments, env
+    workdir, stdin_at_eof, capsys, path, value, argv, fragments
 ):
-    for name, setting in env.items():
-        monkeypatch.setenv(name, setting)
     cfg = json.loads((workdir / "config.json").read_text())
     if path:
         replace_at(cfg, path, value)
     (workdir / "config.json").write_text(json.dumps(cfg))
     assert run(workdir, *argv) == 2
-    # Every section the subcommand uses is read before any output is written.
+    # Every section is read before any output is written.
     assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
     err = json.loads((workdir / "out/error.json").read_text())
     for fragment in fragments:
@@ -602,13 +637,8 @@ _FIXTURE = fixture_config(Path("data"))
 def test_any_replaced_value_raises_only_handled_errors(path, value):
     doc = json.loads(json.dumps(_FIXTURE))
     replace_at(doc, path, value)
-    args = argparse.Namespace(out="out", seed=None, jobs=None)
     try:
-        cfg = RunConfig(doc, args)
-        for key in ("case", "profile", "configuration", "simulation",
-                    "snapshot_selector"):
-            cfg.get(key)
-        cfg.scenarios()
+        read_value(RunConfig, doc, "", ConfigError)
     except HANDLED_ERRORS:
         pass
 

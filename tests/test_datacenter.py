@@ -577,6 +577,29 @@ class TestCsvBoundary:
         with pytest.raises(TraceError, match=f":{line}: .*{reason}"):
             read_tasks_csv(path)
 
+    @pytest.mark.parametrize("bad, blank, line, builds", [
+        # Blocks of 8 rows: 12 pass, the 13th (rows 97-100) fails, then its
+        # rows are checked one at a time up to row 100.
+        ((100,), False, 101, 13 + 4),
+        # Rows 20 and 60 are bad: the third block holds the first of them.
+        ((20, 60), False, 21, 3 + 4),
+        # A blank line after each row: row k sits on line 2k.
+        ((50,), True, 100, 7 + 2),
+    ], ids=["bad_last_row", "two_bad_rows", "blank_lines"])
+    def test_bad_line_checks_rows_a_block_at_a_time(
+        self, tmp_path, monkeypatch, bad, blank, line, builds
+    ):
+        monkeypatch.setattr(datacenter, "_BAD_LINE_BLOCK", 8)
+        rows = [f"{k},{k + 1 if k not in bad else k - 1},1.0" for k in range(1, 101)]
+        path = tmp_path / "tasks.csv"
+        path.write_text("start_s,end_s,cpu\n" + ("\n\n" if blank else "\n").join(rows))
+        table = mock.Mock(wraps=TaskTable)
+        with pytest.raises(TraceError) as exc:
+            datacenter._read_table(path, datacenter._TASK_FIELDS, table)
+        assert str(exc.value) == f"{path}:{line}: task end {bad[0] - 1}.0 <= start {bad[0]}.0"
+        # One table from the bulk path, one from the row path, then _bad_line's.
+        assert table.call_count == 2 + builds
+
     def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"start_s,end_s,cpu\n0,600,2.5\n0,\xff,1.0\n")
@@ -616,7 +639,10 @@ class TestCsvBoundary:
          "float"),
         (read_profile_csv, PROFILE_HEAD + "0,.5,45,45,5,1\n300,.5,45,45,{},1\n", "\u0665",
          "int"),
-    ], ids=["separator", "arabic", "profile_separator", "profile_arabic_n_ch"])
+        (read_profile_csv, PROFILE_HEAD + "0,.5,45,45,5,1\n300,.5,45,45,{},1\n",
+         str(2**63), "int64"),
+    ], ids=["separator", "arabic", "profile_separator", "profile_arabic_n_ch",
+            "profile_n_ch_past_int64"])
     def test_number_that_only_float_reads_names_line(
         self, tmp_path, read, text, value, kind
     ):
@@ -810,13 +836,20 @@ class TestCsvBoundary:
             reader = csv.reader(fh)
             header = next(reader)
             cols = [header.index(n) for n in fields_of]
-            rows = [row for row in reader if row]
+            numbered = [(reader.line_num, row) for row in reader if row]
+        rows = [row for _, row in numbered]
         row_table = datacenter._row_table
         try:
             want = row_table(rows, cols, fields_of, table)
         except (ValueError, TraceError) as exc:
-            want = TraceError(datacenter._bad_line(
-                path, lambda row: row_table([row], cols, fields_of, table), exc))
+            # The first row whose one-row table fails names the line.
+            want = TraceError(f"{path}: {exc}")
+            for line, row in numbered:
+                try:
+                    row_table([row], cols, fields_of, table)
+                except (ValueError, TraceError) as row_exc:
+                    want = TraceError(f"{path}:{line}: {row_exc}")
+                    break
         with mock.patch.object(datacenter, "_row_table", wraps=row_table) as rows_read:
             try:
                 got = read(path)

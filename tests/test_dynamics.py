@@ -699,6 +699,8 @@ CHECKS = [
     (lambda: Event(-1.0, GenTrip(12)), ValueError, "event time must be >= 0"),
     (lambda: SimConfig(dt=0.05), ValueError, "dt must be in (0, 0.02]"),
     (lambda: SimConfig(t_end=0.0), ValueError, "t_end must be > 0"),
+    (lambda: SimConfig(dt=0.005, t_end=1.0075), ValueError,
+     "t_end must be a whole number of dt steps"),
     *[
         (lambda v=v: SimConfig(freq_filter_tc=v), ValueError,
          "freq_filter_tc must be finite and >= dt")

@@ -655,6 +655,7 @@ CHECKS = [
     (lambda: ContingencySpec(kind="bus_fault", t_apply=0.0), "t_apply must be > 0"),
     (lambda: ContingencySpec(kind="bus_fault", duration=0.0),
      "fault duration must be > 0"),
+    (lambda: ContingencySpec(kind="load_step", rng_seed=-1), "rng_seed must be >= 0"),
     (lambda: ContingencySpec(kind="line_trip", target=25),
      "line_trip target 25 is not a [from, to] pair"),
     (lambda: ContingencySpec(kind="gen_trip", target=(25, 26)),
