@@ -30,20 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .network import (
-    AdmittanceMatrix,
-    NetworkCase,
-    branch_admittances,
-    build_ybus,
-)
+from .network import NetworkCase
 from .powerflow import PowerFlowSolution
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 F_NOMINAL_HZ = 60.0
 
@@ -358,13 +349,13 @@ def smr_flows_from_power(p_mech_mw: float, params: SmrParams) -> tuple[float, fl
 
 def initialize_devices(
     case: NetworkCase,
-    ybus: AdmittanceMatrix,
     solution: PowerFlowSolution,
     ies: IesUnit | None,
 ) -> tuple[_Machines, np.ndarray]:
     """Machine states consistent with the converged snapshot: one classical
     machine (`GRID_MACHINE`) per in-service generator, plus the SMR's
-    machine when `ies` is given.
+    machine when `ies` is given, sharing the bus generation that
+    `solution.v` gives on the case's own Y-bus (`NetworkCase.ybus`).
 
     Returns (machines, effective bus load pu). The effective load un-nets
     the SMR dispatch that apply_snapshot folded into the bus load, so the
@@ -392,7 +383,7 @@ def initialize_devices(
         s_smr = complex(ies.p_dispatch_mw / sbase)
         s_load[smr_bidx] += s_smr
         by_bus.setdefault(smr_bidx, [])
-    s_gen_bus = v * np.conj(ybus.matrix @ v) + s_load  # generation per bus, pu
+    s_gen_bus = v * np.conj(case.ybus.matrix @ v) + s_load  # generation per bus, pu
 
     shares = []  # (bus index, machine params, complex power pu)
     for bidx, plain in by_bus.items():
@@ -460,12 +451,14 @@ class _Network:
       * `read_op` maps u to the read-bus voltages, ordered as `read_bus` and
         interleaved (Re V_0, Im V_0, Re V_1, ...) so the product views as
         complex.
+
+    The base matrix is the case's Y-bus (`NetworkCase.ybus`), and a branch
+    trip subtracts the pi-model that the Y-bus was stamped from.
     """
 
     def __init__(
         self,
         case: NetworkCase,
-        ybase: sp.csc_matrix,
         s_load: np.ndarray,
         v0: np.ndarray,
         machines: _Machines,
@@ -473,13 +466,12 @@ class _Network:
         read_buses,
         bess_idx: int | None = None,
     ):
-        self.branches = branch_admittances(case)
+        self.ybus = case.ybus
         self.w_s = w_s
         self.nm = nm = machines.bus_idx.size
         self.u = np.zeros(2 * nm + 2)  # the stage input; the caller sets i_b
         self.cos, self.sin, self.trig = self.u[:nm], self.u[nm:2 * nm], self.u[:2 * nm]
         self.x = None  # the state whose cos/sin `u` holds (`read`, `deriv`)
-        self.ybase = ybase
         self.n = case.n_bus
         vm2 = np.abs(v0) ** 2
         self.y_load = np.conj(s_load) / vm2  # constant-admittance loads
@@ -499,9 +491,9 @@ class _Network:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        y = self.ybase
+        y = self.ybus.matrix
         if self.tripped:
-            y = y - self.branches.stamp(self.n, np.array(sorted(self.tripped)))
+            y = y - self.ybus.branches.stamp(self.n, np.array(sorted(self.tripped)))
         on = machines.active
         diag = self.y_load + self.load_extra
         np.add.at(diag, machines.bus_idx[on], machines.y_m[on])
@@ -653,16 +645,13 @@ def run_transient(
     ies: IesUnit | None,
     events: list[Event],
     cfg: SimConfig,
-    ybus: AdmittanceMatrix | None = None,
 ) -> TransientResult:
     """Transient from the converged snapshot `solution`; `ies` is the
     datacenter's SMR and battery, None for a grid-only run."""
-    if ybus is None:
-        ybus = build_ybus(case)
     events = sorted(events, key=lambda e: e.t)
     if events and cfg.t_end <= events[-1].t:
         raise SimulationError("t_end must exceed the last event time")
-    machines, s_load = initialize_devices(case, ybus, solution, ies)
+    machines, s_load = initialize_devices(case, solution, ies)
     n_steps = int(round(cfg.t_end / cfg.dt))
     dt = cfg.dt
 
@@ -680,7 +669,7 @@ def run_transient(
     # _apply_event reads the pre-event voltage at a load-step bus.
     step_buses = [e.kind.bus for e in events if isinstance(e.kind, LoadStep)]
     net = _Network(
-        case, ybus.matrix, s_load, solution.v, machines, 2.0 * math.pi * cfg.f_nominal,
+        case, s_load, solution.v, machines, 2.0 * math.pi * cfg.f_nominal,
         [case.bus_index(b) for b in monitor + step_buses], bess_idx,
     )
     net.refactor(machines)

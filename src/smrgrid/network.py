@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -186,6 +187,9 @@ def _slack_of(buses) -> int:
     return slacks[0]
 
 
+_YBUS_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class NetworkCase:
     system_mva_base: float
@@ -195,6 +199,8 @@ class NetworkCase:
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _slack: int = field(init=False, repr=False, compare=False)
     arrays: CaseArrays = field(init=False, repr=False, compare=False)
+    # Holds the Y-bus once built; `with_bus` copies share the list itself.
+    _ybus: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.system_mva_base <= 0:
@@ -255,11 +261,22 @@ class NetworkCase:
     def slack_index(self) -> int:
         return self._slack
 
+    @property
+    def ybus(self) -> AdmittanceMatrix:
+        """The Y-bus, built on first use (parsing imports no scipy) and
+        shared with every `with_bus` copy, as it depends on the branches
+        alone; threads that ask at once build it once."""
+        with _YBUS_LOCK:
+            if not self._ybus:
+                self._ybus.append(build_ybus(self))
+        return self._ybus[0]
+
     def with_bus(self, bus: Bus) -> "NetworkCase":
         """Copy of the case with one bus replaced (same id).
 
         Bus ids, branches and generators are unchanged, so the copy skips
-        the id, reference and connectivity checks and shares the bus index.
+        the id, reference and connectivity checks and shares the bus index
+        and the Y-bus.
         A bus of the same kind changes only the load arrays, and the copy
         shares every other array; a change of kind checks that one slack
         bus remains and derives the arrays again.
@@ -280,15 +297,12 @@ class NetworkCase:
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    dimension: int
     matrix: sp.csc_matrix  # complex, pu
+    branches: BranchAdmittances  # the pi-models `matrix` was stamped from
     # Newton Jacobian patterns of this matrix, filled by the power flow and
     # keyed by the PV/PQ partition. They stay valid because no code changes
     # `matrix` in place: a new topology is always a new AdmittanceMatrix.
     jacobian_patterns: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 @dataclass(frozen=True)
@@ -349,7 +363,7 @@ def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
     """Assemble the nodal admittance matrix with the standard pi branch model."""
     br = branch_admittances(case)
     y = br.stamp(case.n_bus, np.flatnonzero(br.in_service))
-    return AdmittanceMatrix(dimension=case.n_bus, matrix=y)
+    return AdmittanceMatrix(matrix=y, branches=br)
 
 
 # -- JSON records ------------------------------------------------------------

@@ -7,17 +7,17 @@ grows far beyond its best value stops early as non-converged. A singular
 Jacobian raises SingularJacobianError, which sweeps record as a
 non-converged bin.
 
-solve works on the case's bus arrays (NetworkCase.arrays), which hold
-everything that stays fixed for the case: the PV/PQ partition, the per-bus
-generator injection, and the index, Q limits and setpoints of the checked
-buses (PV buses with an in-service generator). A snapshot copy made by
-NetworkCase.with_bus shares all of them and only replaces its loads, so a
-sweep derives none of them per bin. Q-limit enforcement switches a checked
-bus to PQ by mask, as MATPOWER does with its bus types: the bus joins the
-PQ set and its generator Q, pinned at the limit, moves into the scheduled
-injection. No case copy is made. The check after each pass looks at the
-checked buses only, and the slack power is read from the slack bus's own
-entries.
+solve works on the case's Y-bus (NetworkCase.ybus) and bus arrays
+(NetworkCase.arrays), which hold everything that stays fixed for the case:
+the PV/PQ partition, the per-bus generator injection, and the index, Q
+limits and setpoints of the checked buses (PV buses with an in-service
+generator). A snapshot copy made by NetworkCase.with_bus shares all of them
+and only replaces its loads, so a sweep derives none of them per bin.
+Q-limit enforcement switches a checked bus to PQ by mask, as MATPOWER does
+with its bus types: the bus joins the PQ set and its generator Q, pinned at
+the limit, moves into the scheduled injection. No case copy is made. The
+check after each pass looks at the checked buses only, and the slack power
+is read from the slack bus's own entries.
 
 A warm start (v0) keeps each PV bus at its magnitude in v0, not at its
 setpoint. Resetting it to the setpoint changes the sweep's iteration
@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import AdmittanceMatrix, NetworkCase, branch_admittances, build_ybus
+from .network import AdmittanceMatrix, NetworkCase
 
 
 class SingularJacobianError(Exception):
@@ -226,7 +226,7 @@ def jacobian_pattern(
 ) -> JacobianPattern:
     """The band order of the Jacobian's structure and the band slot of
     every Jacobian term."""
-    n = ybus.dimension
+    n = ybus.matrix.shape[0]
     y = ybus.matrix.tocoo()
     pvpq = np.sort(np.concatenate([pv_idx, pq_idx]))
     npvpq = len(pvpq)
@@ -385,7 +385,6 @@ def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched):
 
 def solve(
     case: NetworkCase,
-    ybus: AdmittanceMatrix | None = None,
     opts: PowerFlowOptions = PowerFlowOptions(),
     v0: np.ndarray | None = None,
 ) -> PowerFlowSolution:
@@ -401,8 +400,7 @@ def solve(
     bus, the result is not converged. Only the case's checked buses
     (CaseArrays.checked) can switch, so the check looks at them alone.
     """
-    if ybus is None:
-        ybus = build_ybus(case)
+    ybus = case.ybus
     a = case.arrays
     base = case.system_mva_base
     v = v0.copy() if v0 is not None else _initial_voltage(case)
@@ -499,7 +497,7 @@ class BranchFlow:
 
 
 def branch_flows(case: NetworkCase, v: np.ndarray) -> list[BranchFlow]:
-    br = branch_admittances(case)
+    br = case.ybus.branches
     k = np.flatnonzero(br.in_service)
     vf, vt = v[br.f[k]], v[br.t[k]]
     s_from = vf * np.conj(br.yff[k] * vf + br.yft[k] * vt)

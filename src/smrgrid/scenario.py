@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import powerflow as pf
 from .datacenter import LoadProfile
-from .network import AdmittanceMatrix, BusKind, CaseError, NetworkCase, build_ybus
+from .network import BusKind, CaseError, NetworkCase
 
 
 class ScenarioError(ValueError):
@@ -216,12 +216,11 @@ def snapshot_sweep(case: NetworkCase, profile: LoadProfile, cfg: Configuration) 
     mismatch = np.full(n, np.nan)
     q_limited = np.zeros(n, dtype=int)
     poi = case.bus_index(cfg.dc_bus)
-    ybus = build_ybus(case)  # topology is load-independent across the sweep
     v_warm = None
     for k, p_dc in enumerate(profile.p_total.tolist()):
         snap, _ = snapshot_case(case, cfg, p_dc)
         try:
-            sol = pf.solve(snap, ybus, v0=v_warm)
+            sol = pf.solve(snap, v0=v_warm)
         except pf.SingularJacobianError:
             v_warm = None
             continue
@@ -290,6 +289,8 @@ def resolve_events(
             bus = _target_bus(case, spec)
         else:
             cands = [b for b in near if b != cfg.dc_bus]
+            if not cands:
+                raise ScenarioError("no bus-fault candidates near the POI")
             bus = int(rng.choice(cands))
         return [
             dyn.Event(spec.t_apply, dyn.BusFault3ph(bus, spec.fault_admittance)),
@@ -359,20 +360,17 @@ def run_contingency(
     spec: ContingencySpec,
     simcfg: dyn.SimConfig,
     events: list[dyn.Event] | None = None,
-    ybus: AdmittanceMatrix | None = None,
 ) -> dyn.TransientResult:
     """Power flow at one profile bin, then the transient with the resolved
-    contingency events, monitoring the POI. `ybus` is the case's Y-bus,
-    built here when not given; a snapshot changes only bus loads, which the
-    Y-bus does not hold."""
+    contingency events, monitoring the POI. The snapshot changes only bus
+    loads, so both run on the Y-bus of `case` (`NetworkCase.ybus`), built
+    once however many snapshots of it run."""
     p_dc = float(profile.p_total[snapshot_bin])
     q_th = float(profile.q_cool[snapshot_bin])
     snap, smr_dispatch = snapshot_case(case, cfg, p_dc)
     if events is None:
         events = resolve_events(snap, cfg, spec)
-    if ybus is None:
-        ybus = build_ybus(snap)
-    sol = pf.solve(snap, ybus)
+    sol = pf.solve(snap)
     if not sol.converged:
         raise ScenarioError(f"snapshot bin {snapshot_bin} did not converge")
     ies = None
@@ -389,7 +387,7 @@ def run_contingency(
         simcfg = replace(
             simcfg, monitor_buses=tuple(simcfg.monitor_buses) + (cfg.dc_bus,)
         )
-    return dyn.run_transient(snap, sol, ies, events, simcfg, ybus=ybus)
+    return dyn.run_transient(snap, sol, ies, events, simcfg)
 
 
 # -- metrics -----------------------------------------------------------------
@@ -447,6 +445,8 @@ def select_snapshot_bins(profile: LoadProfile, selector) -> list[int]:
     """{min, median, max} labels or explicit indices into the profile."""
     if len(profile) == 0:
         raise ScenarioError("empty profile")
+    if not selector:
+        raise ScenarioError("empty snapshot_selector")
     total = profile.p_total
     out = []
     for sel in selector:
@@ -457,7 +457,7 @@ def select_snapshot_bins(profile: LoadProfile, selector) -> list[int]:
         elif sel == "median":
             order = np.argsort(total, kind="stable")
             out.append(int(order[len(order) // 2]))
-        elif str(sel).isdecimal() and int(sel) < len(total):
+        elif str(sel).isascii() and str(sel).isdecimal() and int(sel) < len(total):
             out.append(int(sel))
         else:
             raise ScenarioError(
@@ -491,18 +491,14 @@ def compare(
     )
     bins = select_snapshot_bins(profile, snapshot_selector)
     tasks = [(spec, b) for spec in specs for b in bins]
-    # One Y-bus for every run, so its Jacobian patterns are built once. Pool
-    # threads may build the same pattern twice; both copies are equal.
-    ybus = build_ybus(case)
 
     def run_pair(spec, b, scenario_id):
         events = resolve_events(case, grid_config, spec)
         results = {}
         for cfg in (grid_config, ies_config):
-            res = run_contingency(
-                case, profile, b, cfg, spec, simcfg, events=events, ybus=ybus
+            results[cfg.kind] = run_contingency(
+                case, profile, b, cfg, spec, simcfg, events=events
             )
-            results[cfg.kind] = res
         ev_a = results["grid_only"].event_log
         ev_b = results["with_ies"].event_log
         if ev_a != ev_b:

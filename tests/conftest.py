@@ -21,6 +21,7 @@ from smrgrid.datacenter import (
     build_profile,
     calibrate_it_capacity,
 )
+from smrgrid import network
 from smrgrid.network import (
     Bus,
     BusKind,
@@ -67,6 +68,20 @@ def event_table(events) -> MachineEventTable:
 @pytest.fixture(scope="session")
 def case118() -> NetworkCase:
     return load_ieee118()
+
+
+def record_ybus_builds(monkeypatch) -> list:
+    """Make `network.build_ybus`, which `NetworkCase.ybus` calls on first
+    use, append each Y-bus it builds to the returned list."""
+    built = []
+    real = network.build_ybus
+
+    def recording(case):
+        built.append(real(case))
+        return built[-1]
+
+    monkeypatch.setattr(network, "build_ybus", recording)
+    return built
 
 
 def flat_start(case: NetworkCase) -> np.ndarray:

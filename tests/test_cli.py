@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from smrgrid import network
 from smrgrid import powerflow as pf
 from smrgrid.cli import HANDLED_ERRORS, ConfigError, RunConfig, load_config, main
 from smrgrid.datacenter import write_profile_csv
 from smrgrid.network import CaseError, case_to_dict, parse_case, read_value
 
 from conftest import (
-    DELETE, JSON_VALUES, key_paths, make_two_bus, replace_at, week_profile, zero_valued,
+    DELETE, JSON_VALUES, key_paths, make_two_bus, record_ybus_builds, replace_at,
+    week_profile, zero_valued,
 )
 
 
@@ -58,6 +60,15 @@ def fixture_config(root: Path) -> dict:
         ],
         "snapshot_selector": ["max"],
     }
+
+
+def short_run(workdir, scenarios=None) -> None:
+    """Cut the workdir config to a 1 s horizon with its event at 0.5 s, and
+    give it `scenarios` if given."""
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["simulation"] = {"t_end": 1.0}
+    cfg["scenarios"] = scenarios or [dict(cfg["scenarios"][0], t_apply=0.5)]
+    (workdir / "config.json").write_text(json.dumps(cfg))
 
 
 def run(workdir, *args, out="out"):
@@ -135,6 +146,11 @@ class TestPowerflow:
         summary = json.loads((workdir / "out/powerflow_summary.json").read_text())
         assert summary["base_converged"] is True
         assert summary["sweep_failed"] == 0
+
+    def test_one_ybus_for_base_and_sweep(self, workdir, monkeypatch, capsys):
+        built = record_ybus_builds(monkeypatch)
+        assert run(workdir, "powerflow") == 0
+        assert len(built) == 1
 
     def test_singular_jacobian_reports_error(self, workdir, monkeypatch, capsys):
         real = pf.compute_jacobian
@@ -222,6 +238,12 @@ class TestTransient:
         assert abs(dv - recomputed) <= 1e-9 + 5e-4 * dv
         assert 0 < dv <= 1e-4
 
+    def test_dt_check_builds_one_ybus(self, workdir, monkeypatch, capsys):
+        short_run(workdir)
+        built = record_ybus_builds(monkeypatch)
+        assert run(workdir, "transient", "--dt-check") == 0
+        assert len(built) == 1
+
     def test_t_end_off_the_step_grid_rejected(self, workdir, capsys):
         # The dt run would end at 1.01 s and its dt/2 check at 1.0075 s.
         cfg = json.loads((workdir / "config.json").read_text())
@@ -255,6 +277,30 @@ class TestCompare:
         assert [f["error_type"] for f in report["failed"]] == ["SimulationError"]
         assert report["pairs"][0]["scenario_id"].startswith("bus_fault_")
         assert report["failed"][0]["scenario"].startswith("load_step_")
+
+    def test_one_ybus_and_one_pi_model(self, workdir, monkeypatch, capsys):
+        short_run(workdir)
+        built = record_ybus_builds(monkeypatch)
+        pi_models = []
+        real = network.branch_admittances
+        monkeypatch.setattr(
+            network, "branch_admittances", lambda case: pi_models.append(1) or real(case)
+        )
+        assert run(workdir, "compare") == 0
+        assert (len(built), len(pi_models)) == (1, 1)
+
+    def test_bus_fault_without_candidates_fails_only_its_pair(self, workdir, capsys):
+        short_run(workdir, [
+            {"kind": "load_step", "t_apply": 0.5, "load_step_mw": 10.0},
+            {"kind": "bus_fault", "t_apply": 0.5, "max_distance": 0},
+        ])
+        assert run(workdir, "compare") == 3
+        report = json.loads((workdir / "out/comparison_report.json").read_text())
+        assert [p["scenario_id"][:10] for p in report["pairs"]] == ["load_step_"]
+        (failed,) = report["failed"]
+        assert failed["scenario"].startswith("bus_fault_")
+        assert failed["error_type"] == "ScenarioError"
+        assert failed["error"] == "no bus-fault candidates near the POI"
 
     def test_missing_ies_rejected(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
@@ -528,6 +574,9 @@ def _malformed_cases():
         # An explicit snapshot index must lie in the profile's 12 bins.
         (("snapshot_selector",), [99999], ("compare",), ["snapshot_selector", "99999"]),
         (("snapshot_selector",), [-1], ("compare",), ["snapshot_selector", "-1"]),
+        (("snapshot_selector",), [], ("compare",), ["empty snapshot_selector"]),
+        # An Arabic-Indic one is a decimal to str.isdecimal, but no bin index.
+        (("snapshot_selector",), ["\u0661"], ("compare",), ["snapshot_selector", "\u0661"]),
         # A POI that is not in the case fails in compare as in powerflow.
         (("configuration", "dc_bus"), 99999, ("powerflow", "compare"),
          ["unknown bus id 99999"]),
@@ -543,7 +592,7 @@ def _malformed_cases():
             yield pytest.param(
                 path, value, [command], fragments, id=f"{command}-{key}={shown}"
             )
-    for index in ("99999", "-1"):
+    for index in ("99999", "-1", "\u0661"):
         yield pytest.param(
             (), DELETE, ["transient", "--snapshot", index], ["snapshot_selector", index],
             id=f"transient---snapshot-{index}",
@@ -647,8 +696,9 @@ def test_cli_import_loads_no_scipy():
     # `smrgrid profile` needs no scipy, so importing the CLI must not load
     # it; power flow and dynamics import it where they build or factor.
     src = Path(__import__("smrgrid").__file__).resolve().parent.parent
+    # Nor must parsing a case: its Y-bus is built on first use.
     probe = (
-        "import sys, smrgrid.cli; "
+        "import sys, smrgrid.cli; smrgrid.load_ieee118(); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))

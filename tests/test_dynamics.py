@@ -528,16 +528,13 @@ class TestReducedNetwork:
 
     @pytest.mark.parametrize("topology", ["pre_fault", "fault", "line_trip", "gen_trip"])
     def test_operators_match_full_solve(self, case118, snapshot, topology):
-        ybus = build_ybus(case118)
-        machines, s_load = initialize_devices(case118, ybus, snapshot, None)
+        machines, s_load = initialize_devices(case118, snapshot, None)
         rng = np.random.default_rng(11)
         # Random EMF magnitudes, folded into the operators at refactor.
         machines.e_p[:] = rng.uniform(0.8, 1.3, machines.e_p.size)
         bess_idx = case118.bus_index(2)
         monitored = [case118.bus_index(b) for b in (25, 75)]
-        net = _Network(
-            case118, ybus.matrix, s_load, snapshot.v, machines, W_S, monitored, bess_idx
-        )
+        net = _Network(case118, s_load, snapshot.v, machines, W_S, monitored, bess_idx)
         net.refactor(machines)
 
         shunt = np.conj(s_load) / np.abs(snapshot.v) ** 2
@@ -603,12 +600,9 @@ class TestReducedNetwork:
 def plant(case, sol, ies):
     """The transient's plant and machines at the snapshot `sol`, set up as
     run_transient sets them up, reading bus 25 and the battery bus of `ies`."""
-    ybus = build_ybus(case)
-    machines, s_load = initialize_devices(case, ybus, sol, ies)
+    machines, s_load = initialize_devices(case, sol, ies)
     bess_idx = None if ies is None else case.bus_index(ies.bus)
-    net = _Network(
-        case, ybus.matrix, s_load, sol.v, machines, W_S, [case.bus_index(25)], bess_idx
-    )
+    net = _Network(case, s_load, sol.v, machines, W_S, [case.bus_index(25)], bess_idx)
     net.refactor(machines)
     return net, machines
 

@@ -13,15 +13,17 @@ from smrgrid.network import (
     CaseError,
     Generator,
     NetworkCase,
+    branch_admittances,
     build_ybus,
     case_from_dict,
     case_to_dict,
+    load_ieee118,
     parse_case,
     save_case,
 )
 from smrgrid.powerflow import _initial_voltage
 
-from conftest import JSON_VALUES, key_paths, make_two_bus, replace_at
+from conftest import JSON_VALUES, key_paths, make_two_bus, record_ybus_builds, replace_at
 
 
 def dense_pi_assembly(case: NetworkCase) -> np.ndarray:
@@ -148,11 +150,21 @@ class TestWithBus:
         # The original is untouched.
         assert case118.arrays.is_pv[case118.bus_index(25)]
 
+    def test_copies_share_the_ybus(self):
+        case = load_ieee118()
+        load = replace(case.bus(25), p_load=case.bus(25).p_load + 60.0)
+        same_kind = case.with_bus(load)
+        kind_change = case.with_bus(replace(load, kind=BusKind.PQ))
+        # A copy made before the first use shares the Y-bus built later.
+        assert kind_change.ybus is case.ybus is same_kind.ybus
+        assert same_kind.with_bus(case.bus(25)).ybus is case.ybus
+        assert case.ybus.jacobian_patterns is same_kind.ybus.jacobian_patterns
+
 
 class TestYbus:
     def test_single_branch_hand_values(self):
         case = make_two_bus(p_load=0.0, q_load=0.0, x=0.1)
-        y = build_ybus(case).dense()
+        y = build_ybus(case).matrix.toarray()
         assert y[0, 0] == pytest.approx(-10j)
         assert y[1, 1] == pytest.approx(-10j)
         assert y[0, 1] == pytest.approx(10j)
@@ -168,7 +180,9 @@ class TestYbus:
         with_off = NetworkCase(100.0, buses, (on, off))
         without = NetworkCase(100.0, buses, (on,))
         assert np.allclose(
-            build_ybus(with_off).dense(), build_ybus(without).dense(), atol=0
+            build_ybus(with_off).matrix.toarray(),
+            build_ybus(without).matrix.toarray(),
+            atol=0,
         )
 
     def test_triangle_row_sums_equal_shunts(self):
@@ -183,13 +197,13 @@ class TestYbus:
             for f, t in ((1, 2), (2, 3), (1, 3))
         )
         case = NetworkCase(100.0, buses, branches)
-        y = build_ybus(case).dense()
+        y = build_ybus(case).matrix.toarray()
         row_sums = y.sum(axis=1)
         # Each bus terminates two branches: shunt contribution = 2 * b_sh/2.
         assert np.allclose(row_sums, 1j * b_sh * np.ones(3), atol=1e-12)
 
     def test_matches_dense_assembly_118(self, case118):
-        y = build_ybus(case118).dense()
+        y = build_ybus(case118).matrix.toarray()
         assert np.max(np.abs(y - dense_pi_assembly(case118))) < 1e-12
 
     def test_symmetric_without_taps(self):
@@ -208,11 +222,36 @@ class TestYbus:
                        b_shunt=float(rng.uniform(0, 0.1)))
             )
         case = NetworkCase(100.0, buses, tuple(branches))
-        y = build_ybus(case).dense()
+        y = build_ybus(case).matrix.toarray()
         assert np.max(np.abs(y - y.T)) < 1e-12
 
+    def test_built_once_per_case(self, monkeypatch):
+        case = make_two_bus()
+        built = record_ybus_builds(monkeypatch)
+        assert case.ybus is case.ybus
+        (ybus,) = built
+        assert ybus is case.ybus
+
+    def test_keeps_its_pi_models(self, case118):
+        want = branch_admittances(case118)
+        got = case118.ybus.branches
+        for name in want.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_replaced_branches_build_their_own(self, case118):
+        k = 37  # arbitrary in-service branch
+        off = replace(case118.branches[k], status=False)
+        tripped = replace(
+            case118, branches=case118.branches[:k] + (off,) + case118.branches[k + 1:]
+        )
+        assert tripped.ybus is not case118.ybus
+        y_trip = tripped.ybus.matrix.toarray()
+        assert np.max(np.abs(y_trip - dense_pi_assembly(tripped))) < 1e-12
+        assert np.max(np.abs(y_trip - case118.ybus.matrix.toarray())) > 1.0
+        assert not tripped.ybus.branches.in_service[k]
+
     def test_branch_removal_equals_stamp_subtraction(self, case118):
-        y_full = build_ybus(case118).dense()
+        y_full = build_ybus(case118).matrix.toarray()
         k = 37  # arbitrary in-service branch
         br = case118.branches[k]
         reduced = NetworkCase(
@@ -221,7 +260,7 @@ class TestYbus:
             case118.branches[:k] + case118.branches[k + 1:],
             case118.generators,
         )
-        y_red = build_ybus(reduced).dense()
+        y_red = build_ybus(reduced).matrix.toarray()
         stamp = np.zeros_like(y_full)
         i = case118.bus_index(br.from_bus)
         j = case118.bus_index(br.to_bus)

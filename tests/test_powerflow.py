@@ -38,6 +38,7 @@ from conftest import (
     case_mismatch,
     flat_start,
     make_two_bus,
+    record_ybus_builds,
     two_bus_exact_voltage,
     week_profile,
     zero_valued,
@@ -88,7 +89,7 @@ def dense_oracle_jacobian(ybus, v, pv_idx, pq_idx):
     forms it (Zimmerman, Murillo-Sanchez & Thomas, IEEE Trans. Power Syst.
     26(1), 2011): dS/dth = j diag(V) conj(diag(I) - Y diag(V)) and
     dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|)."""
-    y = ybus.dense()
+    y = ybus.matrix.toarray()
     i = y @ v
     d_th = 1j * np.diag(v) @ np.conj(np.diag(i) - y @ np.diag(v))
     d_vm = np.diag(v) @ np.conj(y @ np.diag(v / abs(v))) + np.diag(np.conj(i) * v / abs(v))
@@ -162,8 +163,8 @@ class TestJacobian:
         assert np.max(np.abs(jac - fd)) < 1e-5
 
     def test_118_bus_solved_point_matches_finite_differences(self, case118):
-        ybus = build_ybus(case118)
-        sol = solve(case118, ybus)
+        ybus = case118.ybus
+        sol = solve(case118)
         assert sol.q_limited_buses
         # The base partition, then the one the Q-limit loop leaves, with
         # the limited PV buses switched to PQ.
@@ -283,33 +284,29 @@ class TestSolve:
         assert not sol.converged
 
     def test_warm_start_reuses_solution(self, case118):
-        ybus = build_ybus(case118)
-        sol = solve(case118, ybus)
-        again = solve(case118, ybus, v0=sol.v)
+        sol = solve(case118)
+        again = solve(case118, v0=sol.v)
         assert again.converged
         assert again.iterations == 0
 
 
 @pytest.fixture(scope="module")
-def sweep_ybus(case118):
-    """The Y-bus of a 24-bin grid-only sweep at bus 25, holding the cached
-    pattern of every PV/PQ partition the sweep met."""
-    built = []
-
-    def recording_build_ybus(case):
-        built.append(build_ybus(case))
-        return built[-1]
-
+def swept_case(case118):
+    """A copy of case118 after a 24-bin grid-only sweep at bus 25: its
+    Y-bus, built once by the sweep, holds the cached pattern of every PV/PQ
+    partition the sweep met."""
+    case = replace(case118)  # a Y-bus of its own, not built yet
     u = 0.5 + 0.5 * np.sin(np.linspace(0.0, 2 * np.pi, 24))
     profile = build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sc, "build_ybus", recording_build_ybus)
+        built = record_ybus_builds(mp)
         sweep = sc.snapshot_sweep(
-            case118, profile, sc.Configuration(kind="grid_only", dc_bus=25)
+            case, profile, sc.Configuration(kind="grid_only", dc_bus=25)
         )
     assert np.all(sweep.converged)
     (ybus,) = built
-    return ybus
+    assert ybus is case.ybus
+    return case
 
 
 def q_limited_partition(case, sol):
@@ -338,8 +335,8 @@ class TestColumnOrdering:
     """The band order of each Jacobian pattern and the banded Newton step."""
 
     def test_band_holds_the_reordered_jacobian(self, case118):
-        ybus = build_ybus(case118)
-        sol = solve(case118, ybus)
+        ybus = case118.ybus
+        sol = solve(case118)
         pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
         pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
         # 1051 structural entries, each with a band slot of its own.
@@ -362,20 +359,21 @@ class TestColumnOrdering:
             assert np.max(np.abs(jac - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         assert np.count_nonzero(jac) == 1051
 
-    def test_newton_step_matches_dense_solve(self, case118, sweep_ybus):
+    def test_newton_step_matches_dense_solve(self, case118, swept_case):
         # Every partition a sweep met, the Q-limited partition of the base
         # solve, and the base partition on a Y-bus with a tripped line.
-        sol = solve(case118, sweep_ybus)
+        sweep_ybus = swept_case.ybus
+        sol = solve(swept_case)
         cases = [
-            (case118, sweep_ybus,
+            (swept_case, sweep_ybus,
              np.frombuffer(key[0], dtype=np.intp), np.frombuffer(key[1], dtype=np.intp))
             for key in sweep_ybus.jacobian_patterns
         ]
         assert len(cases) > 1
-        cases.append((case118, sweep_ybus) + q_limited_partition(case118, sol))
+        cases.append((swept_case, sweep_ybus) + q_limited_partition(swept_case, sol))
         tripped = tripped_first_branch(case118)
         cases.append(
-            (tripped, build_ybus(tripped), tripped.arrays.pv_idx, tripped.arrays.pq_idx)
+            (tripped, tripped.ybus, tripped.arrays.pv_idx, tripped.arrays.pq_idx)
         )
         rng = np.random.default_rng(3)
         points = [np.ones(case118.n_bus, dtype=complex), sol.v] + [
@@ -389,16 +387,9 @@ class TestColumnOrdering:
                 assert newton_step_error(case, ybus, pattern, pv_idx, pq_idx, v) <= 1e-10
 
     def test_band_width_on_every_weekly_sweep_pattern(self, case118, monkeypatch):
-        built = []
-
-        def recording_build_ybus(case):
-            built.append(build_ybus(case))
-            return built[-1]
-
-        monkeypatch.setattr(sc, "build_ybus", recording_build_ybus)
-        sweep = sc.snapshot_sweep(
-            case118, week_profile(0), sc.Configuration(kind="grid_only", dc_bus=25)
-        )
+        built = record_ybus_builds(monkeypatch)
+        grid = sc.Configuration(kind="grid_only", dc_bus=25)
+        sweep = sc.snapshot_sweep(replace(case118), week_profile(0), grid)
         assert np.all(sweep.converged)
         (ybus,) = built
         assert len(ybus.jacobian_patterns) > 1
@@ -438,52 +429,58 @@ class TestColumnOrdering:
             return real(*args)
 
         monkeypatch.setattr(pf, "_band_order", counting)
-        ybus = build_ybus(case118)
-        snaps = [apply_snapshot(case118, 25, p) for p in np.linspace(0.0, 300.0, 12)]
+        case = replace(case118)  # a Y-bus of its own, no patterns cached
+        ybus = case.ybus
+        snaps = [apply_snapshot(case, 25, p) for p in np.linspace(0.0, 300.0, 12)]
         for snap in snaps * 2:
-            assert solve(snap, ybus).converged
+            assert solve(snap).converged
         assert len(ybus.jacobian_patterns) > 1
         assert len(calls) == len(ybus.jacobian_patterns)
 
     def test_tripped_line_gets_its_own_ordering(self, case118):
-        ybus = build_ybus(case118)
+        ybus = case118.ybus
         tripped = tripped_first_branch(case118)
-        ybus_tripped = build_ybus(tripped)
+        ybus_tripped = tripped.ybus
         pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
         base = _cached_pattern(ybus, pv_idx, pq_idx)
         own = _cached_pattern(ybus_tripped, pv_idx, pq_idx)
         assert len(np.unique(own.band_dest)) < len(np.unique(base.band_dest))
         assert_cached_patterns_fresh(ybus_tripped)  # holds `own` alone
-        sol = solve(tripped, ybus_tripped)
+        sol = solve(tripped)
         assert sol.converged
         for v in (np.ones(case118.n_bus, dtype=complex), sol.v):
             assert newton_step_error(tripped, ybus_tripped, own, pv_idx, pq_idx, v) <= 1e-10
 
-    def test_threads_share_patterns(self, case118):
-        # compare solves on a thread pool, and every solve on one Y-bus
-        # shares its cached patterns; each Newton loop writes only its own
-        # bands, so concurrent solves equal serial ones bit for bit, and
-        # every shared pattern is left as a fresh build makes it.
-        snaps = [apply_snapshot(case118, 25, p, 0.2 * p) for p in (0.0, 60.0, 250.0, 400.0)]
-        serial = [solve(s, build_ybus(s)).v for s in snaps]
-        shared = build_ybus(case118)
+    def test_threads_share_patterns(self, case118, monkeypatch):
+        # compare solves on a thread pool, and every solve on snapshots of
+        # one case shares its Y-bus and cached patterns; each Newton loop
+        # writes only its own bands, so concurrent solves equal serial ones
+        # bit for bit, and every shared pattern is left as a fresh build
+        # makes it. The serial solves each run on a copy with its own Y-bus;
+        # the threads race to build the shared one, and one of them does.
+        built = record_ybus_builds(monkeypatch)
+        case = replace(case118)  # a Y-bus of its own, not built yet
+        snaps = [apply_snapshot(case, 25, p, 0.2 * p) for p in (0.0, 60.0, 250.0, 400.0)]
+        serial = [solve(replace(s)).v for s in snaps]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(solve, s, shared) for s in snaps * 3]
+                futures = [pool.submit(solve, s) for s in snaps * 3]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         for k, sol in enumerate(results):
             np.testing.assert_array_equal(sol.v, serial[k % len(snaps)])
-        assert_cached_patterns_fresh(shared)
+        assert len(built) == len(snaps) + 1
+        assert all(s.ybus is case.ybus for s in snaps)
+        assert_cached_patterns_fresh(case.ybus)
 
     def test_exactly_singular_step_raises(self, case118):
         # One zero column stays exactly zero through the elimination, so
         # its pivot is exactly zero whatever the row exchanges.
-        ybus = build_ybus(case118)
-        sol = solve(case118, ybus)
+        ybus = case118.ybus
+        sol = solve(case118)
         pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
         pattern = _cached_pattern(ybus, pv_idx, pq_idx)
         band = compute_jacobian(sol.v, pattern, ybus.matrix @ sol.v)
@@ -503,7 +500,7 @@ class TestColumnOrdering:
         assert (pattern.kl, pattern.ku) == (0, 0)
         v = np.ones(1, dtype=complex)
         assert compute_jacobian(v, pattern, ybus.matrix @ v).shape == (1, 0)
-        sol = solve(case, ybus)
+        sol = solve(case)
         assert sol.converged and sol.iterations == 0
 
     @pytest.mark.parametrize("singular_call", [1, 3])
@@ -649,9 +646,9 @@ class TestQLimits:
     @pytest.mark.parametrize("p_dc_mw", [0.0, 60.0, 250.0])
     def test_mask_switching_matches_switched_case(self, case118, p_dc_mw):
         snap = apply_snapshot(case118, 25, p_dc_mw, 0.2 * p_dc_mw)
-        ybus = build_ybus(snap)
+        ybus = snap.ybus
         opts = PowerFlowOptions()
-        sol = solve(snap, ybus, opts)
+        sol = solve(snap, opts)
         assert sol.converged and sol.q_limited_buses
         v0 = _initial_voltage(snap)
         v, iterations, switched = self.switched_case_oracle(snap, ybus, v0, opts)
@@ -710,7 +707,7 @@ class TestMetamorphic:
 
     def test_shipped_ybus_is_symmetric(self, case118):
         # Taps are real and no branch shifts phase, so Y = Y^T exactly.
-        y = build_ybus(case118).dense()
+        y = case118.ybus.matrix.toarray()
         np.testing.assert_array_equal(y, y.T)
 
 

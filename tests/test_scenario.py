@@ -14,7 +14,7 @@ from smrgrid.datacenter import (
     build_profile,
     calibrate_it_capacity,
 )
-from smrgrid.network import CaseArrays, NetworkCase, build_ybus
+from smrgrid.network import CaseArrays, NetworkCase
 from smrgrid.powerflow import solve
 from smrgrid.scenario import (
     Configuration,
@@ -31,7 +31,10 @@ from smrgrid.scenario import (
     snapshot_sweep,
 )
 
-from conftest import assert_cached_patterns_fresh, make_two_bus, week_profile, zero_valued
+from conftest import (
+    assert_cached_patterns_fresh, make_two_bus, record_ybus_builds, week_profile,
+    zero_valued,
+)
 
 
 def synthetic_result(freq, v=None, dt=0.005, bus=25):
@@ -158,7 +161,8 @@ class TestSnapshot:
         monkeypatch.setattr(pf, "solve", recording_solve)
         sweep = snapshot_sweep(case118, profile, cfg)
         assert len(swept) == len(profile)
-        ybus = build_ybus(case118)
+        # Every snapshot solves on the case's own Y-bus.
+        assert all(c.ybus is case118.ybus for c in cases)
         poi = case118.bus_index(25)
         v = None
         for k, got in enumerate(swept):
@@ -176,7 +180,7 @@ class TestSnapshot:
                 np.testing.assert_array_equal(
                     getattr(cases[k].arrays, name), getattr(fresh.arrays, name)
                 )
-            want = solve(fresh, ybus, v0=v)
+            want = solve(fresh, v0=v)
             v = want.v
             assert (got.iterations, got.converged, got.q_limited_buses) == (
                 want.iterations, want.converged, want.q_limited_buses
@@ -193,18 +197,11 @@ class TestSnapshot:
         assert sweep.q_limited.max() > 0
 
     def test_sweep_pattern_cache_matches_fresh_patterns(self, case118, monkeypatch):
-        real_build_ybus = sc.build_ybus
-        built = []
-
-        def recording_build_ybus(case):
-            built.append(real_build_ybus(case))
-            return built[-1]
-
-        monkeypatch.setattr(sc, "build_ybus", recording_build_ybus)
+        built = record_ybus_builds(monkeypatch)
         u = 0.5 + 0.5 * np.sin(np.linspace(0.0, 2 * np.pi, 24))
         profile = build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
         sweep = snapshot_sweep(
-            case118, profile, Configuration(kind="grid_only", dc_bus=25)
+            replace(case118), profile, Configuration(kind="grid_only", dc_bus=25)
         )
         assert np.all(sweep.converged)
         (ybus,) = built
@@ -357,16 +354,6 @@ class TestRunContingency:
         res = run_contingency(case118, small_profile, 4, ies_config, spec, self.SIM)
         assert res.max_state_drift <= 1e-6
 
-    def test_given_ybus_matches_own(self, case118, small_profile, ies_config):
-        spec = ContingencySpec(kind="load_step", t_apply=0.5, load_step_mw=20.0)
-        sim = replace(self.SIM, t_end=1.0)
-        own = run_contingency(case118, small_profile, 4, ies_config, spec, sim)
-        given = run_contingency(case118, small_profile, 4, ies_config, spec, sim,
-                                ybus=sc.build_ybus(case118))
-        np.testing.assert_array_equal(given.v_mag[25], own.v_mag[25])
-        np.testing.assert_array_equal(given.freq_dev[25], own.freq_dev[25])
-        np.testing.assert_array_equal(given.bess_p_mw, own.bess_p_mw)
-
     def test_gen_trip_sign_correctness(self, case118, small_profile, ies_config):
         spec = ContingencySpec(kind="gen_trip", t_apply=3.0, rng_seed=2)
         # low-load bin: the SMR runs below rating and has governor headroom
@@ -444,9 +431,9 @@ class TestFailurePaths:
         cold_starts = []
         real = pf.solve
 
-        def recording(case, ybus, v0=None):
+        def recording(case, v0=None):
             cold_starts.append(v0 is None)
-            return real(case, ybus, v0=v0)
+            return real(case, v0=v0)
 
         monkeypatch.setattr(pf, "solve", recording)
         sweep = snapshot_sweep(case118, flat_profile([40.0, 2000.0, 40.0, 40.0]), GRID)
@@ -465,6 +452,13 @@ class TestFailurePaths:
             resolve_events(
                 make_two_bus(), Configuration(kind="grid_only", dc_bus=2),
                 ContingencySpec(kind=kind, max_distance=1),
+            )
+
+    def test_no_random_bus_fault_candidates(self, case118):
+        # Within 0 hops of the POI lies the POI alone, which is no candidate.
+        with pytest.raises(ScenarioError, match="^no bus-fault candidates near the POI$"):
+            resolve_events(
+                case118, GRID, ContingencySpec(kind="bus_fault", max_distance=0)
             )
 
     def test_snapshot_that_does_not_converge(self, case118):
@@ -541,13 +535,9 @@ class TestCompare:
             ContingencySpec(kind="bus_fault", rng_seed=1),
             ContingencySpec(kind="bus_fault", rng_seed=2),
         ]
-        built = []
-        real = sc.build_ybus
-        monkeypatch.setattr(
-            sc, "build_ybus", lambda case: built.append(case) or real(case)
-        )
+        built = record_ybus_builds(monkeypatch)
         again = compare(
-            case118, small_profile, specs, self.SIM, ies_config,
+            replace(case118), small_profile, specs, self.SIM, ies_config,
             snapshot_selector=("max",),
         )
         assert again.to_json() == report.to_json()
@@ -662,6 +652,11 @@ CHECKS = [
      "gen_trip target (25, 26) is not a bus id"),
     (lambda: select_snapshot_bins(flat_profile([1.0, 2.0]), ("peak",)),
      "snapshot_selector 'peak': not min, median, max or a bin < 2"),
+    (lambda: select_snapshot_bins(flat_profile([1.0, 2.0]), ()),
+     "empty snapshot_selector"),
+    # An Arabic-Indic one is a decimal to str.isdecimal, but no bin index.
+    (lambda: select_snapshot_bins(flat_profile([1.0, 2.0]), ("\u0661",)),
+     "snapshot_selector '\u0661': not min, median, max or a bin < 2"),
     (lambda: compare(None, None, [ContingencySpec(kind="bus_fault")], COMPARE_SIM,
                      Configuration(ies=IesSpec()), jobs=0),
      "jobs must be >= 1, got 0"),
