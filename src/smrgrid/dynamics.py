@@ -7,7 +7,8 @@ machine (one record of arrays, `initialize_devices`, the SMR's included) and
 the network, solved at each RK4 stage with loads as constant admittance
 (converted at the pre-fault voltage), machines as EMF-behind-reactance
 sources and the battery as a current injection. Linear between events, the
-network is reduced once per topology to two real operators on the stage input
+network is reduced once per topology, by one dense LU of the augmented
+admittance matrix, to two real operators on the stage input
 [cos delta; sin delta; battery current]: one gives the machine currents scaled
 by e_p/2H for each stage (`_Network.deriv`), the other the read buses'
 voltages at each step boundary (`_Network.read`); events restamp and rebuild
@@ -354,8 +355,8 @@ def initialize_devices(
 ) -> tuple[_Machines, np.ndarray]:
     """Machine states consistent with the converged snapshot: one classical
     machine (`GRID_MACHINE`) per in-service generator, plus the SMR's
-    machine when `ies` is given, sharing the bus generation that
-    `solution.v` gives on the case's own Y-bus (`NetworkCase.ybus`).
+    machine when `ies` is given, sharing the bus generation: the
+    solution's net injection plus the bus load.
 
     Returns (machines, effective bus load pu). The effective load un-nets
     the SMR dispatch that apply_snapshot folded into the bus load, so the
@@ -383,7 +384,7 @@ def initialize_devices(
         s_smr = complex(ies.p_dispatch_mw / sbase)
         s_load[smr_bidx] += s_smr
         by_bus.setdefault(smr_bidx, [])
-    s_gen_bus = v * np.conj(case.ybus.matrix @ v) + s_load  # generation per bus, pu
+    s_gen_bus = solution.p_inj + 1j * solution.q_inj + s_load  # generation per bus, pu
 
     shares = []  # (bus index, machine params, complex power pu)
     for bidx, plain in by_bus.items():
@@ -421,9 +422,6 @@ def initialize_devices(
 
 
 # -- transient engine --------------------------------------------------------
-
-
-_SOLVE_BLOCK = 32  # right-hand sides per sparse triangular solve
 
 
 def _real_form(m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -488,9 +486,6 @@ class _Network:
         )
 
     def refactor(self, machines: _Machines):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
         y = self.ybus.matrix
         if self.tripped:
             y = y - self.ybus.branches.stamp(self.n, np.array(sorted(self.tripped)))
@@ -499,21 +494,14 @@ class _Network:
         np.add.at(diag, machines.bus_idx[on], machines.y_m[on])
         for bidx, yf in self.fault_shunts.items():
             diag[bidx] += yf
-        try:
-            lu = spla.splu((y + sp.diags(diag)).tocsc())
-        except RuntimeError as exc:
-            raise SimulationError(f"singular network matrix: {exc}") from exc
-        # Columns of the impedance matrix at the sources, solved in blocks:
-        # from about 51 right-hand sides on the 118-bus case, SuperLU's
-        # BLAS-3 calls go to OpenBLAS's thread pool, which took 27-32 ms per
-        # 54-column solve on a busy 2-core host, against 0.3 ms in blocks.
+        # Columns of the impedance matrix at the sources.
         n_src = self.sources.size
         unit = np.zeros((self.n, n_src), dtype=complex)
         unit[self.sources, np.arange(n_src)] = 1.0
-        z = np.hstack([
-            lu.solve(unit[:, k:k + _SOLVE_BLOCK])
-            for k in range(0, n_src, _SOLVE_BLOCK)
-        ])
+        try:
+            z = np.linalg.solve(y + np.diag(diag), unit)
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(f"singular network matrix: {exc}") from exc
         # Bus voltages per unit e^{j delta} of each active machine, and per
         # unit battery current.
         v_m = z[:, self.machine_col] * np.where(on, machines.y_m * machines.e_p, 0j)

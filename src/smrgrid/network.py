@@ -1,5 +1,9 @@
 """Transmission network data model, JSON case ingestion, and Y-bus assembly.
 
+Each case builds its Y-bus, a dense complex array, when it is made
+(`NetworkCase.ybus`); on the 118-bus case that is 223 KB. Like the banded
+power flow, that suits cases of hundreds of buses, not many thousands.
+
 The case records keep the file's units: loads and generator outputs in
 MW/MVAr, bus angles in degrees. The solvers convert them where they use
 them and work per-unit on the system MVA base.
@@ -10,17 +14,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import UnionType
-from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class CaseError(ValueError):
@@ -187,9 +187,6 @@ def _slack_of(buses) -> int:
     return slacks[0]
 
 
-_YBUS_LOCK = threading.Lock()
-
-
 @dataclass(frozen=True)
 class NetworkCase:
     system_mva_base: float
@@ -199,8 +196,9 @@ class NetworkCase:
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _slack: int = field(init=False, repr=False, compare=False)
     arrays: CaseArrays = field(init=False, repr=False, compare=False)
-    # Holds the Y-bus once built; `with_bus` copies share the list itself.
-    _ybus: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # Built with the case and shared by every `with_bus` copy, as it
+    # depends on the branches alone.
+    ybus: AdmittanceMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.system_mva_base <= 0:
@@ -221,6 +219,7 @@ class NetworkCase:
                 raise CaseError(f"generator references unknown bus {g.bus}")
         self._check_connected()
         object.__setattr__(self, "arrays", _case_arrays(self))
+        object.__setattr__(self, "ybus", build_ybus(self))
 
     def _check_connected(self):
         n = len(self.buses)
@@ -261,16 +260,6 @@ class NetworkCase:
     def slack_index(self) -> int:
         return self._slack
 
-    @property
-    def ybus(self) -> AdmittanceMatrix:
-        """The Y-bus, built on first use (parsing imports no scipy) and
-        shared with every `with_bus` copy, as it depends on the branches
-        alone; threads that ask at once build it once."""
-        with _YBUS_LOCK:
-            if not self._ybus:
-                self._ybus.append(build_ybus(self))
-        return self._ybus[0]
-
     def with_bus(self, bus: Bus) -> "NetworkCase":
         """Copy of the case with one bus replaced (same id).
 
@@ -297,11 +286,11 @@ class NetworkCase:
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    matrix: sp.csc_matrix  # complex, pu
+    matrix: np.ndarray  # n x n complex, pu, dense and read-only
     branches: BranchAdmittances  # the pi-models `matrix` was stamped from
     # Newton Jacobian patterns of this matrix, filled by the power flow and
-    # keyed by the PV/PQ partition. They stay valid because no code changes
-    # `matrix` in place: a new topology is always a new AdmittanceMatrix.
+    # keyed by the PV/PQ partition. They stay valid because `matrix` cannot
+    # change in place: a new topology is always a new AdmittanceMatrix.
     jacobian_patterns: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -322,10 +311,8 @@ class BranchAdmittances:
     ytt: np.ndarray
     in_service: np.ndarray  # bool
 
-    def stamp(self, n: int, k: np.ndarray) -> sp.csc_matrix:
-        """The n x n nodal admittance contribution of the branches k."""
-        import scipy.sparse as sp
-
+    def stamp(self, n: int, k: np.ndarray) -> np.ndarray:
+        """The dense n x n nodal admittance contribution of the branches k."""
         f, t = self.f[k], self.t[k]
         # Entries interleaved per branch so duplicates sum in branch order.
         rows = np.column_stack([f, f, t, t]).ravel()
@@ -333,7 +320,9 @@ class BranchAdmittances:
         vals = np.column_stack(
             [self.yff[k], self.yft[k], self.ytf[k], self.ytt[k]]
         ).ravel()
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+        y = np.zeros((n, n), dtype=complex)
+        np.add.at(y, (rows, cols), vals)
+        return y
 
 
 def branch_admittances(case: NetworkCase) -> BranchAdmittances:
@@ -363,7 +352,7 @@ def build_ybus(case: NetworkCase) -> AdmittanceMatrix:
     """Assemble the nodal admittance matrix with the standard pi branch model."""
     br = branch_admittances(case)
     y = br.stamp(case.n_bus, np.flatnonzero(br.in_service))
-    return AdmittanceMatrix(matrix=y, branches=br)
+    return AdmittanceMatrix(matrix=_frozen(y), branches=br)
 
 
 # -- JSON records ------------------------------------------------------------

@@ -227,7 +227,8 @@ def jacobian_pattern(
     """The band order of the Jacobian's structure and the band slot of
     every Jacobian term."""
     n = ybus.matrix.shape[0]
-    y = ybus.matrix.tocoo()
+    # The nonzero entries column by column, rows ascending in each.
+    cols, rows = np.nonzero(ybus.matrix.T)
     pvpq = np.sort(np.concatenate([pv_idx, pq_idx]))
     npvpq = len(pvpq)
     dim = npvpq + len(pq_idx)
@@ -237,8 +238,8 @@ def jacobian_pattern(
     ith[pvpq] = np.arange(npvpq)
     ivm = np.full(n, -1)
     ivm[pq_idx] = npvpq + np.arange(len(pq_idx))
-    r = np.concatenate([y.row, np.arange(n)])
-    c = np.concatenate([y.col, np.arange(n)])
+    r = np.concatenate([rows, np.arange(n)])
+    c = np.concatenate([cols, np.arange(n)])
     src, jr, jc = [], [], []
     # (stacked part, row map, column map): J11, J21, J12, J22.
     for part, rmap, cmap in ((0, ith, ith), (1, ivm, ith), (2, ith, ivm), (3, ivm, ivm)):
@@ -256,9 +257,9 @@ def jacobian_pattern(
     kl = int(np.max(br - bc, initial=0))
     ku = int(np.max(bc - br, initial=0))
     return JacobianPattern(
-        rows=y.row.astype(np.intp),
-        cols=y.col.astype(np.intp),
-        y=y.data,
+        rows=rows,
+        cols=cols,
+        y=ybus.matrix[rows, cols],
         src=np.concatenate(src),
         # Band storage keeps entry (i, j) at row kl + ku + i - j of column j.
         band_dest=bc * (2 * kl + ku + 1) + kl + ku + br - bc,

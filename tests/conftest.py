@@ -71,8 +71,8 @@ def case118() -> NetworkCase:
 
 
 def record_ybus_builds(monkeypatch) -> list:
-    """Make `network.build_ybus`, which `NetworkCase.ybus` calls on first
-    use, append each Y-bus it builds to the returned list."""
+    """Make `network.build_ybus`, which each new `NetworkCase` calls, append
+    each Y-bus it builds to the returned list."""
     built = []
     real = network.build_ybus
 

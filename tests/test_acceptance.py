@@ -77,7 +77,7 @@ def independent_powerflow_oracle(case):
     """Rectangular-coordinates power flow via scipy's dense root finder,
     with its own outer Q-limit loop. Shares only the parsed case data with
     the package solver."""
-    y = build_ybus(case).matrix.toarray()
+    y = build_ybus(case).matrix
     n = case.n_bus
     base = case.system_mva_base
     p_sched = np.zeros(n)

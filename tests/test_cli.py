@@ -694,9 +694,9 @@ def test_any_replaced_value_raises_only_handled_errors(path, value):
 
 def test_cli_import_loads_no_scipy():
     # `smrgrid profile` needs no scipy, so importing the CLI must not load
-    # it; power flow and dynamics import it where they build or factor.
+    # it; the power flow imports it where it factors the Newton matrix.
     src = Path(__import__("smrgrid").__file__).resolve().parent.parent
-    # Nor must parsing a case: its Y-bus is built on first use.
+    # Nor must parsing a case, which builds its dense Y-bus with numpy.
     probe = (
         "import sys, smrgrid.cli; smrgrid.load_ieee118(); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -707,3 +707,22 @@ def test_cli_import_loads_no_scipy():
         check=True, timeout=60,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_powerflow_and_transient_load_no_sparse_scipy(workdir):
+    # The Y-bus is dense and the transient's network LU is numpy's, so the
+    # Newton step's dgbsv is the engine's only scipy use.
+    short_run(workdir)
+    src = Path(__import__("smrgrid").__file__).resolve().parent.parent
+    args = ["--config", str(workdir / "config.json"), "--out", str(workdir / "out")]
+    probe = (
+        "import sys; from smrgrid.cli import main; "
+        f"codes = [main({args!r} + [cmd]) for cmd in ('powerflow', 'transient')]; "
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=src.parent, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0] []"

@@ -15,6 +15,7 @@ from smrgrid.dynamics import (
     BusFault3ph,
     ClearFault,
     Event,
+    GRID_MACHINE,
     GenTrip,
     IesUnit,
     LineTrip,
@@ -422,24 +423,17 @@ class TestFailurePaths:
         assert len(calls) == 2
 
     def test_nan_from_the_factorisation(self, case118, snapshot, monkeypatch):
-        # The event's sparse LU solves to NaN, so every operator built from
-        # it is NaN before any step uses it.
-        real_splu = spla.splu
+        # The event's LU solves to NaN, so every operator built from it is
+        # NaN before any step uses it.
+        real_solve = np.linalg.solve
         calls = []
 
-        class NanLU:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, b):
-                return np.full_like(self.lu.solve(b), np.nan)
-
-        def splu(a, *args, **kwargs):
+        def solve_nan(a, b):
             calls.append(a)
-            lu = real_splu(a, *args, **kwargs)
-            return NanLU(lu) if len(calls) > 1 else lu
+            z = real_solve(a, b)
+            return np.full_like(z, np.nan) if len(calls) > 1 else z
 
-        monkeypatch.setattr(spla, "splu", splu)
+        monkeypatch.setattr(np.linalg, "solve", solve_nan)
         with pytest.raises(SimulationError, match=self.NETWORK_NAN):
             run_transient(case118, snapshot, None, self.STEP, self.CFG)
         assert len(calls) == 2
@@ -565,7 +559,7 @@ class TestReducedNetwork:
         else:
             assert on.all()
         np.add.at(shunt, machines.bus_idx[on], machines.y_m[on])
-        y_aug = (build_ybus(full_case).matrix + sp.diags(shunt)).tocsc()
+        y_aug = (sp.csc_matrix(build_ybus(full_case).matrix) + sp.diags(shunt)).tocsc()
 
         machine_bus = machines.bus_idx
         nm = len(machine_bus)
@@ -611,6 +605,23 @@ class TestPlantAndController:
     """The plant's swing equations and the IES controller, each alone."""
 
     CFG = SimConfig(dt=0.005, t_end=1.0, monitor_buses=(25,))
+
+    def test_machines_split_the_solution_injections(self, case118, snapshot):
+        # The generation at a bus is the solution's net injection plus the
+        # load. Each bus of the shipped case has one machine, which takes
+        # all of it, so its EMF behind xd' follows from that generation.
+        machines, s_load = initialize_devices(case118, snapshot, None)
+        b = machines.bus_idx
+        assert len(set(b.tolist())) == b.size
+        s_gen = (snapshot.p_inj + 1j * snapshot.q_inj + s_load)[b]
+        mva = np.array([g.mva_base for g in case118.generators if g.status])
+        xd = GRID_MACHINE["xd_p"] * case118.system_mva_base / mva
+        v = snapshot.v[b]
+        emf = v + 1j * xd * np.conj(s_gen / v)
+        # abs of each scalar, as the set-up takes it: numpy's array abs
+        # may round differently.
+        assert np.array_equal([abs(e) for e in emf], machines.e_p)
+        assert np.array_equal(np.angle(emf), machines.delta)
 
     @pytest.mark.parametrize("ies", [None, IES_UNIT], ids=["grid_only", "ies"])
     def test_rates_vanish_at_the_initial_equilibrium(self, case118, snapshot, ies):

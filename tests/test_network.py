@@ -155,7 +155,6 @@ class TestWithBus:
         load = replace(case.bus(25), p_load=case.bus(25).p_load + 60.0)
         same_kind = case.with_bus(load)
         kind_change = case.with_bus(replace(load, kind=BusKind.PQ))
-        # A copy made before the first use shares the Y-bus built later.
         assert kind_change.ybus is case.ybus is same_kind.ybus
         assert same_kind.with_bus(case.bus(25)).ybus is case.ybus
         assert case.ybus.jacobian_patterns is same_kind.ybus.jacobian_patterns
@@ -164,7 +163,7 @@ class TestWithBus:
 class TestYbus:
     def test_single_branch_hand_values(self):
         case = make_two_bus(p_load=0.0, q_load=0.0, x=0.1)
-        y = build_ybus(case).matrix.toarray()
+        y = build_ybus(case).matrix
         assert y[0, 0] == pytest.approx(-10j)
         assert y[1, 1] == pytest.approx(-10j)
         assert y[0, 1] == pytest.approx(10j)
@@ -180,8 +179,8 @@ class TestYbus:
         with_off = NetworkCase(100.0, buses, (on, off))
         without = NetworkCase(100.0, buses, (on,))
         assert np.allclose(
-            build_ybus(with_off).matrix.toarray(),
-            build_ybus(without).matrix.toarray(),
+            build_ybus(with_off).matrix,
+            build_ybus(without).matrix,
             atol=0,
         )
 
@@ -197,13 +196,13 @@ class TestYbus:
             for f, t in ((1, 2), (2, 3), (1, 3))
         )
         case = NetworkCase(100.0, buses, branches)
-        y = build_ybus(case).matrix.toarray()
+        y = build_ybus(case).matrix
         row_sums = y.sum(axis=1)
         # Each bus terminates two branches: shunt contribution = 2 * b_sh/2.
         assert np.allclose(row_sums, 1j * b_sh * np.ones(3), atol=1e-12)
 
     def test_matches_dense_assembly_118(self, case118):
-        y = build_ybus(case118).matrix.toarray()
+        y = build_ybus(case118).matrix
         assert np.max(np.abs(y - dense_pi_assembly(case118))) < 1e-12
 
     def test_symmetric_without_taps(self):
@@ -222,15 +221,23 @@ class TestYbus:
                        b_shunt=float(rng.uniform(0, 0.1)))
             )
         case = NetworkCase(100.0, buses, tuple(branches))
-        y = build_ybus(case).matrix.toarray()
+        y = build_ybus(case).matrix
         assert np.max(np.abs(y - y.T)) < 1e-12
 
     def test_built_once_per_case(self, monkeypatch):
-        case = make_two_bus()
         built = record_ybus_builds(monkeypatch)
-        assert case.ybus is case.ybus
-        (ybus,) = built
+        case = make_two_bus()
+        (ybus,) = built  # built with the case
         assert ybus is case.ybus
+        bus = case.bus(2)
+        copy = case.with_bus(replace(bus, p_load=bus.p_load + 1.0))
+        kind_change = case.with_bus(replace(bus, kind=BusKind.PV))
+        assert copy.ybus is kind_change.ybus is case.ybus
+        assert len(built) == 1
+
+    def test_matrix_is_read_only(self, case118):
+        with pytest.raises(ValueError, match="read-only"):
+            case118.ybus.matrix[0, 0] = 0.0
 
     def test_keeps_its_pi_models(self, case118):
         want = branch_admittances(case118)
@@ -245,13 +252,13 @@ class TestYbus:
             case118, branches=case118.branches[:k] + (off,) + case118.branches[k + 1:]
         )
         assert tripped.ybus is not case118.ybus
-        y_trip = tripped.ybus.matrix.toarray()
+        y_trip = tripped.ybus.matrix
         assert np.max(np.abs(y_trip - dense_pi_assembly(tripped))) < 1e-12
-        assert np.max(np.abs(y_trip - case118.ybus.matrix.toarray())) > 1.0
+        assert np.max(np.abs(y_trip - case118.ybus.matrix)) > 1.0
         assert not tripped.ybus.branches.in_service[k]
 
     def test_branch_removal_equals_stamp_subtraction(self, case118):
-        y_full = build_ybus(case118).matrix.toarray()
+        y_full = build_ybus(case118).matrix
         k = 37  # arbitrary in-service branch
         br = case118.branches[k]
         reduced = NetworkCase(
@@ -260,7 +267,7 @@ class TestYbus:
             case118.branches[:k] + case118.branches[k + 1:],
             case118.generators,
         )
-        y_red = build_ybus(reduced).matrix.toarray()
+        y_red = build_ybus(reduced).matrix
         stamp = np.zeros_like(y_full)
         i = case118.bus_index(br.from_bus)
         j = case118.bus_index(br.to_bus)

@@ -89,7 +89,7 @@ def dense_oracle_jacobian(ybus, v, pv_idx, pq_idx):
     forms it (Zimmerman, Murillo-Sanchez & Thomas, IEEE Trans. Power Syst.
     26(1), 2011): dS/dth = j diag(V) conj(diag(I) - Y diag(V)) and
     dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|)."""
-    y = ybus.matrix.toarray()
+    y = ybus.matrix
     i = y @ v
     d_th = 1j * np.diag(v) @ np.conj(np.diag(i) - y @ np.diag(v))
     d_vm = np.diag(v) @ np.conj(y @ np.diag(v / abs(v))) + np.diag(np.conj(i) * v / abs(v))
@@ -293,13 +293,13 @@ class TestSolve:
 @pytest.fixture(scope="module")
 def swept_case(case118):
     """A copy of case118 after a 24-bin grid-only sweep at bus 25: its
-    Y-bus, built once by the sweep, holds the cached pattern of every PV/PQ
-    partition the sweep met."""
-    case = replace(case118)  # a Y-bus of its own, not built yet
+    Y-bus, built with the copy and the only one the sweep uses, holds the
+    cached pattern of every PV/PQ partition the sweep met."""
     u = 0.5 + 0.5 * np.sin(np.linspace(0.0, 2 * np.pi, 24))
     profile = build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
     with pytest.MonkeyPatch.context() as mp:
         built = record_ybus_builds(mp)
+        case = replace(case118)  # a Y-bus of its own
         sweep = sc.snapshot_sweep(
             case, profile, sc.Configuration(kind="grid_only", dc_bus=25)
         )
@@ -457,9 +457,9 @@ class TestColumnOrdering:
         # writes only its own bands, so concurrent solves equal serial ones
         # bit for bit, and every shared pattern is left as a fresh build
         # makes it. The serial solves each run on a copy with its own Y-bus;
-        # the threads race to build the shared one, and one of them does.
+        # the threads share the one built with `case`.
         built = record_ybus_builds(monkeypatch)
-        case = replace(case118)  # a Y-bus of its own, not built yet
+        case = replace(case118)  # a Y-bus of its own, no patterns cached
         snaps = [apply_snapshot(case, 25, p, 0.2 * p) for p in (0.0, 60.0, 250.0, 400.0)]
         serial = [solve(replace(s)).v for s in snaps]
         interval = sys.getswitchinterval()
@@ -707,7 +707,7 @@ class TestMetamorphic:
 
     def test_shipped_ybus_is_symmetric(self, case118):
         # Taps are real and no branch shifts phase, so Y = Y^T exactly.
-        y = case118.ybus.matrix.toarray()
+        y = case118.ybus.matrix
         np.testing.assert_array_equal(y, y.T)
 
 
