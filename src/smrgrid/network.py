@@ -1,8 +1,9 @@
 """Transmission network data model, JSON case ingestion, and Y-bus assembly.
 
 Each case builds its Y-bus, a dense complex array, when it is made
-(`NetworkCase.ybus`); on the 118-bus case that is 223 KB. Like the banded
-power flow, that suits cases of hundreds of buses, not many thousands.
+(`NetworkCase.ybus`); on the 118-bus case that is 223 KB. Like the power
+flow's dense Jacobian inverses, that suits cases of hundreds of buses, not
+many thousands.
 
 The case records keep the file's units: loads and generator outputs in
 MW/MVAr, bus angles in degrees. The solvers convert them where they use
@@ -326,7 +327,8 @@ class BranchAdmittances:
 
 
 def branch_admittances(case: NetworkCase) -> BranchAdmittances:
-    """The standard pi branch model of every branch, vectorised."""
+    """The standard pi branch model of every branch, vectorised; CaseError
+    names the first branch whose admittances are not all finite."""
     brs = case.branches
     on = np.array([br.status for br in brs], dtype=bool)
     z = np.array([complex(br.r, br.x) for br in brs], dtype=complex)
@@ -334,16 +336,24 @@ def branch_admittances(case: NetworkCase) -> BranchAdmittances:
     tap = np.array([br.tap for br in brs], dtype=float)
     # Out-of-service branches may have zero impedance; leave them at zero.
     ys = np.zeros(len(brs), dtype=complex)
-    ys[on] = 1.0 / z[on]
     bc[~on] = 0.0
-    yft = -ys / tap
+    # A subnormal impedance or tap overflows; such a branch is named below.
+    with np.errstate(all="ignore"):
+        ys[on] = 1.0 / z[on]
+        yft = -ys / tap
+        ytt = ys + bc
+        yff = ytt / (tap * tap)
+    bad = np.flatnonzero(~(np.isfinite(yff) & np.isfinite(yft) & np.isfinite(ytt)))
+    if len(bad):
+        br = brs[bad[0]]
+        raise CaseError(f"branch {br.from_bus}-{br.to_bus}: pi-model admittance is not finite")
     return BranchAdmittances(
         f=np.array([case.bus_index(br.from_bus) for br in brs], dtype=int),
         t=np.array([case.bus_index(br.to_bus) for br in brs], dtype=int),
-        yff=(ys + bc) / (tap * tap),
+        yff=yff,
         yft=yft,
         ytf=yft,
-        ytt=ys + bc,
+        ytt=ytt,
         in_service=on,
     )
 

@@ -205,7 +205,8 @@ def snapshot_case(
 def snapshot_sweep(case: NetworkCase, profile: LoadProfile, cfg: Configuration) -> SweepResult:
     """One power-flow solve per profile bin; non-convergence, including a
     singular Jacobian, is recorded, not fatal. Warm-started from the previous
-    bin's converged solution."""
+    bin's converged solution; every bin's solve shares one dict of held
+    Jacobian inverses."""
     if len(profile) == 0:
         raise ScenarioError("empty profile")
     n = len(profile)
@@ -217,10 +218,11 @@ def snapshot_sweep(case: NetworkCase, profile: LoadProfile, cfg: Configuration) 
     q_limited = np.zeros(n, dtype=int)
     poi = case.bus_index(cfg.dc_bus)
     v_warm = None
+    factors = {}  # the Newton steps' held Jacobian inverses, for every bin
     for k, p_dc in enumerate(profile.p_total.tolist()):
         snap, _ = snapshot_case(case, cfg, p_dc)
         try:
-            sol = pf.solve(snap, v0=v_warm)
+            sol = pf.solve(snap, v0=v_warm, factors=factors)
         except pf.SingularJacobianError:
             v_warm = None
             continue

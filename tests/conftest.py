@@ -103,28 +103,19 @@ def case_mismatch(case, ybus, v, pvpq=None, pq_idx=None) -> np.ndarray:
     return compute_mismatch(v, ybus.matrix @ v, scheduled_injection(case), pvpq, pq_idx)
 
 
-def zero_valued(band: np.ndarray) -> np.ndarray:
-    """A singular Jacobian: a band of band's shape and order, all zero."""
-    return np.zeros_like(band)
+def zero_valued(terms: np.ndarray) -> np.ndarray:
+    """A singular Jacobian: terms of the shape of `terms`, all zero."""
+    return np.zeros_like(terms)
 
 
-def band_to_dense(pattern, band: np.ndarray) -> np.ndarray:
-    """The Jacobian held in `band`, compute_jacobian's LAPACK band storage
-    for `pattern`, as a dense matrix with its unknowns in natural order.
-    Fails if the band is not (2 kl + ku + 1) x dim or if anything sits in
-    the band array outside the kl sub- and ku super-diagonals."""
-    n, kl, ku = pattern.dim, pattern.kl, pattern.ku
-    assert band.shape == (2 * kl + ku + 1, n)
-    dense = np.zeros((n, n))  # rows and columns in band order
-    held = np.zeros(band.shape, dtype=bool)
-    for j in range(n):
-        i = np.arange(max(0, j - ku), min(n, j + kl + 1))
-        dense[i, j] = band[kl + ku + i - j, j]
-        held[kl + ku + i - j, j] = True
-    assert not band[~held].any(), "values outside the band"
-    natural = np.empty_like(dense)
-    natural[np.ix_(pattern.order, pattern.order)] = dense
-    return natural
+def terms_to_dense(pattern, terms: np.ndarray) -> np.ndarray:
+    """The Jacobian whose terms compute_jacobian returned for `pattern`, as
+    a dense matrix with its unknowns in natural order: each term added at
+    its row and column with np.add.at."""
+    assert terms.shape == pattern.jr.shape == pattern.jc.shape
+    dense = np.zeros((pattern.dim, pattern.dim))
+    np.add.at(dense, (pattern.jr, pattern.jc), terms)
+    return dense
 
 
 def assert_cached_patterns_fresh(ybus) -> None:

@@ -693,8 +693,8 @@ def test_any_replaced_value_raises_only_handled_errors(path, value):
 
 
 def test_cli_import_loads_no_scipy():
-    # `smrgrid profile` needs no scipy, so importing the CLI must not load
-    # it; the power flow imports it where it factors the Newton matrix.
+    # numpy is the only runtime dependency, so importing the CLI must not
+    # load scipy.
     src = Path(__import__("smrgrid").__file__).resolve().parent.parent
     # Nor must parsing a case, which builds its dense Y-bus with numpy.
     probe = (
@@ -710,19 +710,22 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_powerflow_and_transient_load_no_sparse_scipy(workdir):
-    # The Y-bus is dense and the transient's network LU is numpy's, so the
-    # Newton step's dgbsv is the engine's only scipy use.
+    # The Y-bus, the Newton step's Jacobian inverses and the transient's
+    # network LU are numpy's, so a power flow with its profile sweep, a
+    # transient and a compare run load no scipy module at all.
     short_run(workdir)
     src = Path(__import__("smrgrid").__file__).resolve().parent.parent
     args = ["--config", str(workdir / "config.json"), "--out", str(workdir / "out")]
     probe = (
         "import sys; from smrgrid.cli import main; "
-        f"codes = [main({args!r} + [cmd]) for cmd in ('powerflow', 'transient')]; "
-        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        f"codes = [main({args!r} + [cmd]) for cmd in ('powerflow', 'transient', 'compare')]; "
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, cwd=src.parent, capture_output=True,
         text=True, check=True, timeout=120,
     )
-    assert done.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
+    sweep = (workdir / "out" / "snapshot_sweep.csv").read_text().splitlines()
+    assert len(sweep) > 2  # a header and more than one profile bin

@@ -169,6 +169,17 @@ class TestYbus:
         assert y[0, 1] == pytest.approx(10j)
         assert y[1, 0] == pytest.approx(10j)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("changes", [{"r": 0.0, "x": 1e-320}, {"tap": 1e-200}])
+    def test_non_finite_branch_model_rejected(self, changes):
+        # 1 / (1e-320 j) overflows, and so does y / tap**2 at tap = 1e-200:
+        # the case must not parse into an inf/nan Y-bus, nor warn.
+        doc = case_to_dict(make_two_bus())
+        doc["branches"][0].update(changes)
+        with pytest.raises(CaseError) as exc:
+            case_from_dict(doc)
+        assert str(exc.value) == "branch 1-2: pi-model admittance is not finite"
+
     def test_out_of_service_branch_excluded(self):
         buses = (
             Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang_deg=0.0, base_kv=138.0),
@@ -342,6 +353,7 @@ class TestSerialization:
 _TWO_BUS = case_to_dict(make_two_bus())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(path=st.sampled_from(sorted(key_paths(_TWO_BUS), key=repr)), value=JSON_VALUES)
 def test_any_replaced_case_value_raises_only_case_error(path, value):

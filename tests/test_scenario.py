@@ -145,7 +145,10 @@ class TestSnapshot:
     def test_sweep_bins_equal_solves_on_fresh_cases(self, case118, monkeypatch):
         # Each bin's case is built by the full constructor, so its arrays
         # are derived afresh rather than shared through with_bus, and each
-        # solve is warm-started from the previous bin's voltage.
+        # solve is warm-started from the previous bin's voltage. The
+        # reference chain shares one dict of held Jacobian inverses, as the
+        # sweep does, so it must equal the sweep exactly; a second chain
+        # holds no inverse at the start of any bin.
         week = week_profile(2024)  # criterion 2's profile
         profile = LoadProfile(
             **{f.name: getattr(week, f.name)[:96] for f in fields(LoadProfile)}
@@ -164,7 +167,8 @@ class TestSnapshot:
         # Every snapshot solves on the case's own Y-bus.
         assert all(c.ybus is case118.ybus for c in cases)
         poi = case118.bus_index(25)
-        v = None
+        v = v_own = None
+        factors = {}
         for k, got in enumerate(swept):
             p = float(profile.p_total[k])
             buses = list(case118.buses)
@@ -180,12 +184,24 @@ class TestSnapshot:
                 np.testing.assert_array_equal(
                     getattr(cases[k].arrays, name), getattr(fresh.arrays, name)
                 )
-            want = solve(fresh, v0=v)
+            # Held inverses are keyed by the Jacobian patterns of a Y-bus,
+            # so the reference chain solves on the case's own Y-bus, which
+            # the fresh case's equals bit for bit.
+            np.testing.assert_array_equal(fresh.ybus.matrix, case118.ybus.matrix)
+            object.__setattr__(fresh, "ybus", case118.ybus)
+            want = solve(fresh, v0=v, factors=factors)
             v = want.v
             assert (got.iterations, got.converged, got.q_limited_buses) == (
                 want.iterations, want.converged, want.q_limited_buses
             )
-            assert np.max(np.abs(got.v - want.v)) <= 1e-12
+            np.testing.assert_array_equal(got.v, want.v)
+            # Held inverses do not change the Newton path.
+            own = solve(fresh, v0=v_own, factors={})
+            v_own = own.v
+            assert (own.iterations, own.converged, own.q_limited_buses) == (
+                want.iterations, want.converged, want.q_limited_buses
+            )
+            assert np.max(np.abs(own.v - want.v)) <= 1e-12
             assert sweep.iterations[k] == want.iterations
             assert sweep.q_limited[k] == len(want.q_limited_buses)
             assert sweep.max_mismatch_pu[k] == want.mismatch_norms[-1]
@@ -431,9 +447,9 @@ class TestFailurePaths:
         cold_starts = []
         real = pf.solve
 
-        def recording(case, v0=None):
+        def recording(case, v0=None, factors=None):
             cold_starts.append(v0 is None)
-            return real(case, v0=v0)
+            return real(case, v0=v0, factors=factors)
 
         monkeypatch.setattr(pf, "solve", recording)
         sweep = snapshot_sweep(case118, flat_profile([40.0, 2000.0, 40.0, 40.0]), GRID)
