@@ -238,15 +238,18 @@ class LoadProfile:
 # -- trace processing --------------------------------------------------------
 
 
-def _bin_mean(times: np.ndarray, deltas: np.ndarray, t0: float, t1: float) -> np.ndarray:
+def _bin_mean(blocks, t0: float, t1: float) -> np.ndarray:
     """Per-bin mean over [t0, t1) of the step function that starts at 0 and
     jumps by deltas[i] at times[i] (jumps outside [t0, t1] act at the nearer
-    end). A partial last bin is averaged over the width it covers.
+    end), the jumps given as (times, deltas) array pairs by the iterable
+    blocks. A partial last bin is averaged over the width it covers.
 
     A jump in bin k adds deltas[i] * (bin end - times[i]) to that bin's
     integral, and deltas[i] to the level every later bin starts at (a prefix
     sum over bins). Each term stays local to one bin, so there is no
-    cancellation between large running integrals. O(N + B).
+    cancellation between large running integrals. Each block's sums are
+    added into per-bin totals, so the temporaries scale with one block, not
+    with all the jumps. O(N + B) per block.
 
     The bin is the rounded quotient (t - t0) / BIN_SECONDS truncated, so a
     time within one ulp below an edge may land in the bin after it. The
@@ -258,22 +261,32 @@ def _bin_mean(times: np.ndarray, deltas: np.ndarray, t0: float, t1: float) -> np
     n_bins = math.ceil((t1 - t0) / BIN_SECONDS)
     edges = np.minimum(t0 + BIN_SECONDS * np.arange(n_bins + 1), t1)
     width = np.diff(edges)
-    t = np.clip(times, t0, t1)
-    k = np.minimum(((t - t0) / BIN_SECONDS).astype(np.intp), n_bins - 1)
-    inside = np.bincount(k, deltas * (edges[k + 1] - t), minlength=n_bins)
-    per_bin = np.bincount(k, deltas, minlength=n_bins)
+    inside = np.zeros(n_bins)
+    per_bin = np.zeros(n_bins)
+    for times, deltas in blocks:
+        t = np.clip(times, t0, t1)
+        k = np.minimum(((t - t0) / BIN_SECONDS).astype(np.intp), n_bins - 1)
+        inside += np.bincount(k, deltas * (edges[k + 1] - t), minlength=n_bins)
+        per_bin += np.bincount(k, deltas, minlength=n_bins)
     level = np.concatenate(([0.0], np.cumsum(per_bin[:-1])))
     return (level * width + inside) / width
 
 
+# Tasks binned per block of this many starts or ends (see bin_tasks).
+BIN_BLOCK = 1 << 16
+
+
 def bin_tasks(tasks: TaskTable, t0: float, t1: float) -> np.ndarray:
     """Per-bin mean active cpu: each task spreads its cpu in proportion to the
-    overlap of its active interval with each 5-minute bin."""
-    return _bin_mean(
-        np.concatenate([tasks.start, tasks.end]),
-        np.concatenate([tasks.cpu, -tasks.cpu]),
-        t0, t1,
+    overlap of its active interval with each 5-minute bin. The task starts,
+    then the ends, are binned in blocks of BIN_BLOCK, so a million tasks
+    take a few MB of temporaries."""
+    blocks = (
+        (times[i:i + BIN_BLOCK], sign * tasks.cpu[i:i + BIN_BLOCK])
+        for times, sign in ((tasks.start, 1.0), (tasks.end, -1.0))
+        for i in range(0, len(tasks), BIN_BLOCK)
     )
+    return _bin_mean(blocks, t0, t1)
 
 
 def estimate_capacity(events: MachineEventTable, t0: float, t1: float) -> np.ndarray:
@@ -308,7 +321,7 @@ def estimate_capacity(events: MachineEventTable, t0: float, t1: float) -> np.nda
             fleet[machine] = capacity
         times.append(t)
         deltas.append(delta)
-    return _bin_mean(np.array(times, dtype=float), np.array(deltas, dtype=float), t0, t1)
+    return _bin_mean([(np.array(times, dtype=float), np.array(deltas, dtype=float))], t0, t1)
 
 
 def normalize(usage: np.ndarray, capacity: np.ndarray) -> UtilizationTrace:

@@ -476,10 +476,12 @@ class _Network:
         self.fault_shunts: dict[int, complex] = {}
         self.tripped: set[int] = set()  # branch indices
         self.load_extra = np.zeros(self.n, dtype=complex)
-        battery = [] if bess_idx is None else [bess_idx]
-        self.read_bus = np.unique(np.array(list(read_buses) + battery, dtype=int))
-        self.read_of = {int(b): k for k, b in enumerate(self.read_bus)}
-        self.sources = np.union1d(machines.bus_idx, np.array(battery, dtype=int))
+        # Sorted sets of a few bus indices (np.unique would import numpy.ma).
+        battery = set() if bess_idx is None else {int(bess_idx)}
+        read = sorted({int(b) for b in read_buses} | battery)
+        self.read_bus = np.array(read, dtype=int)
+        self.read_of = {b: k for k, b in enumerate(read)}
+        self.sources = np.array(sorted(set(machines.bus_idx.tolist()) | battery), dtype=int)
         self.machine_col = np.searchsorted(self.sources, machines.bus_idx)
         self.bess_col = None if bess_idx is None else int(
             np.searchsorted(self.sources, bess_idx)

@@ -287,12 +287,11 @@ class NetworkCase:
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
+    """The nodal admittance matrix of one topology: an immutable value that
+    no solver writes to. A new topology is always a new AdmittanceMatrix."""
+
     matrix: np.ndarray  # n x n complex, pu, dense and read-only
     branches: BranchAdmittances  # the pi-models `matrix` was stamped from
-    # Newton Jacobian patterns of this matrix, filled by the power flow and
-    # keyed by the PV/PQ partition. They stay valid because `matrix` cannot
-    # change in place: a new topology is always a new AdmittanceMatrix.
-    jacobian_patterns: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

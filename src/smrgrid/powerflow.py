@@ -24,34 +24,34 @@ setpoint. Resetting it to the setpoint changes the sweep's iteration
 counts, so it is left for a change that also re-records the benchmark's
 reference iterations.
 
-The Jacobian is built as coordinate-form terms. Their row and column
-depend only on the Y-bus and the PV/PQ partition, so jacobian_pattern
-computes them once per partition and each pattern is cached on its
-AdmittanceMatrix: a weekly sweep on one Y-bus builds a handful. Each
-iteration computes the terms afresh.
+The Newton state belongs to a solve chain (one solve, or every bin of a
+sweep on one Y-bus), not to the case: the chain's dict holds one
+[pattern, inverse] entry per PV/PQ partition. The Jacobian is built as
+coordinate-form terms, whose row and column (the pattern) depend only on
+the Y-bus and the partition, so jacobian_pattern builds them on the
+chain's first Newton loop in the partition: a weekly sweep builds a
+handful. Each iteration computes the terms afresh.
 
-The Newton step solves J dx = mis by iterative refinement with a held
-inverse (Moler, J. ACM 14(2), 1967; Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12). A solve chain (one
-solve, or every bin of a sweep) holds one dense inverse M per partition in
-its own dict. The step takes dx = M mis, then adds M r for the residual
-r = mis - J dx, with J applied from its terms by one bincount, until
-max|r| <= 1e-11 max|mis|. A new M = inv(J) is formed only when none is
-held or when a correction fails to cut max|r| tenfold (at most 6
-corrections). As M is refined against the exact J, the iterates are those
-of exact Newton: on the benchmark's seed-0 week (2016 bins) every bin takes
-as many iterations as with an exact banded LU solve of each step, and the
-POI voltage stays within 7.1e-15 pu and the slack power within 1.2e-11 MW
-of that solve's. That week forms 6 inverses on 5 partitions (seeds 1-3
-too), about 1.3 ms each for the 181 unknowns of the 118-bus case, and
-makes about 3.6 corrections per step, about 80 us a step on a 2-core VM.
-A cold solve forms about 4 inverses in its 6 iterations. Why 1e-11 is
-safe: a residual r moves the next mismatch by about r, at most about 1e-11
-pu, while the mismatch norm closest to the 1e-6 tolerance on that week is
-1.6e-9 away from it, so no convergence decision can flip. The dense
-inverse costs n^2 doubles per partition and O(n^3) time per formation;
-that suits cases of hundreds of buses, as the dense Y-bus does, not many
-thousands.
+The Newton step solves J dx = mis by iterative refinement with the held
+inverse M (Moler, J. ACM 14(2), 1967; Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12). The step takes
+dx = M mis, then adds M r for the residual r = mis - J dx, with J applied
+from its terms by one bincount, until max|r| <= 1e-11 max|mis|. A new
+M = inv(J) is formed only when none is held or when a correction fails to
+cut max|r| tenfold (at most 6 corrections). As M is refined against the
+exact J, the iterates are those of exact Newton: on the benchmark's seed-0
+week (2016 bins) every bin takes as many iterations as with an exact banded
+LU solve of each step, and the POI voltage stays within 7.1e-15 pu and the
+slack power within 1.2e-11 MW of that solve's. That week forms 6 inverses
+on 5 partitions (seeds 1-3 too), about 1.3 ms each for the 181 unknowns of
+the 118-bus case, and makes about 3.6 corrections per step, about 80 us a
+step on a 2-core VM. A cold solve forms about 4 inverses in its 6
+iterations. Why 1e-11 is safe: a residual r moves the next mismatch by
+about r, at most about 1e-11 pu, while the mismatch norm closest to the
+1e-6 tolerance on that week is 1.6e-9 away from it, so no convergence
+decision can flip. The dense inverse costs n^2 doubles per partition and
+O(n^3) time per formation; that suits cases of hundreds of buses, as the
+dense Y-bus does, not many thousands.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def compute_mismatch(
     return np.concatenate([ds[pvpq].real, ds[pq_idx].imag])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class JacobianPattern:
     """Coordinate layout of the Jacobian for one (Y-bus, PV/PQ partition).
 
@@ -149,9 +149,7 @@ class JacobianPattern:
     [dS/dth.real, dS/dth.imag, dS/d|V|.real, dS/d|V|.imag], the elements at
     ``src`` fall inside the J11/J21/J12/J22 blocks, and term i sits at
     Jacobian row ``jr[i]`` and column ``jc[i]``; terms at one position sum.
-    A pattern is shared by every solve on its Y-bus, threads included, and
-    holds no buffer. It compares and hashes by identity, so a solve chain
-    can key its held Jacobian inverses by it.
+    A pattern holds no buffer, and a solve chain builds its own.
     """
 
     rows: np.ndarray  # bus row of each Y-bus entry
@@ -199,24 +197,6 @@ def jacobian_pattern(
         dim=npvpq + len(pq_idx),
         pvpq=pvpq,
     )
-
-
-def _cached_pattern(
-    ybus: AdmittanceMatrix, pv_idx: np.ndarray, pq_idx: np.ndarray
-) -> JacobianPattern:
-    """jacobian_pattern(ybus, pv_idx, pq_idx), built once per Y-bus and
-    partition. The key holds the index bytes (np.intp)."""
-    pv_idx = np.asarray(pv_idx, dtype=np.intp)
-    pq_idx = np.asarray(pq_idx, dtype=np.intp)
-    key = (pv_idx.tobytes(), pq_idx.tobytes())
-    pattern = ybus.jacobian_patterns.get(key)
-    if pattern is None:
-        # Threads that build one partition at once all get the pattern
-        # stored first, the key of every held inverse of that partition.
-        pattern = ybus.jacobian_patterns.setdefault(
-            key, jacobian_pattern(ybus, pv_idx, pq_idx)
-        )
-    return pattern
 
 
 def compute_jacobian(
@@ -280,20 +260,17 @@ def _refine(pattern, terms, mis, inv):
 
 
 def _newton_step(
-    pattern: JacobianPattern,
-    terms: np.ndarray,
-    mis: np.ndarray,
-    iteration: int,
-    factors: dict,
+    entry: list, terms: np.ndarray, mis: np.ndarray, iteration: int
 ) -> np.ndarray:
     """Solve jac @ dx = mis, where terms are jac's as compute_jacobian
-    returns them, by refinement with the inverse held in factors[pattern].
+    returns them for the pattern in entry, a chain's [pattern, inverse or
+    None] for one partition, by refinement with the inverse it holds.
 
-    A new inverse of the dense jac is formed, and held, when none is held
-    or when the held one fails to refine. Raises
+    A new inverse of the dense jac is formed, and replaces the held one,
+    when none is held or when the held one fails to refine. Raises
     SingularJacobianError(iteration) when jac has no inverse.
     """
-    inv = factors.get(pattern)
+    pattern, inv = entry
     if inv is not None:
         dx, ok = _refine(pattern, terms, mis, inv)
         if ok:
@@ -301,7 +278,7 @@ def _newton_step(
     n = pattern.dim
     jac = np.bincount(pattern.jr * n + pattern.jc, weights=terms, minlength=n * n)
     try:
-        inv = factors[pattern] = np.linalg.inv(jac.reshape(n, n))
+        inv = entry[1] = np.linalg.inv(jac.reshape(n, n))
     except np.linalg.LinAlgError:
         raise SingularJacobianError(iteration) from None
     return _refine(pattern, terms, mis, inv)[0]
@@ -315,13 +292,18 @@ DIVERGENCE_FACTOR = 1e3
 
 def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched, factors):
     """One Newton loop for the PV/PQ partition (pv_idx, pq_idx) and the
-    scheduled injection s_sched, with the Jacobian inverses held in
-    factors (see _newton_step). The loop stops, not converged, once the
-    mismatch norm exceeds DIVERGENCE_FACTOR times its smallest value.
+    scheduled injection s_sched, with the partition's entry in the chain's
+    factors (see solve), made here on the chain's first loop in it. The
+    loop stops, not converged, once the mismatch norm exceeds
+    DIVERGENCE_FACTOR times its smallest value.
     Returns (v, iterations, converged, final mismatch norm, mismatch norms,
     bus current ybus.matrix @ v); v is v0 itself when the loop makes no
     iteration."""
-    pattern = _cached_pattern(ybus, pv_idx, pq_idx)
+    key = (pv_idx.tobytes(), pq_idx.tobytes())
+    entry = factors.get(key)
+    if entry is None:
+        entry = factors[key] = [jacobian_pattern(ybus, pv_idx, pq_idx), None]
+    pattern = entry[0]
     pvpq = pattern.pvpq
     npvpq = len(pvpq)
     v = v0
@@ -335,7 +317,7 @@ def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched, factors):
     it = 0
     while norm > opts.tol and it < opts.max_iter and norm <= DIVERGENCE_FACTOR * best:
         terms = compute_jacobian(v, pattern, ibus)
-        dx = _newton_step(pattern, terms, mis, it, factors)
+        dx = _newton_step(entry, terms, mis, it)
         if not np.isfinite(dx).all():
             raise SingularJacobianError(it)
         th[pvpq] += dx[:npvpq]
@@ -361,10 +343,11 @@ def solve(
     v0 sets the start of the solve (a flat start, or a warm start as in
     snapshot sweeps); without it, the solve starts from the case's bus
     voltages with each generator bus at its setpoint magnitude.
-    factors holds the Newton steps' Jacobian inverses, keyed by pattern:
-    a chain of solves on one Y-bus, such as a sweep, passes one dict to
-    each solve. Two threads must not share one. Without it the solve
-    starts with an empty dict of its own.
+    factors is a solve chain's Newton state: one [Jacobian pattern, held
+    inverse or None] entry per PV/PQ partition, keyed by (pv_idx.tobytes(),
+    pq_idx.tobytes()). A chain of solves on one Y-bus, such as a sweep,
+    passes one dict to each solve; a dict serves one Y-bus, and threads
+    must not share one. Without it the solve starts with a dict of its own.
     A PV bus whose generator Q leaves its limits switches to PQ with Q
     pinned at the limit; a pinned bus whose voltage passes its setpoint on
     the releasing side returns to PV, at most once (prevents cycling). The

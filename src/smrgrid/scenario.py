@@ -205,8 +205,8 @@ def snapshot_case(
 def snapshot_sweep(case: NetworkCase, profile: LoadProfile, cfg: Configuration) -> SweepResult:
     """One power-flow solve per profile bin; non-convergence, including a
     singular Jacobian, is recorded, not fatal. Warm-started from the previous
-    bin's converged solution; every bin's solve shares one dict of held
-    Jacobian inverses."""
+    bin's converged solution. The bins make one solve chain, so they share
+    its Newton state: one Jacobian pattern and held inverse per partition."""
     if len(profile) == 0:
         raise ScenarioError("empty profile")
     n = len(profile)
@@ -218,7 +218,7 @@ def snapshot_sweep(case: NetworkCase, profile: LoadProfile, cfg: Configuration) 
     q_limited = np.zeros(n, dtype=int)
     poi = case.bus_index(cfg.dc_bus)
     v_warm = None
-    factors = {}  # the Newton steps' held Jacobian inverses, for every bin
+    factors = {}  # the chain's Newton state (see powerflow.solve)
     for k, p_dc in enumerate(profile.p_total.tolist()):
         snap, _ = snapshot_case(case, cfg, p_dc)
         try:

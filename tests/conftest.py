@@ -21,7 +21,7 @@ from smrgrid.datacenter import (
     build_profile,
     calibrate_it_capacity,
 )
-from smrgrid import network
+from smrgrid import network, powerflow
 from smrgrid.network import (
     Bus,
     BusKind,
@@ -118,11 +118,27 @@ def terms_to_dense(pattern, terms: np.ndarray) -> np.ndarray:
     return dense
 
 
-def assert_cached_patterns_fresh(ybus) -> None:
-    """Every Jacobian pattern cached on ybus equals a fresh jacobian_pattern
-    build for its partition, field by field and array for array."""
-    assert ybus.jacobian_patterns
-    for (pv_bytes, pq_bytes), pattern in ybus.jacobian_patterns.items():
+def record_pattern_builds(monkeypatch) -> list:
+    """Make `powerflow.jacobian_pattern`, which a solve chain calls on its
+    first Newton loop in a PV/PQ partition, append the (pv_idx, pq_idx)
+    bytes of each build to the returned list."""
+    built = []
+    real = powerflow.jacobian_pattern
+
+    def recording(ybus, pv_idx, pq_idx):
+        built.append((pv_idx.tobytes(), pq_idx.tobytes()))
+        return real(ybus, pv_idx, pq_idx)
+
+    monkeypatch.setattr(powerflow, "jacobian_pattern", recording)
+    return built
+
+
+def assert_cached_patterns_fresh(ybus, factors) -> None:
+    """Every Jacobian pattern in the entries of a solve chain's factors
+    dict, a chain on ybus, equals a fresh jacobian_pattern build for its
+    partition, field by field and array for array."""
+    assert factors
+    for (pv_bytes, pq_bytes), (pattern, _) in factors.items():
         pv_idx = np.frombuffer(pv_bytes, dtype=np.intp)
         pq_idx = np.frombuffer(pq_bytes, dtype=np.intp)
         fresh = jacobian_pattern(ybus, pv_idx, pq_idx)

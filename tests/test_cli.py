@@ -709,17 +709,19 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_powerflow_and_transient_load_no_sparse_scipy(workdir):
+def test_powerflow_and_transient_load_no_scipy_or_numpy_ma(workdir):
     # The Y-bus, the Newton step's Jacobian inverses and the transient's
     # network LU are numpy's, so a power flow with its profile sweep, a
-    # transient and a compare run load no scipy module at all.
+    # transient and a compare run load no scipy module at all. Nor do they
+    # load numpy.ma, which np.unique and np.union1d import.
     short_run(workdir)
     src = Path(__import__("smrgrid").__file__).resolve().parent.parent
     args = ["--config", str(workdir / "config.json"), "--out", str(workdir / "out")]
     probe = (
         "import sys; from smrgrid.cli import main; "
         f"codes = [main({args!r} + [cmd]) for cmd in ('powerflow', 'transient', 'compare')]; "
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(codes, sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 from unittest import mock
@@ -157,6 +158,41 @@ class TestBinTasks:
         total_binned = np.sum(out) * BIN_SECONDS
         total_direct = sum(t.cpu * (t.end - t.start) for t in tasks)
         assert total_binned == pytest.approx(total_direct, rel=1e-6)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_sum_to_the_unblocked_bins(self, monkeypatch, block):
+        # 500 tasks in blocks of 7 end in a partial block of 3; blocks of 64
+        # hold the starts of tasks 448-499 and then, apart, their ends. A
+        # block that drops or repeats a jump at its edge moves some bins.
+        rng = np.random.default_rng(11)
+        start = rng.uniform(-600.0, 3000.0, 500)
+        table = TaskTable(start, start + rng.uniform(1.0, 1800.0, 500),
+                          rng.uniform(0.1, 4.0, 500))
+        want = datacenter._bin_mean(
+            [(np.concatenate([table.start, table.end]),
+              np.concatenate([table.cpu, -table.cpu]))], 0.0, 3300.0,
+        )
+        monkeypatch.setattr(datacenter, "BIN_BLOCK", block)
+        got = bin_tasks(table, 0.0, 3300.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_million_tasks_bin_in_small_memory(self):
+        # The unblocked binning held about 92 MB of temporaries here.
+        n, t1 = 1_000_000, 7 * 86400.0
+        rng = np.random.default_rng(5)
+        start = rng.uniform(-3600.0, t1, n)
+        table = TaskTable(start, start + rng.exponential(1800.0, n) + 1.0,
+                          rng.uniform(0.1, 1.5, n))
+        tracemalloc.start()
+        try:
+            out = bin_tasks(table, 0.0, t1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        # Every task's cpu-seconds inside the window land in some bin.
+        inside = np.clip(table.end, 0.0, t1) - np.clip(table.start, 0.0, t1)
+        assert np.sum(out) * BIN_SECONDS == pytest.approx(np.dot(table.cpu, inside), rel=1e-9)
 
 
 class TestEstimateCapacity:
@@ -1053,7 +1089,7 @@ CHECKS = [
      ValueError, "series length mismatch in 'q_cool'"),
     (lambda: LoadProfile(*[np.zeros(2)] * 2, np.array([0.0, np.nan]), *[np.zeros(2)] * 3),
      ValueError, "non-finite value in 'p_it'"),
-    (lambda: datacenter._bin_mean(np.zeros(0), np.zeros(0), 10.0, 10.0), TraceError,
+    (lambda: datacenter._bin_mean([], 10.0, 10.0), TraceError,
      "t1 must be > t0"),
     (lambda: normalize(np.zeros(2), np.ones(3)), TraceError,
      "usage and capacity series length mismatch"),

@@ -1,3 +1,4 @@
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -21,7 +22,6 @@ from smrgrid.powerflow import (
     DIVERGENCE_FACTOR,
     PowerFlowOptions,
     SingularJacobianError,
-    _cached_pattern,
     _initial_voltage,
     _newton_step,
     _nr_core,
@@ -38,6 +38,7 @@ from conftest import (
     case_mismatch,
     flat_start,
     make_two_bus,
+    record_pattern_builds,
     record_ybus_builds,
     terms_to_dense,
     two_bus_exact_voltage,
@@ -292,13 +293,14 @@ class TestSolve:
 
 @pytest.fixture(scope="module")
 def swept_case(case118):
-    """A copy of case118 after a 24-bin grid-only sweep at bus 25: its
-    Y-bus, built with the copy and the only one the sweep uses, holds the
-    cached pattern of every PV/PQ partition the sweep met."""
+    """A copy of case118 after a 24-bin grid-only sweep at bus 25, and the
+    (pv_idx, pq_idx) bytes of every PV/PQ partition the sweep met, all on
+    the copy's own Y-bus."""
     u = 0.5 + 0.5 * np.sin(np.linspace(0.0, 2 * np.pi, 24))
     profile = build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
     with pytest.MonkeyPatch.context() as mp:
         built = record_ybus_builds(mp)
+        partitions = record_pattern_builds(mp)
         case = replace(case118)  # a Y-bus of its own
         sweep = sc.snapshot_sweep(
             case, profile, sc.Configuration(kind="grid_only", dc_bus=25)
@@ -306,7 +308,7 @@ def swept_case(case118):
     assert np.all(sweep.converged)
     (ybus,) = built
     assert ybus is case.ybus
-    return case
+    return case, partitions
 
 
 def q_limited_partition(case, sol):
@@ -330,20 +332,21 @@ def count_inverses(monkeypatch) -> list:
 
 
 def held_inverse(ybus, pattern, v):
-    """The inverse of pattern's Jacobian at v, for a factors dict."""
+    """The inverse of pattern's Jacobian at v, for a chain's entry."""
     terms = compute_jacobian(v, pattern, ybus.matrix @ v)
     return scipy.linalg.inv(terms_to_dense(pattern, terms))
 
 
-def check_newton_step(case, ybus, pattern, pq_idx, v, factors):
-    """The Newton step at v with the inverses held in factors, against a
-    dense LU solve of the Jacobian scattered from its terms: the step
+def check_newton_step(case, ybus, entry, pq_idx, v):
+    """The Newton step at v with a chain's [pattern, inverse] entry, against
+    a dense LU solve of the Jacobian scattered from its terms: the step
     within 1e-10 relative of the oracle's, and its residual within 1e-11
     of the mismatch norm."""
+    pattern = entry[0]
     terms = compute_jacobian(v, pattern, ybus.matrix @ v)
     jac = terms_to_dense(pattern, terms)
     mis = case_mismatch(case, ybus, v, pattern.pvpq, pq_idx)
-    dx = _newton_step(pattern, terms, mis, 0, factors)
+    dx = _newton_step(entry, terms, mis, 0)
     ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(jac), mis)
     assert np.max(np.abs(dx - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert np.max(np.abs(jac @ dx - mis)) <= 1e-11 * np.max(np.abs(mis))
@@ -392,15 +395,15 @@ class TestColumnOrdering:
         # flat start, the solution and two points away from it. Each step
         # starts with no inverse held, with the inverse at a nearby iterate,
         # or with the inverse at flat start.
-        sweep_ybus = swept_case.ybus
-        sol = solve(swept_case)
+        swept, partitions = swept_case
+        sol = solve(swept)
         cases = [
-            (swept_case, sweep_ybus,
+            (swept, swept.ybus,
              np.frombuffer(key[0], dtype=np.intp), np.frombuffer(key[1], dtype=np.intp))
-            for key in sweep_ybus.jacobian_patterns
+            for key in partitions
         ]
         assert len(cases) > 1
-        cases.append((swept_case, sweep_ybus) + q_limited_partition(swept_case, sol))
+        cases.append((swept, swept.ybus) + q_limited_partition(swept, sol))
         tripped = tripped_first_branch(case118)
         cases.append(
             (tripped, tripped.ybus, tripped.arrays.pv_idx, tripped.arrays.pq_idx)
@@ -410,19 +413,18 @@ class TestColumnOrdering:
         points = [flat, sol.v] + [perturbed(sol.v, rng, 0.05) for _ in range(2)]
         inverses = count_inverses(monkeypatch)
         for case, ybus, pv_idx, pq_idx in cases:
-            pattern = _cached_pattern(ybus, pv_idx, pq_idx)
+            pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
             at_flat = held_inverse(ybus, pattern, flat)
             for v in points:
                 nearby = held_inverse(ybus, pattern, perturbed(v, rng, 1e-3))
-                for factors, formed in (
-                    ({}, 1), ({pattern: nearby}, 0), ({pattern: at_flat}, int(v is not flat)),
-                ):
-                    held = factors.get(pattern)
+                for held, formed in ((None, 1), (nearby, 0), (at_flat, int(v is not flat))):
+                    entry = [pattern, held]
                     inverses.clear()
-                    check_newton_step(case, ybus, pattern, pq_idx, v, factors)
+                    check_newton_step(case, ybus, entry, pq_idx, v)
                     assert len(inverses) == formed
-                    # A formed inverse replaces the held one.
-                    assert (factors[pattern] is held) == (not formed)
+                    # A formed inverse replaces the held one in the entry.
+                    assert entry[0] is pattern
+                    assert (entry[1] is held) == (not formed)
 
     def test_stalled_correction_forms_the_inverse_again(self, case118, monkeypatch):
         # Half the exact inverse halves the residual at each correction, so
@@ -438,76 +440,74 @@ class TestColumnOrdering:
         ybus = case118.ybus
         sol = solve(case118)
         pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
-        pattern = _cached_pattern(ybus, pv_idx, pq_idx)
+        pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
         halved = (0.5 * held_inverse(ybus, pattern, sol.v)).view(Counted)
-        factors = {pattern: halved}
+        entry = [pattern, halved]
         inverses = count_inverses(monkeypatch)
-        check_newton_step(case118, ybus, pattern, pq_idx, sol.v * 1.01, factors)
+        check_newton_step(case118, ybus, entry, pq_idx, sol.v * 1.01)
         assert (Counted.products, len(inverses)) == (2, 1)
-        assert factors[pattern] is not halved
+        assert entry[1] is not halved
 
     def test_weekly_sweep_forms_few_inverses(self, case118, monkeypatch):
         # The benchmark's seed-0 week: 2016 bins and 3648 Newton steps, as
         # many as an exact solve of every step takes, on 5 partitions.
-        built = record_ybus_builds(monkeypatch)
+        built = record_pattern_builds(monkeypatch)
         inverses = count_inverses(monkeypatch)
         grid = sc.Configuration(kind="grid_only", dc_bus=25)
-        sweep = sc.snapshot_sweep(replace(case118), week_profile(0), grid)
+        sweep = sc.snapshot_sweep(case118, week_profile(0), grid)
         assert np.all(sweep.converged)
         assert sweep.iterations.sum() == 3648
-        (ybus,) = built
-        partitions = len(ybus.jacobian_patterns)
-        assert partitions > 1
+        # The week's one chain builds each partition's pattern once.
+        partitions = len(set(built))
+        assert 1 < partitions == len(built)
         # Each partition forms its inverse once, and a held inverse that
         # fails to refine is formed again: 6 in all.
         assert partitions <= len(inverses) <= 2 * partitions
 
     def test_pattern_built_once_per_partition(self, case118, monkeypatch):
-        real = pf.jacobian_pattern
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(pf, "jacobian_pattern", counting)
-        case = replace(case118)  # a Y-bus of its own, no patterns cached
-        ybus = case.ybus
-        snaps = [apply_snapshot(case, 25, p) for p in np.linspace(0.0, 300.0, 12)]
+        built = record_pattern_builds(monkeypatch)
+        snaps = [apply_snapshot(case118, 25, p) for p in np.linspace(0.0, 300.0, 12)]
+        factors = {}  # one chain through all 24 solves
         for snap in snaps * 2:
-            assert solve(snap).converged
-        assert len(ybus.jacobian_patterns) > 1
-        assert len(calls) == len(ybus.jacobian_patterns)
+            assert solve(snap, factors=factors).converged
+        assert len(factors) > 1
+        assert sorted(built) == sorted(factors)
+        assert_cached_patterns_fresh(case118.ybus, factors)
+        # A second chain builds every pattern again, for itself alone.
+        built.clear()
+        other = {}
+        for snap in snaps:
+            solve(snap, factors=other)
+        assert sorted(built) == sorted(other) == sorted(factors)
+        assert all(other[key][0] is not factors[key][0] for key in factors)
 
     def test_tripped_line_gets_its_own_ordering(self, case118):
         ybus = case118.ybus
         tripped = tripped_first_branch(case118)
         ybus_tripped = tripped.ybus
         pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
-        base = _cached_pattern(ybus, pv_idx, pq_idx)
-        own = _cached_pattern(ybus_tripped, pv_idx, pq_idx)
+        base = jacobian_pattern(ybus, pv_idx, pq_idx)
+        own = jacobian_pattern(ybus_tripped, pv_idx, pq_idx)
 
         def entries(p):
             return len(np.unique(p.jr * p.dim + p.jc))
 
         assert entries(own) < entries(base)
-        assert_cached_patterns_fresh(ybus_tripped)  # holds `own` alone
         sol = solve(tripped)
         assert sol.converged
         for v in (np.ones(case118.n_bus, dtype=complex), sol.v):
-            check_newton_step(tripped, ybus_tripped, own, pq_idx, v, {})
+            check_newton_step(tripped, ybus_tripped, [own, None], pq_idx, v)
 
-    def test_threads_share_patterns(self, case118, monkeypatch):
+    def test_concurrent_solves_leave_the_ybus_unchanged(self, case118):
         # compare solves on a thread pool, and every solve on snapshots of
-        # one case shares its Y-bus and cached patterns; each solve holds
-        # its own Jacobian inverses, so concurrent solves equal serial ones
-        # bit for bit, and every shared pattern is left as a fresh build
-        # makes it. The serial solves each run on a copy with its own Y-bus;
-        # the threads share the one built with `case`.
-        built = record_ybus_builds(monkeypatch)
-        case = replace(case118)  # a Y-bus of its own, no patterns cached
+        # one case reads its Y-bus. Each solve is a chain of its own with
+        # its own Newton state, so concurrent solves equal serial ones bit
+        # for bit, and no solve writes to the shared Y-bus.
+        case = replace(case118)  # a Y-bus of its own
+        before = pickle.dumps(vars(case.ybus))
         snaps = [apply_snapshot(case, 25, p, 0.2 * p) for p in (0.0, 60.0, 250.0, 400.0)]
-        serial = [solve(replace(s)).v for s in snaps]
+        assert all(s.ybus is case.ybus for s in snaps)
+        serial = [solve(s).v for s in snaps]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -518,26 +518,7 @@ class TestColumnOrdering:
             sys.setswitchinterval(interval)
         for k, sol in enumerate(results):
             np.testing.assert_array_equal(sol.v, serial[k % len(snaps)])
-        assert len(built) == len(snaps) + 1
-        assert all(s.ybus is case.ybus for s in snaps)
-        assert_cached_patterns_fresh(case.ybus)
-
-    def test_racing_pattern_builds_share_the_first_stored(self, case118, monkeypatch):
-        # A solve chain keys its held inverses by pattern, so two threads
-        # that build one partition at once must end with one pattern.
-        real = pf.jacobian_pattern
-        first = []
-
-        def racing(ybus, pv_idx, pq_idx):
-            if not first:  # another thread stores its build meanwhile
-                first.append(real(ybus, pv_idx, pq_idx))
-                ybus.jacobian_patterns[(pv_idx.tobytes(), pq_idx.tobytes())] = first[0]
-            return real(ybus, pv_idx, pq_idx)
-
-        monkeypatch.setattr(pf, "jacobian_pattern", racing)
-        case = replace(case118)  # a Y-bus of its own, no patterns cached
-        pattern = _cached_pattern(case.ybus, case.arrays.pv_idx, case.arrays.pq_idx)
-        assert pattern is first[0]
+        assert pickle.dumps(vars(case.ybus)) == before
 
     def test_exactly_singular_step_raises(self, case118):
         # One zero column stays exactly zero through the elimination, so
@@ -545,26 +526,26 @@ class TestColumnOrdering:
         ybus = case118.ybus
         sol = solve(case118)
         pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
-        pattern = _cached_pattern(ybus, pv_idx, pq_idx)
+        pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
         terms = compute_jacobian(sol.v, pattern, ybus.matrix @ sol.v)
         mis = case_mismatch(case118, ybus, sol.v * 1.01, pattern.pvpq, pq_idx)
         column = pattern.jc == pattern.dim // 2
         assert terms[column].any()
         terms[column] = 0.0
         with pytest.raises(SingularJacobianError) as exc:
-            _newton_step(pattern, terms, mis, 5, {})
+            _newton_step([pattern, None], terms, mis, 5)
         assert exc.value.iteration == 5
 
     def test_zero_jacobian_raises_with_and_without_a_held_inverse(self, case118):
         ybus = case118.ybus
         sol = solve(case118)
         pv_idx, pq_idx = case118.arrays.pv_idx, case118.arrays.pq_idx
-        pattern = _cached_pattern(ybus, pv_idx, pq_idx)
+        pattern = jacobian_pattern(ybus, pv_idx, pq_idx)
         zero = zero_valued(compute_jacobian(sol.v, pattern, ybus.matrix @ sol.v))
         mis = case_mismatch(case118, ybus, sol.v * 1.01, pattern.pvpq, pq_idx)
-        for factors in ({}, {pattern: held_inverse(ybus, pattern, sol.v)}):
+        for held in (None, held_inverse(ybus, pattern, sol.v)):
             with pytest.raises(SingularJacobianError) as exc:
-                _newton_step(pattern, zero, mis, 3, factors)
+                _newton_step([pattern, held], zero, mis, 3)
             assert exc.value.iteration == 3
 
     def test_one_bus_case_has_no_unknowns(self):
@@ -680,7 +661,7 @@ class TestQLimits:
         lims = q_limits_by_bus(case)
         vset = {g.bus: g.v_set for g in case.generators if g.status}
         work, pinned, released, total = case, {}, set(), 0
-        factors = {}  # held Jacobian inverses, shared by the passes as in solve
+        factors = {}  # one chain's Newton state, shared by the passes as in solve
         for _ in range(case.n_bus + 1):
             v, it, ok, _, _, _ = _nr_core(
                 ybus, v, opts, work.arrays.pv_idx, work.arrays.pq_idx,

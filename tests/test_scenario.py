@@ -32,8 +32,8 @@ from smrgrid.scenario import (
 )
 
 from conftest import (
-    assert_cached_patterns_fresh, make_two_bus, record_ybus_builds, week_profile,
-    zero_valued,
+    assert_cached_patterns_fresh, make_two_bus, record_pattern_builds, record_ybus_builds,
+    week_profile, zero_valued,
 )
 
 
@@ -184,9 +184,9 @@ class TestSnapshot:
                 np.testing.assert_array_equal(
                     getattr(cases[k].arrays, name), getattr(fresh.arrays, name)
                 )
-            # Held inverses are keyed by the Jacobian patterns of a Y-bus,
-            # so the reference chain solves on the case's own Y-bus, which
-            # the fresh case's equals bit for bit.
+            # A chain's Newton state serves one Y-bus, so the reference
+            # chain solves on the case's own Y-bus, which the fresh case's
+            # equals bit for bit.
             np.testing.assert_array_equal(fresh.ybus.matrix, case118.ybus.matrix)
             object.__setattr__(fresh, "ybus", case118.ybus)
             want = solve(fresh, v0=v, factors=factors)
@@ -213,18 +213,29 @@ class TestSnapshot:
         assert sweep.q_limited.max() > 0
 
     def test_sweep_pattern_cache_matches_fresh_patterns(self, case118, monkeypatch):
-        built = record_ybus_builds(monkeypatch)
+        built = record_pattern_builds(monkeypatch)
+        chains = []
+        real = pf.solve
+
+        def recording_solve(case, *args, factors=None, **kwargs):
+            chains.append(factors)
+            return real(case, *args, factors=factors, **kwargs)
+
+        monkeypatch.setattr(pf, "solve", recording_solve)
         u = 0.5 + 0.5 * np.sin(np.linspace(0.0, 2 * np.pi, 24))
         profile = build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
         sweep = snapshot_sweep(
-            replace(case118), profile, Configuration(kind="grid_only", dc_bus=25)
+            case118, profile, Configuration(kind="grid_only", dc_bus=25)
         )
         assert np.all(sweep.converged)
-        (ybus,) = built
-        # More than one partition occurs, and far fewer patterns than
-        # Newton loops are built.
-        assert 1 < len(ybus.jacobian_patterns) < len(profile)
-        assert_cached_patterns_fresh(ybus)
+        # Every bin solves in one chain. More than one partition occurs, and
+        # the chain builds each one's pattern once: far fewer patterns than
+        # Newton loops.
+        factors = chains[0]
+        assert len(chains) == len(profile)
+        assert all(f is factors for f in chains)
+        assert 1 < len(built) == len(factors) < len(profile)
+        assert_cached_patterns_fresh(case118.ybus, factors)
 
     def test_ies_netting_relieves_the_grid(self, case118, small_profile):
         base = solve(case118)
