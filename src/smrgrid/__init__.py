@@ -21,7 +21,6 @@ from .powerflow import (
     PowerFlowOptions,
     PowerFlowSolution,
     SingularJacobianError,
-    apply_snapshot,
     branch_flows,
     solve,
     total_losses,

@@ -359,9 +359,9 @@ def initialize_devices(
     solution's net injection plus the bus load.
 
     Returns (machines, effective bus load pu). The effective load un-nets
-    the SMR dispatch that apply_snapshot folded into the bus load, so the
-    network sees the full datacenter draw while the devices inject their
-    dispatch explicitly.
+    the SMR dispatch that `scenario.snapshot_case` nets in the POI bus's
+    load, so the network sees the full datacenter draw while the devices
+    inject their dispatch explicitly.
     """
     if not solution.converged:
         raise SimulationError("cannot initialize from a non-converged solution")

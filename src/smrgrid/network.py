@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import UnionType
@@ -117,15 +117,6 @@ class CaseArrays:
     q_min: np.ndarray  # pu per checked bus
     q_max: np.ndarray
 
-    def with_load(self, i: int, p_load: float, q_load: float) -> "CaseArrays":
-        """The arrays with the load of bus index i replaced; every other
-        array is shared."""
-        return _copy_with(
-            self,
-            p_load=_frozen_with(self.p_load, i, p_load),
-            q_load=_frozen_with(self.q_load, i, q_load),
-        )
-
 
 def _copy_with(record, **changes):
     """Shallow copy of `record` with some attributes replaced. Unlike
@@ -178,16 +169,6 @@ def _case_arrays(case: "NetworkCase") -> CaseArrays:
     )
 
 
-def _slack_of(buses) -> int:
-    """Index of the one slack bus; CaseError unless there is exactly one."""
-    slacks = [i for i, b in enumerate(buses) if b.kind is BusKind.SLACK]
-    if len(slacks) == 0:
-        raise CaseError("no slack bus")
-    if len(slacks) > 1:
-        raise CaseError(f"multiple slack buses: {[buses[i].id for i in slacks]}")
-    return slacks[0]
-
-
 @dataclass(frozen=True)
 class NetworkCase:
     system_mva_base: float
@@ -197,7 +178,7 @@ class NetworkCase:
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _slack: int = field(init=False, repr=False, compare=False)
     arrays: CaseArrays = field(init=False, repr=False, compare=False)
-    # Built with the case and shared by every `with_bus` copy, as it
+    # Built with the case and shared by every `with_load` copy, as it
     # depends on the branches alone.
     ybus: AdmittanceMatrix = field(init=False, repr=False, compare=False)
 
@@ -208,7 +189,10 @@ class NetworkCase:
         if len(set(ids)) != len(ids):
             raise CaseError("duplicate bus ids")
         object.__setattr__(self, "_index", {bid: i for i, bid in enumerate(ids)})
-        object.__setattr__(self, "_slack", _slack_of(self.buses))
+        slacks = [b.id for b in self.buses if b.kind is BusKind.SLACK]
+        if len(slacks) != 1:
+            raise CaseError(f"multiple slack buses: {slacks}" if slacks else "no slack bus")
+        object.__setattr__(self, "_slack", self._index[slacks[0]])
         known = set(ids)
         for br in self.branches:
             if br.from_bus not in known or br.to_bus not in known:
@@ -223,23 +207,9 @@ class NetworkCase:
         object.__setattr__(self, "ybus", build_ybus(self))
 
     def _check_connected(self):
-        n = len(self.buses)
-        if n <= 1:
-            return
-        adj: dict[int, list[int]] = {b.id: [] for b in self.buses}
-        for br in self.branches:
-            if br.status:
-                adj[br.from_bus].append(br.to_bus)
-                adj[br.to_bus].append(br.from_bus)
-        seen = {self.buses[0].id}
-        stack = [self.buses[0].id]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != n:
-            missing = sorted(set(b.id for b in self.buses) - seen)[:5]
+        reached = self.hops(self.buses[0].id)
+        if len(reached) != self.n_bus:
+            missing = sorted(self._index.keys() - reached.keys())[:5]
             raise CaseError(f"network is islanded; unreachable buses include {missing}")
 
     # -- lookups -------------------------------------------------------------
@@ -261,34 +231,53 @@ class NetworkCase:
     def slack_index(self) -> int:
         return self._slack
 
-    def with_bus(self, bus: Bus) -> "NetworkCase":
-        """Copy of the case with one bus replaced (same id).
+    def hops(self, bus_id: int) -> dict[int, int]:
+        """In-service branch hops from the bus to each bus it reaches, by
+        breadth-first search; CaseError for an unknown bus."""
+        self.bus_index(bus_id)
+        adj: dict[int, list[int]] = {b.id: [] for b in self.buses}
+        for br in self.branches:
+            if br.status:
+                adj[br.from_bus].append(br.to_bus)
+                adj[br.to_bus].append(br.from_bus)
+        dist = {bus_id: 0}
+        queue = [bus_id]
+        for cur in queue:  # the loop reaches what it appends
+            for nb in adj[cur]:
+                if nb not in dist:
+                    dist[nb] = dist[cur] + 1
+                    queue.append(nb)
+        return dist
 
-        Bus ids, branches and generators are unchanged, so the copy skips
-        the id, reference and connectivity checks and shares the bus index
-        and the Y-bus.
-        A bus of the same kind changes only the load arrays, and the copy
-        shares every other array; a change of kind checks that one slack
-        bus remains and derives the arrays again.
+    def with_load(self, bus_id: int, p_load: float, q_load: float) -> "NetworkCase":
+        """Copy of the case with one bus's load replaced, in MW and MVAr.
+
+        Only a load changes, so the copy runs no check beyond Bus's own and
+        shares the bus index, the Y-bus and every array but the two load
+        arrays.
         """
-        i = self.bus_index(bus.id)
-        buses = self.buses[:i] + (bus,) + self.buses[i + 1:]
-        if bus.kind is self.buses[i].kind:
-            arrays = self.arrays.with_load(i, bus.p_load, bus.q_load)
-            return _copy_with(self, buses=buses, arrays=arrays)
-        new = _copy_with(self, buses=buses, _slack=_slack_of(buses))
-        object.__setattr__(new, "arrays", _case_arrays(new))
-        return new
+        i = self.bus_index(bus_id)
+        bus = replace(self.buses[i], p_load=p_load, q_load=q_load)
+        a = self.arrays
+        arrays = _copy_with(
+            a,
+            p_load=_frozen_with(a.p_load, i, p_load),
+            q_load=_frozen_with(a.q_load, i, q_load),
+        )
+        return _copy_with(
+            self, buses=self.buses[:i] + (bus,) + self.buses[i + 1:], arrays=arrays
+        )
 
     def load_pu(self) -> np.ndarray:
         """Complex per-unit load vector in bus order."""
         return (self.arrays.p_load + 1j * self.arrays.q_load) / self.system_mva_base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
     """The nodal admittance matrix of one topology: an immutable value that
-    no solver writes to. A new topology is always a new AdmittanceMatrix."""
+    no solver writes to. A new topology is always a new AdmittanceMatrix.
+    It hashes by identity, so a solve chain keys its Newton state by it."""
 
     matrix: np.ndarray  # n x n complex, pu, dense and read-only
     branches: BranchAdmittances  # the pi-models `matrix` was stamped from

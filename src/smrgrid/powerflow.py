@@ -11,8 +11,9 @@ solve works on the case's Y-bus (NetworkCase.ybus) and bus arrays
 (NetworkCase.arrays), which hold everything that stays fixed for the case:
 the PV/PQ partition, the per-bus generator injection, and the index, Q
 limits and setpoints of the checked buses (PV buses with an in-service
-generator). A snapshot copy made by NetworkCase.with_bus shares all of them
-and only replaces its loads, so a sweep derives none of them per bin.
+generator). A snapshot copy made by NetworkCase.with_load shares all of
+them and only replaces one bus's load, so a sweep derives none of them per
+bin.
 Q-limit enforcement switches a checked bus to PQ by mask, as MATPOWER does
 with its bus types: the bus joins the PQ set and its generator Q, pinned at
 the limit, moves into the scheduled injection. No case copy is made. The
@@ -25,8 +26,8 @@ counts, so it is left for a change that also re-records the benchmark's
 reference iterations.
 
 The Newton state belongs to a solve chain (one solve, or every bin of a
-sweep on one Y-bus), not to the case: the chain's dict holds one
-[pattern, inverse] entry per PV/PQ partition. The Jacobian is built as
+sweep), not to the case: the chain's dict holds one [pattern, inverse]
+entry per Y-bus and PV/PQ partition. The Jacobian is built as
 coordinate-form terms, whose row and column (the pattern) depend only on
 the Y-bus and the partition, so jacobian_pattern builds them on the
 chain's first Newton loop in the partition: a weekly sweep builds a
@@ -57,7 +58,7 @@ dense Y-bus does, not many thousands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,7 +300,7 @@ def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched, factors):
     Returns (v, iterations, converged, final mismatch norm, mismatch norms,
     bus current ybus.matrix @ v); v is v0 itself when the loop makes no
     iteration."""
-    key = (pv_idx.tobytes(), pq_idx.tobytes())
+    key = (ybus, pv_idx.tobytes(), pq_idx.tobytes())
     entry = factors.get(key)
     if entry is None:
         entry = factors[key] = [jacobian_pattern(ybus, pv_idx, pq_idx), None]
@@ -344,10 +345,10 @@ def solve(
     snapshot sweeps); without it, the solve starts from the case's bus
     voltages with each generator bus at its setpoint magnitude.
     factors is a solve chain's Newton state: one [Jacobian pattern, held
-    inverse or None] entry per PV/PQ partition, keyed by (pv_idx.tobytes(),
-    pq_idx.tobytes()). A chain of solves on one Y-bus, such as a sweep,
-    passes one dict to each solve; a dict serves one Y-bus, and threads
-    must not share one. Without it the solve starts with a dict of its own.
+    inverse or None] entry per Y-bus and PV/PQ partition, keyed by (the
+    AdmittanceMatrix, pv_idx.tobytes(), pq_idx.tobytes()). A chain of
+    solves, such as a sweep, passes one dict to each solve; threads must
+    not share one. Without it the solve starts with a dict of its own.
     A PV bus whose generator Q leaves its limits switches to PQ with Q
     pinned at the limit; a pinned bus whose voltage passes its setpoint on
     the releasing side returns to PV, at most once (prevents cycling). The
@@ -417,32 +418,6 @@ def solve(
         converged=ok,
         mismatch_norms=tuple(map(float, norms)),
         q_limited_buses=tuple(sorted(case.buses[i].id for i in checked[side != 0])),
-    )
-
-
-# -- snapshot handling -------------------------------------------------------
-
-
-def apply_snapshot(
-    case: NetworkCase,
-    dc_bus: int,
-    p_mw: float,
-    q_mvar: float = 0.0,
-    local_gen_mw: float = 0.0,
-) -> NetworkCase:
-    """Case copy with the datacenter load placed at dc_bus.
-
-    local_gen_mw is netted at the same bus (IES configuration); callers that
-    later run a transient with explicit IES devices must account for the
-    netting (dynamics un-nets device dispatch when converting loads).
-    """
-    bus = case.bus(dc_bus)
-    return case.with_bus(
-        replace(
-            bus,
-            p_load=bus.p_load + p_mw - local_gen_mw,
-            q_load=bus.q_load + q_mvar,
-        )
     )
 
 

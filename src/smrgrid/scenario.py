@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -192,13 +191,23 @@ class SweepResult:
 def snapshot_case(
     case: NetworkCase, cfg: Configuration, p_dc_mw: float
 ) -> tuple[NetworkCase, float]:
-    """Snapshot case with the datacenter load applied; returns the case and
-    the netted IES dispatch (SMR only; the battery idles pre-fault)."""
+    """Snapshot case with the datacenter load applied at the POI bus;
+    returns the case and the IES dispatch (SMR only; the battery idles
+    pre-fault).
+
+    With the IES, the SMR's dispatch is netted against the datacenter draw
+    in the POI bus's load, so the power flow sees only what the grid
+    supplies. `dynamics.initialize_devices` un-nets it: the transient's
+    network sees the full draw, and the SMR's machine injects its dispatch.
+    """
     q_dc = cfg.q_for(p_dc_mw)
     smr_dispatch = 0.0
     if cfg.kind == "with_ies":
         smr_dispatch = min(p_dc_mw, cfg.ies.smr.p_max)
-    snap = pf.apply_snapshot(case, cfg.dc_bus, p_dc_mw, q_dc, local_gen_mw=smr_dispatch)
+    bus = case.bus(cfg.dc_bus)
+    snap = case.with_load(
+        cfg.dc_bus, bus.p_load + p_dc_mw - smr_dispatch, bus.q_load + q_dc
+    )
     return snap, smr_dispatch
 
 
@@ -248,23 +257,7 @@ def snapshot_sweep(case: NetworkCase, profile: LoadProfile, cfg: Configuration) 
 
 def electrical_neighborhood(case: NetworkCase, bus: int, k: int) -> set[int]:
     """Bus ids within k in-service branch hops of the given bus."""
-    case.bus_index(bus)  # an unknown bus raises CaseError
-    adj: dict[int, set[int]] = {b.id: set() for b in case.buses}
-    for br in case.branches:
-        if br.status:
-            adj[br.from_bus].add(br.to_bus)
-            adj[br.to_bus].add(br.from_bus)
-    seen = {bus: 0}
-    dq = deque([bus])
-    while dq:
-        cur = dq.popleft()
-        if seen[cur] >= k:
-            continue
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen[nb] = seen[cur] + 1
-                dq.append(nb)
-    return set(seen)
+    return {b for b, d in case.hops(bus).items() if d <= k}
 
 
 def _target_bus(case: NetworkCase, spec: ContingencySpec) -> int:

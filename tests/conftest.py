@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -84,6 +84,31 @@ def record_ybus_builds(monkeypatch) -> list:
     return built
 
 
+def with_added_load(case: NetworkCase, bus_id: int, p_mw: float, q_mvar: float = 0.0):
+    """The case with p_mw and q_mvar added to the load of one bus."""
+    bus = case.bus(bus_id)
+    return case.with_load(bus_id, bus.p_load + p_mw, bus.q_load + q_mvar)
+
+
+def relabelled(case, seed):
+    """case with new random bus ids, its buses and its branches each in a
+    random order; returns the case and the map old id -> new id."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(np.arange(1, 10 * case.n_bus), case.n_bus, replace=False)
+    new_id = {b.id: int(i) for b, i in zip(case.buses, ids)}
+    buses = [replace(b, id=new_id[b.id]) for b in case.buses]
+    branches = [
+        replace(br, from_bus=new_id[br.from_bus], to_bus=new_id[br.to_bus])
+        for br in case.branches
+    ]
+    return NetworkCase(
+        case.system_mva_base,
+        tuple(buses[k] for k in rng.permutation(len(buses))),
+        tuple(branches[k] for k in rng.permutation(len(branches))),
+        tuple(replace(g, bus=new_id[g.bus]) for g in case.generators),
+    ), new_id
+
+
 def flat_start(case: NetworkCase) -> np.ndarray:
     """The flat start: every bus at 1 pu and angle 0, except that each
     generator bus that is not PQ sits at its setpoint magnitude."""
@@ -120,13 +145,14 @@ def terms_to_dense(pattern, terms: np.ndarray) -> np.ndarray:
 
 def record_pattern_builds(monkeypatch) -> list:
     """Make `powerflow.jacobian_pattern`, which a solve chain calls on its
-    first Newton loop in a PV/PQ partition, append the (pv_idx, pq_idx)
-    bytes of each build to the returned list."""
+    first Newton loop on a Y-bus in a PV/PQ partition, append the key of
+    each build, (ybus, pv_idx bytes, pq_idx bytes) as in the chain's
+    factors dict, to the returned list."""
     built = []
     real = powerflow.jacobian_pattern
 
     def recording(ybus, pv_idx, pq_idx):
-        built.append((pv_idx.tobytes(), pq_idx.tobytes()))
+        built.append((ybus, pv_idx.tobytes(), pq_idx.tobytes()))
         return real(ybus, pv_idx, pq_idx)
 
     monkeypatch.setattr(powerflow, "jacobian_pattern", recording)
@@ -135,10 +161,11 @@ def record_pattern_builds(monkeypatch) -> list:
 
 def assert_cached_patterns_fresh(ybus, factors) -> None:
     """Every Jacobian pattern in the entries of a solve chain's factors
-    dict, a chain on ybus, equals a fresh jacobian_pattern build for its
-    partition, field by field and array for array."""
+    dict, a chain on ybus alone, equals a fresh jacobian_pattern build for
+    its partition, field by field and array for array."""
     assert factors
-    for (pv_bytes, pq_bytes), (pattern, _) in factors.items():
+    for (key_ybus, pv_bytes, pq_bytes), (pattern, _) in factors.items():
+        assert key_ybus is ybus
         pv_idx = np.frombuffer(pv_bytes, dtype=np.intp)
         pq_idx = np.frombuffer(pq_bytes, dtype=np.intp)
         fresh = jacobian_pattern(ybus, pv_idx, pq_idx)

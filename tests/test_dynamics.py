@@ -39,8 +39,11 @@ from smrgrid.dynamics import (
     _Network,
     initialize_devices,
 )
+from smrgrid import scenario as sc
 from smrgrid.powerflow import solve
 from smrgrid.network import build_ybus
+
+from conftest import relabelled
 
 
 SMR = SmrParams()
@@ -589,6 +592,109 @@ class TestReducedNetwork:
                 assert rel <= 1e-12
             assert (j[:nm][~on] == 0).all() and (j[nm:][~on] == 0).all()
         assert set(net.read_bus) >= set(monitored) | {bess_idx}
+
+
+#: Criterion 6's bound on the equilibrium drift of every device state over a
+#: 15 s hold: rad for angles, pu for speeds and the IES states.
+EQUILIBRIUM_DRIFT = 1e-6
+
+#: One run of each event kind near the POI (bus 25), each explicit: the
+#: relations below need the same events in both runs, not rng draws.
+EVENT_SETS = {
+    "bus_fault": [Event(0.5, BusFault3ph(23)), Event(0.6, ClearFault(23))],
+    "line_trip": [Event(0.5, LineTrip(23, 25))],
+    "gen_trip": [Event(0.5, GenTrip(26))],
+    "load_step": [Event(0.5, LoadStep(25, 40.0, 10.0))],
+}
+
+
+def ies_snapshot(case, with_ies):
+    """(snapshot case, its solution, IesUnit or None): 40 MW drawn at bus 25,
+    netted against the SMR's dispatch with the IES."""
+    cfg = sc.Configuration(dc_bus=25, ies=sc.IesSpec() if with_ies else None)
+    snap, dispatch = sc.snapshot_case(case, cfg, 40.0)
+    ies = None
+    if with_ies:
+        ies = IesUnit(bus=25, machine=cfg.ies.smr_machine, smr=cfg.ies.smr,
+                      bess=cfg.ies.bess, p_dispatch_mw=dispatch)
+    return snap, solve(snap), ies
+
+
+def series(res, buses):
+    """Every monitored series of a result, the buses in the given order."""
+    out = [res.v_mag[b] for b in buses] + [res.freq_dev[b] for b in buses]
+    return out + [s for s in (res.smr_p_mech_mw, res.bess_p_mw) if s is not None]
+
+
+@pytest.mark.parametrize("with_ies", [False, True], ids=["grid_only", "with_ies"])
+@pytest.mark.parametrize("kind", list(EVENT_SETS))
+class TestMetamorphicTransient:
+    """Relations between transients that need no reference solution (Chen,
+    Cheung & Yiu, HKUST-CS98-01, 1998)."""
+
+    MONITOR = (25, 23, 30)
+
+    def test_relabelled_case_has_the_same_series(self, case118, kind, with_ies):
+        # Renumbering the bus ids and reordering the buses and branches
+        # permutes the plant's states and read buses; the series must not
+        # change beyond rounding.
+        snap, sol, ies = ies_snapshot(case118, with_ies)
+        other, new_id = relabelled(snap, 4)
+        cfg = SimConfig(dt=0.005, t_end=1.5, monitor_buses=self.MONITOR)
+        want = run_transient(snap, sol, ies, EVENT_SETS[kind], cfg)
+        moved = [
+            Event(ev.t, replace(ev.kind, **{
+                f: new_id[getattr(ev.kind, f)]
+                for f in ("bus", "from_bus", "to_bus") if hasattr(ev.kind, f)
+            }))
+            for ev in EVENT_SETS[kind]
+        ]
+        if ies is not None:
+            ies = replace(ies, bus=new_id[ies.bus])
+        got = run_transient(
+            other, solve(other), ies, moved,
+            replace(cfg, monitor_buses=tuple(new_id[b] for b in self.MONITOR)),
+        )
+        assert [(e["t"], e["kind"]) for e in got.event_log] == [
+            (e["t"], e["kind"]) for e in want.event_log
+        ]
+        assert want.max_state_drift > 1e-4
+        assert abs(got.max_state_drift - want.max_state_drift) <= 1e-12
+        for a, b in zip(series(got, [new_id[b] for b in self.MONITOR]),
+                        series(want, self.MONITOR), strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_translated_events_translate_the_series(self, case118, kind, with_ies):
+        # Shifting every event and t_end by m steps shifts the series by m
+        # samples from the first event on. The runs differ only by the m
+        # extra steps of equilibrium hold before the events, and criterion 6
+        # bounds any state's drift over a 15 s hold by EQUILIBRIUM_DRIFT.
+        # The bounds are that drift in each series' units: pu for |V|, the
+        # speed drift times f_nominal in Hz, and MW on each IES rating.
+        snap, sol, ies = ies_snapshot(case118, with_ies)
+        cfg = SimConfig(dt=0.005, t_end=1.5, monitor_buses=self.MONITOR)
+        m = 100
+        shift = m * cfg.dt
+        want = run_transient(snap, sol, ies, EVENT_SETS[kind], cfg)
+        got = run_transient(
+            snap, sol, ies, [Event(ev.t + shift, ev.kind) for ev in EVENT_SETS[kind]],
+            replace(cfg, t_end=cfg.t_end + shift),
+        )
+        assert want.max_state_drift > 1e-4
+        assert [e["t"] for e in got.event_log] == pytest.approx(
+            [e["t"] + shift for e in want.event_log], abs=1e-12
+        )
+        k0 = int(round(EVENT_SETS[kind][0].t / cfg.dt))
+        assert len(got.t) == len(want.t) + m
+        n_mon = len(self.MONITOR)
+        bounds = [EQUILIBRIUM_DRIFT] * n_mon + [EQUILIBRIUM_DRIFT * cfg.f_nominal] * n_mon
+        if with_ies:
+            bounds += [EQUILIBRIUM_DRIFT * ies.smr.p_max, EQUILIBRIUM_DRIFT * ies.bess.p_rating]
+        for a, b, bound in zip(series(got, self.MONITOR), series(want, self.MONITOR),
+                               bounds, strict=True):
+            assert np.max(np.abs(a[k0 + m:] - b[k0:])) <= bound
+            # Before the first event both runs hold the equilibrium.
+            assert np.max(np.abs(a[:k0 + m] - b[0])) <= bound
 
 
 def plant(case, sol, ies):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -108,55 +109,67 @@ class TestCaseValidation:
 
 
 class TestWithBus:
-    @staticmethod
-    def constructor_error(case, bus):
-        buses = tuple(bus if b.id == bus.id else b for b in case.buses)
-        with pytest.raises(CaseError) as exc:
-            NetworkCase(case.system_mva_base, buses, case.branches, case.generators)
-        return str(exc.value)
-
-    def test_second_slack_rejected_like_constructor(self, case118):
-        bus = replace(case118.bus(25), kind=BusKind.SLACK)
-        message = self.constructor_error(case118, bus)
-        assert "multiple slack" in message
-        with pytest.raises(CaseError) as exc:
-            case118.with_bus(bus)
-        assert str(exc.value) == message
-
-    def test_removing_the_slack_rejected_like_constructor(self, case118):
-        slack = case118.buses[case118.slack_index]
-        bus = replace(slack, kind=BusKind.PV)
-        message = self.constructor_error(case118, bus)
-        assert message == "no slack bus"
-        with pytest.raises(CaseError) as exc:
-            case118.with_bus(bus)
-        assert str(exc.value) == message
+    """Snapshot copies: `NetworkCase.with_load` replaces one bus's load."""
 
     def test_copy_equals_a_case_built_from_its_fields(self, case118):
-        bus = replace(case118.bus(25), kind=BusKind.PQ, p_load=case118.bus(25).p_load + 60.0)
-        snap = case118.with_bus(bus)
+        bus = case118.bus(25)
+        snap = case118.with_load(25, bus.p_load + 60.0, bus.q_load + 12.0)
         built = NetworkCase(
             snap.system_mva_base, snap.buses, snap.branches, snap.generators
         )
         assert snap == built
         assert snap != case118
-        assert snap.bus(25) == bus
+        assert snap.bus(25) == replace(
+            bus, p_load=bus.p_load + 60.0, q_load=bus.q_load + 12.0
+        )
         assert all(snap.bus_index(b.id) == i for i, b in enumerate(case118.buses))
         assert snap.slack_index == built.slack_index
         for name in CaseArrays.__dataclass_fields__:
-            np.testing.assert_array_equal(
-                getattr(snap.arrays, name), getattr(built.arrays, name)
-            )
+            got = getattr(snap.arrays, name)
+            np.testing.assert_array_equal(got, getattr(built.arrays, name))
+            assert not got.flags.writeable
+            # Only the two load arrays are the copy's own.
+            assert (got is getattr(case118.arrays, name)) == (name not in ("p_load", "q_load"))
         # The original is untouched.
-        assert case118.arrays.is_pv[case118.bus_index(25)]
+        i = case118.bus_index(25)
+        assert (case118.arrays.p_load[i], case118.arrays.q_load[i]) == (bus.p_load, bus.q_load)
 
     def test_copies_share_the_ybus(self):
         case = load_ieee118()
-        load = replace(case.bus(25), p_load=case.bus(25).p_load + 60.0)
-        same_kind = case.with_bus(load)
-        kind_change = case.with_bus(replace(load, kind=BusKind.PQ))
-        assert kind_change.ybus is case.ybus is same_kind.ybus
-        assert same_kind.with_bus(case.bus(25)).ybus is case.ybus
+        bus = case.bus(25)
+        copy = case.with_load(25, bus.p_load + 60.0, bus.q_load)
+        back = copy.with_load(25, bus.p_load, bus.q_load)
+        assert copy.ybus is back.ybus is case.ybus
+        assert back == case
+
+    def test_unknown_bus_rejected(self):
+        with pytest.raises(CaseError, match="^unknown bus id 9$"):
+            make_two_bus().with_load(9, 1.0, 0.0)
+
+
+class TestHops:
+    @pytest.mark.parametrize("start", [1, 25, 69, 118])
+    def test_match_relaxation_over_the_branch_list(self, case118, start):
+        # Bellman-Ford relaxation with unit weights, over the in-service
+        # branches in case order: an oracle with no queue and no adjacency.
+        dist = {start: 0}
+        for _ in range(case118.n_bus):
+            for br in case118.branches:
+                for a, b in ((br.from_bus, br.to_bus), (br.to_bus, br.from_bus)):
+                    if br.status and a in dist and dist[a] + 1 < dist.get(b, math.inf):
+                        dist[b] = dist[a] + 1
+        assert case118.hops(start) == dist
+        assert len(dist) == case118.n_bus
+
+    def test_out_of_service_branch_is_no_path(self):
+        ring = (Branch(1, 2, r=0.0, x=0.1), Branch(2, 3, r=0.0, x=0.1),
+                Branch(1, 3, r=0.0, x=0.1, status=False))
+        buses = (SLACK, LOAD, replace(LOAD, id=3))
+        assert NetworkCase(100.0, buses, ring).hops(1) == {1: 0, 2: 1, 3: 2}
+
+    def test_unknown_bus_rejected(self):
+        with pytest.raises(CaseError, match="^unknown bus id 9$"):
+            make_two_bus().hops(9)
 
 
 class TestYbus:
@@ -240,9 +253,8 @@ class TestYbus:
         (ybus,) = built  # built with the case
         assert ybus is case.ybus
         bus = case.bus(2)
-        copy = case.with_bus(replace(bus, p_load=bus.p_load + 1.0))
-        kind_change = case.with_bus(replace(bus, kind=BusKind.PV))
-        assert copy.ybus is kind_change.ybus is case.ybus
+        copy = case.with_load(2, bus.p_load + 1.0, bus.q_load)
+        assert copy.ybus is case.ybus
         assert len(built) == 1
 
     def test_matrix_is_read_only(self, case118):
@@ -319,9 +331,7 @@ class TestSerialization:
 
     def test_angles_stored_in_degrees(self):
         case = make_two_bus()
-        case = case.with_bus(
-            Bus(id=2, kind=BusKind.PQ, v_mag=1.0, v_ang_deg=30.0, base_kv=138.0)
-        )
+        case = replace(case, buses=(case.buses[0], replace(case.buses[1], v_ang_deg=30.0)))
         doc = case_to_dict(case)
         bus2 = next(b for b in doc["buses"] if b["id"] == 2)
         assert bus2["v_ang_deg"] == 30.0

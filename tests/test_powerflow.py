@@ -1,3 +1,4 @@
+import math
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,6 @@ from smrgrid.powerflow import (
     _initial_voltage,
     _newton_step,
     _nr_core,
-    apply_snapshot,
     compute_jacobian,
     jacobian_pattern,
     scheduled_injection,
@@ -40,9 +40,11 @@ from conftest import (
     make_two_bus,
     record_pattern_builds,
     record_ybus_builds,
+    relabelled,
     terms_to_dense,
     two_bus_exact_voltage,
     week_profile,
+    with_added_load,
     zero_valued,
 )
 
@@ -170,9 +172,10 @@ class TestJacobian:
         assert sol.q_limited_buses
         # The base partition, then the one the Q-limit loop leaves, with
         # the limited PV buses switched to PQ.
-        q_limited = case118
-        for bid in sol.q_limited_buses:
-            q_limited = q_limited.with_bus(replace(q_limited.bus(bid), kind=BusKind.PQ))
+        q_limited = replace(case118, buses=tuple(
+            replace(b, kind=BusKind.PQ) if b.id in sol.q_limited_buses else b
+            for b in case118.buses
+        ))
         for case in (case118, q_limited):
             pattern = jacobian_pattern(ybus, case.arrays.pv_idx, case.arrays.pq_idx)
             terms = compute_jacobian(sol.v, pattern, ybus.matrix @ sol.v)
@@ -265,7 +268,7 @@ class TestSolve:
     def test_divergence_stops_early(self, case118):
         # 2000 MW / 400 MVAr at bus 25 has no solution; the mismatch goes
         # 18, 7.7, 15, 190, 5.9e4 and would run on for all max_iter.
-        snap = apply_snapshot(case118, 25, 2000.0, 400.0)
+        snap = with_added_load(case118, 25, 2000.0, 400.0)
         opts = PowerFlowOptions()
         sol = solve(snap, opts=opts)
         assert not sol.converged
@@ -294,8 +297,8 @@ class TestSolve:
 @pytest.fixture(scope="module")
 def swept_case(case118):
     """A copy of case118 after a 24-bin grid-only sweep at bus 25, and the
-    (pv_idx, pq_idx) bytes of every PV/PQ partition the sweep met, all on
-    the copy's own Y-bus."""
+    (ybus, pv_idx bytes, pq_idx bytes) key of every PV/PQ partition the
+    sweep met, all on the copy's own Y-bus."""
     u = 0.5 + 0.5 * np.sin(np.linspace(0.0, 2 * np.pi, 24))
     profile = build_profile(UtilizationTrace(u=u), calibrate_it_capacity(60.0))
     with pytest.MonkeyPatch.context() as mp:
@@ -357,6 +360,11 @@ def tripped_first_branch(case):
     return replace(case, branches=(replace(br[0], status=False),) + br[1:])
 
 
+def rebuilt_with_bus(case, bus):
+    """The case built through the constructor with the bus of bus.id replaced by bus."""
+    return replace(case, buses=tuple(bus if b.id == bus.id else b for b in case.buses))
+
+
 def perturbed(v, rng, scale):
     """v with each magnitude and angle moved by `scale` times a standard
     normal draw from rng."""
@@ -398,11 +406,10 @@ class TestColumnOrdering:
         swept, partitions = swept_case
         sol = solve(swept)
         cases = [
-            (swept, swept.ybus,
-             np.frombuffer(key[0], dtype=np.intp), np.frombuffer(key[1], dtype=np.intp))
-            for key in partitions
+            (swept, ybus, np.frombuffer(pv, dtype=np.intp), np.frombuffer(pq, dtype=np.intp))
+            for ybus, pv, pq in partitions
         ]
-        assert len(cases) > 1
+        assert len(cases) > 1 and all(c[1] is swept.ybus for c in cases)
         cases.append((swept, swept.ybus) + q_limited_partition(swept, sol))
         tripped = tripped_first_branch(case118)
         cases.append(
@@ -466,7 +473,7 @@ class TestColumnOrdering:
 
     def test_pattern_built_once_per_partition(self, case118, monkeypatch):
         built = record_pattern_builds(monkeypatch)
-        snaps = [apply_snapshot(case118, 25, p) for p in np.linspace(0.0, 300.0, 12)]
+        snaps = [with_added_load(case118, 25, p) for p in np.linspace(0.0, 300.0, 12)]
         factors = {}  # one chain through all 24 solves
         for snap in snaps * 2:
             assert solve(snap, factors=factors).converged
@@ -498,6 +505,22 @@ class TestColumnOrdering:
         for v in (np.ones(case118.n_bus, dtype=complex), sol.v):
             check_newton_step(tripped, ybus_tripped, [own, None], pq_idx, v)
 
+    def test_reused_chain_keeps_each_ybus_apart(self, case118):
+        # One dict through a solve on the case and one on a topology of its
+        # own: the second solve must not reuse the first Y-bus's patterns
+        # and inverses, so it equals a solve with a dict of its own.
+        tripped = tripped_first_branch(case118)
+        factors = {}
+        assert solve(case118, factors=factors).converged
+        got = solve(tripped, factors=factors)
+        want = solve(tripped, factors={})
+        assert want.converged
+        assert (got.iterations, got.converged, got.q_limited_buses) == (
+            want.iterations, want.converged, want.q_limited_buses
+        )
+        np.testing.assert_array_equal(got.v, want.v)
+        assert {key[0] for key in factors} == {case118.ybus, tripped.ybus}
+
     def test_concurrent_solves_leave_the_ybus_unchanged(self, case118):
         # compare solves on a thread pool, and every solve on snapshots of
         # one case reads its Y-bus. Each solve is a chain of its own with
@@ -505,7 +528,7 @@ class TestColumnOrdering:
         # for bit, and no solve writes to the shared Y-bus.
         case = replace(case118)  # a Y-bus of its own
         before = pickle.dumps(vars(case.ybus))
-        snaps = [apply_snapshot(case, 25, p, 0.2 * p) for p in (0.0, 60.0, 250.0, 400.0)]
+        snaps = [with_added_load(case, 25, p, 0.2 * p) for p in (0.0, 60.0, 250.0, 400.0)]
         assert all(s.ybus is case.ybus for s in snaps)
         serial = [solve(s).v for s in snaps]
         interval = sys.getswitchinterval()
@@ -654,9 +677,10 @@ class TestQLimits:
 
     @staticmethod
     def switched_case_oracle(case, ybus, v, opts):
-        """The Q-limit loop on explicit case copies: every switch is a
-        with_bus copy, each pass a Newton loop on the copy's own partition
-        and scheduled injection. Returns (v, iterations, switched case)."""
+        """The Q-limit loop on explicit case copies: every switch builds a
+        case through the constructor with the one bus replaced, each pass a
+        Newton loop on the copy's own partition and scheduled injection.
+        Returns (v, iterations, switched case)."""
         base = case.system_mva_base
         lims = q_limits_by_bus(case)
         vset = {g.bus: g.v_set for g in case.generators if g.status}
@@ -680,8 +704,8 @@ class TestQLimits:
                     side = "hi" if q > qhi + 1e-9 else "lo" if q < qlo - 1e-9 else None
                     if side:
                         qfix = qhi if side == "hi" else qlo
-                        work = work.with_bus(
-                            replace(bus, kind=BusKind.PQ, q_load=bus.q_load - qfix * base)
+                        work = rebuilt_with_bus(
+                            work, replace(bus, kind=BusKind.PQ, q_load=bus.q_load - qfix * base)
                         )
                         pinned[bid] = side
                         changed = True
@@ -690,7 +714,7 @@ class TestQLimits:
                     if (pinned[bid] == "hi" and vm > vset[bid] + 1e-6) or (
                         pinned[bid] == "lo" and vm < vset[bid] - 1e-6
                     ):
-                        work = work.with_bus(bus)
+                        work = rebuilt_with_bus(work, bus)
                         v[i] = vset[bid] * np.exp(1j * np.angle(v[i]))
                         del pinned[bid]
                         released.add(bid)
@@ -701,7 +725,7 @@ class TestQLimits:
 
     @pytest.mark.parametrize("p_dc_mw", [0.0, 60.0, 250.0])
     def test_mask_switching_matches_switched_case(self, case118, p_dc_mw):
-        snap = apply_snapshot(case118, 25, p_dc_mw, 0.2 * p_dc_mw)
+        snap = with_added_load(case118, 25, p_dc_mw, 0.2 * p_dc_mw)
         ybus = snap.ybus
         opts = PowerFlowOptions()
         sol = solve(snap, opts)
@@ -723,25 +747,6 @@ class TestQLimits:
         assert sol.iterations == iterations
 
 
-def relabelled(case, seed):
-    """case with new random bus ids, its buses and its branches each in a
-    random order; returns the case and the map old id -> new id."""
-    rng = np.random.default_rng(seed)
-    ids = rng.choice(np.arange(1, 10 * case.n_bus), case.n_bus, replace=False)
-    new_id = {b.id: int(i) for b, i in zip(case.buses, ids)}
-    buses = [replace(b, id=new_id[b.id]) for b in case.buses]
-    branches = [
-        replace(br, from_bus=new_id[br.from_bus], to_bus=new_id[br.to_bus])
-        for br in case.branches
-    ]
-    return NetworkCase(
-        case.system_mva_base,
-        tuple(buses[k] for k in rng.permutation(len(buses))),
-        tuple(branches[k] for k in rng.permutation(len(branches))),
-        tuple(replace(g, bus=new_id[g.bus]) for g in case.generators),
-    ), new_id
-
-
 class TestMetamorphic:
     """Relations between solves that need no reference solution (Chen,
     Cheung & Yiu, HKUST-CS98-01, 1998)."""
@@ -752,7 +757,7 @@ class TestMetamorphic:
         # Renumbering and reordering the buses and reordering the branches
         # permutes the unknowns, so the Jacobian pattern changes; the
         # solution must not.
-        snap = apply_snapshot(case118, 25, p_dc_mw, 0.2 * p_dc_mw)
+        snap = with_added_load(case118, 25, p_dc_mw, 0.2 * p_dc_mw)
         other, new_id = relabelled(snap, seed)
         assert [b.id for b in other.buses] != [new_id[b.id] for b in snap.buses]
         want, got = solve(snap), solve(other)
@@ -768,18 +773,19 @@ class TestMetamorphic:
 
 
 class TestApplySnapshot:
-    def test_load_added(self, case118):
-        snap = apply_snapshot(case118, 25, 60.0, 12.0)
-        assert snap.bus(25).p_load == pytest.approx(case118.bus(25).p_load + 60.0)
-        assert snap.bus(25).q_load == pytest.approx(case118.bus(25).q_load + 12.0)
+    GRID = sc.Configuration(kind="grid_only", dc_bus=25, dc_power_factor=0.98)
 
-    def test_full_netting_cancels(self, case118):
-        snap = apply_snapshot(case118, 25, 60.0, 0.0, local_gen_mw=60.0)
-        assert snap.bus(25).p_load == pytest.approx(case118.bus(25).p_load)
+    def test_load_added(self, case118):
+        snap, dispatch = sc.snapshot_case(case118, self.GRID, 60.0)
+        base = case118.bus(25)
+        assert dispatch == 0.0
+        assert snap.bus(25).p_load == base.p_load + 60.0
+        assert snap.bus(25).q_load == base.q_load + 60.0 * math.tan(math.acos(0.98))
+        assert snap.ybus is case118.ybus
 
     def test_zero_load_noop(self, case118):
-        snap = apply_snapshot(case118, 25, 0.0)
-        assert snap.bus(25).p_load == pytest.approx(case118.bus(25).p_load)
+        snap, _ = sc.snapshot_case(case118, self.GRID, 0.0)
+        assert snap == case118
 
     def test_monotone_load_voltage_two_bus(self):
         vmags = []

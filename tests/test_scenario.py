@@ -14,7 +14,7 @@ from smrgrid.datacenter import (
     build_profile,
     calibrate_it_capacity,
 )
-from smrgrid.network import CaseArrays, NetworkCase
+from smrgrid.network import CaseArrays, CaseError, NetworkCase
 from smrgrid.powerflow import solve
 from smrgrid.scenario import (
     Configuration,
@@ -106,6 +106,24 @@ class TestSnapshot:
             case118.bus(25).p_load + 10.0
         )
 
+    def test_full_netting_cancels(self, case118, ies_config):
+        # A draw within the SMR's rating is netted whole: the power flow
+        # sees the base P load plus only the draw's reactive part, and the
+        # transient's effective load, un-netted, sees the full draw.
+        base = case118.bus(25)
+        snap, dispatch = snapshot_case(case118, ies_config, 40.0)
+        assert dispatch == 40.0
+        assert snap.bus(25).p_load == pytest.approx(base.p_load, abs=1e-12)
+        assert snap.bus(25).q_load == base.q_load + ies_config.q_for(40.0)
+        ies = dyn.IesUnit(
+            bus=25, machine=ies_config.ies.smr_machine, smr=ies_config.ies.smr,
+            bess=ies_config.ies.bess, p_dispatch_mw=dispatch,
+        )
+        _, s_load = dyn.initialize_devices(snap, solve(snap), ies)
+        s_poi = s_load[case118.bus_index(25)] * case118.system_mva_base
+        assert s_poi.real == pytest.approx(base.p_load + 40.0, abs=1e-12)
+        assert s_poi.imag == pytest.approx(snap.bus(25).q_load, abs=1e-12)
+
     def test_sweep_zero_load_equals_base(self, case118):
         cfg = Configuration(kind="grid_only", dc_bus=25)
         profile = build_profile(
@@ -144,7 +162,7 @@ class TestSnapshot:
 
     def test_sweep_bins_equal_solves_on_fresh_cases(self, case118, monkeypatch):
         # Each bin's case is built by the full constructor, so its arrays
-        # are derived afresh rather than shared through with_bus, and each
+        # are derived afresh rather than shared through with_load, and each
         # solve is warm-started from the previous bin's voltage. The
         # reference chain shares one dict of held Jacobian inverses, as the
         # sweep does, so it must equal the sweep exactly; a second chain
@@ -184,9 +202,9 @@ class TestSnapshot:
                 np.testing.assert_array_equal(
                     getattr(cases[k].arrays, name), getattr(fresh.arrays, name)
                 )
-            # A chain's Newton state serves one Y-bus, so the reference
-            # chain solves on the case's own Y-bus, which the fresh case's
-            # equals bit for bit.
+            # A chain keys its Newton state by Y-bus, so the reference chain
+            # solves on the case's own Y-bus, which the fresh case's equals
+            # bit for bit, to reuse the inverses the sweep holds.
             np.testing.assert_array_equal(fresh.ybus.matrix, case118.ybus.matrix)
             object.__setattr__(fresh, "ybus", case118.ybus)
             want = solve(fresh, v0=v, factors=factors)
@@ -259,6 +277,10 @@ class TestNeighborhood:
         case = make_two_bus()
         assert electrical_neighborhood(case, 1, 0) == {1}
         assert electrical_neighborhood(case, 1, 1) == {1, 2}
+
+    def test_unknown_bus_rejected(self, case118):
+        with pytest.raises(CaseError, match="^unknown bus id 999$"):
+            electrical_neighborhood(case118, 999, 2)
 
     def test_118_bus_grows_with_distance(self, case118):
         n1 = electrical_neighborhood(case118, 25, 1)
