@@ -40,8 +40,6 @@ from .dynamics import (
     SmrParams,
     TransientResult,
     run_transient,
-    write_event_log,
-    write_result_csv,
 )
 from .datacenter import (
     AmbientConditions,
@@ -62,6 +60,7 @@ from .datacenter import (
     read_machine_events_csv,
     read_profile_csv,
     read_tasks_csv,
+    write_csv,
     write_profile_csv,
 )
 from .scenario import (

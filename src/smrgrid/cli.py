@@ -9,7 +9,6 @@ the README). All outputs land under the configured output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -35,6 +34,7 @@ from .datacenter import (
     read_machine_events_csv,
     read_profile_csv,
     read_tasks_csv,
+    write_csv,
     write_profile_csv,
 )
 from .network import parse_case, read_value
@@ -152,14 +152,12 @@ def load_config(args) -> RunConfig:
 # -- subcommands -------------------------------------------------------------
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_json(path: Path, doc: dict | list) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def cmd_profile(cfg: RunConfig, args) -> int:
+def cmd_profile(cfg: RunConfig, out: Path, args) -> int:
     profile = cfg.need("profile").build()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_profile_csv(profile, out / "profile.csv")
     summary = {
         "bins": len(profile),
@@ -173,23 +171,18 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_powerflow(cfg: RunConfig, args) -> int:
+def cmd_powerflow(cfg: RunConfig, out: Path, args) -> int:
     case = parse_case(cfg.need("case"))
     configuration = cfg.need("configuration")
     profile = None if cfg.profile is None else cfg.profile.build()
     sol = pf.solve(case)
     sweep = None if profile is None else sc.snapshot_sweep(case, profile, configuration)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     # Base-case solution, one row per bus.
-    with open(out / "powerflow_base.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp_s", "bus", "v_mag", "v_ang_deg"])
-        w.writerows(
-            ["0", b.id, f"{abs(v):.9f}", f"{np.degrees(np.angle(v)):.9f}"]
-            for b, v in zip(case.buses, sol.v)
-        )
+    write_csv(
+        out / "powerflow_base.csv", ("timestamp_s", "bus", "v_mag", "v_ang_deg"),
+        "0,%d,%.9f,%.9f",
+        ([b.id for b in case.buses], np.abs(sol.v), np.degrees(np.angle(sol.v))),
+    )
 
     summary = {
         "base_converged": bool(sol.converged),
@@ -198,20 +191,14 @@ def cmd_powerflow(cfg: RunConfig, args) -> int:
         "base_slack_q_mvar": float(sol.slack_q * case.system_mva_base),
     }
     if sweep is not None:
-        with open(out / "snapshot_sweep.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([
-                "timestamp_s", "converged", "poi_v_mag", "slack_p_mw", "iterations",
-                "max_mismatch_pu", "q_limited",
-            ])
-            w.writerows(
-                [f"{t:.0f}", int(ok), f"{v:.9f}", f"{p:.6f}", n, f"{m:.3e}", q]
-                for t, ok, v, p, n, m, q in zip(
-                    sweep.timestamps, sweep.converged, sweep.poi_v_mag,
-                    sweep.slack_p_mw, sweep.iterations, sweep.max_mismatch_pu,
-                    sweep.q_limited,
-                )
-            )
+        write_csv(
+            out / "snapshot_sweep.csv",
+            ("timestamp_s", "converged", "poi_v_mag", "slack_p_mw", "iterations",
+             "max_mismatch_pu", "q_limited"),
+            "%.0f,%d,%.9f,%.6f,%d,%.3e,%d",
+            (sweep.timestamps, sweep.converged, sweep.poi_v_mag, sweep.slack_p_mw,
+             sweep.iterations, sweep.max_mismatch_pu, sweep.q_limited),
+        )
         summary["sweep_bins"] = int(len(sweep.timestamps))
         summary["sweep_failed"] = int(sweep.n_failed)
         summary["sweep_max_iterations"] = int(sweep.iterations.max())
@@ -235,7 +222,23 @@ unset multiplot
 """
 
 
-def cmd_transient(cfg: RunConfig, args) -> int:
+def _write_series(result: dyn.TransientResult, path: Path) -> None:
+    """The transient's series as CSV: t_s, then bus_<id>_vmag_pu and
+    bus_<id>_fdev_hz for each monitored bus in id order, then smr_pmech_mw
+    and bess_p_mw when the IES ran."""
+    header, columns = ["t_s"], [result.t]
+    for b in sorted(result.v_mag):
+        header += [f"bus_{b}_vmag_pu", f"bus_{b}_fdev_hz"]
+        columns += [result.v_mag[b], result.freq_dev[b]]
+    for name, series in (("smr_pmech_mw", result.smr_p_mech_mw),
+                         ("bess_p_mw", result.bess_p_mw)):
+        if series is not None:
+            header.append(name)
+            columns.append(series)
+    write_csv(path, header, ",".join(["%.6f"] + ["%.9f"] * (len(columns) - 1)), columns)
+
+
+def cmd_transient(cfg: RunConfig, out: Path, args) -> int:
     case = parse_case(cfg.need("case"))
     configuration = cfg.need("configuration")
     profile = cfg.need("profile").build()
@@ -246,14 +249,12 @@ def cmd_transient(cfg: RunConfig, args) -> int:
         raise ConfigError(f"scenario index {idx} out of range")
     spec = cfg.specs[idx]
     bins = sc.select_snapshot_bins(profile, (args.snapshot,))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     result = sc.run_contingency(case, profile, bins[0], configuration, spec, simcfg)
     stem = f"{spec.kind}_s{spec.rng_seed}_{configuration.kind}"
     csv_path = out / f"{stem}.csv"
-    dyn.write_result_csv(result, csv_path)
-    dyn.write_event_log(result, out / f"{stem}_events.json")
+    _write_series(result, csv_path)
+    _write_json(out / f"{stem}_events.json", result.event_log)
     metrics = sc.extract_metrics(result, spec.t_apply, configuration.dc_bus)
     _write_json(out / f"{stem}_metrics.json", metrics.__dict__)
     (out / f"{stem}.gp").write_text(
@@ -262,7 +263,7 @@ def cmd_transient(cfg: RunConfig, args) -> int:
     if args.dt_check:
         half = replace(simcfg, dt=simcfg.dt / 2)
         res2 = sc.run_contingency(case, profile, bins[0], configuration, spec, half)
-        dyn.write_result_csv(res2, out / f"{stem}_halfstep.csv")
+        _write_series(res2, out / f"{stem}_halfstep.csv")
         v1 = result.v_mag[configuration.dc_bus]
         v2 = res2.v_mag[configuration.dc_bus][::2]
         dv = float(np.max(np.abs(v1 - v2)))
@@ -271,7 +272,7 @@ def cmd_transient(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
+def cmd_compare(cfg: RunConfig, out: Path, args) -> int:
     case = parse_case(cfg.need("case"))
     configuration = cfg.need("configuration")
     profile = cfg.need("profile").build()
@@ -280,8 +281,6 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         case, profile, cfg.specs, cfg.simulation, configuration,
         snapshot_selector=cfg.snapshot_selector, jobs=cfg.jobs,
     )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "comparison_report.json").write_text(report.to_json())
     agg = report.aggregate()
     lines = [
@@ -339,9 +338,11 @@ def main(argv: list[str] | None = None) -> int:
     cfg = None
     try:
         cfg = load_config(args)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         commands = {"profile": cmd_profile, "powerflow": cmd_powerflow,
                     "transient": cmd_transient, "compare": cmd_compare}
-        return commands[args.command](cfg, args)
+        return commands[args.command](cfg, out, args)
     except HANDLED_ERRORS as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)

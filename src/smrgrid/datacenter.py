@@ -14,7 +14,9 @@ or where numpy may have changed a quoted line end in a text field, csv rows
 are read instead (the row path), and a bad row is named by its line. Both
 paths read numbers in np.loadtxt's grammar, which refuses digit separators
 ("1_000") and non-ASCII digits. Only the machine-event file takes short
-rows. A leading UTF-8 byte-order mark is accepted.
+rows. A leading UTF-8 byte-order mark is accepted. Every CSV table that
+smrgrid writes, this profile and the CLI's power-flow and transient tables,
+goes through one writer, `write_csv`.
 """
 
 from __future__ import annotations
@@ -681,23 +683,29 @@ def read_machine_events_csv(path: str | Path) -> MachineEventTable:
     return _read_table(path, _EVENT_FIELDS, MachineEventTable)
 
 
+def write_csv(path: str | Path, header, row_format: str, columns) -> None:
+    """The CSV table at `path`, with \\r\\n line ends: the `header` names,
+    then one row per entry of the equal-length `columns`, its fields put
+    through the %-format `row_format`, one conversion per column."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    values = tuple(chain.from_iterable(zip(*columns)))
+    body = ((row_format + "\r\n") * len(columns[0])) % values
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + body)
+
+
 _PROFILE_HEADER = (
     "timestamp_s", "u", "p_it_mw", "q_cool_mwth", "n_ch", "p_thermal_mw", "p_total_mw"
 )
-_PROFILE_ROW = "%.0f,%.6f,%.6f,%.6f,%d,%.6f,%.6f\r\n"
 
 
 def write_profile_csv(profile: LoadProfile, path: str | Path) -> None:
-    """The profile as CSV with \\r\\n line ends, one row per bin: n_ch as an
+    """The profile as CSV (`write_csv`), one row per bin: n_ch as an
     integer, timestamps to the second and every other column to 6 decimals."""
-    columns = (
+    write_csv(path, _PROFILE_HEADER, "%.0f,%.6f,%.6f,%.6f,%d,%.6f,%.6f", (
         profile.timestamps, profile.u, profile.p_it, profile.q_cool,
         profile.n_ch.astype(int), profile.p_thermal, profile.p_total,
-    )
-    values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
-    body = (_PROFILE_ROW * len(profile)) % values
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_PROFILE_HEADER) + "\r\n" + body)
+    ))
 
 
 _PROFILE_FIELDS = {

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkCase
+from .network import CaseError, NetworkCase
 from .powerflow import PowerFlowSolution
 
 F_NOMINAL_HZ = 60.0
@@ -152,7 +152,7 @@ class Event:
     kind: EventKind
 
     def __post_init__(self):
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError("event time must be >= 0")
 
 
@@ -167,8 +167,8 @@ class SimConfig:
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.02):
             raise ValueError("dt must be in (0, 0.02]")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be > 0")
+        if not (0.0 < self.t_end < math.inf):
+            raise ValueError("t_end must be finite and > 0")
         steps = self.t_end / self.dt  # so that the run and its dt/2 rerun end at t_end
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("t_end must be a whole number of dt steps")
@@ -641,6 +641,13 @@ def run_transient(
     events = sorted(events, key=lambda e: e.t)
     if events and cfg.t_end <= events[-1].t:
         raise SimulationError("t_end must exceed the last event time")
+    for ev in events:  # every bus an event names, before the first step
+        try:
+            for name in ("bus", "from_bus", "to_bus"):
+                if hasattr(ev.kind, name):
+                    case.bus_index(getattr(ev.kind, name))
+        except CaseError as exc:
+            raise SimulationError(f"{ev.kind!r} at t={ev.t}: {exc}") from None
     machines, s_load = initialize_devices(case, solution, ies)
     n_steps = int(round(cfg.t_end / cfg.dt))
     dt = cfg.dt
@@ -742,40 +749,3 @@ def run_transient(
         max_state_drift=max_drift,
         smr_ramp_max=smr_ramp_max,
     )
-
-
-# -- result export -----------------------------------------------------------
-
-
-def write_result_csv(result: TransientResult, path) -> None:
-    """Time-series CSV: t_s, bus_<id>_vmag_pu, bus_<id>_fdev_hz, then
-    smr_pmech_mw / bess_p_mw when those devices are present."""
-    import csv
-
-    buses = sorted(result.v_mag)
-    header = ["t_s"]
-    for b in buses:
-        header += [f"bus_{b}_vmag_pu", f"bus_{b}_fdev_hz"]
-    if result.smr_p_mech_mw is not None:
-        header.append("smr_pmech_mw")
-    if result.bess_p_mw is not None:
-        header.append("bess_p_mw")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(len(result.t)):
-            row = [f"{result.t[k]:.6f}"]
-            for b in buses:
-                row += [f"{result.v_mag[b][k]:.9f}", f"{result.freq_dev[b][k]:.9f}"]
-            if result.smr_p_mech_mw is not None:
-                row.append(f"{result.smr_p_mech_mw[k]:.9f}")
-            if result.bess_p_mw is not None:
-                row.append(f"{result.bess_p_mw[k]:.9f}")
-            w.writerow(row)
-
-
-def write_event_log(result: TransientResult, path) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(result.event_log, fh, indent=1, sort_keys=True)

@@ -78,9 +78,9 @@ class ContingencySpec:
     def __post_init__(self):
         if self.kind not in ("bus_fault", "line_trip", "gen_trip", "load_step"):
             raise ScenarioError(f"unknown contingency kind '{self.kind}'")
-        if self.t_apply <= 0:
+        if not self.t_apply > 0:
             raise ScenarioError("t_apply must be > 0")
-        if self.kind == "bus_fault" and self.duration <= 0:
+        if self.kind == "bus_fault" and not self.duration > 0:
             raise ScenarioError("fault duration must be > 0")
         if self.rng_seed < 0:
             raise ScenarioError("rng_seed must be >= 0")

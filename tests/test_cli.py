@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from smrgrid import dynamics as dyn
 from smrgrid import network
 from smrgrid import powerflow as pf
-from smrgrid.cli import HANDLED_ERRORS, ConfigError, RunConfig, load_config, main
+from smrgrid.cli import (
+    HANDLED_ERRORS, ConfigError, RunConfig, _write_series, load_config, main,
+)
 from smrgrid.datacenter import write_profile_csv
 from smrgrid.network import CaseError, case_to_dict, parse_case, read_value
 
@@ -189,6 +192,21 @@ class TestTransient:
         pre = [float(r[iv]) for r in data if float(r[it]) < 3.0]
         dip = [float(r[iv]) for r in data if 3.0 <= float(r[it]) < 3.1]
         assert min(dip) < min(pre) - 0.05
+
+    def test_csv_export_layout(self, case118, tmp_path):
+        cfg = dyn.SimConfig(dt=0.01, t_end=1.0, monitor_buses=(25,))
+        res = dyn.run_transient(case118, pf.solve(case118), None, [], cfg)
+        path = tmp_path / "out.csv"
+        _write_series(res, path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[0] == "t_s"
+        assert "bus_25_vmag_pu" in header
+        assert "bus_25_fdev_hz" in header
+        # Device columns appear only when an SMR/BESS is present.
+        assert "smr_pmech_mw" not in header
+        assert "bess_p_mw" not in header
+        assert len(lines) == 1 + len(res.t)
 
     def test_bad_scenario_index(self, workdir, capsys):
         assert run(workdir, "transient", "--scenario", "5") == 2

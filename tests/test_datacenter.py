@@ -38,6 +38,7 @@ from smrgrid.datacenter import (
     read_tasks_csv,
     staging_and_thermal,
     subsystem_power,
+    write_csv,
     write_profile_csv,
 )
 
@@ -1014,6 +1015,15 @@ class TestCsvBoundary:
             path = tmp_path / "profile.csv"
             write_profile_csv(prof, path)
             assert path.read_bytes() == _csv_writer_profile(prof)
+
+    def test_write_csv_rows_end_in_crlf(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, ("t", "n", "x"), "%.0f,%d,%.3f",
+                  (np.array([0.0, 300.0]), [1, 2], np.array([math.nan, -0.5])))
+        assert path.read_bytes() == b"t,n,x\r\n0,1,nan\r\n300,2,-0.500\r\n"
+        # No rows leave the header alone.
+        write_csv(path, ("t", "x"), "%.0f,%.3f", (np.empty(0), []))
+        assert path.read_bytes() == b"t,x\r\n"
 
     def test_profile_short_row_names_line(self, tmp_path):
         path = tmp_path / "profile.csv"

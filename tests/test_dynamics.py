@@ -33,7 +33,6 @@ from smrgrid.dynamics import (
     run_transient,
     smr_flows_from_power,
     turbine_mechanical_power,
-    write_result_csv,
     _apply_event,
     _IesControl,
     _Network,
@@ -327,20 +326,26 @@ class TestRunTransient:
         with pytest.raises(SimulationError, match="exceeds rating"):
             run_transient(case118, snapshot, ies, [], SimConfig(t_end=1.0))
 
-    def test_csv_export_layout(self, case118, snapshot, tmp_path):
-        cfg = SimConfig(dt=0.01, t_end=1.0, monitor_buses=(25,))
-        res = run_transient(case118, snapshot, None, [], cfg)
-        path = tmp_path / "out.csv"
-        write_result_csv(res, path)
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        assert header[0] == "t_s"
-        assert "bus_25_vmag_pu" in header
-        assert "bus_25_fdev_hz" in header
-        # Device columns appear only when an SMR/BESS is present.
-        assert "smr_pmech_mw" not in header
-        assert "bess_p_mw" not in header
-        assert len(lines) == 1 + len(res.t)
+    def test_nan_event_time_rejected(self):
+        # NaN passes `t < 0`, and an event at NaN would never fire.
+        with pytest.raises(ValueError, match="event time must be >= 0"):
+            Event(math.nan, LoadStep(25, 50.0))
+
+    @pytest.mark.parametrize("kind", [
+        BusFault3ph(999), ClearFault(999), LineTrip(25, 999), GenTrip(999),
+        LoadStep(999, 10.0),
+    ], ids=lambda kind: type(kind).__name__)
+    def test_unknown_event_bus_fails_before_the_first_step(
+        self, case118, snapshot, monkeypatch, kind
+    ):
+        # A SimulationError, which compare voids as one pair, raised before
+        # any step is taken rather than when the event comes due.
+        steps = []
+        monkeypatch.setattr(dynamics, "rk4_step", lambda *a: steps.append(1))
+        with pytest.raises(SimulationError) as exc:
+            run_transient(case118, snapshot, None, [Event(1.5, kind)], SimConfig(t_end=2.0))
+        assert str(exc.value) == f"{kind!r} at t=1.5: unknown bus id 999"
+        assert steps == []
 
     @pytest.mark.parametrize("dp_mw", [40.0, -40.0])
     def test_drift_is_the_largest_state_change(
@@ -809,7 +814,10 @@ CHECKS = [
     (lambda: BessParams(k_i=-1.0), ValueError, "gains must be >= 0"),
     (lambda: Event(-1.0, GenTrip(12)), ValueError, "event time must be >= 0"),
     (lambda: SimConfig(dt=0.05), ValueError, "dt must be in (0, 0.02]"),
-    (lambda: SimConfig(t_end=0.0), ValueError, "t_end must be > 0"),
+    *[
+        (lambda v=v: SimConfig(t_end=v), ValueError, "t_end must be finite and > 0")
+        for v in (0.0, math.inf, math.nan)
+    ],
     (lambda: SimConfig(dt=0.005, t_end=1.0075), ValueError,
      "t_end must be a whole number of dt steps"),
     *[

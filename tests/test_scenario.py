@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from smrgrid.scenario import (
 
 from conftest import (
     assert_cached_patterns_fresh, make_two_bus, record_pattern_builds, record_ybus_builds,
-    week_profile, zero_valued,
+    relabelled, week_profile, zero_valued,
 )
 
 
@@ -681,6 +682,100 @@ class TestCompare:
             )
 
 
+#: A step exact in binary, so that shifting the events by whole steps moves
+#: every sample time and extract_metrics' window exactly.
+RELATION_SIM = dyn.SimConfig(dt=2.0**-8, t_end=3.0)
+#: Criterion 6's bound on the equilibrium drift of any state over a 15 s hold.
+EQUILIBRIUM_DRIFT = 1e-6
+FLOAT_METRICS = ("f_nadir_hz", "f_peak_hz", "v_min_pu", "v_max_pu", "rocof_max_hz_per_s")
+
+
+def relation_specs(t_apply=1.0, bus=lambda b: b):
+    """One spec of each contingency kind near the POI (bus 25), each with an
+    explicit target, its bus ids mapped through `bus`."""
+    return [
+        ContingencySpec(kind="bus_fault", target=bus(23), t_apply=t_apply, duration=0.125,
+                        rng_seed=1),
+        ContingencySpec(kind="line_trip", target=(bus(23), bus(25)), t_apply=t_apply,
+                        rng_seed=2),
+        ContingencySpec(kind="gen_trip", target=bus(26), t_apply=t_apply, rng_seed=3),
+        ContingencySpec(kind="load_step", target=bus(25), t_apply=t_apply,
+                        load_step_mw=30.0, rng_seed=4),
+    ]
+
+
+@pytest.fixture(scope="module")
+def relation_report(case118, small_profile, ies_config):
+    rep = compare(case118, small_profile, relation_specs(), RELATION_SIM, ies_config,
+                  snapshot_selector=("max",))
+    assert rep.failed == [] and len(rep.pairs) == 4
+    return rep
+
+
+class TestMetamorphicCompare:
+    """Relations between compare reports that need no reference solution
+    (Chen, Cheung & Yiu, HKUST-CS98-01, 1998)."""
+
+    def test_relabelled_case_gives_the_same_report(
+        self, case118, small_profile, relation_report
+    ):
+        # Renumbered bus ids and reordered buses and branches, with the POI
+        # and the targets renumbered alike, change nothing beyond rounding.
+        other, new_id = relabelled(case118, 4)
+        got = compare(
+            other, small_profile, relation_specs(bus=new_id.get), RELATION_SIM,
+            Configuration(kind="with_ies", dc_bus=new_id[25], ies=IesSpec()),
+            snapshot_selector=("max",),
+        )
+        assert got.failed == []
+        for spec, a, b in zip(relation_specs(), got.pairs, relation_report.pairs, strict=True):
+            assert a.scenario_id == b.scenario_id
+            moved = [
+                (ev.t, type(ev.kind).__name__, repr(replace(ev.kind, **{
+                    f: new_id[getattr(ev.kind, f)]
+                    for f in ("bus", "from_bus", "to_bus") if hasattr(ev.kind, f)
+                })))
+                for ev in resolve_events(case118, GRID, spec)
+            ]
+            assert [(e["t"], e["kind"], e["detail"]) for e in a.events] == moved
+            assert [(e["t"], e["kind"]) for e in b.events] == [m[:2] for m in moved]
+            assert a.wins() == b.wins()
+            for side in ("grid_only", "with_ies"):
+                ma, mb = getattr(a, side), getattr(b, side)
+                for name in FLOAT_METRICS:
+                    assert abs(getattr(ma, name) - getattr(mb, name)) <= 1e-12
+                for name in ("t_settle_f", "t_settle_v", "f_settled", "v_settled"):
+                    assert getattr(ma, name) == getattr(mb, name)
+
+    def test_translated_events_translate_the_report(
+        self, case118, small_profile, ies_config, relation_report
+    ):
+        # Shifting every event and t_end by m steps adds m steps of
+        # equilibrium hold before the events, which criterion 6 bounds.
+        m = 64
+        shift = m * RELATION_SIM.dt
+        got = compare(
+            case118, small_profile, relation_specs(t_apply=1.0 + shift),
+            replace(RELATION_SIM, t_end=RELATION_SIM.t_end + shift), ies_config,
+            snapshot_selector=("max",),
+        )
+        assert got.failed == []
+        for a, b in zip(got.pairs, relation_report.pairs, strict=True):
+            assert a.scenario_id == b.scenario_id
+            assert [(e["t"], e["kind"], e["detail"]) for e in a.events] == [
+                (e["t"] + shift, e["kind"], e["detail"]) for e in b.events
+            ]
+            assert a.wins() == b.wins()
+            for side in ("grid_only", "with_ies"):
+                ma, mb = getattr(a, side), getattr(b, side)
+                for name in FLOAT_METRICS:
+                    assert abs(getattr(ma, name) - getattr(mb, name)) <= EQUILIBRIUM_DRIFT
+                for name in ("t_settle_f", "t_settle_v"):
+                    assert getattr(ma, name) == getattr(mb, name) + shift
+                for name in ("f_settled", "v_settled"):
+                    assert getattr(ma, name) == getattr(mb, name)
+
+
 #: (call, message) for each record and argument check; each raises
 #: ScenarioError.
 CHECKS = [
@@ -718,4 +813,14 @@ CHECKS = [
 def test_record_and_argument_checks(build, message):
     with pytest.raises(ScenarioError) as exc:
         build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, message", [
+    ("t_apply", "t_apply must be > 0"), ("duration", "fault duration must be > 0"),
+])
+def test_nan_contingency_times_rejected(field, message):
+    # NaN passes `<= 0`, and an event at NaN would never fire.
+    with pytest.raises(ScenarioError) as exc:
+        ContingencySpec(kind="bus_fault", **{field: math.nan})
     assert str(exc.value) == message
