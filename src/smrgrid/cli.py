@@ -1,9 +1,10 @@
 """Batch front door: profile / powerflow / transient / compare subcommands.
 
-A single JSON config file carries all sections, read and checked as one
-`RunConfig` record before any subcommand runs; the `--out`, `--seed` and
-`--jobs` flags override its keys, which override the defaults (documented in
-the README). All outputs land under the configured output directory.
+A single JSON config file is the study: all its sections, `seed` among
+them, are read and checked as one `RunConfig` record before any subcommand
+runs. The flags say only how the run is done: `--out` names the output
+directory, where every output and any `error.json` land, and `--jobs` how
+many pairs `compare` runs at once. No flag overrides a key.
 """
 
 from __future__ import annotations
@@ -115,8 +116,6 @@ class RunConfig:
     simulation: dyn.SimConfig = dyn.SimConfig()
     snapshot_selector: tuple[str | int, ...] = ("median",)
     seed: int = 0
-    jobs: int = 1
-    out_dir: str = "out"
     specs: tuple[sc.ContingencySpec, ...] = field(init=False, default=())
 
     def __post_init__(self):
@@ -133,20 +132,17 @@ class RunConfig:
         return getattr(self, key)
 
 
-def load_config(args) -> RunConfig:
-    """The record of the `--config` file, or of an empty one, with the
-    `--out`, `--seed` and `--jobs` flags given in place of its keys."""
+def load_config(path: str | None) -> RunConfig:
+    """The record of the config file at `path`, or of an empty one."""
     doc = {}
-    if args.config:
-        p = Path(args.config)
+    if path:
+        p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         doc = json.loads(p.read_text())
         if not isinstance(doc, dict):
             raise ConfigError(f"{p}: config must be a JSON object")
-    flags = {"out_dir": args.out or None, "seed": args.seed, "jobs": args.jobs}
-    return replace(read_value(RunConfig, doc, "", ConfigError),
-                   **{k: v for k, v in flags.items() if v is not None})
+    return read_value(RunConfig, doc, "", ConfigError)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -279,7 +275,7 @@ def cmd_compare(cfg: RunConfig, out: Path, args) -> int:
     cfg.need("scenarios")
     report = sc.compare(
         case, profile, cfg.specs, cfg.simulation, configuration,
-        snapshot_selector=cfg.snapshot_selector, jobs=cfg.jobs,
+        snapshot_selector=cfg.snapshot_selector, jobs=args.jobs,
     )
     (out / "comparison_report.json").write_text(report.to_json())
     agg = report.aggregate()
@@ -318,9 +314,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Grid stability toolkit for SMR+BESS backed datacenters",
     )
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument("--jobs", type=int, default=None, help="concurrent scenario runs")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--jobs", type=int, default=1, help="concurrent scenario runs")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("profile", help="build the datacenter load profile")
     sub.add_parser("powerflow", help="base power flow and snapshot sweep")
@@ -335,10 +330,9 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("compare", help="paired grid-only vs IES comparison")
     args = parser.parse_args(argv)
 
-    cfg = None
+    out = Path(args.out)
     try:
-        cfg = load_config(args)
-        out = Path(cfg.out_dir)
+        cfg = load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
         commands = {"profile": cmd_profile, "powerflow": cmd_powerflow,
                     "transient": cmd_transient, "compare": cmd_compare}
@@ -347,8 +341,6 @@ def main(argv: list[str] | None = None) -> int:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         try:
-            # A config that cannot be read names no out_dir.
-            out = Path(cfg.out_dir if cfg is not None else args.out or "out")
             out.mkdir(parents=True, exist_ok=True)
             _write_json(out / "error.json", err)
         except OSError:

@@ -56,11 +56,14 @@ class MachineParams:
     mva_base: float
 
     def __post_init__(self):
-        if self.h <= 0:
+        # Negated comparisons, so that NaN fails each check.
+        if not self.h > 0:
             raise ValueError("inertia h must be > 0")
-        if self.xd_p <= 0:
+        if not self.d >= 0:
+            raise ValueError("damping d must be >= 0")
+        if not self.xd_p > 0:
             raise ValueError("xd_p must be > 0")
-        if self.mva_base <= 0:
+        if not self.mva_base > 0:
             raise ValueError("mva_base must be > 0")
 
 
@@ -79,12 +82,20 @@ class SmrParams:
     hp_fraction: float = 0.7  # HP/LP power split (under-determined flow map)
 
     def __post_init__(self):
+        if not (0.0 < self.eta_t <= 1.0):
+            raise ValueError("eta_t must be in (0, 1]")
+        if not (self.dh_hp > 0 and self.dh_lp > 0):
+            raise ValueError("dh_hp and dh_lp must be > 0")
         if not (0.0 < self.m_min <= self.m_max):
             raise ValueError("need 0 < m_min <= m_max")
-        if self.p_max <= 0 or self.q_dot_max < 0:
+        if not (self.p_max > 0 and self.q_dot_max >= 0):
             raise ValueError("p_max must be > 0 and q_dot_max >= 0")
-        if self.ramp_limit <= 0:
+        if not self.ramp_limit > 0:
             raise ValueError("ramp_limit must be > 0")
+        if not self.t_actuator > 0:
+            raise ValueError("t_actuator must be > 0")
+        if not self.freq_deadband >= 0:
+            raise ValueError("freq_deadband must be >= 0")
         if not (0.0 <= self.hp_fraction <= 1.0):
             raise ValueError("hp_fraction must be in [0, 1]")
 
@@ -97,10 +108,12 @@ class BessParams:
     integrator_limit: float = 0.5  # pu s anti-windup clamp
 
     def __post_init__(self):
-        if self.p_rating <= 0:
+        if not self.p_rating > 0:
             raise ValueError("p_rating must be > 0")
-        if self.k_p < 0 or self.k_i < 0:
+        if not (self.k_p >= 0 and self.k_i >= 0):
             raise ValueError("gains must be >= 0")
+        if not self.integrator_limit >= 0:
+            raise ValueError("integrator_limit must be >= 0")
 
 
 @dataclass
@@ -129,6 +142,10 @@ class LineTrip:
     from_bus: int
     to_bus: int
     circuit: int = 0  # among parallel in-service branches
+
+    def __post_init__(self):
+        if not self.circuit >= 0:
+            raise ValueError("circuit must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -576,7 +593,12 @@ def _apply_event(
             raise SimulationError(
                 f"no in-service branch {kind.from_bus}-{kind.to_bus} to trip"
             )
-        net.tripped.add(hits[min(kind.circuit, len(hits) - 1)])
+        if kind.circuit >= len(hits):
+            raise SimulationError(
+                f"no in-service circuit {kind.circuit} of branch "
+                f"{kind.from_bus}-{kind.to_bus} to trip ({len(hits)} in service)"
+            )
+        net.tripped.add(hits[kind.circuit])
     elif isinstance(kind, GenTrip):
         hit = machines.active & (machines.bus_id == kind.bus)
         if not hit.any():

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import os
@@ -227,6 +226,20 @@ class TestTransient:
         err = json.loads((workdir / "out/error.json").read_text())
         assert message in err["message"]
 
+    @pytest.mark.parametrize("command", ["transient", "compare"])
+    def test_zero_actuator_time_constant_rejected(self, workdir, capsys, command):
+        # t_actuator 0 used to end in a ZeroDivisionError traceback.
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["configuration"]["ies"] = {"smr": {"t_actuator": 0}}
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, command) == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ConfigError",
+                       "message": "configuration.ies.smr: t_actuator must be > 0"}
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
     def test_dt_check(self, tmp_path, capsys):
         # Criterion 6's fault, cut to a 3.5 s horizon.
         write_profile_csv(week_profile(2024), tmp_path / "week.csv")
@@ -328,17 +341,9 @@ class TestCompare:
         err = json.loads((workdir / "out/error.json").read_text())
         assert "ies" in err["message"]
 
-    @pytest.mark.parametrize("flags, config_jobs, jobs", [
-        (["--jobs", "0"], None, 0),
-        (["--jobs", "-2"], None, -2),
-        ([], 0, 0),
-    ], ids=["flag-0", "flag-minus-2", "config-0"])
-    def test_jobs_below_one_rejected(self, workdir, capsys, flags, config_jobs, jobs):
-        if config_jobs is not None:
-            cfg = json.loads((workdir / "config.json").read_text())
-            cfg["jobs"] = config_jobs
-            (workdir / "config.json").write_text(json.dumps(cfg))
-        assert run(workdir, *flags, "compare") == 2
+    @pytest.mark.parametrize("jobs", [0, -2], ids=["flag-0", "flag-minus-2"])
+    def test_jobs_below_one_rejected(self, workdir, capsys, jobs):
+        assert run(workdir, "--jobs", str(jobs), "compare") == 2
         assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
         err = json.loads((workdir / "out/error.json").read_text())
         assert err == {"error": "ScenarioError", "message": f"jobs must be >= 1, got {jobs}"}
@@ -357,25 +362,25 @@ class TestConfigHandling:
         err = json.loads((tmp_path / "out/error.json").read_text())
         assert err["error"] == "ConfigError"
 
-    def test_error_json_goes_to_config_out_dir(self, workdir, monkeypatch, capsys):
-        monkeypatch.chdir(workdir)
+    @pytest.mark.parametrize("configuration, message", [
+        ({"kind": "with_ies", "dc_bus": 25, "ies": {}}, "scenario index 5 out of range"),
+        # A malformed section leaves the config unread.
+        ({"kind": "with_ies", "dc_bus": 25},
+         "configuration: with_ies configuration requires an ies section"),
+    ], ids=["config-read", "config-unread"])
+    def test_error_json_goes_to_the_out_flag(
+        self, workdir, monkeypatch, capsys, configuration, message
+    ):
         cfg = json.loads((workdir / "config.json").read_text())
-        cfg["out_dir"] = str(workdir / "cfg_out")
+        cfg["case"] = str(Path(CASE).resolve())
+        cfg["configuration"] = configuration
         (workdir / "config.json").write_text(json.dumps(cfg))
-        # The config reads, so a failed run writes error.json to its out_dir.
-        argv = ["--config", str(workdir / "config.json"), "transient", "--scenario", "5"]
-        assert main(argv) == 2
-        assert [p.name for p in (workdir / "cfg_out").iterdir()] == ["error.json"]
+        monkeypatch.chdir(workdir)
+        assert run(workdir, "transient", "--scenario", "5", out="flag_out") == 2
+        assert [p.name for p in (workdir / "flag_out").iterdir()] == ["error.json"]
         assert not (workdir / "out").exists()
-        # A malformed section leaves the config unread, out_dir with it, so
-        # error.json goes to out/.
-        (workdir / "cfg_out/error.json").unlink()
-        cfg["configuration"] = {"kind": "with_ies", "dc_bus": 25}
-        (workdir / "config.json").write_text(json.dumps(cfg))
-        assert main(["--config", str(workdir / "config.json"), "compare"]) == 2
-        err = json.loads((workdir / "out/error.json").read_text())
-        assert err["message"].startswith("configuration: ")
-        assert not any((workdir / "cfg_out").iterdir())
+        err = json.loads((workdir / "flag_out/error.json").read_text())
+        assert err["message"] == message
 
     def test_config_not_an_object_reports_error(self, tmp_path, capsys):
         (tmp_path / "list.json").write_text("[1, 2]")
@@ -525,37 +530,47 @@ class TestConfigHandling:
         assert err["error"] == "FileExistsError"
         assert (workdir / "taken").read_text() == ""
 
-    def test_seed_flag_seeds_the_scenarios(self, workdir, capsys):
+    def test_config_seed_seeds_the_scenarios(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         del cfg["scenarios"][0]["rng_seed"]
         cfg["seed"] = 5
         (workdir / "config.json").write_text(json.dumps(cfg))
-        assert run(workdir, "--seed", "99", "transient", "--snapshot", "max") == 0
-        assert (workdir / "out/bus_fault_s99_with_ies.csv").exists()
+        assert run(workdir, "transient", "--snapshot", "max") == 0
+        assert (workdir / "out/bus_fault_s5_with_ies.csv").exists()
+        # The seed has one source, the config file.
+        with pytest.raises(SystemExit) as exc:
+            run(workdir, "--seed=99", "transient")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed=99" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, config, want", [
-        ({}, {}, {"out_dir": "out", "seed": 0, "jobs": 1}),
-        ({}, {"out_dir": "o", "seed": 5, "jobs": 2}, {"out_dir": "o", "seed": 5, "jobs": 2}),
-        ({"out": "f", "seed": 9, "jobs": 3}, {"out_dir": "o", "seed": 5, "jobs": 2},
-         {"out_dir": "f", "seed": 9, "jobs": 3}),
-        ({"out": "", "seed": 0}, {"out_dir": "o", "seed": 5}, {"out_dir": "o", "seed": 0}),
-    ], ids=["default", "config", "flag", "empty-out-flag"])
-    def test_flag_over_config_over_default(self, tmp_path, flags, config, want):
-        doc = dict(fixture_config(tmp_path), **config)
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_config_seed_seeds_the_specs(self, tmp_path, seed):
+        doc = fixture_config(tmp_path)
         doc["scenarios"].append({"kind": "load_step"})
+        if seed is not None:
+            doc["seed"] = seed
         (tmp_path / "config.json").write_text(json.dumps(doc))
-        args = argparse.Namespace(config=str(tmp_path / "config.json"),
-                                  **dict({"out": None, "seed": None, "jobs": None}, **flags))
-        cfg = load_config(args)
-        assert {key: getattr(cfg, key) for key in want} == want
+        cfg = load_config(str(tmp_path / "config.json"))
         # An entry without its own rng_seed takes the seed plus its index.
-        assert [s.rng_seed for s in cfg.specs] == [7, want["seed"] + 1]
+        assert [s.rng_seed for s in cfg.specs] == [7, (seed or 0) + 1]
+
+    @pytest.mark.parametrize("key, value", [("out_dir", "o"), ("jobs", 2)])
+    def test_run_settings_are_no_config_keys(self, workdir, capsys, key, value):
+        # Where outputs land and how many pairs run at once are flags only.
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg[key] = value
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "compare") == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ConfigError", "message": f"unknown keys ['{key}']"}
 
     def test_negative_seed_rejected_before_any_work(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["scenarios"].insert(0, {"kind": "load_step", "load_step_mw": 5.0})
+        cfg["seed"] = -1
         (workdir / "config.json").write_text(json.dumps(cfg))
-        assert run(workdir, "--seed", "-1", "compare") == 2
+        assert run(workdir, "compare") == 2
         assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
         err = json.loads((workdir / "out/error.json").read_text())
         assert err == {"error": "ConfigError",
@@ -585,7 +600,8 @@ def _malformed_cases():
         (("scenarios", 0, "fault_admittance"), [0, -1e4], ALL,
          ["scenarios[0].fault_admittance"]),
         (("seed",), [1], ALL, ["seed"]),
-        (("jobs",), None, ALL, ["jobs"]),
+        # A run setting is no key: it is a flag only.
+        (("jobs",), None, ALL, ["unknown keys ['jobs']"]),
         (("case",), 5, ALL, ["case"]),
         (("snapshot_selector",), 5, ALL, ["snapshot_selector"]),
         (("profile", "tasks_csv"), 0, ALL, ["profile.tasks_csv"]),

@@ -495,16 +495,32 @@ class TestRunTimeErrors:
             ([Event(0.1, LineTrip(1, 118))], "no in-service branch 1-118 to trip"),
             ([Event(0.1, LineTrip(9, 10)), Event(0.2, LineTrip(10, 9))],
              "no in-service branch 10-9 to trip"),
+            # A circuit names one of the in-service parallel branches.
+            ([Event(0.1, LineTrip(1, 2, circuit=3))],
+             "no in-service circuit 3 of branch 1-2 to trip (1 in service)"),
+            ([Event(0.1, LineTrip(42, 49, circuit=1)), Event(0.2, LineTrip(49, 42, circuit=1))],
+             "no in-service circuit 1 of branch 49-42 to trip (1 in service)"),
             ([Event(0.1, GenTrip(2))], "no active machine at bus 2 to trip"),
             ([Event(0.1, GenTrip(12)), Event(0.2, GenTrip(12))],
              "no active machine at bus 12 to trip"),
             ([Event(0.1, "open breaker")], "unknown event kind 'open breaker'"),
         ],
-        ids=["no_branch", "branch_tripped", "no_machine", "machine_tripped", "unknown"],
+        ids=["no_branch", "branch_tripped", "no_circuit", "circuit_tripped", "no_machine",
+             "machine_tripped", "unknown"],
     )
     def test_event_that_cannot_apply(self, case118, snapshot, events, message):
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             run_transient(case118, snapshot, None, events, self.CFG)
+
+    @pytest.mark.parametrize("circuit", [0, 1])
+    def test_line_trip_takes_the_named_parallel_circuit(self, case118, snapshot, circuit):
+        machines, s_load = initialize_devices(case118, snapshot, None)
+        net = _Network(case118, s_load, snapshot.v, machines, W_S, [0], 0)
+        parallel = [k for k, br in enumerate(case118.branches)
+                    if {br.from_bus, br.to_bus} == {42, 49} and br.status]
+        assert len(parallel) == 2
+        _apply_event(net, case118, machines, LineTrip(42, 49, circuit), None)
+        assert net.tripped == {parallel[circuit]}
 
     def test_ies_bus_joins_the_monitored_buses(self, case118, snapshot):
         cfg = SimConfig(dt=0.005, t_end=0.1, monitor_buses=(12,))
@@ -812,6 +828,10 @@ CHECKS = [
     (lambda: SmrParams(hp_fraction=1.5), ValueError, "hp_fraction must be in [0, 1]"),
     (lambda: BessParams(p_rating=0.0), ValueError, "p_rating must be > 0"),
     (lambda: BessParams(k_i=-1.0), ValueError, "gains must be >= 0"),
+    *[
+        (lambda v=v: LineTrip(1, 2, circuit=v), ValueError, "circuit must be >= 0")
+        for v in (-1, math.nan)
+    ],
     (lambda: Event(-1.0, GenTrip(12)), ValueError, "event time must be >= 0"),
     (lambda: SimConfig(dt=0.05), ValueError, "dt must be in (0, 0.02]"),
     *[
@@ -850,3 +870,54 @@ def test_record_and_argument_checks(build, error, message):
         build()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+#: (record, field, refused values, message): every field a device record
+#: checks, at 0 where 0 is out of range, below its range, and NaN.
+DEVICE_FIELD_CHECKS = [
+    (MachineParams, "h", (0.0, -4.0, math.nan), "inertia h must be > 0"),
+    (MachineParams, "d", (-5.0, math.nan), "damping d must be >= 0"),
+    (MachineParams, "xd_p", (0.0, -0.25, math.nan), "xd_p must be > 0"),
+    (MachineParams, "mva_base", (0.0, -100.0, math.nan), "mva_base must be > 0"),
+    (SmrParams, "eta_t", (0.0, -0.9, 1.5, math.nan), "eta_t must be in (0, 1]"),
+    (SmrParams, "dh_hp", (0.0, -1100.0, math.nan), "dh_hp and dh_lp must be > 0"),
+    (SmrParams, "dh_lp", (0.0, -850.0, math.nan), "dh_hp and dh_lp must be > 0"),
+    (SmrParams, "m_min", (0.0, -0.04, math.nan), "need 0 < m_min <= m_max"),
+    (SmrParams, "m_max", (0.0, -0.08, math.nan), "need 0 < m_min <= m_max"),
+    (SmrParams, "p_max", (0.0, -50.0, math.nan), "p_max must be > 0 and q_dot_max >= 0"),
+    (SmrParams, "q_dot_max", (-1.0, math.nan), "p_max must be > 0 and q_dot_max >= 0"),
+    (SmrParams, "ramp_limit", (0.0, -0.02, math.nan), "ramp_limit must be > 0"),
+    (SmrParams, "t_actuator", (0.0, -0.1, math.nan), "t_actuator must be > 0"),
+    (SmrParams, "freq_deadband", (-1.0, math.nan), "freq_deadband must be >= 0"),
+    (SmrParams, "hp_fraction", (-0.1, 1.5, math.nan), "hp_fraction must be in [0, 1]"),
+    (BessParams, "k_p", (-20.0, math.nan), "gains must be >= 0"),
+    (BessParams, "k_i", (-5.0, math.nan), "gains must be >= 0"),
+    (BessParams, "p_rating", (0.0, -10.0, math.nan), "p_rating must be > 0"),
+    (BessParams, "integrator_limit", (-1.0, math.nan), "integrator_limit must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("record, field, value, message", [
+    pytest.param(record, field, value, message, id=f"{record.__name__}.{field}={value}")
+    for record, field, values, message in DEVICE_FIELD_CHECKS for value in values
+])
+def test_device_field_checks(record, field, value, message):
+    base = GRID if record is MachineParams else {}
+    with pytest.raises(ValueError) as exc:
+        record(**{**base, field: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (MachineParams, "d", 0.0),
+    (SmrParams, "eta_t", 1.0),
+    (SmrParams, "q_dot_max", 0.0),
+    (SmrParams, "freq_deadband", 0.0),
+    (SmrParams, "hp_fraction", 0.0),
+    (SmrParams, "hp_fraction", 1.0),
+    (BessParams, "k_p", 0.0),
+    (BessParams, "integrator_limit", 0.0),
+])
+def test_device_field_range_ends_accepted(record, field, value):
+    base = GRID if record is MachineParams else {}
+    assert getattr(record(**{**base, field: value}), field) == value
