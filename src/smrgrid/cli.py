@@ -4,7 +4,8 @@ A single JSON config file is the study: all its sections, `seed` among
 them, are read and checked as one `RunConfig` record before any subcommand
 runs. The flags say only how the run is done: `--out` names the output
 directory, where every output and any `error.json` land, and `--jobs` how
-many pairs `compare` runs at once. No flag overrides a key.
+many pairs `compare` runs at once (at least 1, for every subcommand). No
+flag overrides a key.
 """
 
 from __future__ import annotations
@@ -332,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = Path(args.out)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
         commands = {"profile": cmd_profile, "powerflow": cmd_powerflow,

@@ -8,12 +8,12 @@ the network, solved at each RK4 stage with loads as constant admittance
 (converted at the pre-fault voltage), machines as EMF-behind-reactance
 sources and the battery as a current injection. Linear between events, the
 network is reduced once per topology, by one dense LU of the augmented
-admittance matrix, to two real operators on the stage input
-[cos delta; sin delta; battery current]: one gives the machine currents scaled
-by e_p/2H for each stage (`_Network.deriv`), the other the read buses'
-voltages at each step boundary (`_Network.read`); events restamp and rebuild
-both. The controller, `_IesControl`, is the `IesUnit`'s SMR governor and
-battery PI loop, updated once per step from the POI frequency and voltage.
+admittance matrix, to two complex operators on the stage phasors
+[e^{j delta}; battery current]: one gives the machine currents scaled by
+e_p/2H for each stage (`_Network.deriv`), the other the read buses' voltages
+at each step boundary (`_Network.read`); events restamp and rebuild both.
+The controller, `_IesControl`, is the `IesUnit`'s SMR governor and battery
+PI loop, updated once per step from the POI frequency and voltage.
 
 Bus frequency is measured once, online: each step the washout filter
 (`washout_update`) advances for every monitored bus, the battery acts on the
@@ -29,6 +29,7 @@ Sign conventions (documented, the source material leaves them open):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -441,31 +442,22 @@ def initialize_devices(
 # -- transient engine --------------------------------------------------------
 
 
-def _real_form(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The real matrix of u -> [Re y; Im y], y = m (c + j s) + b i, on the
-    stage input u = [c; s; Re i; Im i]; `m` is r x nm, `b` has r entries."""
-    b = b[:, None]
-    return np.block([[m.real, -m.imag, b.real, -b.imag],
-                     [m.imag, m.real, b.imag, b.real]])
-
-
 class _Network:
-    """The plant: the augmented admittance matrix and event state, reduced to
-    the machine currents and read voltages, and the machines' swing equations.
+    """The plant: the machines, the augmented admittance matrix and event
+    state, reduced to the machine currents and read voltages, and the
+    machines' swing equations.
 
     Current enters only at machine buses (y_m E behind each active machine's
     reactance, E = e_p e^{j delta}) and at the battery bus (i_b), and only
     the machine currents and the read buses' voltages (monitored, battery
     and load-step buses) are needed. So after each `refactor` the network is
-    two real operators on the stage input u = [cos delta; sin delta; Re i_b;
-    Im i_b]:
+    two complex operators on the stage input z = [e^{j delta}; i_b]:
 
-      * `current` maps u to [Re J; Im J], the machine currents
+      * `current` (nm x nm + 1) maps z to J, the machine currents
         y_m (E - V_terminal) scaled by e_p/2H, zero for tripped machines;
-        the electrical power over 2H is then cos delta Re J + sin delta Im J;
-      * `read_op` maps u to the read-bus voltages, ordered as `read_bus` and
-        interleaved (Re V_0, Im V_0, Re V_1, ...) so the product views as
-        complex.
+        the electrical power over 2H is then Re(conj(e^{j delta}) J);
+      * `read_op` (r x nm + 1) maps z to the read-bus voltages, ordered as
+        `read_bus`.
 
     The base matrix is the case's Y-bus (`NetworkCase.ybus`), and a branch
     trip subtracts the pi-model that the Y-bus was stamped from.
@@ -482,11 +474,11 @@ class _Network:
         bess_idx: int | None = None,
     ):
         self.ybus = case.ybus
+        self.machines = machines
         self.w_s = w_s
-        self.nm = nm = machines.bus_idx.size
-        self.u = np.zeros(2 * nm + 2)  # the stage input; the caller sets i_b
-        self.cos, self.sin, self.trig = self.u[:nm], self.u[nm:2 * nm], self.u[:2 * nm]
-        self.x = None  # the state whose cos/sin `u` holds (`read`, `deriv`)
+        self.nm = machines.bus_idx.size
+        self.z = np.zeros(self.nm + 1, dtype=complex)  # the caller sets i_b
+        self.x = None  # the state whose rotor phasors `z` holds
         self.n = case.n_bus
         vm2 = np.abs(v0) ** 2
         self.y_load = np.conj(s_load) / vm2  # constant-admittance loads
@@ -504,7 +496,8 @@ class _Network:
             np.searchsorted(self.sources, bess_idx)
         )
 
-    def refactor(self, machines: _Machines):
+    def refactor(self):
+        machines = self.machines
         y = self.ybus.matrix
         if self.tripped:
             y = y - self.ybus.branches.stamp(self.n, np.array(sorted(self.tripped)))
@@ -533,47 +526,41 @@ class _Network:
         self.pm_h, self.dh = machines.p_mech * h2_inv, machines.d * h2_inv
         rows = machines.bus_idx
         g = machines.y_m * machines.e_p * on / machines.h2
-        self.current = _real_form(
-            g[:, None] * (np.diag(machines.e_p) - v_m[rows]), -g * v_b[rows]
+        self.current = np.column_stack(
+            (g[:, None] * (np.diag(machines.e_p) - v_m[rows]), -g * v_b[rows])
         )
-        r = self.read_bus.size
-        self.read_op = (
-            _real_form(v_m[self.read_bus], v_b[self.read_bus])
-            .reshape(2, r, -1).swapaxes(0, 1).reshape(2 * r, -1)
-        )
+        self.read_op = np.column_stack((v_m[self.read_bus], v_b[self.read_bus]))
         self.finite = bool(
             np.isfinite(self.current).all() and np.isfinite(self.read_op).all()
         )
 
-    def solve(self, u: np.ndarray, read: bool = False) -> np.ndarray:
-        """The scaled machine currents for the stage input `u`, or with
+    def solve(self, z: np.ndarray, read: bool = False) -> np.ndarray:
+        """The scaled machine currents for the stage input `z`, or with
         `read` the read-bus voltages (see the class docstring)."""
-        return (self.read_op if read else self.current) @ u
+        return (self.read_op if read else self.current) @ z
 
     def _load(self, x: np.ndarray):
-        self.x, delta = x, x[:self.nm]
-        np.cos(delta, out=self.cos)
-        np.sin(delta, out=self.sin)
+        self.x, delta, rotor = x, x[:self.nm], self.z[:self.nm]
+        np.cos(delta, out=rotor.real)
+        np.sin(delta, out=rotor.imag)
 
     def read(self, x: np.ndarray) -> np.ndarray:
         """The read-bus voltages at the step-boundary state `x`."""
         self._load(x)
-        return self.solve(self.u, read=True)
+        return self.solve(self.z, read=True)
 
     def deriv(self, _t: float, x: np.ndarray) -> np.ndarray:
         """The rates of `x` = [delta; speed]: the swing equations."""
-        if x is not self.x:  # the first stage reuses the step boundary's trig
+        if x is not self.x:  # the first stage reuses the step boundary's phasors
             self._load(x)
         nm = self.nm
-        pe2 = self.trig * self.solve(self.u)  # halves sum to P_e / 2H
+        pe_h = (self.z[:nm].conj() * self.solve(self.z)).real  # P_e / 2H
         w = x[nm:]
-        dw = self.pm_h - (pe2[:nm] + pe2[nm:]) - self.dh * w
+        dw = self.pm_h - pe_h - self.dh * w
         return np.concatenate((self.w_gain * w, dw))
 
 
-def _apply_event(
-    net: _Network, case: NetworkCase, machines: _Machines, kind: EventKind, v_pre
-):
+def _apply_event(net: _Network, case: NetworkCase, kind: EventKind, v_pre):
     """Apply one event to the network state; `v_pre` holds the pre-event
     read-bus voltages (ordered as `net.read_bus`). The caller refactors
     afterwards."""
@@ -600,6 +587,7 @@ def _apply_event(
             )
         net.tripped.add(hits[kind.circuit])
     elif isinstance(kind, GenTrip):
+        machines = net.machines
         hit = machines.active & (machines.bus_id == kind.bus)
         if not hit.any():
             raise SimulationError(f"no active machine at bus {kind.bus} to trip")
@@ -691,12 +679,12 @@ def run_transient(
         case, s_load, solution.v, machines, 2.0 * math.pi * cfg.f_nominal,
         [case.bus_index(b) for b in monitor + step_buses], bess_idx,
     )
-    net.refactor(machines)
-    # Where each monitored bus's (Re V, Im V) pair sits in a read vector.
-    mon_at = [2 * net.read_of[case.bus_index(b)] for b in monitor]
+    net.refactor()
+    # Where each monitored bus's voltage sits in a read vector.
+    mon_at = [net.read_of[case.bus_index(b)] for b in monitor]
 
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    v_hist = np.empty((n_steps + 1, 2 * net.read_bus.size))  # read vectors
+    v_hist = np.empty((n_steps + 1, net.read_bus.size), dtype=complex)  # read vectors
     # Washout-filtered frequency of every monitored bus, filtered online on
     # Python floats so the battery acts on the reported POI frequency.
     f_mon = [[0.0] for _ in monitor]
@@ -714,18 +702,18 @@ def run_transient(
         # Fire events due at this step boundary.
         while events and events[0].t <= t + 1e-12:
             ev = events.pop(0)
-            v_pre = v_hist[k - 1].view(complex) if k else solution.v[net.read_bus]
-            _apply_event(net, case, machines, ev.kind, v_pre)
-            net.refactor(machines)
+            v_pre = v_hist[k - 1] if k else solution.v[net.read_bus]
+            _apply_event(net, case, ev.kind, v_pre)
+            net.refactor()
             event_log.append({"t": float(ev.t), "kind": type(ev.kind).__name__,
                               "detail": repr(ev.kind)})
 
         v_hist[k] = v_vec = net.read(x)
-        v_out = v_vec.tolist()  # Re V, Im V of every read bus, as floats
-        if not (net.finite and math.isfinite(sum(v_out))):
+        v_out = v_vec.tolist()  # every read bus's voltage, as a Python complex
+        if not (net.finite and cmath.isfinite(sum(v_out))):
             raise SimulationError(f"NaN in network solution at t={t:.4f}s")
         for j, at in enumerate(mon_at):
-            th = math.atan2(v_out[at + 1], v_out[at])
+            th = cmath.phase(v_out[at])
             if k:
                 f_j = f_mon[j]
                 f_j.append(washout_update(f_j[-1], th, th_prev[j], alpha_f, dt))
@@ -735,13 +723,12 @@ def run_transient(
             break
 
         if ctl:
-            v_poi = complex(v_vec.view(complex)[mon_at[poi_j] // 2])
+            v_poi = v_out[mon_at[poi_j]]
             if v_poi == 0:
                 raise SimulationError(f"zero voltage at the battery bus at t={t:.4f}s")
             rotor = None if not machines.active[smr] else (
-                complex(net.cos[smr], net.sin[smr]), float(x[net.nm + smr]))
-            i_b = ctl.step(f_mon[poi_j][-1], v_poi, rotor)
-            net.u[-2:] = i_b.real, i_b.imag
+                complex(net.z[smr]), float(x[net.nm + smr]))
+            net.z[-1] = ctl.step(f_mon[poi_j][-1], v_poi, rotor)
             machines.p_mech[smr] = ctl.p_smr
             net.pm_h[smr] = ctl.p_smr * net.h2_inv[smr]
             ies_states[k + 1] = ctl.state()
@@ -760,10 +747,9 @@ def run_transient(
         smr_series = ies_states[:, 2] * case.system_mva_base
         bess_series = ies_states[:, 1] * ies.bess.p_rating
         smr_ramp_max = float(np.abs(np.diff(ies_states[:, 4])).max(initial=0.0)) / dt
-    v_hist = v_hist.view(complex)
     return TransientResult(
         t=t_grid,
-        v_mag={b: np.abs(v_hist[:, at // 2]) for at, b in zip(mon_at, monitor)},
+        v_mag={b: np.abs(v_hist[:, at]) for at, b in zip(mon_at, monitor)},
         freq_dev={b: np.array(f_mon[j]) for j, b in enumerate(monitor)},
         smr_p_mech_mw=smr_series,
         bess_p_mw=bess_series,

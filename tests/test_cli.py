@@ -341,13 +341,6 @@ class TestCompare:
         err = json.loads((workdir / "out/error.json").read_text())
         assert "ies" in err["message"]
 
-    @pytest.mark.parametrize("jobs", [0, -2], ids=["flag-0", "flag-minus-2"])
-    def test_jobs_below_one_rejected(self, workdir, capsys, jobs):
-        assert run(workdir, "--jobs", str(jobs), "compare") == 2
-        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
-        err = json.loads((workdir / "out/error.json").read_text())
-        assert err == {"error": "ScenarioError", "message": f"jobs must be >= 1, got {jobs}"}
-
 
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -401,6 +394,15 @@ class TestConfigHandling:
             err = json.loads((workdir / f"out_{command}/error.json").read_text())
             assert err == {"error": "ConfigError",
                            "message": "simulation: unknown keys ['dtt']"}, command
+
+    @pytest.mark.parametrize("jobs", [0, -2], ids=["flag-0", "flag-minus-2"])
+    @pytest.mark.parametrize("command", ALL)
+    def test_jobs_below_one_rejected(self, workdir, capsys, command, jobs):
+        # Every subcommand refuses the flag before any work, not only compare.
+        assert run(workdir, "--jobs", str(jobs), command) == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ConfigError", "message": f"--jobs must be >= 1, got {jobs}"}
 
     @pytest.mark.parametrize(
         "section, key",

@@ -417,9 +417,9 @@ class TestFailurePaths:
         refactor = _Network.refactor
         calls = []
 
-        def poisoned(net, machines):
-            refactor(net, machines)
-            calls.append(machines)
+        def poisoned(net):
+            refactor(net)
+            calls.append(net)
             if len(calls) > 1:
                 for value in vars(net).values():
                     if isinstance(value, np.ndarray) and value.ndim == 2:
@@ -519,7 +519,7 @@ class TestRunTimeErrors:
         parallel = [k for k, br in enumerate(case118.branches)
                     if {br.from_bus, br.to_bus} == {42, 49} and br.status]
         assert len(parallel) == 2
-        _apply_event(net, case118, machines, LineTrip(42, 49, circuit), None)
+        _apply_event(net, case118, LineTrip(42, 49, circuit), None)
         assert net.tripped == {parallel[circuit]}
 
     def test_ies_bus_joins_the_monitored_buses(self, case118, snapshot):
@@ -544,28 +544,34 @@ class TestReducedNetwork:
     TRIP = (23, 25)
     GEN_BUS = 26
 
-    @pytest.mark.parametrize("topology", ["pre_fault", "fault", "line_trip", "gen_trip"])
+    @pytest.mark.parametrize(
+        "topology", ["pre_fault", "fault", "line_trip", "gen_trip", "with_ies"]
+    )
     def test_operators_match_full_solve(self, case118, snapshot, topology):
-        machines, s_load = initialize_devices(case118, snapshot, None)
+        # With the IES, the SMR shares bus 25 with the grid generator there,
+        # and the battery injects at that bus too.
+        ies = IES_UNIT if topology == "with_ies" else None
+        machines, s_load = initialize_devices(case118, snapshot, ies)
         rng = np.random.default_rng(11)
         # Random EMF magnitudes, folded into the operators at refactor.
         machines.e_p[:] = rng.uniform(0.8, 1.3, machines.e_p.size)
-        bess_idx = case118.bus_index(2)
+        bess_idx = case118.bus_index(25 if ies else 2)
+        if ies:
+            assert (machines.bus_idx == bess_idx).sum() == 2
         monitored = [case118.bus_index(b) for b in (25, 75)]
         net = _Network(case118, s_load, snapshot.v, machines, W_S, monitored, bess_idx)
-        net.refactor(machines)
+        net.refactor()
 
         shunt = np.conj(s_load) / np.abs(snapshot.v) ** 2
         full_case = case118
         kind = {
-            "pre_fault": None,
             "fault": BusFault3ph(self.FAULT_BUS, -1e4j),
             "line_trip": LineTrip(*self.TRIP),
             "gen_trip": GenTrip(self.GEN_BUS),
-        }[topology]
+        }.get(topology)
         if kind is not None:
-            _apply_event(net, case118, machines, kind, snapshot.v[net.read_bus])
-            net.refactor(machines)
+            _apply_event(net, case118, kind, snapshot.v[net.read_bus])
+            net.refactor()
         if topology == "fault":
             shunt[case118.bus_index(self.FAULT_BUS)] += -1e4j
         if topology == "line_trip":
@@ -599,19 +605,20 @@ class TestReducedNetwork:
             v_full = spla.spsolve(y_aug, rhs)
             i_full = scale * machines.y_m * (emf - v_full[machine_bus])
 
-            u = np.concatenate(
-                [np.cos(delta), np.sin(delta), [i_bess.real, i_bess.imag]]
-            )
-            j = net.solve(u)
+            z = np.append(np.exp(1j * delta), i_bess)
+            j = net.solve(z)
             p_e = (np.exp(1j * delta) * np.conj(i_full)).real  # P_e / 2H
+            # deriv's speed rates at rest are pm/2H - P_e/2H.
+            net.z[-1] = i_bess
+            rates = net.deriv(0.0, np.append(delta, np.zeros(nm)))
             for got, want in (
-                (j[:nm] + 1j * j[nm:], i_full),
-                (net.solve(u, read=True).view(complex), v_full[net.read_bus]),
-                (u[:nm] * j[:nm] + u[nm:2 * nm] * j[nm:], p_e),  # as deriv forms it
+                (j, i_full),
+                (net.solve(z, read=True), v_full[net.read_bus]),
+                (net.pm_h - rates[nm:], p_e),
             ):
                 rel = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert rel <= 1e-12
-            assert (j[:nm][~on] == 0).all() and (j[nm:][~on] == 0).all()
+            assert (j[~on] == 0).all()
         assert set(net.read_bus) >= set(monitored) | {bess_idx}
 
 
@@ -724,7 +731,7 @@ def plant(case, sol, ies):
     machines, s_load = initialize_devices(case, sol, ies)
     bess_idx = None if ies is None else case.bus_index(ies.bus)
     net = _Network(case, s_load, sol.v, machines, W_S, [case.bus_index(25)], bess_idx)
-    net.refactor(machines)
+    net.refactor()
     return net, machines
 
 
@@ -756,21 +763,21 @@ class TestPlantAndController:
         x = np.concatenate([machines.delta, np.zeros(machines.delta.size)])
         net.read(x)
         assert np.abs(net.deriv(0.0, x)).max() <= 1e-12
-        assert np.abs(net.deriv(0.0, x.copy())).max() <= 1e-12  # trig taken afresh
+        assert np.abs(net.deriv(0.0, x.copy())).max() <= 1e-12  # phasors taken afresh
 
     def test_rk4_step_matches_a_textbook_rk4(self, case118, snapshot):
         # Speeds of 1e-2 pu turn the rotors by about 1e-2 rad within a step,
-        # so a stage that reused the step boundary's cos/sin would be off.
+        # so a stage that reused the step boundary's rotor phasors would be off.
         net, machines = plant(case118, snapshot, IES_UNIT)
         nm = machines.delta.size
         rng = np.random.default_rng(5)
         x = np.concatenate([machines.delta, rng.uniform(-1e-2, 1e-2, nm)])
-        net.u[2 * nm:] = 0.05, -0.02  # a battery current
+        net.z[-1] = 0.05 - 0.02j  # a battery current
 
         def f(_t, xs):
             d, w = xs[:nm], xs[nm:]
-            j = net.current @ np.concatenate([np.cos(d), np.sin(d), net.u[2 * nm:]])
-            p_e = np.cos(d) * j[:nm] + np.sin(d) * j[nm:]
+            rotor = np.exp(1j * d)
+            p_e = (np.conj(rotor) * (net.current @ np.append(rotor, net.z[-1]))).real
             return np.concatenate([net.w_gain * w, net.pm_h - p_e - net.dh * w])
 
         dt = self.CFG.dt

@@ -68,6 +68,12 @@ RELATIONS = tuple(
     for config in ("grid_only", "with_ies")
 )
 
+#: The plant's operators against a full solve of the augmented matrix.
+OPERATORS = tuple(
+    f"{T_DYN}TestReducedNetwork::test_operators_match_full_solve[{topology}]"
+    for topology in ("pre_fault", "fault", "line_trip", "gen_trip", "with_ies")
+)
+
 MUTANTS = [
     # The solve chain's Newton state.
     Mutant(
@@ -180,9 +186,34 @@ MUTANTS = [
     ),
     Mutant(
         "monitored_buses_in_input_order", DYN,
-        "    mon_at = [2 * net.read_of[case.bus_index(b)] for b in monitor]\n",
-        "    mon_at = [2 * j for j in range(len(monitor))]\n",
+        "    mon_at = [net.read_of[case.bus_index(b)] for b in monitor]\n",
+        "    mon_at = list(range(len(monitor)))\n",
         tuple(t for t in RELATIONS if "relabelled" in t),
+    ),
+    Mutant(
+        "load_step_reads_the_first_read_bus", DYN,
+        "(abs(v_pre[net.read_of[i]]) ** 2)",
+        "(abs(v_pre[0]) ** 2)",
+        tuple(t for t in RELATIONS if "relabelled" in t and "load_step" in t),
+    ),
+    Mutant(
+        "poi_voltage_from_the_first_read_bus", DYN,
+        "            v_poi = v_out[mon_at[poi_j]]\n",
+        "            v_poi = v_out[0]\n",
+        tuple(t for t in RELATIONS if "relabelled" in t and "with_ies" in t),
+    ),
+    # The plant's complex operators.
+    Mutant(
+        "pe_without_conjugate", DYN,
+        "        pe_h = (self.z[:nm].conj() * self.solve(self.z)).real",
+        "        pe_h = (self.z[:nm] * self.solve(self.z)).real",
+        OPERATORS + (f"{T_DYN}TestPlantAndController::test_rk4_step_matches_a_textbook_rk4",),
+    ),
+    Mutant(
+        "battery_column_negated", DYN,
+        ", -g * v_b[rows])",
+        ", g * v_b[rows])",
+        OPERATORS,
     ),
     Mutant(
         "stale_trig_in_the_first_stage", DYN,
@@ -395,11 +426,14 @@ def copy_tree(dest: Path) -> None:
 def run_tests(tree: Path, tests) -> subprocess.CompletedProcess:
     """pytest on `tests` in `tree`, stopping at the first failure. Hypothesis
     draws from one fixed seed, so a kill that needs a drawn example is the
-    same on every run."""
+    same on every run. Asserts stay plain: a failed one still fails its
+    test, and pytest skips rewriting the asserts of every module of its
+    plugins' packages (hypothesis's 74 among them), which took about half
+    of each run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
+         "--assert=plain", "--hypothesis-seed=0", *tests],
         cwd=tree, env=env, capture_output=True, text=True,
     )
 
