@@ -15,6 +15,10 @@ at each step boundary (`_Network.read`); events restamp and rebuild both.
 The controller, `_IesControl`, is the `IesUnit`'s SMR governor and battery
 PI loop, updated once per step from the POI frequency and voltage.
 
+Events are compiled once, before the first step (`_compile_events`), to
+actions in index form at the steps where they fire; an event that cannot
+apply fails there, before any step is taken.
+
 Bus frequency is measured once, online: each step the washout filter
 (`washout_update`) advances for every monitored bus, the battery acts on the
 POI's value, and those values are the reported `freq_dev` series.
@@ -32,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +47,9 @@ F_NOMINAL_HZ = 60.0
 
 
 class SimulationError(Exception):
-    """A transient that cannot run: an event at or past the horizon, an event
-    that cannot apply, or a numerical failure (singular network, NaN)."""
+    """A transient that cannot run: an event at or past the horizon or one
+    that cannot apply, both raised before the first step, or a numerical
+    failure (singular network, NaN)."""
 
 
 # -- device parameters and states --------------------------------------------
@@ -174,6 +180,12 @@ class Event:
             raise ValueError("event time must be >= 0")
 
 
+#: The most steps a run may take (5000 s at the default dt): a run holds every
+#: step's states, so a 1e13 s horizon would ask for petabytes. The largest run
+#: of the tests and benchmark, criterion 6's dt/2 rerun, takes 6000.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.005
@@ -188,6 +200,8 @@ class SimConfig:
         if not (0.0 < self.t_end < math.inf):
             raise ValueError("t_end must be finite and > 0")
         steps = self.t_end / self.dt  # so that the run and its dt/2 rerun end at t_end
+        if not steps <= MAX_STEPS:
+            raise ValueError(f"t_end must be at most {MAX_STEPS} dt steps")
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("t_end must be a whole number of dt steps")
         if not (self.dt <= self.freq_filter_tc < math.inf):  # washout gain <= 1
@@ -429,13 +443,8 @@ def initialize_devices(
         ))
     cols = list(zip(*rows)) or [()] * 8
     dtypes = (int, int, complex, float, float, float, float, float)
-    bus_idx, bus_id, y_m, h2, d, delta, e_p, p_mech = (
-        np.array(c, dtype=t) for c, t in zip(cols, dtypes)
-    )
-    machines = _Machines(
-        bus_idx, bus_id, y_m, h2, d, delta, e_p, p_mech,
-        active=np.ones(len(rows), dtype=bool), smr=smr_i,
-    )
+    machines = _Machines(*(np.array(c, dtype=t) for c, t in zip(cols, dtypes)),
+                         active=np.ones(len(rows), dtype=bool), smr=smr_i)
     return machines, s_load
 
 
@@ -482,7 +491,7 @@ class _Network:
         self.n = case.n_bus
         vm2 = np.abs(v0) ** 2
         self.y_load = np.conj(s_load) / vm2  # constant-admittance loads
-        self.fault_shunts: dict[int, complex] = {}
+        self.fault = np.zeros(self.n, dtype=complex)  # fault shunt per bus
         self.tripped: set[int] = set()  # branch indices
         self.load_extra = np.zeros(self.n, dtype=complex)
         # Sorted sets of a few bus indices (np.unique would import numpy.ma).
@@ -504,8 +513,7 @@ class _Network:
         on = machines.active
         diag = self.y_load + self.load_extra
         np.add.at(diag, machines.bus_idx[on], machines.y_m[on])
-        for bidx, yf in self.fault_shunts.items():
-            diag[bidx] += yf
+        diag += self.fault  # + 0 leaves an unfaulted bus's entry as it is
         # Columns of the impedance matrix at the sources.
         n_src = self.sources.size
         unit = np.zeros((self.n, n_src), dtype=complex)
@@ -560,44 +568,63 @@ class _Network:
         return np.concatenate((self.w_gain * w, dw))
 
 
-def _apply_event(net: _Network, case: NetworkCase, kind: EventKind, v_pre):
-    """Apply one event to the network state; `v_pre` holds the pre-event
-    read-bus voltages (ordered as `net.read_bus`). The caller refactors
-    afterwards."""
-    if isinstance(kind, BusFault3ph):
-        net.fault_shunts[case.bus_index(kind.bus)] = kind.fault_admittance
-    elif isinstance(kind, ClearFault):
-        net.fault_shunts.pop(case.bus_index(kind.bus), None)
-    elif isinstance(kind, LineTrip):
-        hits = [
-            k
-            for k, br in enumerate(case.branches)
-            if {br.from_bus, br.to_bus} == {kind.from_bus, kind.to_bus}
-            and br.status
-            and k not in net.tripped
-        ]
-        if not hits:
-            raise SimulationError(
-                f"no in-service branch {kind.from_bus}-{kind.to_bus} to trip"
-            )
-        if kind.circuit >= len(hits):
-            raise SimulationError(
-                f"no in-service circuit {kind.circuit} of branch "
-                f"{kind.from_bus}-{kind.to_bus} to trip ({len(hits)} in service)"
-            )
-        net.tripped.add(hits[kind.circuit])
-    elif isinstance(kind, GenTrip):
-        machines = net.machines
-        hit = machines.active & (machines.bus_id == kind.bus)
-        if not hit.any():
-            raise SimulationError(f"no active machine at bus {kind.bus} to trip")
-        machines.active[hit] = False
-    elif isinstance(kind, LoadStep):
+class _Action(NamedTuple):
+    """An event in index form: at step boundary `step`, `apply(net, v_pre)`
+    patches the plant, reading the pre-event voltages of the buses `reads`."""
+
+    step: int
+    event: Event
+    apply: Callable[[_Network, np.ndarray], object]
+    reads: tuple[int, ...]
+
+
+def _compile_events(case, machines: _Machines, events: list[Event], t_grid) -> list[_Action]:
+    """The time-sorted `events` as actions, each at the first step k with
+    t <= t_grid[k] + 1e-12. They are replayed on copies of the tripped
+    branches and active machines, so an event that cannot apply (an unknown
+    bus, no such branch or circuit, no active machine, a repeated trip, an
+    unknown kind) raises SimulationError before the first step."""
+    tripped, active = set(), machines.active.copy()
+
+    def action(kind):  # (apply, reads)
+        if isinstance(kind, LineTrip):
+            case.bus_index(kind.from_bus), case.bus_index(kind.to_bus)  # known buses
+            ends = {kind.from_bus, kind.to_bus}
+            hits = [k for k, br in enumerate(case.branches)
+                    if br.status and {br.from_bus, br.to_bus} == ends and k not in tripped]
+            line = f"{kind.from_bus}-{kind.to_bus}"
+            if not hits:
+                raise SimulationError(f"no in-service branch {line} to trip")
+            if kind.circuit >= len(hits):
+                raise SimulationError(f"no in-service circuit {kind.circuit} of branch "
+                                      f"{line} to trip ({len(hits)} in service)")
+            k = hits[kind.circuit]
+            tripped.add(k)
+            return lambda net, v: net.tripped.add(k), ()
+        if not isinstance(kind, (BusFault3ph, ClearFault, GenTrip, LoadStep)):
+            raise SimulationError(f"unknown event kind {kind!r}")
         i = case.bus_index(kind.bus)
-        ds = complex(kind.dp_mw, kind.dq_mvar) / case.system_mva_base
-        net.load_extra[i] += np.conj(ds) / (abs(v_pre[net.read_of[i]]) ** 2)
-    else:
-        raise SimulationError(f"unknown event kind {kind!r}")
+        if isinstance(kind, BusFault3ph):
+            return lambda net, v: np.put(net.fault, i, kind.fault_admittance), ()
+        if isinstance(kind, ClearFault):
+            return lambda net, v: np.put(net.fault, i, 0.0), ()
+        if isinstance(kind, GenTrip):
+            hit = np.flatnonzero(active & (machines.bus_id == kind.bus))
+            if not hit.size:
+                raise SimulationError(f"no active machine at bus {kind.bus} to trip")
+            active[hit] = False
+            return lambda net, v: np.put(net.machines.active, hit, False), ()
+        y = np.conj(complex(kind.dp_mw, kind.dq_mvar) / case.system_mva_base)
+        return lambda net, v: np.add.at(net.load_extra, i, y / abs(v[net.read_of[i]]) ** 2), (i,)
+
+    compiled = []
+    steps = np.searchsorted(t_grid + 1e-12, [ev.t for ev in events]).tolist()
+    for step, ev in zip(steps, events):
+        try:
+            compiled.append(_Action(step, ev, *action(ev.kind)))
+        except CaseError as exc:
+            raise SimulationError(f"{ev.kind!r} at t={ev.t}: {exc}") from None
+    return compiled
 
 
 class _IesControl:
@@ -651,16 +678,12 @@ def run_transient(
     events = sorted(events, key=lambda e: e.t)
     if events and cfg.t_end <= events[-1].t:
         raise SimulationError("t_end must exceed the last event time")
-    for ev in events:  # every bus an event names, before the first step
-        try:
-            for name in ("bus", "from_bus", "to_bus"):
-                if hasattr(ev.kind, name):
-                    case.bus_index(getattr(ev.kind, name))
-        except CaseError as exc:
-            raise SimulationError(f"{ev.kind!r} at t={ev.t}: {exc}") from None
     machines, s_load = initialize_devices(case, solution, ies)
     n_steps = int(round(cfg.t_end / cfg.dt))
     dt = cfg.dt
+    t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    actions = _compile_events(case, machines, events, t_grid)
+    pending = actions[::-1]  # the next one last
 
     monitor = list(cfg.monitor_buses)
     ctl = bess_idx = None
@@ -673,23 +696,20 @@ def run_transient(
         poi_j = monitor.index(ies.bus)
         ies_states = np.tile(ctl.state(), (n_steps + 1, 1))  # one row per boundary
     monitor = monitor or [case.buses[0].id]
-    # _apply_event reads the pre-event voltage at a load-step bus.
-    step_buses = [e.kind.bus for e in events if isinstance(e.kind, LoadStep)]
     net = _Network(
         case, s_load, solution.v, machines, 2.0 * math.pi * cfg.f_nominal,
-        [case.bus_index(b) for b in monitor + step_buses], bess_idx,
+        [case.bus_index(b) for b in monitor] + [i for a in actions for i in a.reads],
+        bess_idx,
     )
     net.refactor()
     # Where each monitored bus's voltage sits in a read vector.
     mon_at = [net.read_of[case.bus_index(b)] for b in monitor]
 
-    t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
     v_hist = np.empty((n_steps + 1, net.read_bus.size), dtype=complex)  # read vectors
     # Washout-filtered frequency of every monitored bus, filtered online on
     # Python floats so the battery acts on the reported POI frequency.
     f_mon = [[0.0] for _ in monitor]
     th_prev = [0.0] * len(monitor)
-    event_log: list[dict] = []
     alpha_f = dt / cfg.freq_filter_tc
 
     x = np.concatenate([machines.delta, np.zeros_like(machines.delta)])
@@ -699,14 +719,9 @@ def run_transient(
     x0, x_hi, x_lo = x, x.copy(), x.copy()
     for k in range(n_steps + 1):
         t = t_grid[k]
-        # Fire events due at this step boundary.
-        while events and events[0].t <= t + 1e-12:
-            ev = events.pop(0)
-            v_pre = v_hist[k - 1] if k else solution.v[net.read_bus]
-            _apply_event(net, case, ev.kind, v_pre)
+        while pending and pending[-1].step == k:  # the actions due at this boundary
+            pending.pop().apply(net, v_hist[k - 1] if k else solution.v[net.read_bus])
             net.refactor()
-            event_log.append({"t": float(ev.t), "kind": type(ev.kind).__name__,
-                              "detail": repr(ev.kind)})
 
         v_hist[k] = v_vec = net.read(x)
         v_out = v_vec.tolist()  # every read bus's voltage, as a Python complex
@@ -753,7 +768,8 @@ def run_transient(
         freq_dev={b: np.array(f_mon[j]) for j, b in enumerate(monitor)},
         smr_p_mech_mw=smr_series,
         bess_p_mw=bess_series,
-        event_log=event_log,
+        event_log=[{"t": float(a.event.t), "kind": type(a.event.kind).__name__,
+                    "detail": repr(a.event.kind)} for a in actions if a.step <= n_steps],
         max_state_drift=max_drift,
         smr_ramp_max=smr_ramp_max,
     )

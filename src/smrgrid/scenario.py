@@ -379,9 +379,7 @@ def run_contingency(
             thermal_mw=q_th * cfg.ies.thermal_extraction_factor,
         )
     if cfg.dc_bus not in simcfg.monitor_buses:
-        simcfg = replace(
-            simcfg, monitor_buses=tuple(simcfg.monitor_buses) + (cfg.dc_bus,)
-        )
+        simcfg = replace(simcfg, monitor_buses=tuple(simcfg.monitor_buses) + (cfg.dc_bus,))
     return dyn.run_transient(snap, sol, ies, events, simcfg)
 
 
@@ -489,26 +487,12 @@ def compare(
 
     def run_pair(spec, b, scenario_id):
         events = resolve_events(case, grid_config, spec)
-        results = {}
-        for cfg in (grid_config, ies_config):
-            results[cfg.kind] = run_contingency(
-                case, profile, b, cfg, spec, simcfg, events=events
-            )
-        ev_a = results["grid_only"].event_log
-        ev_b = results["with_ies"].event_log
-        if ev_a != ev_b:
+        grid, ies = (run_contingency(case, profile, b, cfg, spec, simcfg, events=events)
+                     for cfg in (grid_config, ies_config))
+        if grid.event_log != ies.event_log:
             raise ScenarioError("paired runs consumed different event lists")
-        return ComparisonPair(
-            scenario_id=scenario_id,
-            snapshot_bin=b,
-            events=ev_a,
-            grid_only=extract_metrics(
-                results["grid_only"], spec.t_apply, ies_config.dc_bus
-            ),
-            with_ies=extract_metrics(
-                results["with_ies"], spec.t_apply, ies_config.dc_bus
-            ),
-        )
+        grid_m, ies_m = (extract_metrics(r, spec.t_apply, ies_config.dc_bus) for r in (grid, ies))
+        return ComparisonPair(scenario_id, b, grid.event_log, grid_m, ies_m)
 
     def attempt(task) -> ComparisonPair | dict:
         spec, b = task

@@ -240,6 +240,21 @@ class TestTransient:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("command", ["transient", "compare"])
+    def test_huge_horizon_rejected(self, workdir, capsys, command):
+        # t_end 1e13 s used to end in a numpy memory-error traceback while
+        # allocating the run's per-step states.
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["simulation"]["t_end"] = 1e13
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, command) == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "ConfigError",
+                       "message": "simulation: t_end must be at most 1000000 dt steps"}
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
     def test_dt_check(self, tmp_path, capsys):
         # Criterion 6's fault, cut to a 3.5 s horizon.
         write_profile_csv(week_profile(2024), tmp_path / "week.csv")

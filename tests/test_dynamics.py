@@ -33,7 +33,7 @@ from smrgrid.dynamics import (
     run_transient,
     smr_flows_from_power,
     turbine_mechanical_power,
-    _apply_event,
+    _compile_events,
     _IesControl,
     _Network,
     initialize_devices,
@@ -347,6 +347,20 @@ class TestRunTransient:
         assert str(exc.value) == f"{kind!r} at t=1.5: unknown bus id 999"
         assert steps == []
 
+    def test_event_fires_at_the_first_step_boundary_at_or_after_its_time(
+        self, case118, snapshot
+    ):
+        # Within 1e-12 of a grid point, an event fires at that point; a
+        # five-cycle clearing time (0.0833 s) waits for the next one.
+        machines, _ = initialize_devices(case118, snapshot, None)
+        t_grid = np.linspace(0.0, 0.5, 101)
+        at = {0.1: 20, 0.0833: 17, t_grid[40] - 5e-13: 40, t_grid[60] + 5e-13: 60}
+        events = [Event(t, LoadStep(25, 1.0)) for t in sorted(at)]
+        actions = _compile_events(case118, machines, events, t_grid)
+        assert [a.event for a in actions] == events
+        assert [a.step for a in actions] == [at[ev.t] for ev in events]
+        assert t_grid[17] == pytest.approx(0.085, abs=1e-15)
+
     @pytest.mark.parametrize("dp_mw", [40.0, -40.0])
     def test_drift_is_the_largest_state_change(
         self, case118, snapshot, monkeypatch, dp_mw
@@ -508,9 +522,14 @@ class TestRunTimeErrors:
         ids=["no_branch", "branch_tripped", "no_circuit", "circuit_tripped", "no_machine",
              "machine_tripped", "unknown"],
     )
-    def test_event_that_cannot_apply(self, case118, snapshot, events, message):
+    def test_event_that_cannot_apply(self, case118, snapshot, monkeypatch, events, message):
+        # Compiled before the first step: no RK4 step is taken, though the
+        # events come due only after 20 or 40 steps.
+        steps = []
+        monkeypatch.setattr(dynamics, "rk4_step", lambda *a: steps.append(1))
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             run_transient(case118, snapshot, None, events, self.CFG)
+        assert steps == []
 
     @pytest.mark.parametrize("circuit", [0, 1])
     def test_line_trip_takes_the_named_parallel_circuit(self, case118, snapshot, circuit):
@@ -519,7 +538,11 @@ class TestRunTimeErrors:
         parallel = [k for k, br in enumerate(case118.branches)
                     if {br.from_bus, br.to_bus} == {42, 49} and br.status]
         assert len(parallel) == 2
-        _apply_event(net, case118, LineTrip(42, 49, circuit), None)
+        (action,) = _compile_events(
+            case118, machines, [Event(0.0, LineTrip(42, 49, circuit))], np.zeros(1)
+        )
+        assert net.tripped == set()
+        action.apply(net, None)
         assert net.tripped == {parallel[circuit]}
 
     def test_ies_bus_joins_the_monitored_buses(self, case118, snapshot):
@@ -570,7 +593,8 @@ class TestReducedNetwork:
             "gen_trip": GenTrip(self.GEN_BUS),
         }.get(topology)
         if kind is not None:
-            _apply_event(net, case118, kind, snapshot.v[net.read_bus])
+            (action,) = _compile_events(case118, machines, [Event(0.0, kind)], np.zeros(1))
+            action.apply(net, snapshot.v[net.read_bus])
             net.refactor()
         if topology == "fault":
             shunt[case118.bus_index(self.FAULT_BUS)] += -1e4j
@@ -848,6 +872,11 @@ CHECKS = [
     (lambda: SimConfig(dt=0.005, t_end=1.0075), ValueError,
      "t_end must be a whole number of dt steps"),
     *[
+        (lambda v=v: SimConfig(dt=0.005, t_end=v), ValueError,
+         "t_end must be at most 1000000 dt steps")
+        for v in (5000.005, 1e13)
+    ],
+    *[
         (lambda v=v: SimConfig(freq_filter_tc=v), ValueError,
          "freq_filter_tc must be finite and >= dt")
         for v in (0.0, 0.002, math.inf, math.nan)
@@ -877,6 +906,11 @@ def test_record_and_argument_checks(build, error, message):
         build()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_longest_run_accepted():
+    assert dynamics.MAX_STEPS == 10**6
+    assert SimConfig(dt=0.005, t_end=5000.0).t_end == 5000.0
 
 
 #: (record, field, refused values, message): every field a device record

@@ -74,6 +74,11 @@ OPERATORS = tuple(
     for topology in ("pre_fault", "fault", "line_trip", "gen_trip", "with_ies")
 )
 
+#: The step at which an event fires.
+STEP_RULE = (
+    f"{T_DYN}TestRunTransient::test_event_fires_at_the_first_step_boundary_at_or_after_its_time"
+)
+
 MUTANTS = [
     # The solve chain's Newton state.
     Mutant(
@@ -180,8 +185,8 @@ MUTANTS = [
     ),
     Mutant(
         "fault_at_the_index_equal_to_its_id", DYN,
-        "        net.fault_shunts[case.bus_index(kind.bus)] = kind.fault_admittance\n",
-        "        net.fault_shunts[kind.bus] = kind.fault_admittance\n",
+        "np.put(net.fault, i, kind.fault_admittance)",
+        "np.put(net.fault, kind.bus, kind.fault_admittance)",
         tuple(t for t in RELATIONS if "bus_fault" in t and "relabelled" in t),
     ),
     Mutant(
@@ -192,8 +197,8 @@ MUTANTS = [
     ),
     Mutant(
         "load_step_reads_the_first_read_bus", DYN,
-        "(abs(v_pre[net.read_of[i]]) ** 2)",
-        "(abs(v_pre[0]) ** 2)",
+        "abs(v[net.read_of[i]]) ** 2",
+        "abs(v[0]) ** 2",
         tuple(t for t in RELATIONS if "relabelled" in t and "load_step" in t),
     ),
     Mutant(
@@ -299,6 +304,13 @@ MUTANTS = [
         (f"{T_DYN}test_record_and_argument_checks[t_end must be finite and > 0_1]",
          f"{T_DYN}test_record_and_argument_checks[t_end must be finite and > 0_2]"),
     ),
+    Mutant(
+        "step_bound_dropped", DYN,
+        "        if not steps <= MAX_STEPS:\n",
+        "        if False:\n",
+        (f"{T_DYN}test_record_and_argument_checks[t_end must be at most 1000000 dt steps1]",
+         "tests/test_cli.py::TestTransient::test_huge_horizon_rejected[transient]"),
+    ),
     # Device records: each guard as its parent wrote it, or missing.
     Mutant(
         "inertia_nan_accepted", DYN,
@@ -391,25 +403,85 @@ MUTANTS = [
     ),
     Mutant(
         "circuit_clamped", DYN,
-        "        if kind.circuit >= len(hits):\n"
-        "            raise SimulationError(\n"
-        "                f\"no in-service circuit {kind.circuit} of branch \"\n"
-        "                f\"{kind.from_bus}-{kind.to_bus} to trip ({len(hits)} in service)\"\n"
-        "            )\n"
-        "        net.tripped.add(hits[kind.circuit])\n",
-        "        net.tripped.add(hits[min(kind.circuit, len(hits) - 1)])\n",
+        "            if kind.circuit >= len(hits):\n"
+        "                raise SimulationError(f\"no in-service circuit {kind.circuit} of branch \"\n"
+        "                                      f\"{line} to trip ({len(hits)} in service)\")\n"
+        "            k = hits[kind.circuit]\n",
+        "            k = hits[min(kind.circuit, len(hits) - 1)]\n",
         (f"{T_DYN}TestRunTimeErrors::test_event_that_cannot_apply[no_circuit]",
          f"{T_DYN}TestRunTimeErrors::test_event_that_cannot_apply[circuit_tripped]"),
     ),
-    # Events checked against the case before the first step.
+    # Events compiled against the case before the first step: an unknown
+    # bus escapes as the lookup's CaseError, a repeated trip compiles, or an
+    # event fires one step late or without the 1e-12 s tolerance.
     Mutant(
         "unknown_event_bus_unchecked", DYN,
         "            raise SimulationError(f\"{ev.kind!r} at t={ev.t}: {exc}\") from None\n",
-        "            pass\n",
+        "            raise\n",
         tuple(
             f"{T_DYN}TestRunTransient::test_unknown_event_bus_fails_before_the_first_step[{k}]"
             for k in ("BusFault3ph", "ClearFault", "LineTrip", "GenTrip", "LoadStep")
         ),
+    ),
+    Mutant(
+        "repeated_branch_trip_compiles", DYN,
+        "            tripped.add(k)\n",
+        "",
+        (f"{T_DYN}TestRunTimeErrors::test_event_that_cannot_apply[branch_tripped]",
+         f"{T_DYN}TestRunTimeErrors::test_event_that_cannot_apply[circuit_tripped]"),
+    ),
+    Mutant(
+        "repeated_machine_trip_compiles", DYN,
+        "            active[hit] = False\n",
+        "",
+        (f"{T_DYN}TestRunTimeErrors::test_event_that_cannot_apply[machine_tripped]",),
+    ),
+    Mutant(
+        "event_step_one_late", DYN,
+        "    steps = np.searchsorted(t_grid + 1e-12, [ev.t for ev in events]).tolist()\n",
+        "    steps = (np.searchsorted(t_grid + 1e-12, [ev.t for ev in events]) + 1).tolist()\n",
+        (STEP_RULE,),
+    ),
+    Mutant(
+        "event_step_without_tolerance", DYN,
+        "np.searchsorted(t_grid + 1e-12, ",
+        "np.searchsorted(t_grid, ",
+        (STEP_RULE,),
+    ),
+    # The Newton step's refinement with a held inverse.
+    Mutant(
+        "residual_against_the_held_inverse", PF,
+        "        r = mis - np.bincount(pattern.jr, weights=terms * dx[pattern.jc], "
+        "minlength=pattern.dim)\n",
+        "        r = mis - np.linalg.solve(inv, dx)\n",
+        (f"{T_PF}TestColumnOrdering::test_newton_step_matches_dense_solve",),
+    ),
+    Mutant(
+        "no_refresh_when_a_correction_fails", PF,
+        "        if ok:\n            return dx\n",
+        "        return dx\n",
+        (f"{T_PF}TestColumnOrdering::test_newton_step_matches_dense_solve",
+         f"{T_PF}TestColumnOrdering::test_stalled_correction_forms_the_inverse_again"),
+    ),
+    Mutant(
+        "linalg_error_not_a_singular_jacobian", PF,
+        "        raise SingularJacobianError(iteration) from None\n",
+        "        raise\n",
+        (f"{T_PF}TestColumnOrdering::test_exactly_singular_step_raises",
+         f"{T_PF}TestColumnOrdering::test_zero_jacobian_raises_with_and_without_a_held_inverse",
+         f"{T_PF}TestColumnOrdering::test_singular_jacobian_raises[1]"),
+    ),
+    Mutant(
+        "refinement_tolerance_1e-3", PF,
+        "REFINE_TOL = 1e-11\n",
+        "REFINE_TOL = 1e-3\n",
+        (f"{T_PF}TestColumnOrdering::test_newton_step_matches_dense_solve",),
+    ),
+    Mutant(
+        "no_bail_on_a_stalled_correction", PF,
+        "        if not norm <= 0.1 * last:  # a nan norm fails too\n",
+        "        if False:\n",
+        (f"{T_PF}TestColumnOrdering::test_stalled_correction_forms_the_inverse_again",),
     ),
 ]
 
