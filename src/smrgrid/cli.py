@@ -302,10 +302,11 @@ def cmd_compare(cfg: RunConfig, out: Path, args) -> int:
 
 
 #: Failures that `main` reports in error.json, `CaseError` and `ScenarioError`
-#: among the ValueErrors; numpy overflows on huge config ints.
+#: among the ValueErrors; numpy overflows on huge config ints, and arrays
+#: that do not fit in memory.
 HANDLED_ERRORS = (
     ConfigError, TraceError, dyn.SimulationError, pf.SingularJacobianError,
-    ValueError, OverflowError, OSError,
+    ValueError, OverflowError, OSError, MemoryError,
 )
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from smrgrid import cli
 from smrgrid import dynamics as dyn
 from smrgrid import network
 from smrgrid import powerflow as pf
@@ -255,6 +256,28 @@ class TestTransient:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("kind, target, message", [
+        ("bus_fault", 999,
+         "BusFault3ph(bus=999, fault_admittance=(-0-10000j)) at t=0.5: unknown bus id 999"),
+        ("load_step", 999,
+         "LoadStep(bus=999, dp_mw=0.0, dq_mvar=0.0) at t=0.5: unknown bus id 999"),
+        ("line_trip", [25, 999],
+         "LineTrip(from_bus=25, to_bus=999, circuit=0) at t=0.5: unknown bus id 999"),
+        ("gen_trip", 999, "GenTrip(bus=999) at t=0.5: unknown bus id 999"),
+        ("line_trip", [1, 118], "no in-service branch 1-118 to trip"),
+        ("gen_trip", 2, "no active machine at bus 2 to trip"),
+    ], ids=["bus_fault", "load_step", "line_trip", "gen_trip", "no_branch", "no_machine"])
+    def test_bad_explicit_target_rejected(self, workdir, capsys, kind, target, message):
+        # The transient's event compile judges the target, after the
+        # snapshot power flow and before the first step.
+        short_run(workdir, [{"kind": kind, "target": target, "t_apply": 0.5}])
+        assert run(workdir, "transient") == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "SimulationError", "message": message}
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
     def test_dt_check(self, tmp_path, capsys):
         # Criterion 6's fault, cut to a 3.5 s horizon.
         write_profile_csv(week_profile(2024), tmp_path / "week.csv")
@@ -389,6 +412,20 @@ class TestConfigHandling:
         assert not (workdir / "out").exists()
         err = json.loads((workdir / "flag_out/error.json").read_text())
         assert err["message"] == message
+
+    @pytest.mark.parametrize("command", ALL)
+    def test_memory_error_reported(self, workdir, monkeypatch, capsys, command):
+        # An allocation that does not fit, such as numpy's _ArrayMemoryError.
+        def out_of_memory(*args):
+            raise MemoryError("cannot allocate 8 PiB")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", out_of_memory)
+        assert run(workdir, command) == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "MemoryError", "message": "cannot allocate 8 PiB"}
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
 
     def test_config_not_an_object_reports_error(self, tmp_path, capsys):
         (tmp_path / "list.json").write_text("[1, 2]")

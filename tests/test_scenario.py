@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -319,17 +320,39 @@ class TestResolveEvents:
             (event,) = resolve_events(case118, ies_config, spec)
             assert event.kind.bus not in (25, slack_id)
 
-    @pytest.mark.parametrize("kind, target, message", [
-        ("gen_trip", 2, "gen_trip target bus 2 has no in-service generator"),
-        ("line_trip", (1, 118), r"line_trip target \[1, 118\] is not an in-service branch"),
-    ])
+    @pytest.mark.parametrize("kind, target, event, message", [
+        ("gen_trip", 2, dyn.GenTrip(2), "no active machine at bus 2 to trip"),
+        ("line_trip", (1, 118), dyn.LineTrip(1, 118), "no in-service branch 1-118 to trip"),
+    ], ids=["gen_trip", "line_trip"])
     def test_explicit_target_must_be_in_the_case(
-        self, case118, ies_config, kind, target, message
+        self, case118, small_profile, ies_config, monkeypatch, kind, target, event, message
     ):
-        # Buses that exist, but no generator at bus 2 and no branch 1-118.
+        # Buses that exist, but no machine at bus 2 and no branch 1-118. The
+        # target is taken as given, and the transient's event compile
+        # refuses it before the first step.
         spec = ContingencySpec(kind=kind, target=target)
-        with pytest.raises(ScenarioError, match=message):
-            resolve_events(case118, ies_config, spec)
+        assert [ev.kind for ev in resolve_events(case118, ies_config, spec)] == [event]
+        steps = []
+        monkeypatch.setattr(dyn, "rk4_step", lambda *a: steps.append(1))
+        with pytest.raises(dyn.SimulationError, match=f"^{re.escape(message)}$"):
+            run_contingency(case118, small_profile, 0, ies_config, spec,
+                            dyn.SimConfig(t_end=4.0))
+        assert steps == []
+
+    def test_gen_trip_takes_every_active_machine_at_the_bus(self, case118, small_profile):
+        # Bus 23 has no grid generator, so with the POI there the SMR is
+        # its one machine: the with-IES run trips it, and the grid-only run
+        # has nothing to trip.
+        spec = ContingencySpec(kind="gen_trip", target=23, t_apply=0.5)
+        sim = dyn.SimConfig(t_end=1.0)
+        b = select_snapshot_bins(small_profile, ("max",))[0]
+        ies = Configuration(kind="with_ies", dc_bus=23, ies=IesSpec())
+        res = run_contingency(case118, small_profile, b, ies, spec, sim)
+        assert res.event_log == [{"t": 0.5, "kind": "GenTrip", "detail": "GenTrip(bus=23)"}]
+        assert np.all(np.isfinite(res.v_mag[23]))
+        grid = Configuration(kind="grid_only", dc_bus=23)
+        with pytest.raises(dyn.SimulationError, match="^no active machine at bus 23 to trip$"):
+            run_contingency(case118, small_profile, b, grid, spec, sim)
 
     def test_line_trip_targets_near_poi(self, case118, ies_config):
         spec = ContingencySpec(kind="line_trip", rng_seed=5)
@@ -518,6 +541,13 @@ class TestFailurePaths:
                 ContingencySpec(kind="load_step"), dyn.SimConfig(t_end=1.0),
             )
 
+    def test_snapshot_that_does_not_converge_before_a_bad_target(self, case118):
+        with pytest.raises(ScenarioError, match="^snapshot bin 0 did not converge$"):
+            run_contingency(
+                case118, flat_profile([2000.0]), 0, GRID,
+                ContingencySpec(kind="line_trip", target=(1, 118)), dyn.SimConfig(t_end=1.0),
+            )
+
     def test_empty_result_series(self):
         with pytest.raises(ScenarioError, match="^empty result series$"):
             extract_metrics(synthetic_result([]), 1.0, 25)
@@ -643,34 +673,38 @@ class TestCompare:
         assert rep.aggregate()["failed"] == 1
 
     @pytest.mark.parametrize("kind, target, message", [
-        ("bus_fault", 999, "bus_fault target bus 999 is not in the case"),
-        ("load_step", 999, "load_step target bus 999 is not in the case"),
-        ("line_trip", (25, 999), "line_trip target [25, 999] is not an in-service branch"),
-        ("gen_trip", 999, "gen_trip target bus 999 has no in-service generator"),
-    ])
+        ("bus_fault", 999,
+         "BusFault3ph(bus=999, fault_admittance=(-0-10000j)) at t=3.0: unknown bus id 999"),
+        ("load_step", 999,
+         "LoadStep(bus=999, dp_mw=0.0, dq_mvar=0.0) at t=3.0: unknown bus id 999"),
+        ("line_trip", (25, 999),
+         "LineTrip(from_bus=25, to_bus=999, circuit=0) at t=3.0: unknown bus id 999"),
+        ("gen_trip", 999, "GenTrip(bus=999) at t=3.0: unknown bus id 999"),
+    ], ids=["bus_fault", "load_step", "line_trip", "gen_trip"])
     def test_unknown_target_voids_only_its_pair(
         self, case118, small_profile, ies_config, monkeypatch, kind, target, message
     ):
-        # The bad pair fails as it resolves its events, before any power
-        # flow; the good pair's two runs make the only two solves.
-        solves = []
-        real = pf.solve
-        monkeypatch.setattr(pf, "solve", lambda *a, **k: solves.append(1) or real(*a, **k))
+        # The bad pair's grid-only run solves its snapshot, since compiling
+        # the events needs the machines that the snapshot initializes, and
+        # then fails before its first RK4 step: every step counted is one
+        # of the good pair's two runs.
+        steps = []
+        real = dyn.rk4_step
+        monkeypatch.setattr(dyn, "rk4_step", lambda *a: steps.append(1) or real(*a))
         bad = ContingencySpec(kind=kind, target=target, rng_seed=4)
         good = ContingencySpec(kind="load_step", load_step_mw=10.0, rng_seed=5)
+        sim = dyn.SimConfig(dt=0.005, t_end=4.0, monitor_buses=(25,))
         rep = compare(
-            case118, small_profile, [bad, good],
-            dyn.SimConfig(dt=0.005, t_end=4.0, monitor_buses=(25,)),
-            ies_config, snapshot_selector=("max",),
+            case118, small_profile, [bad, good], sim, ies_config, snapshot_selector=("max",),
         )
         b = select_snapshot_bins(small_profile, ("max",))[0]
         assert [p.scenario_id for p in rep.pairs] == [f"load_step_s5_bin{b}"]
         assert rep.failed == [{
             "scenario": f"{kind}_s4_bin{b}",
             "error": message,
-            "error_type": "ScenarioError",
+            "error_type": "SimulationError",
         }]
-        assert len(solves) == 2
+        assert len(steps) == 2 * round(sim.t_end / sim.dt)
 
     def test_requires_ies_configuration(self, case118, small_profile):
         with pytest.raises(ScenarioError):

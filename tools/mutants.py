@@ -51,6 +51,7 @@ T_DC = "tests/test_datacenter.py::"
 T_DYN = "tests/test_dynamics.py::"
 T_NET = "tests/test_network.py::"
 T_SC = "tests/test_scenario.py::"
+T_CLI = "tests/test_cli.py::"
 T_CSV = f"{T_DC}TestCsvBoundary::"
 #: The bulk trace reader against the csv row path, field by field.
 ROW_PATH = (f"{T_CSV}test_trace_files_read_as_the_row_path_reads_them",)
@@ -435,6 +436,36 @@ MUTANTS = [
         "            active[hit] = False\n",
         "",
         (f"{T_DYN}TestRunTimeErrors::test_event_that_cannot_apply[machine_tripped]",),
+    ),
+    # The engine's compile is the only judge of an explicit scenario target:
+    # a trip with nothing to trip, or a line trip to an unknown bus, is
+    # caught there or nowhere.
+    Mutant(
+        "gen_trip_without_a_machine_compiles", DYN,
+        "            if not hit.size:\n"
+        "                raise SimulationError(f\"no active machine at bus {kind.bus} to trip\")\n",
+        "",
+        (f"{T_DYN}TestRunTimeErrors::test_event_that_cannot_apply[no_machine]",
+         f"{T_SC}TestResolveEvents::test_explicit_target_must_be_in_the_case[gen_trip]",
+         f"{T_SC}TestResolveEvents::test_gen_trip_takes_every_active_machine_at_the_bus",
+         f"{T_CLI}TestTransient::test_bad_explicit_target_rejected[no_machine]"),
+    ),
+    Mutant(
+        "line_trip_without_a_branch_compiles", DYN,
+        "            if not hits:\n"
+        "                raise SimulationError(f\"no in-service branch {line} to trip\")\n",
+        "",
+        (f"{T_DYN}TestRunTimeErrors::test_event_that_cannot_apply[no_branch]",
+         f"{T_SC}TestResolveEvents::test_explicit_target_must_be_in_the_case[line_trip]",
+         f"{T_CLI}TestTransient::test_bad_explicit_target_rejected[no_branch]"),
+    ),
+    Mutant(
+        "line_trip_buses_unchecked", DYN,
+        "            case.bus_index(kind.from_bus), case.bus_index(kind.to_bus)  # known buses\n",
+        "",
+        (f"{T_DYN}TestRunTransient::test_unknown_event_bus_fails_before_the_first_step[LineTrip]",
+         f"{T_SC}TestCompare::test_unknown_target_voids_only_its_pair[line_trip]",
+         f"{T_CLI}TestTransient::test_bad_explicit_target_rejected[line_trip]"),
     ),
     Mutant(
         "event_step_one_late", DYN,
