@@ -219,7 +219,7 @@ class TransientResult:
     bess_p_mw: np.ndarray | None
     event_log: list[dict]
     max_state_drift: float  # max |x(t)-x(0)| over all device states
-    smr_ramp_max: float = 0.0  # max |dp_mech/dt| seen, pu/s device base
+    smr_ramp_max: float = 0.0  # max |d cmd/dt| of the SMR's command, pu/s device base
 
 
 # -- elementary operations ---------------------------------------------------
@@ -353,12 +353,11 @@ class _Machines:
     """Classical machines as arrays, one entry per machine in device order.
 
     The order (buses in order of first appearance, the SMR first at its bus)
-    fixes the summation order of every network product. Only `p_mech` (the
-    SMR's entry) and `active` (cleared by `GenTrip`) change during a run.
+    fixes the summation order of every network product. Only `active`
+    (cleared by `GenTrip`) changes during a run.
     """
 
     bus_idx: np.ndarray  # bus index
-    bus_id: np.ndarray
     y_m: np.ndarray  # 1/(j xd') on system base
     h2: np.ndarray  # 2H on system base
     d: np.ndarray  # damping on system base
@@ -437,12 +436,12 @@ def initialize_devices(
         e_c = vb + 1j * xd_sys * i_i
         p_air = float((e_c * np.conj((e_c - vb) * y_m)).real)
         rows.append((
-            bidx, case.buses[bidx].id, y_m,
+            bidx, y_m,
             2.0 * mp.h * mp.mva_base / sbase, mp.d * mp.mva_base / sbase,
             float(np.angle(e_c)), float(abs(e_c)), p_air,
         ))
-    cols = list(zip(*rows)) or [()] * 8
-    dtypes = (int, int, complex, float, float, float, float, float)
+    cols = list(zip(*rows)) or [()] * 7
+    dtypes = (int, complex, float, float, float, float, float)
     machines = _Machines(*(np.array(c, dtype=t) for c, t in zip(cols, dtypes)),
                          active=np.ones(len(rows), dtype=bool), smr=smr_i)
     return machines, s_load
@@ -609,7 +608,7 @@ def _compile_events(case, machines: _Machines, events: list[Event], t_grid) -> l
         if isinstance(kind, ClearFault):
             return lambda net, v: np.put(net.fault, i, 0.0), ()
         if isinstance(kind, GenTrip):
-            hit = np.flatnonzero(active & (machines.bus_id == kind.bus))
+            hit = np.flatnonzero(active & (machines.bus_idx == i))
             if not hit.size:
                 raise SimulationError(f"no active machine at bus {kind.bus} to trip")
             active[hit] = False
@@ -649,10 +648,13 @@ class _IesControl:
     def step(self, f_poi: float, v_poi: complex, rotor: tuple[complex, float] | None):
         """One update from the POI's filtered frequency deviation (Hz) and
         voltage (pu) and the SMR's rotor (e^{j delta}, speed in pu), None
-        while the SMR is tripped; returns the battery current (pu)."""
+        while the SMR is tripped: it then delivers no power, and its valve
+        and command hold. Returns the battery current (pu)."""
         ies, smr = self.ies, self.ies.smr
         p_out, self.bess = bess_power(-f_poi / self.f_nom, self.bess, ies.bess, self.dt)
-        if rotor is not None:
+        if rotor is None:
+            self.p_smr = 0.0
+        else:
             emf = self.e * rotor[0]
             p_e_mw = (emf * ((emf - v_poi) * self.y).conjugate()).real * self.sbase
             droop = compute_droop(min(max(p_e_mw, 0.0), smr.p_max), self.q_dot, smr)
@@ -676,12 +678,14 @@ def run_transient(
     """Transient from the converged snapshot `solution`; `ies` is the
     datacenter's SMR and battery, None for a grid-only run."""
     events = sorted(events, key=lambda e: e.t)
-    if events and cfg.t_end <= events[-1].t:
-        raise SimulationError("t_end must exceed the last event time")
-    machines, s_load = initialize_devices(case, solution, ies)
     n_steps = int(round(cfg.t_end / cfg.dt))
     dt = cfg.dt
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    # t_end may sit up to 1e-9 steps off the grid: an event after its last
+    # point (beyond the step rule's tolerance) would fire at no step.
+    if events and not events[-1].t < min(cfg.t_end, t_grid[-1] + 1e-12):
+        raise SimulationError("t_end must exceed the last event time")
+    machines, s_load = initialize_devices(case, solution, ies)
     actions = _compile_events(case, machines, events, t_grid)
     pending = actions[::-1]  # the next one last
 
@@ -744,7 +748,6 @@ def run_transient(
             rotor = None if not machines.active[smr] else (
                 complex(net.z[smr]), float(x[net.nm + smr]))
             net.z[-1] = ctl.step(f_mon[poi_j][-1], v_poi, rotor)
-            machines.p_mech[smr] = ctl.p_smr
             net.pm_h[smr] = ctl.p_smr * net.h2_inv[smr]
             ies_states[k + 1] = ctl.state()
 
@@ -769,7 +772,7 @@ def run_transient(
         smr_p_mech_mw=smr_series,
         bess_p_mw=bess_series,
         event_log=[{"t": float(a.event.t), "kind": type(a.event.kind).__name__,
-                    "detail": repr(a.event.kind)} for a in actions if a.step <= n_steps],
+                    "detail": repr(a.event.kind)} for a in actions],
         max_state_drift=max_drift,
         smr_ramp_max=smr_ramp_max,
     )

@@ -82,7 +82,6 @@ class Generator:
     q_max: float = 9999.0
     mva_base: float = 100.0
     v_set: float = 1.0
-    dynamic_model: str | None = None
     status: bool = True
 
     def __post_init__(self):

@@ -297,9 +297,8 @@ def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched, factors):
     factors (see solve), made here on the chain's first loop in it. The
     loop stops, not converged, once the mismatch norm exceeds
     DIVERGENCE_FACTOR times its smallest value.
-    Returns (v, iterations, converged, final mismatch norm, mismatch norms,
-    bus current ybus.matrix @ v); v is v0 itself when the loop makes no
-    iteration."""
+    Returns (v, iterations, converged, mismatch norms, bus current
+    ybus.matrix @ v); v is v0 itself when the loop makes no iteration."""
     key = (ybus, pv_idx.tobytes(), pq_idx.tobytes())
     entry = factors.get(key)
     if entry is None:
@@ -330,7 +329,7 @@ def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched, factors):
         best = min(best, norm)
         norms.append(norm)
         it += 1
-    return v, it, norm <= opts.tol, norm, norms, ibus
+    return v, it, norm <= opts.tol, norms, ibus
 
 
 def solve(
@@ -370,7 +369,7 @@ def solve(
     norms = []
     ok = False
     for _ in range(case.n_bus + 1):  # each pass may switch buses; bounded
-        v, it, ok, _, pass_norms, ibus = _nr_core(
+        v, it, ok, pass_norms, ibus = _nr_core(
             ybus, v, opts, pv_idx, pq_idx, s_sched, factors
         )
         total_it += it

@@ -260,71 +260,54 @@ def electrical_neighborhood(case: NetworkCase, bus: int, k: int) -> set[int]:
     return {b for b, d in case.hops(bus).items() if d <= k}
 
 
+def _random_target(case: NetworkCase, cfg: Configuration, spec: ContingencySpec):
+    """One draw, with the spec's own seed, from the kind's candidates within
+    `max_distance` hops of the POI: any bus but the POI for a fault; any
+    in-service branch, but never the POI's last, for a line trip; and a bus
+    with an in-service generator, neither the POI nor the slack, for a
+    generator trip."""
+    poi = cfg.dc_bus
+    near = electrical_neighborhood(case, poi, spec.max_distance)
+    if spec.kind == "bus_fault":
+        cands = sorted(near - {poi})
+    elif spec.kind == "gen_trip":
+        slack_id = case.buses[case.slack_index].id
+        cands = sorted({g.bus for g in case.generators if g.status and g.bus in near}
+                       - {poi, slack_id})
+    else:  # line_trip
+        lines = [(br.from_bus, br.to_bus) for br in case.branches if br.status]
+        cands = [line for line in lines if near.issuperset(line)]
+        if sum(poi in line for line in lines) <= 1:  # the POI's last branch
+            cands = [line for line in cands if poi not in line]
+    if not cands:
+        raise ScenarioError(f"no {spec.kind.replace('_', '-')} candidates near the POI")
+    return cands[int(np.random.default_rng(spec.rng_seed).integers(len(cands)))]
+
+
 def resolve_events(
     case: NetworkCase, cfg: Configuration, spec: ContingencySpec
 ) -> list[dyn.Event]:
-    """Concrete event list for a contingency spec. Random targets draw from
-    the POI's electrical neighborhood with the spec's own seed, so paired
-    runs resolve identically. An explicit target is taken as given: the
-    transient's event compile judges whether it applies."""
-    rng = np.random.default_rng(spec.rng_seed)
-    near = sorted(electrical_neighborhood(case, cfg.dc_bus, spec.max_distance))
+    """Concrete event list for a contingency spec. An explicit target is
+    taken as given: the transient's event compile judges whether it applies.
+    Without one, a load step is at the POI and any other kind draws its
+    target near the POI (`_random_target`), so paired runs resolve
+    identically."""
+    target = spec.target
+    if target is None:
+        target = cfg.dc_bus if spec.kind == "load_step" else _random_target(case, cfg, spec)
+    t = spec.t_apply
     if spec.kind == "bus_fault":
-        if spec.target is not None:
-            bus = int(spec.target)
-        else:
-            cands = [b for b in near if b != cfg.dc_bus]
-            if not cands:
-                raise ScenarioError("no bus-fault candidates near the POI")
-            bus = int(rng.choice(cands))
+        bus = int(target)
         return [
-            dyn.Event(spec.t_apply, dyn.BusFault3ph(bus, spec.fault_admittance)),
-            dyn.Event(spec.t_apply + spec.duration, dyn.ClearFault(bus)),
+            dyn.Event(t, dyn.BusFault3ph(bus, spec.fault_admittance)),
+            dyn.Event(t + spec.duration, dyn.ClearFault(bus)),
         ]
     if spec.kind == "line_trip":
-        if spec.target is not None:
-            f, t = map(int, spec.target)
-        else:
-            nearset = set(near)
-            cands = [
-                (br.from_bus, br.to_bus)
-                for br in case.branches
-                if br.status and br.from_bus in nearset and br.to_bus in nearset
-            ]
-            # Never trip the last path out of the POI.
-            poi_deg = sum(
-                1 for br in case.branches
-                if br.status and cfg.dc_bus in (br.from_bus, br.to_bus)
-            )
-            if poi_deg <= 1:
-                cands = [c for c in cands if cfg.dc_bus not in c]
-            if not cands:
-                raise ScenarioError("no line-trip candidates near the POI")
-            f, t = cands[int(rng.integers(len(cands)))]
-        return [dyn.Event(spec.t_apply, dyn.LineTrip(int(f), int(t)))]
+        f, to = map(int, target)
+        return [dyn.Event(t, dyn.LineTrip(f, to))]
     if spec.kind == "gen_trip":
-        if spec.target is not None:
-            bus = int(spec.target)
-        else:
-            slack_id = case.buses[case.slack_index].id
-            nearset = set(near)
-            cands = sorted(
-                {
-                    g.bus
-                    for g in case.generators
-                    if g.status and g.bus in nearset
-                    and g.bus not in (cfg.dc_bus, slack_id)
-                }
-            )
-            if not cands:
-                raise ScenarioError("no gen-trip candidates near the POI")
-            bus = int(rng.choice(cands))
-        return [dyn.Event(spec.t_apply, dyn.GenTrip(bus))]
-    # load_step
-    bus = int(spec.target) if spec.target is not None else cfg.dc_bus
-    return [
-        dyn.Event(spec.t_apply, dyn.LoadStep(bus, spec.load_step_mw, spec.load_step_mvar))
-    ]
+        return [dyn.Event(t, dyn.GenTrip(int(target)))]
+    return [dyn.Event(t, dyn.LoadStep(int(target), spec.load_step_mw, spec.load_step_mvar))]
 
 
 def run_contingency(
@@ -451,7 +434,10 @@ def compare(
     """Run every (contingency, snapshot) pair under both configurations with
     identical events; a failed run, including a singular snapshot power
     flow, voids only its pair, which is listed in `failed` with its
-    exception type. jobs is the number of pairs run at once, at least 1."""
+    exception type. jobs is the number of pairs run at once, at least 1.
+    Before any pair runs, it refuses what it cannot pair: a gen_trip at the
+    POI, which would trip the SMR in the with-IES run alone, and two pairs
+    with one scenario id (one kind and rng_seed, or one bin selected twice)."""
     if jobs < 1:
         raise ScenarioError(f"jobs must be >= 1, got {jobs}")
     if not specs:
@@ -463,7 +449,16 @@ def compare(
         dc_power_factor=ies_config.dc_power_factor,
     )
     bins = select_snapshot_bins(profile, snapshot_selector)
-    tasks = [(spec, b) for spec in specs for b in bins]
+    tasks = {}  # scenario id -> (spec, bin)
+    for spec in specs:
+        if spec.kind == "gen_trip" and spec.target == ies_config.dc_bus:
+            raise ScenarioError(f"gen_trip target {spec.target} is the POI, where only "
+                                "the with-IES run has the SMR to trip")
+        for b in bins:
+            scenario_id = f"{spec.kind}_s{spec.rng_seed}_bin{b}"
+            if scenario_id in tasks:
+                raise ScenarioError(f"two pairs would have the scenario id {scenario_id}")
+            tasks[scenario_id] = (spec, b)
 
     def run_pair(spec, b, scenario_id):
         events = resolve_events(case, grid_config, spec)
@@ -474,9 +469,8 @@ def compare(
         grid_m, ies_m = (extract_metrics(r, spec.t_apply, ies_config.dc_bus) for r in (grid, ies))
         return ComparisonPair(scenario_id, b, grid.event_log, grid_m, ies_m)
 
-    def attempt(task) -> ComparisonPair | dict:
-        spec, b = task
-        scenario_id = f"{spec.kind}_s{spec.rng_seed}_bin{b}"
+    def attempt(scenario_id) -> ComparisonPair | dict:
+        spec, b = tasks[scenario_id]
         try:
             return run_pair(spec, b, scenario_id)
         except (ScenarioError, dyn.SimulationError, pf.SingularJacobianError) as exc:
@@ -492,7 +486,7 @@ def compare(
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             outcomes = list(ex.map(attempt, tasks))
     else:
-        outcomes = [attempt(t) for t in tasks]
+        outcomes = [attempt(i) for i in tasks]
     pairs = [oc for oc in outcomes if isinstance(oc, ComparisonPair)]
     failed = [oc for oc in outcomes if not isinstance(oc, ComparisonPair)]
     return ComparisonReport(pairs=pairs, failed=failed)

@@ -371,6 +371,24 @@ class TestCompare:
         assert failed["error_type"] == "ScenarioError"
         assert failed["error"] == "no bus-fault candidates near the POI"
 
+    @pytest.mark.parametrize("scenarios, message", [
+        ([{"kind": "gen_trip", "target": 25, "t_apply": 0.5}],
+         "gen_trip target 25 is the POI, where only the with-IES run has the SMR to trip"),
+        ([{"kind": "load_step", "t_apply": 0.5, "rng_seed": 3},
+          {"kind": "load_step", "t_apply": 0.5, "load_step_mw": 5.0, "rng_seed": 3}],
+         "two pairs would have the scenario id load_step_s3_bin"),
+    ], ids=["poi_gen_trip", "equal_ids"])
+    def test_unpairable_scenarios_rejected(self, workdir, capsys, scenarios, message):
+        # Refused before any pair runs: no report, only error.json.
+        short_run(workdir, scenarios)
+        assert run(workdir, "compare") == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err["error"] == "ScenarioError"
+        assert err["message"].startswith(message)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_ies_rejected(self, workdir, capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["configuration"] = {"kind": "with_ies", "dc_bus": 25}

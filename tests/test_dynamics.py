@@ -315,6 +315,13 @@ class TestRunTransient:
                 SimConfig(t_end=4.0),
             )
 
+    def test_event_past_the_last_grid_point_rejected(self, case118, snapshot):
+        # t_end 4e-12 s past grid point 200 is on the grid within 1e-9
+        # steps; an event between the two would fire at no step.
+        cfg = SimConfig(dt=0.005, t_end=1.0 + 4e-12)
+        with pytest.raises(SimulationError, match="^t_end must exceed the last event time$"):
+            run_transient(case118, snapshot, None, [Event(1.0 + 3e-12, LoadStep(25, 1.0))], cfg)
+
     def test_smr_dispatch_above_rating_rejected(self, case118, snapshot):
         ies = IesUnit(
             bus=25,
@@ -609,7 +616,7 @@ class TestReducedNetwork:
         on = machines.active
         if topology == "gen_trip":
             assert not on.all()
-            assert (machines.bus_id[~on] == self.GEN_BUS).all()
+            assert (machines.bus_idx[~on] == case118.bus_index(self.GEN_BUS)).all()
         else:
             assert on.all()
         np.add.at(shunt, machines.bus_idx[on], machines.y_m[on])
@@ -838,10 +845,12 @@ class TestPlantAndController:
     def test_battery_acts_while_the_smr_is_tripped(self, case118, snapshot):
         _, machines = plant(case118, snapshot, IES_UNIT)
         ctl = _IesControl(IES_UNIT, machines, case118.system_mva_base, self.CFG)
-        smr_state = ctl.state()[2:]
+        valve_cmd = ctl.state()[3:]
+        assert ctl.p_smr > 0
         i_b = ctl.step(-0.5, 1.0 + 0j, None)  # under-frequency
         assert i_b.real > 0 and ctl.bess.p_out > 0  # discharge
-        assert ctl.state()[2:] == smr_state  # SMR power, valve and command hold
+        assert ctl.p_smr == 0.0  # a tripped SMR delivers no power
+        assert ctl.state()[3:] == valve_cmd  # its valve and command hold
 
 
 GRID = dict(h=4.0, d=2.0, xd_p=0.25, mva_base=100.0)

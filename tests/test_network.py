@@ -347,6 +347,15 @@ class TestSerialization:
         with pytest.raises(CaseError, match="kind"):
             parse_case(path)
 
+    def test_dynamic_model_key_refused(self):
+        # Every machine is classical (dynamics.GRID_MACHINE), so a case may
+        # not name another model and silently get a classical machine.
+        doc = case_to_dict(load_ieee118())
+        doc["generators"][0]["dynamic_model"] = "genrou"
+        message = r"^generators\[0\]: unknown keys \['dynamic_model'\]$"
+        with pytest.raises(CaseError, match=message):
+            case_from_dict(doc)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CaseError):
             parse_case(tmp_path / "nope.json")

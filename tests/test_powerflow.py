@@ -687,7 +687,7 @@ class TestQLimits:
         work, pinned, released, total = case, {}, set(), 0
         factors = {}  # one chain's Newton state, shared by the passes as in solve
         for _ in range(case.n_bus + 1):
-            v, it, ok, _, _, _ = _nr_core(
+            v, it, ok, _, _ = _nr_core(
                 ybus, v, opts, work.arrays.pv_idx, work.arrays.pq_idx,
                 scheduled_injection(work), factors,
             )

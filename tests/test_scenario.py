@@ -293,14 +293,32 @@ class TestNeighborhood:
 
 class TestResolveEvents:
     def test_bus_fault_structure(self, case118, ies_config):
-        spec = ContingencySpec(kind="bus_fault", rng_seed=3)
-        events = resolve_events(case118, ies_config, spec)
-        assert len(events) == 2
-        assert isinstance(events[0].kind, dyn.BusFault3ph)
-        assert isinstance(events[1].kind, dyn.ClearFault)
-        assert events[0].t == pytest.approx(3.0)
-        assert events[1].t == pytest.approx(3.1)
-        assert events[0].kind.bus != 25  # never the POI itself
+        for seed in range(50):
+            spec = ContingencySpec(kind="bus_fault", rng_seed=seed)
+            events = resolve_events(case118, ies_config, spec)
+            assert len(events) == 2
+            assert isinstance(events[0].kind, dyn.BusFault3ph)
+            assert isinstance(events[1].kind, dyn.ClearFault)
+            assert events[0].t == pytest.approx(3.0)
+            assert events[1].t == pytest.approx(3.1)
+            assert events[0].kind.bus != 25  # never the POI itself
+
+    #: The random targets at POI 25 within 3 hops, for seeds 0-7.
+    DRAWN = {
+        "bus_fault": [113, 28, 72, 72, 38, 32, 28, 114],
+        "line_trip": [(32, 113), (17, 31), (32, 113), (17, 113), (24, 70), (30, 38),
+                      (26, 30), (27, 115)],
+        "gen_trip": [72, 31, 72, 72, 70, 70, 31, 113],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DRAWN))
+    def test_random_targets_as_drawn(self, case118, ies_config, kind):
+        drawn = []
+        for seed in range(8):
+            spec = ContingencySpec(kind=kind, rng_seed=seed)
+            k = resolve_events(case118, ies_config, spec)[0].kind
+            drawn.append((k.from_bus, k.to_bus) if kind == "line_trip" else k.bus)
+        assert drawn == self.DRAWN[kind]
 
     def test_same_seed_same_events(self, case118, ies_config):
         spec = ContingencySpec(kind="bus_fault", rng_seed=9)
@@ -421,6 +439,17 @@ class TestSelectBins:
 
 class TestRunContingency:
     SIM = dyn.SimConfig(dt=0.005, t_end=6.0, monitor_buses=(25,))
+
+    def test_tripped_smr_delivers_no_power(self, case118, small_profile, ies_config):
+        # The POI's generator trip takes the SMR at step 200. Row k + 1 of
+        # the series holds the power set at step boundary k.
+        b = select_snapshot_bins(small_profile, ("max",))[0]
+        spec = ContingencySpec(kind="gen_trip", target=25, t_apply=1.0)
+        res = run_contingency(case118, small_profile, b, ies_config, spec,
+                              dyn.SimConfig(dt=0.005, t_end=2.0))
+        p = res.smr_p_mech_mw
+        assert np.all(p[:201] == ies_config.ies.smr.p_max)  # the dispatch
+        assert np.all(p[201:] == 0.0)
 
     def test_zero_load_step_equilibrium(self, case118, small_profile, ies_config):
         spec = ContingencySpec(kind="load_step", t_apply=3.0, load_step_mw=0.0)
@@ -705,6 +734,25 @@ class TestCompare:
             "error_type": "SimulationError",
         }]
         assert len(steps) == 2 * round(sim.t_end / sim.dt)
+
+    @pytest.mark.parametrize("specs, selector, message", [
+        ([ContingencySpec(kind="gen_trip", target=25)], ("max",),
+         "gen_trip target 25 is the POI, where only the with-IES run has the SMR to trip"),
+        ([ContingencySpec(kind="gen_trip", target=26),
+          ContingencySpec(kind="gen_trip", target=27)], ("max",),
+         "two pairs would have the scenario id gen_trip_s0_bin4"),
+        ([ContingencySpec(kind="bus_fault", rng_seed=1)], ("max", 4),
+         "two pairs would have the scenario id bus_fault_s1_bin4"),
+    ], ids=["poi_gen_trip", "equal_kind_and_seed", "bin_selected_twice"])
+    def test_unpairable_specs_refused_before_any_run(
+        self, case118, small_profile, ies_config, monkeypatch, specs, selector, message
+    ):
+        runs = []
+        monkeypatch.setattr(sc, "run_contingency", lambda *a, **k: runs.append(1))
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            compare(case118, small_profile, specs, self.SIM, ies_config,
+                    snapshot_selector=selector)
+        assert runs == []
 
     def test_requires_ies_configuration(self, case118, small_profile):
         with pytest.raises(ScenarioError):

@@ -467,6 +467,71 @@ MUTANTS = [
          f"{T_SC}TestCompare::test_unknown_target_voids_only_its_pair[line_trip]",
          f"{T_CLI}TestTransient::test_bad_explicit_target_rejected[line_trip]"),
     ),
+    # Random scenario targets: each kind's candidates near the POI, and one
+    # draw with the spec's own seed.
+    Mutant(
+        "poi_among_the_bus_fault_candidates", SC,
+        "        cands = sorted(near - {poi})\n",
+        "        cands = sorted(near)\n",
+        (f"{T_SC}TestResolveEvents::test_bus_fault_structure",
+         f"{T_SC}TestResolveEvents::test_random_targets_as_drawn[bus_fault]"),
+    ),
+    Mutant(
+        "slack_among_the_gen_trip_candidates", SC,
+        "                       - {poi, slack_id})\n",
+        "                       - {poi})\n",
+        (f"{T_SC}TestResolveEvents::test_gen_trip_avoids_slack_and_poi",),
+    ),
+    Mutant(
+        "poi_last_branch_trips", SC,
+        "        if sum(poi in line for line in lines) <= 1:",
+        "        if sum(poi in line for line in lines) < 1:",
+        (f"{T_SC}TestFailurePaths::test_no_random_candidates[line_trip-no line-trip "
+         "candidates near the POI]",),
+    ),
+    Mutant(
+        "draw_ignores_the_seed", SC,
+        "np.random.default_rng(spec.rng_seed)",
+        "np.random.default_rng(0)",
+        tuple(f"{T_SC}TestResolveEvents::test_random_targets_as_drawn[{kind}]"
+              for kind in ("bus_fault", "gen_trip", "line_trip")),
+    ),
+    Mutant(
+        "gen_trip_bus_id_taken_as_index", DYN,
+        "active & (machines.bus_idx == i)",
+        "active & (machines.bus_idx == kind.bus)",
+        (f"{T_DYN}TestReducedNetwork::test_operators_match_full_solve[gen_trip]",)
+        + tuple(t for t in RELATIONS if "relabelled" in t and "gen_trip" in t),
+    ),
+    Mutant(
+        "tripped_smr_holds_its_power", DYN,
+        "            self.p_smr = 0.0\n",
+        "            pass\n",
+        (f"{T_DYN}TestPlantAndController::test_battery_acts_while_the_smr_is_tripped",
+         f"{T_SC}TestRunContingency::test_tripped_smr_delivers_no_power"),
+    ),
+    # compare refuses, before any pair runs, what it cannot pair.
+    Mutant(
+        "poi_gen_trip_paired", SC,
+        '        if spec.kind == "gen_trip" and spec.target == ies_config.dc_bus:\n',
+        "        if False:\n",
+        (f"{T_SC}TestCompare::test_unpairable_specs_refused_before_any_run[poi_gen_trip]",
+         f"{T_CLI}TestCompare::test_unpairable_scenarios_rejected[poi_gen_trip]"),
+    ),
+    Mutant(
+        "equal_scenario_ids_paired", SC,
+        "            if scenario_id in tasks:\n",
+        "            if False:\n",
+        tuple(f"{T_SC}TestCompare::test_unpairable_specs_refused_before_any_run[{k}]"
+              for k in ("equal_kind_and_seed", "bin_selected_twice"))
+        + (f"{T_CLI}TestCompare::test_unpairable_scenarios_rejected[equal_ids]",),
+    ),
+    Mutant(
+        "event_past_the_grid_accepted", DYN,
+        "not events[-1].t < min(cfg.t_end, t_grid[-1] + 1e-12)",
+        "not events[-1].t < cfg.t_end",
+        (f"{T_DYN}TestRunTransient::test_event_past_the_last_grid_point_rejected",),
+    ),
     Mutant(
         "event_step_one_late", DYN,
         "    steps = np.searchsorted(t_grid + 1e-12, [ev.t for ev in events]).tolist()\n",
