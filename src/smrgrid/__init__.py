@@ -18,7 +18,6 @@ from .network import (
     save_case,
 )
 from .powerflow import (
-    PowerFlowOptions,
     PowerFlowSolution,
     SingularJacobianError,
     branch_flows,

@@ -3,9 +3,10 @@
 A single JSON config file is the study: all its sections, `seed` among
 them, are read and checked as one `RunConfig` record before any subcommand
 runs. The flags say only how the run is done: `--out` names the output
-directory, where every output and any `error.json` land, and `--jobs` how
-many pairs `compare` runs at once (at least 1, for every subcommand). No
-flag overrides a key.
+directory, where every output and any `error.json` land, `--jobs` how
+many pairs `compare` runs at once (at least 1, for every subcommand), and
+`transient --dt-check` reruns each transient at dt/2. No flag overrides a
+key.
 """
 
 from __future__ import annotations
@@ -241,31 +242,25 @@ def cmd_transient(cfg: RunConfig, out: Path, args) -> int:
     profile = cfg.need("profile").build()
     simcfg = cfg.simulation
     cfg.need("scenarios")
-    idx = args.scenario
-    if not (0 <= idx < len(cfg.specs)):
-        raise ConfigError(f"scenario index {idx} out of range")
-    spec = cfg.specs[idx]
-    bins = sc.select_snapshot_bins(profile, (args.snapshot,))
-
-    result = sc.run_contingency(case, profile, bins[0], configuration, spec, simcfg)
-    stem = f"{spec.kind}_s{spec.rng_seed}_{configuration.kind}"
-    csv_path = out / f"{stem}.csv"
-    _write_series(result, csv_path)
-    _write_json(out / f"{stem}_events.json", result.event_log)
-    metrics = sc.extract_metrics(result, spec.t_apply, configuration.dc_bus)
-    _write_json(out / f"{stem}_metrics.json", metrics.__dict__)
-    (out / f"{stem}.gp").write_text(
-        _PLOT_SCRIPT.format(stem=stem, csv=csv_path.name)
-    )
-    if args.dt_check:
-        half = replace(simcfg, dt=simcfg.dt / 2)
-        res2 = sc.run_contingency(case, profile, bins[0], configuration, spec, half)
-        _write_series(res2, out / f"{stem}_halfstep.csv")
-        v1 = result.v_mag[configuration.dc_bus]
-        v2 = res2.v_mag[configuration.dc_bus][::2]
-        dv = float(np.max(np.abs(v1 - v2)))
-        print(f"step-halving max |dV| = {dv:.3e} pu")
-    print(json.dumps(metrics.__dict__, sort_keys=True))
+    runs = sc.study_runs(profile, cfg.specs, cfg.snapshot_selector)
+    for scenario_id, (spec, b) in runs.items():
+        result = sc.run_contingency(case, profile, b, configuration, spec, simcfg)
+        stem = f"{scenario_id}_{configuration.kind}"
+        csv_path = out / f"{stem}.csv"
+        _write_series(result, csv_path)
+        _write_json(out / f"{stem}_events.json", result.event_log)
+        metrics = sc.extract_metrics(result, spec.t_apply, configuration.dc_bus)
+        _write_json(out / f"{stem}_metrics.json", metrics.__dict__)
+        (out / f"{stem}.gp").write_text(_PLOT_SCRIPT.format(stem=stem, csv=csv_path.name))
+        if args.dt_check:
+            half = replace(simcfg, dt=simcfg.dt / 2)
+            res2 = sc.run_contingency(case, profile, b, configuration, spec, half)
+            _write_series(res2, out / f"{stem}_halfstep.csv")
+            v1 = result.v_mag[configuration.dc_bus]
+            v2 = res2.v_mag[configuration.dc_bus][::2]
+            dv = float(np.max(np.abs(v1 - v2)))
+            print(f"step-halving max |dV| = {dv:.3e} pu")
+        print(json.dumps(metrics.__dict__, sort_keys=True))
     return 0
 
 
@@ -321,10 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("profile", help="build the datacenter load profile")
     sub.add_parser("powerflow", help="base power flow and snapshot sweep")
-    p_tr = sub.add_parser("transient", help="run one contingency transient")
-    p_tr.add_argument("--scenario", type=int, default=0, help="scenario index")
-    p_tr.add_argument(
-        "--snapshot", default="median", help="snapshot bin: min|median|max|<index>"
+    p_tr = sub.add_parser(
+        "transient", help="run each scenario's transient at each selected snapshot"
     )
     p_tr.add_argument(
         "--dt-check", action="store_true", help="also run at dt/2 and report the gap"

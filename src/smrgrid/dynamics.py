@@ -76,9 +76,6 @@ class MachineParams:
 
 @dataclass(frozen=True)
 class SmrParams:
-    eta_t: float = 0.90  # turbine efficiency
-    dh_hp: float = 1100.0  # kJ/kg
-    dh_lp: float = 850.0
     m_min: float = 0.04  # droop bounds, pu
     m_max: float = 0.08
     p_max: float = 50.0  # MW electrical rating
@@ -86,13 +83,8 @@ class SmrParams:
     ramp_limit: float = 0.02  # pu/s on p_max
     t_actuator: float = 0.2  # s
     freq_deadband: float = 0.0  # pu
-    hp_fraction: float = 0.7  # HP/LP power split (under-determined flow map)
 
     def __post_init__(self):
-        if not (0.0 < self.eta_t <= 1.0):
-            raise ValueError("eta_t must be in (0, 1]")
-        if not (self.dh_hp > 0 and self.dh_lp > 0):
-            raise ValueError("dh_hp and dh_lp must be > 0")
         if not (0.0 < self.m_min <= self.m_max):
             raise ValueError("need 0 < m_min <= m_max")
         if not (self.p_max > 0 and self.q_dot_max >= 0):
@@ -103,8 +95,6 @@ class SmrParams:
             raise ValueError("t_actuator must be > 0")
         if not self.freq_deadband >= 0:
             raise ValueError("freq_deadband must be >= 0")
-        if not (0.0 <= self.hp_fraction <= 1.0):
-            raise ValueError("hp_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -219,7 +209,10 @@ class TransientResult:
     bess_p_mw: np.ndarray | None
     event_log: list[dict]
     max_state_drift: float  # max |x(t)-x(0)| over all device states
-    smr_ramp_max: float = 0.0  # max |d cmd/dt| of the SMR's command, pu/s device base
+    # max |d cmd/dt|, pu/s device base: the ramp of the SMR governor's command,
+    # which the thermal-safety limiter bounds. A trip drops smr_p_mech_mw to 0
+    # in one sample, and that drop is no ramp of the command.
+    smr_ramp_max: float = 0.0
 
 
 # -- elementary operations ---------------------------------------------------
@@ -368,14 +361,20 @@ class _Machines:
     smr: int | None = None  # index of the SMR machine
 
 
-def smr_flows_from_power(p_mech_mw: float, params: SmrParams) -> tuple[float, float]:
+# The SMR's steam path: turbine efficiency, HP and LP stage enthalpy drops
+# (kJ/kg) and the HP stage's share of the power. No output depends on them:
+# the transient sets the SMR's mechanical power to its command.
+ETA_T, DH_HP, DH_LP, HP_FRACTION = 0.90, 1100.0, 850.0, 0.7
+
+
+def smr_flows_from_power(p_mech_mw: float) -> tuple[float, float]:
     """Back out HP/LP steam flows (kg/s) from a mechanical power command using
-    the declared HP/LP power split."""
+    the steam-path constants' HP/LP power split."""
     if p_mech_mw < 0:
         raise ValueError("p_mech must be >= 0")
-    kw = 1000.0 * p_mech_mw / params.eta_t
-    m_hp = params.hp_fraction * kw / params.dh_hp
-    m_lp = (1.0 - params.hp_fraction) * kw / params.dh_lp
+    kw = 1000.0 * p_mech_mw / ETA_T
+    m_hp = HP_FRACTION * kw / DH_HP
+    m_lp = (1.0 - HP_FRACTION) * kw / DH_LP
     return m_hp, m_lp
 
 

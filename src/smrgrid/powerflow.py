@@ -49,7 +49,7 @@ the 118-bus case, and makes about 3.6 corrections per step, about 80 us a
 step on a 2-core VM. A cold solve forms about 4 inverses in its 6
 iterations. Why 1e-11 is safe: a residual r moves the next mismatch by
 about r, at most about 1e-11 pu, while the mismatch norm closest to the
-1e-6 tolerance on that week is 1.6e-9 away from it, so no convergence
+1e-6 tolerance (TOL) on that week is 1.6e-9 away from it, so no convergence
 decision can flip. The dense inverse costs n^2 doubles per partition and
 O(n^3) time per formation; that suits cases of hundreds of buses, as the
 dense Y-bus does, not many thousands.
@@ -69,19 +69,6 @@ class SingularJacobianError(Exception):
     def __init__(self, iteration: int):
         super().__init__(f"singular Jacobian at iteration {iteration}")
         self.iteration = iteration
-
-
-@dataclass(frozen=True)
-class PowerFlowOptions:
-    tol: float = 1e-6
-    max_iter: int = 20
-    enforce_q_limits: bool = True
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -233,6 +220,10 @@ def _initial_voltage(case: NetworkCase) -> np.ndarray:
     return v
 
 
+# A Newton loop converges once the max-abs mismatch is at most TOL pu, and
+# makes at most MAX_ITER iterations.
+TOL = 1e-6
+MAX_ITER = 20
 # A Newton step is refined until its residual is this many times the
 # mismatch norm or less (see the module docstring).
 REFINE_TOL = 1e-11
@@ -291,7 +282,7 @@ def _newton_step(
 DIVERGENCE_FACTOR = 1e3
 
 
-def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched, factors):
+def _nr_core(ybus, v0, pv_idx, pq_idx, s_sched, factors):
     """One Newton loop for the PV/PQ partition (pv_idx, pq_idx) and the
     scheduled injection s_sched, with the partition's entry in the chain's
     factors (see solve), made here on the chain's first loop in it. The
@@ -315,7 +306,7 @@ def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched, factors):
     norm = best = np.abs(mis).max() if mis.size else 0.0
     norms = [norm]
     it = 0
-    while norm > opts.tol and it < opts.max_iter and norm <= DIVERGENCE_FACTOR * best:
+    while norm > TOL and it < MAX_ITER and norm <= DIVERGENCE_FACTOR * best:
         terms = compute_jacobian(v, pattern, ibus)
         dx = _newton_step(entry, terms, mis, it)
         if not np.isfinite(dx).all():
@@ -329,16 +320,15 @@ def _nr_core(ybus, v0, opts, pv_idx, pq_idx, s_sched, factors):
         best = min(best, norm)
         norms.append(norm)
         it += 1
-    return v, it, norm <= opts.tol, norms, ibus
+    return v, it, norm <= TOL, norms, ibus
 
 
 def solve(
     case: NetworkCase,
-    opts: PowerFlowOptions = PowerFlowOptions(),
     v0: np.ndarray | None = None,
     factors: dict | None = None,
 ) -> PowerFlowSolution:
-    """Full Newton-Raphson solve with optional PV->PQ Q-limit switching.
+    """Full Newton-Raphson solve with PV->PQ Q-limit switching.
 
     v0 sets the start of the solve (a flat start, or a warm start as in
     snapshot sweeps); without it, the solve starts from the case's bus
@@ -369,12 +359,10 @@ def solve(
     norms = []
     ok = False
     for _ in range(case.n_bus + 1):  # each pass may switch buses; bounded
-        v, it, ok, pass_norms, ibus = _nr_core(
-            ybus, v, opts, pv_idx, pq_idx, s_sched, factors
-        )
+        v, it, ok, pass_norms, ibus = _nr_core(ybus, v, pv_idx, pq_idx, s_sched, factors)
         total_it += it
         norms += pass_norms
-        if not ok or not opts.enforce_q_limits:
+        if not ok:
             break
         vc = v[checked]
         q_gen = (vc * ibus[checked].conj()).imag + a.q_load[checked] / base

@@ -85,7 +85,9 @@ class ContingencySpec:
         if self.rng_seed < 0:
             raise ScenarioError("rng_seed must be >= 0")
         pair = self.kind == "line_trip"
-        if self.target is not None and isinstance(self.target, tuple) != pair:
+        if self.target is not None and (
+            isinstance(self.target, tuple) != pair or pair and len(self.target) != 2
+        ):
             shape = "a [from, to] pair" if pair else "a bus id"
             raise ScenarioError(f"{self.kind} target {self.target!r} is not {shape}")
 
@@ -422,6 +424,24 @@ def select_snapshot_bins(profile: LoadProfile, selector) -> list[int]:
     return out
 
 
+def study_runs(profile: LoadProfile, specs, snapshot_selector) -> dict:
+    """The study's runs as {scenario id: (spec, bin)}, spec by spec and, for
+    each, bin by bin of the selected snapshots. The id is
+    `{kind}_s{rng_seed}_bin{bin}`; two runs with one id (one kind and
+    rng_seed, or one bin selected twice) are refused."""
+    if not specs:
+        raise ScenarioError("no contingency specs")
+    bins = select_snapshot_bins(profile, snapshot_selector)
+    runs = {}
+    for spec in specs:
+        for b in bins:
+            scenario_id = f"{spec.kind}_s{spec.rng_seed}_bin{b}"
+            if scenario_id in runs:
+                raise ScenarioError(f"two runs would have the scenario id {scenario_id}")
+            runs[scenario_id] = (spec, b)
+    return runs
+
+
 def compare(
     case: NetworkCase,
     profile: LoadProfile,
@@ -437,28 +457,20 @@ def compare(
     exception type. jobs is the number of pairs run at once, at least 1.
     Before any pair runs, it refuses what it cannot pair: a gen_trip at the
     POI, which would trip the SMR in the with-IES run alone, and two pairs
-    with one scenario id (one kind and rng_seed, or one bin selected twice)."""
+    with one scenario id (`study_runs`)."""
     if jobs < 1:
         raise ScenarioError(f"jobs must be >= 1, got {jobs}")
-    if not specs:
-        raise ScenarioError("no contingency specs")
     if ies_config.kind != "with_ies":
         raise ScenarioError("compare requires the with_ies configuration")
     grid_config = Configuration(
         kind="grid_only", dc_bus=ies_config.dc_bus,
         dc_power_factor=ies_config.dc_power_factor,
     )
-    bins = select_snapshot_bins(profile, snapshot_selector)
-    tasks = {}  # scenario id -> (spec, bin)
     for spec in specs:
         if spec.kind == "gen_trip" and spec.target == ies_config.dc_bus:
             raise ScenarioError(f"gen_trip target {spec.target} is the POI, where only "
                                 "the with-IES run has the SMR to trip")
-        for b in bins:
-            scenario_id = f"{spec.kind}_s{spec.rng_seed}_bin{b}"
-            if scenario_id in tasks:
-                raise ScenarioError(f"two pairs would have the scenario id {scenario_id}")
-            tasks[scenario_id] = (spec, b)
+    tasks = study_runs(profile, specs, snapshot_selector)
 
     def run_pair(spec, b, scenario_id):
         events = resolve_events(case, grid_config, spec)

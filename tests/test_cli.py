@@ -13,6 +13,7 @@ from smrgrid import cli
 from smrgrid import dynamics as dyn
 from smrgrid import network
 from smrgrid import powerflow as pf
+from smrgrid import scenario as sc
 from smrgrid.cli import (
     HANDLED_ERRORS, ConfigError, RunConfig, _write_series, load_config, main,
 )
@@ -28,6 +29,7 @@ from conftest import (
 CASE = "src/smrgrid/data/ieee118.json"
 README = Path(__file__).resolve().parent.parent / "README.md"
 ALL = ("profile", "powerflow", "transient", "compare")
+RUNS = ("transient", "compare")  # the subcommands that run the study's scenarios
 
 
 @pytest.fixture()
@@ -72,6 +74,12 @@ def short_run(workdir, scenarios=None) -> None:
     cfg["simulation"] = {"t_end": 1.0}
     cfg["scenarios"] = scenarios or [dict(cfg["scenarios"][0], t_apply=0.5)]
     (workdir / "config.json").write_text(json.dumps(cfg))
+
+
+def bin_of(workdir, label) -> int:
+    """The profile bin that the selector `label` picks for workdir's config."""
+    profile = load_config(str(workdir / "config.json")).profile.build()
+    return sc.select_snapshot_bins(profile, (label,))[0]
 
 
 def run(workdir, *args, out="out"):
@@ -169,22 +177,26 @@ class TestPowerflow:
 
 class TestTransient:
     def test_series_metrics_and_plot_script(self, workdir, capsys):
-        assert run(workdir, "transient", "--snapshot", "max") == 0
+        # The config selects the max bin; each output's stem is the
+        # scenario id and the configuration kind.
+        assert run(workdir, "transient") == 0
         out = workdir / "out"
-        csvs = list(out.glob("bus_fault_s7_with_ies.csv"))
-        assert csvs
-        header = csvs[0].read_text().splitlines()[0]
+        stem = f"bus_fault_s7_bin{bin_of(workdir, 'max')}_with_ies"
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{stem}{suffix}" for suffix in (".csv", ".gp", "_events.json", "_metrics.json")
+        ]
+        header = (out / f"{stem}.csv").read_text().splitlines()[0]
         assert "bus_25_vmag_pu" in header and "bus_25_fdev_hz" in header
-        metrics = json.loads(
-            (out / "bus_fault_s7_with_ies_metrics.json").read_text()
-        )
+        metrics = json.loads((out / f"{stem}_metrics.json").read_text())
         assert metrics["f_nadir_hz"] <= 0.0
-        gp = (out / "bus_fault_s7_with_ies.gp").read_text()
+        gp = (out / f"{stem}.gp").read_text()
         assert "V [pu]" in gp and "freq deviation" in gp
+        assert f"'{stem}.csv'" in gp
 
     def test_dip_after_apply_time(self, workdir, capsys):
-        assert run(workdir, "transient", "--snapshot", "max") == 0
-        rows = (workdir / "out/bus_fault_s7_with_ies.csv").read_text().splitlines()
+        assert run(workdir, "transient") == 0
+        stem = f"bus_fault_s7_bin{bin_of(workdir, 'max')}_with_ies"
+        rows = (workdir / f"out/{stem}.csv").read_text().splitlines()
         header = rows[0].split(",")
         it = header.index("t_s")
         iv = header.index("bus_25_vmag_pu")
@@ -208,8 +220,42 @@ class TestTransient:
         assert "bess_p_mw" not in header
         assert len(lines) == 1 + len(res.t)
 
-    def test_bad_scenario_index(self, workdir, capsys):
-        assert run(workdir, "transient", "--scenario", "5") == 2
+    def test_runs_every_scenario_at_every_selected_bin(self, workdir, capsys):
+        scenarios = [
+            {"kind": "bus_fault", "t_apply": 0.5, "rng_seed": 7},
+            {"kind": "load_step", "t_apply": 0.5, "load_step_mw": 5.0, "rng_seed": 2},
+        ]
+        short_run(workdir, scenarios)
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["snapshot_selector"] = ["min", "max"]
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        assert run(workdir, "transient") == 0
+        bins = [bin_of(workdir, "min"), bin_of(workdir, "max")]
+        assert bins[0] != bins[1]
+        stems = [f"{s['kind']}_s{s['rng_seed']}_bin{b}_with_ies"
+                 for s in scenarios for b in bins]
+        assert sorted(p.name for p in (workdir / "out").glob("*.csv")) == sorted(
+            f"{stem}.csv" for stem in stems
+        )
+        # Each run's series is the one a config of that run alone writes.
+        for scenario in scenarios:
+            for label, b in zip(("min", "max"), bins):
+                cfg.update(scenarios=[scenario], snapshot_selector=[label])
+                (workdir / "config.json").write_text(json.dumps(cfg))
+                out = f"one_{scenario['kind']}_{label}"
+                assert run(workdir, "transient", out=out) == 0
+                stem = f"{scenario['kind']}_s{scenario['rng_seed']}_bin{b}_with_ies"
+                assert [p.name for p in (workdir / out).glob("*.csv")] == [f"{stem}.csv"]
+                assert ((workdir / out / f"{stem}.csv").read_bytes()
+                        == (workdir / "out" / f"{stem}.csv").read_bytes())
+
+    def test_run_choice_flags_are_gone(self, workdir, capsys):
+        # The config's scenarios and snapshot_selector choose the runs.
+        for flag in ("--scenario=0", "--snapshot=max"):
+            with pytest.raises(SystemExit) as exc:
+                run(workdir, "transient", flag)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
         ("freq_filter_tc", 0, "freq_filter_tc must be finite and >= dt"),
@@ -298,8 +344,9 @@ class TestTransient:
             with open(tmp_path / "out" / name, newline="") as fh:
                 return np.array([float(r["bus_25_vmag_pu"]) for r in csv.DictReader(fh)])
 
-        full = poi_voltage("bus_fault_s60_with_ies.csv")
-        half = poi_voltage("bus_fault_s60_with_ies_halfstep.csv")
+        stem = f"bus_fault_s60_bin{bin_of(tmp_path, 'median')}_with_ies"
+        full = poi_voltage(f"{stem}.csv")
+        half = poi_voltage(f"{stem}_halfstep.csv")
         n = round(3.5 / 0.005)
         assert (len(full), len(half)) == (n + 1, 2 * n + 1)
         # The CSVs hold 9 decimals and the printout 4 significant digits.
@@ -376,7 +423,7 @@ class TestCompare:
          "gen_trip target 25 is the POI, where only the with-IES run has the SMR to trip"),
         ([{"kind": "load_step", "t_apply": 0.5, "rng_seed": 3},
           {"kind": "load_step", "t_apply": 0.5, "load_step_mw": 5.0, "rng_seed": 3}],
-         "two pairs would have the scenario id load_step_s3_bin"),
+         "two runs would have the scenario id load_step_s3_bin"),
     ], ids=["poi_gen_trip", "equal_ids"])
     def test_unpairable_scenarios_rejected(self, workdir, capsys, scenarios, message):
         # Refused before any pair runs: no report, only error.json.
@@ -412,7 +459,8 @@ class TestConfigHandling:
         assert err["error"] == "ConfigError"
 
     @pytest.mark.parametrize("configuration, message", [
-        ({"kind": "with_ies", "dc_bus": 25, "ies": {}}, "scenario index 5 out of range"),
+        # A POI that is not in the case fails once the run starts.
+        ({"kind": "with_ies", "dc_bus": 99999, "ies": {}}, "unknown bus id 99999"),
         # A malformed section leaves the config unread.
         ({"kind": "with_ies", "dc_bus": 25},
          "configuration: with_ies configuration requires an ies section"),
@@ -425,7 +473,7 @@ class TestConfigHandling:
         cfg["configuration"] = configuration
         (workdir / "config.json").write_text(json.dumps(cfg))
         monkeypatch.chdir(workdir)
-        assert run(workdir, "transient", "--scenario", "5", out="flag_out") == 2
+        assert run(workdir, "transient", out="flag_out") == 2
         assert [p.name for p in (workdir / "flag_out").iterdir()] == ["error.json"]
         assert not (workdir / "out").exists()
         err = json.loads((workdir / "flag_out/error.json").read_text())
@@ -607,8 +655,8 @@ class TestConfigHandling:
         del cfg["scenarios"][0]["rng_seed"]
         cfg["seed"] = 5
         (workdir / "config.json").write_text(json.dumps(cfg))
-        assert run(workdir, "transient", "--snapshot", "max") == 0
-        assert (workdir / "out/bus_fault_s5_with_ies.csv").exists()
+        assert run(workdir, "transient") == 0
+        assert (workdir / f"out/bus_fault_s5_bin{bin_of(workdir, 'max')}_with_ies.csv").exists()
         # The seed has one source, the config file.
         with pytest.raises(SystemExit) as exc:
             run(workdir, "--seed=99", "transient")
@@ -665,6 +713,10 @@ def _malformed_cases():
         (("configuration",), 5, ALL, ["configuration"]),
         (("configuration", "ies"), 5, ALL, ["configuration.ies"]),
         (("configuration", "ies", "smr"), 5, ALL, ["configuration.ies.smr"]),
+        # The steam path is constants in dynamics, as no output depends on it.
+        *[(("configuration", "ies", "smr"), {key: 0.9}, ALL,
+           [f"configuration.ies.smr: unknown keys ['{key}']"])
+          for key in ("eta_t", "dh_hp", "dh_lp", "hp_fraction")],
         (("simulation",), 5, ALL, ["simulation"]),
         (("simulation", "monitor_buses"), 5, ALL, ["simulation.monitor_buses"]),
         (("scenarios",), 5, ALL, ["scenarios"]),
@@ -678,11 +730,11 @@ def _malformed_cases():
         (("snapshot_selector",), 5, ALL, ["snapshot_selector"]),
         (("profile", "tasks_csv"), 0, ALL, ["profile.tasks_csv"]),
         # An explicit snapshot index must lie in the profile's 12 bins.
-        (("snapshot_selector",), [99999], ("compare",), ["snapshot_selector", "99999"]),
-        (("snapshot_selector",), [-1], ("compare",), ["snapshot_selector", "-1"]),
-        (("snapshot_selector",), [], ("compare",), ["empty snapshot_selector"]),
+        (("snapshot_selector",), [99999], RUNS, ["snapshot_selector", "99999"]),
+        (("snapshot_selector",), [-1], RUNS, ["snapshot_selector", "-1"]),
+        (("snapshot_selector",), [], RUNS, ["empty snapshot_selector"]),
         # An Arabic-Indic one is a decimal to str.isdecimal, but no bin index.
-        (("snapshot_selector",), ["\u0661"], ("compare",), ["snapshot_selector", "\u0661"]),
+        (("snapshot_selector",), ["\u0661"], RUNS, ["snapshot_selector", "\u0661"]),
         # A POI that is not in the case fails in compare as in powerflow.
         (("configuration", "dc_bus"), 99999, ("powerflow", "compare"),
          ["unknown bus id 99999"]),
@@ -698,11 +750,6 @@ def _malformed_cases():
             yield pytest.param(
                 path, value, [command], fragments, id=f"{command}-{key}={shown}"
             )
-    for index in ("99999", "-1", "\u0661"):
-        yield pytest.param(
-            (), DELETE, ["transient", "--snapshot", index], ["snapshot_selector", index],
-            id=f"transient---snapshot-{index}",
-        )
 
 
 @pytest.fixture()

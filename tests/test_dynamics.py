@@ -15,8 +15,12 @@ from smrgrid.dynamics import (
     BusFault3ph,
     ClearFault,
     Event,
+    DH_HP,
+    DH_LP,
+    ETA_T,
     GRID_MACHINE,
     GenTrip,
+    HP_FRACTION,
     IesUnit,
     LineTrip,
     LoadStep,
@@ -67,13 +71,13 @@ class TestTurbinePower:
             turbine_mechanical_power(0.9, 1100, 850, -1, 0)
 
     def test_flow_inversion_round_trip(self):
-        m_hp, m_lp = smr_flows_from_power(50.0, SMR)
-        back = turbine_mechanical_power(SMR.eta_t, SMR.dh_hp, SMR.dh_lp, m_hp, m_lp)
+        m_hp, m_lp = smr_flows_from_power(50.0)
+        back = turbine_mechanical_power(ETA_T, DH_HP, DH_LP, m_hp, m_lp)
         assert back == pytest.approx(50.0, abs=1e-9)
 
     def test_declared_hp_split(self):
-        m_hp, _ = smr_flows_from_power(50.0, SMR)
-        expected = SMR.hp_fraction * (50_000.0 / SMR.eta_t) / SMR.dh_hp
+        m_hp, _ = smr_flows_from_power(50.0)
+        expected = HP_FRACTION * (50_000.0 / ETA_T) / DH_HP
         assert m_hp == pytest.approx(expected)
 
     @given(p=st.floats(0.0, SMR.p_max))
@@ -81,8 +85,8 @@ class TestTurbinePower:
     def test_steam_path_is_an_identity(self, p):
         # run_transient sets the SMR's mechanical power to its command
         # directly; this round trip is what that skips.
-        m_hp, m_lp = smr_flows_from_power(p, SMR)
-        back = turbine_mechanical_power(SMR.eta_t, SMR.dh_hp, SMR.dh_lp, m_hp, m_lp)
+        m_hp, m_lp = smr_flows_from_power(p)
+        back = turbine_mechanical_power(ETA_T, DH_HP, DH_LP, m_hp, m_lp)
         assert abs(back - p) <= 4 * math.ulp(p)
 
 
@@ -865,7 +869,6 @@ CHECKS = [
     (lambda: SmrParams(q_dot_max=-1.0), ValueError,
      "p_max must be > 0 and q_dot_max >= 0"),
     (lambda: SmrParams(ramp_limit=0.0), ValueError, "ramp_limit must be > 0"),
-    (lambda: SmrParams(hp_fraction=1.5), ValueError, "hp_fraction must be in [0, 1]"),
     (lambda: BessParams(p_rating=0.0), ValueError, "p_rating must be > 0"),
     (lambda: BessParams(k_i=-1.0), ValueError, "gains must be >= 0"),
     *[
@@ -903,7 +906,7 @@ CHECKS = [
     (lambda: apply_load_limiter(0.5, 0.4, 0.02, 0.0), ValueError, "dt must be > 0"),
     (lambda: bess_power(0.01, BessState(), BessParams(), 0.0), ValueError,
      "dt must be > 0"),
-    (lambda: smr_flows_from_power(-1.0, SMR), ValueError, "p_mech must be >= 0"),
+    (lambda: smr_flows_from_power(-1.0), ValueError, "p_mech must be >= 0"),
     (lambda: bus_frequency_estimate(np.zeros(1), 0.05, 0.005), ValueError,
      "need at least 2 samples"),
 ]
@@ -929,9 +932,6 @@ DEVICE_FIELD_CHECKS = [
     (MachineParams, "d", (-5.0, math.nan), "damping d must be >= 0"),
     (MachineParams, "xd_p", (0.0, -0.25, math.nan), "xd_p must be > 0"),
     (MachineParams, "mva_base", (0.0, -100.0, math.nan), "mva_base must be > 0"),
-    (SmrParams, "eta_t", (0.0, -0.9, 1.5, math.nan), "eta_t must be in (0, 1]"),
-    (SmrParams, "dh_hp", (0.0, -1100.0, math.nan), "dh_hp and dh_lp must be > 0"),
-    (SmrParams, "dh_lp", (0.0, -850.0, math.nan), "dh_hp and dh_lp must be > 0"),
     (SmrParams, "m_min", (0.0, -0.04, math.nan), "need 0 < m_min <= m_max"),
     (SmrParams, "m_max", (0.0, -0.08, math.nan), "need 0 < m_min <= m_max"),
     (SmrParams, "p_max", (0.0, -50.0, math.nan), "p_max must be > 0 and q_dot_max >= 0"),
@@ -939,7 +939,6 @@ DEVICE_FIELD_CHECKS = [
     (SmrParams, "ramp_limit", (0.0, -0.02, math.nan), "ramp_limit must be > 0"),
     (SmrParams, "t_actuator", (0.0, -0.1, math.nan), "t_actuator must be > 0"),
     (SmrParams, "freq_deadband", (-1.0, math.nan), "freq_deadband must be >= 0"),
-    (SmrParams, "hp_fraction", (-0.1, 1.5, math.nan), "hp_fraction must be in [0, 1]"),
     (BessParams, "k_p", (-20.0, math.nan), "gains must be >= 0"),
     (BessParams, "k_i", (-5.0, math.nan), "gains must be >= 0"),
     (BessParams, "p_rating", (0.0, -10.0, math.nan), "p_rating must be > 0"),
@@ -960,11 +959,8 @@ def test_device_field_checks(record, field, value, message):
 
 @pytest.mark.parametrize("record, field, value", [
     (MachineParams, "d", 0.0),
-    (SmrParams, "eta_t", 1.0),
     (SmrParams, "q_dot_max", 0.0),
     (SmrParams, "freq_deadband", 0.0),
-    (SmrParams, "hp_fraction", 0.0),
-    (SmrParams, "hp_fraction", 1.0),
     (BessParams, "k_p", 0.0),
     (BessParams, "integrator_limit", 0.0),
 ])

@@ -21,7 +21,7 @@ from smrgrid.network import (
 )
 from smrgrid.powerflow import (
     DIVERGENCE_FACTOR,
-    PowerFlowOptions,
+    MAX_ITER,
     SingularJacobianError,
     _initial_voltage,
     _newton_step,
@@ -205,20 +205,24 @@ class TestSolve:
         assert sol.converged
         assert sol.slack_p == pytest.approx(0.3)
 
-    TIGHT = PowerFlowOptions(tol=1e-12)
+    @pytest.fixture()
+    def tight(self, monkeypatch):
+        # At the default 1e-6 the (0.1, 0.0, 0.2) case stops 4.0e-8 off its
+        # closed form.
+        monkeypatch.setattr(pf, "TOL", 1e-12)
 
-    def test_two_bus_closed_form(self):
+    def test_two_bus_closed_form(self, tight):
         case = make_two_bus(p_load=0.5, q_load=0.2, x=0.1)
-        sol = solve(case, opts=self.TIGHT)
+        sol = solve(case)
         assert sol.converged
         v2 = two_bus_exact_voltage(0.5, 0.2, 0.1)
         assert abs(sol.v[1] - v2) < 1e-8
         # Lossless line: the slack delivers exactly the load P.
         assert sol.slack_p == pytest.approx(0.5, abs=1e-8)
 
-    def test_two_bus_closed_form_other_loadings(self):
+    def test_two_bus_closed_form_other_loadings(self, tight):
         for p, q, x in [(0.2, 0.05, 0.05), (0.8, 0.3, 0.08), (0.1, 0.0, 0.2)]:
-            sol = solve(make_two_bus(p_load=p, q_load=q, x=x), opts=self.TIGHT)
+            sol = solve(make_two_bus(p_load=p, q_load=q, x=x))
             assert sol.converged
             assert abs(sol.v[1] - two_bus_exact_voltage(p, q, x)) < 1e-8
 
@@ -241,13 +245,16 @@ class TestSolve:
         # Sum of net injections equals network losses (shunt-adjusted).
         assert abs(np.sum(sol.p_inj) - losses.real) < 1e-8
 
-    def test_quadratic_convergence_118(self, case118):
-        opts = PowerFlowOptions(tol=1e-10, enforce_q_limits=False)
-        sol = solve(case118, opts=opts, v0=flat_start(case118))
-        assert sol.converged
-        norms = sol.mismatch_norms
-        assert len(norms) == sol.iterations + 1
-        assert norms[-1] == sol.max_mismatch
+    def test_quadratic_convergence_118(self, case118, monkeypatch):
+        # One Newton loop on the base partition, without Q-limit passes.
+        monkeypatch.setattr(pf, "TOL", 1e-10)
+        a = case118.arrays
+        _, iterations, converged, norms, _ = _nr_core(
+            case118.ybus, flat_start(case118), a.pv_idx, a.pq_idx,
+            scheduled_injection(case118), {},
+        )
+        assert converged
+        assert len(norms) == iterations + 1
         assert norms[-1] / norms[-2] <= 1e-2
         # Once close, each step squares the mismatch (5.9, 0.83, 1e-2,
         # 3e-6, 4e-13 from flat start).
@@ -269,10 +276,9 @@ class TestSolve:
         # 2000 MW / 400 MVAr at bus 25 has no solution; the mismatch goes
         # 18, 7.7, 15, 190, 5.9e4 and would run on for all max_iter.
         snap = with_added_load(case118, 25, 2000.0, 400.0)
-        opts = PowerFlowOptions()
-        sol = solve(snap, opts=opts)
+        sol = solve(snap)
         assert not sol.converged
-        assert sol.iterations < opts.max_iter
+        assert sol.iterations < MAX_ITER
         norms = sol.mismatch_norms
         assert len(norms) == sol.iterations + 1
         assert norms[-1] > DIVERGENCE_FACTOR * min(norms)
@@ -284,7 +290,7 @@ class TestSolve:
     def test_non_convergence_is_result_state(self):
         # Load far beyond the static transfer limit cannot be solved.
         case = make_two_bus(p_load=6.0, q_load=3.0, x=0.5)
-        sol = solve(case, opts=PowerFlowOptions(max_iter=15))
+        sol = solve(case)
         assert not sol.converged
 
     def test_warm_start_reuses_solution(self, case118):
@@ -601,15 +607,6 @@ class TestColumnOrdering:
 
 
 class TestArgumentChecks:
-    @pytest.mark.parametrize("changes, message", [
-        ({"tol": 0.0}, "tol must be > 0"),
-        ({"max_iter": 0}, "max_iter must be >= 1"),
-    ])
-    def test_options(self, changes, message):
-        with pytest.raises(ValueError) as exc:
-            PowerFlowOptions(**changes)
-        assert str(exc.value) == message
-
     def test_non_finite_newton_step(self):
         # From a 1e300 pu start the Jacobian overflows to inf and nan, and
         # its inverse, formed without a zero pivot, gives a nan step.
@@ -676,7 +673,7 @@ class TestQLimits:
         assert sol.q_inj[1] + 0.6 > 0.2 + 1e-6
 
     @staticmethod
-    def switched_case_oracle(case, ybus, v, opts):
+    def switched_case_oracle(case, ybus, v):
         """The Q-limit loop on explicit case copies: every switch builds a
         case through the constructor with the one bus replaced, each pass a
         Newton loop on the copy's own partition and scheduled injection.
@@ -688,7 +685,7 @@ class TestQLimits:
         factors = {}  # one chain's Newton state, shared by the passes as in solve
         for _ in range(case.n_bus + 1):
             v, it, ok, _, _ = _nr_core(
-                ybus, v, opts, work.arrays.pv_idx, work.arrays.pq_idx,
+                ybus, v, work.arrays.pv_idx, work.arrays.pq_idx,
                 scheduled_injection(work), factors,
             )
             total += it
@@ -727,11 +724,10 @@ class TestQLimits:
     def test_mask_switching_matches_switched_case(self, case118, p_dc_mw):
         snap = with_added_load(case118, 25, p_dc_mw, 0.2 * p_dc_mw)
         ybus = snap.ybus
-        opts = PowerFlowOptions()
-        sol = solve(snap, opts)
+        sol = solve(snap)
         assert sol.converged and sol.q_limited_buses
         v0 = _initial_voltage(snap)
-        v, iterations, switched = self.switched_case_oracle(snap, ybus, v0, opts)
+        v, iterations, switched = self.switched_case_oracle(snap, ybus, v0)
         # The oracle's last pass solved the case with exactly the reported
         # buses set to PQ, their Q pinned at a limit.
         assert tuple(

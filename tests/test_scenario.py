@@ -450,6 +450,9 @@ class TestRunContingency:
         p = res.smr_p_mech_mw
         assert np.all(p[:201] == ies_config.ies.smr.p_max)  # the dispatch
         assert np.all(p[201:] == 0.0)
+        # smr_ramp_max is the ramp of the governor's command, which the
+        # limiter bounds; the trip's one-sample drop moves no command.
+        assert res.smr_ramp_max <= ies_config.ies.smr.ramp_limit + 1e-9
 
     def test_zero_load_step_equilibrium(self, case118, small_profile, ies_config):
         spec = ContingencySpec(kind="load_step", t_apply=3.0, load_step_mw=0.0)
@@ -740,9 +743,9 @@ class TestCompare:
          "gen_trip target 25 is the POI, where only the with-IES run has the SMR to trip"),
         ([ContingencySpec(kind="gen_trip", target=26),
           ContingencySpec(kind="gen_trip", target=27)], ("max",),
-         "two pairs would have the scenario id gen_trip_s0_bin4"),
+         "two runs would have the scenario id gen_trip_s0_bin4"),
         ([ContingencySpec(kind="bus_fault", rng_seed=1)], ("max", 4),
-         "two pairs would have the scenario id bus_fault_s1_bin4"),
+         "two runs would have the scenario id bus_fault_s1_bin4"),
     ], ids=["poi_gen_trip", "equal_kind_and_seed", "bin_selected_twice"])
     def test_unpairable_specs_refused_before_any_run(
         self, case118, small_profile, ies_config, monkeypatch, specs, selector, message
@@ -874,6 +877,11 @@ CHECKS = [
     (lambda: ContingencySpec(kind="load_step", rng_seed=-1), "rng_seed must be >= 0"),
     (lambda: ContingencySpec(kind="line_trip", target=25),
      "line_trip target 25 is not a [from, to] pair"),
+    # Three items used to pass here and abort compare when resolved.
+    (lambda: ContingencySpec(kind="line_trip", target=(24, 25, 0)),
+     "line_trip target (24, 25, 0) is not a [from, to] pair"),
+    (lambda: ContingencySpec(kind="line_trip", target=(24,)),
+     "line_trip target (24,) is not a [from, to] pair"),
     (lambda: ContingencySpec(kind="gen_trip", target=(25, 26)),
      "gen_trip target (25, 26) is not a bus id"),
     (lambda: select_snapshot_bins(flat_profile([1.0, 2.0]), ("peak",)),

@@ -46,6 +46,7 @@ DC = "src/smrgrid/datacenter.py"
 DYN = "src/smrgrid/dynamics.py"
 NET = "src/smrgrid/network.py"
 SC = "src/smrgrid/scenario.py"
+CLI = "src/smrgrid/cli.py"
 T_PF = "tests/test_powerflow.py::"
 T_DC = "tests/test_datacenter.py::"
 T_DYN = "tests/test_dynamics.py::"
@@ -118,6 +119,44 @@ MUTANTS = [
         "    pattern = entry[0]\n    vars(ybus)['last_pattern'] = pattern\n",
         (f"{T_PF}TestColumnOrdering::test_concurrent_solves_leave_the_ybus_unchanged",),
     ),
+    # The Q-limit loop: the reported ids, the pinned side, the pass count
+    # and the out-of-passes verdict.
+    Mutant(
+        "q_limited_ids_from_indices", PF,
+        "case.buses[i].id for i in",
+        "int(i) for i in",
+        (f"{T_PF}TestQLimits::test_pv_switches_and_holds_limit",
+         f"{T_PF}TestQLimits::test_mask_switching_matches_switched_case[60.0]"),
+    ),
+    Mutant(
+        "q_min_bus_pinned_at_q_max", PF,
+        "np.where(side == -1, a.q_min, 0.0)",
+        "np.where(side == -1, a.q_max, 0.0)",
+        (f"{T_PF}TestSolve::test_118_bus_converges",
+         f"{T_PF}TestQLimits::test_mask_switching_matches_switched_case[0.0]"),
+    ),
+    Mutant(
+        "one_q_limit_pass", PF,
+        "        if not ok:\n",
+        "        if True:\n",
+        (f"{T_PF}TestSolve::test_history_spans_every_q_limit_pass",
+         f"{T_PF}TestQLimits::test_pv_switches_and_holds_limit",
+         f"{T_PF}TestQLimits::test_118_bus_limits_respected"),
+    ),
+    Mutant(
+        "out_of_passes_converged", PF,
+        "        ok = False  # out of passes while the last pass still switched\n",
+        "",
+        (f"{T_PF}TestQLimits::test_out_of_passes_is_not_converged",),
+    ),
+    # The branch pi-models.
+    Mutant(
+        "branch_resistance_2pc_high", NET,
+        "complex(br.r, br.x)",
+        "complex(1.02 * br.r, br.x)",
+        (f"{T_NET}TestYbus::test_matches_dense_assembly_118",
+         f"{T_NET}TestYbus::test_branch_removal_equals_stamp_subtraction"),
+    ),
     # Task binning in blocks.
     Mutant(
         "block_drops_its_last_jump", DC,
@@ -137,6 +176,14 @@ MUTANTS = [
         '    if "\\n" in "".join(distinct):\n',
         "    if False:\n",
         ROW_PATH,
+    ),
+    Mutant(
+        "read_float_grammar_unchecked", DC,
+        '    if "_" in field or not field.isascii():\n',
+        "    if False:\n",
+        tuple(f"{T_CSV}test_number_that_only_float_reads_names_line[{k}]"
+              for k in ("separator", "arabic"))
+        + (f"{T_CSV}test_event_number_that_only_float_reads_names_line[time_separator-rows]",),
     ),
     Mutant(
         "one_header_line_skipped", DC,
@@ -232,6 +279,19 @@ MUTANTS = [
         "        if ctl:\n            v_poi",
         "        if ctl and t >= 1.0:\n            v_poi",
         tuple(t for t in RELATIONS if "translated" in t and "with_ies" in t),
+    ),
+    Mutant(
+        "tripped_machines_unmasked", DYN,
+        "np.where(on, machines.y_m * machines.e_p, 0j)",
+        "machines.y_m * machines.e_p",
+        (f"{T_DYN}TestReducedNetwork::test_operators_match_full_solve[gen_trip]",),
+    ),
+    Mutant(
+        "zero_voltage_guard_dropped", DYN,
+        "            if v_poi == 0:\n"
+        "                raise SimulationError(f\"zero voltage at the battery bus at t={t:.4f}s\")\n",
+        "",
+        (f"{T_DYN}TestFailurePaths::test_bolted_fault_at_the_battery_bus",),
     ),
     # Snapshot copies.
     Mutant(
@@ -336,19 +396,6 @@ MUTANTS = [
         "        if not self.mva_base > 0:\n",
         "        if self.mva_base <= 0:\n",
         field_checks("MachineParams", "mva_base", "nan"),
-    ),
-    Mutant(
-        "eta_t_unchecked", DYN,
-        "        if not (0.0 < self.eta_t <= 1.0):\n            raise ValueError(\"eta_t",
-        "        if False:\n            raise ValueError(\"eta_t",
-        field_checks("SmrParams", "eta_t", "0.0", "-0.9", "1.5", "nan"),
-    ),
-    Mutant(
-        "enthalpy_drops_unchecked", DYN,
-        "        if not (self.dh_hp > 0 and self.dh_lp > 0):\n",
-        "        if False:\n",
-        field_checks("SmrParams", "dh_hp", "0.0", "-1100.0", "nan")
-        + field_checks("SmrParams", "dh_lp", "0.0", "-850.0", "nan"),
     ),
     Mutant(
         "smr_ratings_nan_accepted", DYN,
@@ -504,11 +551,24 @@ MUTANTS = [
         + tuple(t for t in RELATIONS if "relabelled" in t and "gen_trip" in t),
     ),
     Mutant(
+        "ramp_of_the_mechanical_power", DYN,
+        "np.abs(np.diff(ies_states[:, 4]))",
+        "np.abs(np.diff(ies_states[:, 2] * case.system_mva_base / ies.smr.p_max))",
+        (f"{T_SC}TestRunContingency::test_tripped_smr_delivers_no_power",),
+    ),
+    Mutant(
         "tripped_smr_holds_its_power", DYN,
         "            self.p_smr = 0.0\n",
         "            pass\n",
         (f"{T_DYN}TestPlantAndController::test_battery_acts_while_the_smr_is_tripped",
          f"{T_SC}TestRunContingency::test_tripped_smr_delivers_no_power"),
+    ),
+    Mutant(
+        "three_item_line_trip_target_accepted", SC,
+        " or pair and len(self.target) != 2",
+        "",
+        (f"{T_SC}test_record_and_argument_checks[line_trip target (24, 25, 0) is not a "
+         "[from, to] pair]",),
     ),
     # compare refuses, before any pair runs, what it cannot pair.
     Mutant(
@@ -518,13 +578,20 @@ MUTANTS = [
         (f"{T_SC}TestCompare::test_unpairable_specs_refused_before_any_run[poi_gen_trip]",
          f"{T_CLI}TestCompare::test_unpairable_scenarios_rejected[poi_gen_trip]"),
     ),
+    # compare and transient take their runs from study_runs.
     Mutant(
         "equal_scenario_ids_paired", SC,
-        "            if scenario_id in tasks:\n",
+        "            if scenario_id in runs:\n",
         "            if False:\n",
         tuple(f"{T_SC}TestCompare::test_unpairable_specs_refused_before_any_run[{k}]"
               for k in ("equal_kind_and_seed", "bin_selected_twice"))
         + (f"{T_CLI}TestCompare::test_unpairable_scenarios_rejected[equal_ids]",),
+    ),
+    Mutant(
+        "transient_runs_only_the_first", CLI,
+        "    for scenario_id, (spec, b) in runs.items():\n",
+        "    for scenario_id, (spec, b) in list(runs.items())[:1]:\n",
+        (f"{T_CLI}TestTransient::test_runs_every_scenario_at_every_selected_bin",),
     ),
     Mutant(
         "event_past_the_grid_accepted", DYN,
