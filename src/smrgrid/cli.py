@@ -4,9 +4,10 @@ A single JSON config file is the study: all its sections, `seed` among
 them, are read and checked as one `RunConfig` record before any subcommand
 runs. The flags say only how the run is done: `--out` names the output
 directory, where every output and any `error.json` land, `--jobs` how
-many pairs `compare` runs at once (at least 1, for every subcommand), and
-`transient --dt-check` reruns each transient at dt/2. No flag overrides a
-key.
+many runs `transient` and `compare` make at once (at least 1, for every
+subcommand), and `transient --dt-check` reruns each transient at dt/2. No
+flag overrides a key. `transient` holds every run's result until the last
+returns, then writes every output, or `error.json` alone if a run failed.
 """
 
 from __future__ import annotations
@@ -213,9 +214,9 @@ set output '{stem}.png'
 set multiplot layout 2,1
 set xlabel 't [s]'
 set ylabel 'V [pu]'
-plot '{csv}' using 1:2 with lines title 'POI voltage'
+plot '{stem}.csv' using 1:2 with lines title 'POI voltage'
 set ylabel 'freq deviation [Hz]'
-plot '{csv}' using 1:3 with lines title 'POI frequency deviation'
+plot '{stem}.csv' using 1:3 with lines title 'POI frequency deviation'
 unset multiplot
 """
 
@@ -240,25 +241,27 @@ def cmd_transient(cfg: RunConfig, out: Path, args) -> int:
     case = parse_case(cfg.need("case"))
     configuration = cfg.need("configuration")
     profile = cfg.need("profile").build()
-    simcfg = cfg.simulation
     cfg.need("scenarios")
+    arms = {"run": (configuration, cfg.simulation)}
+    if args.dt_check:
+        arms["halfstep"] = (configuration, replace(cfg.simulation, dt=cfg.simulation.dt / 2))
     runs = sc.study_runs(profile, cfg.specs, cfg.snapshot_selector)
-    for scenario_id, (spec, b) in runs.items():
-        result = sc.run_contingency(case, profile, b, configuration, spec, simcfg)
+    outcomes = sc.run_study(case, profile, runs, arms, args.jobs)
+    for outcome in outcomes.values():
+        if isinstance(outcome, Exception):
+            raise outcome
+    for scenario_id, outcome in outcomes.items():
+        result, metrics = outcome["run"]
         stem = f"{scenario_id}_{configuration.kind}"
-        csv_path = out / f"{stem}.csv"
-        _write_series(result, csv_path)
+        _write_series(result, out / f"{stem}.csv")
         _write_json(out / f"{stem}_events.json", result.event_log)
-        metrics = sc.extract_metrics(result, spec.t_apply, configuration.dc_bus)
         _write_json(out / f"{stem}_metrics.json", metrics.__dict__)
-        (out / f"{stem}.gp").write_text(_PLOT_SCRIPT.format(stem=stem, csv=csv_path.name))
+        (out / f"{stem}.gp").write_text(_PLOT_SCRIPT.format(stem=stem))
         if args.dt_check:
-            half = replace(simcfg, dt=simcfg.dt / 2)
-            res2 = sc.run_contingency(case, profile, b, configuration, spec, half)
-            _write_series(res2, out / f"{stem}_halfstep.csv")
-            v1 = result.v_mag[configuration.dc_bus]
-            v2 = res2.v_mag[configuration.dc_bus][::2]
-            dv = float(np.max(np.abs(v1 - v2)))
+            half = outcome["halfstep"][0]
+            _write_series(half, out / f"{stem}_halfstep.csv")
+            poi = configuration.dc_bus
+            dv = float(np.max(np.abs(result.v_mag[poi] - half.v_mag[poi][::2])))
             print(f"step-halving max |dV| = {dv:.3e} pu")
         print(json.dumps(metrics.__dict__, sort_keys=True))
     return 0

@@ -292,8 +292,7 @@ def resolve_events(
     """Concrete event list for a contingency spec. An explicit target is
     taken as given: the transient's event compile judges whether it applies.
     Without one, a load step is at the POI and any other kind draws its
-    target near the POI (`_random_target`), so paired runs resolve
-    identically."""
+    target near the POI (`_random_target`)."""
     target = spec.target
     if target is None:
         target = cfg.dc_bus if spec.kind == "load_step" else _random_target(case, cfg, spec)
@@ -442,63 +441,61 @@ def study_runs(profile: LoadProfile, specs, snapshot_selector) -> dict:
     return runs
 
 
-def compare(
-    case: NetworkCase,
-    profile: LoadProfile,
-    specs: list[ContingencySpec],
-    simcfg: dyn.SimConfig,
-    ies_config: Configuration,
-    snapshot_selector=("median",),
-    jobs: int = 1,
-) -> ComparisonReport:
-    """Run every (contingency, snapshot) pair under both configurations with
-    identical events; a failed run, including a singular snapshot power
-    flow, voids only its pair, which is listed in `failed` with its
-    exception type. jobs is the number of pairs run at once, at least 1.
-    Before any pair runs, it refuses what it cannot pair: a gen_trip at the
-    POI, which would trip the SMR in the with-IES run alone, and two pairs
-    with one scenario id (`study_runs`)."""
+def run_study(case: NetworkCase, profile: LoadProfile, runs: dict, arms: dict, jobs: int) -> dict:
+    """Every run of `runs` (`study_runs`) under each arm of `arms`, {name:
+    (Configuration, SimConfig)}: {scenario id: {arm: (result, metrics)}} in
+    study order, or the exception that voided the run. Each run's events are
+    resolved once, on `case` at the first arm's POI, and every arm runs them.
+    jobs is the number of runs at once, at least 1."""
+    poi_config = next(iter(arms.values()))[0]
+
+    def attempt(scenario_id) -> dict | Exception:
+        spec, b = runs[scenario_id]
+        try:
+            events = resolve_events(case, poi_config, spec)
+            outcome = {}
+            for arm, (cfg, simcfg) in arms.items():
+                result = run_contingency(case, profile, b, cfg, spec, simcfg, events=events)
+                outcome[arm] = result, extract_metrics(result, spec.t_apply, cfg.dc_bus)
+            return outcome
+        except (ScenarioError, dyn.SimulationError, pf.SingularJacobianError) as exc:
+            return exc
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
+        return dict(zip(runs, ex.map(attempt, runs)))
+
+
+def compare(case: NetworkCase, profile: LoadProfile, specs: list[ContingencySpec],
+            simcfg: dyn.SimConfig, ies_config: Configuration, snapshot_selector=("median",),
+            jobs: int = 1) -> ComparisonReport:
+    """Every (contingency, snapshot) pair under both configurations, `jobs`
+    pairs at once (`run_study`). A failed run voids only its pair, as does a
+    difference in the pair's event logs; `failed` lists the pair with its
+    exception type. Before any pair runs, it refuses what it cannot pair: a
+    gen_trip at the POI, which would trip the SMR in the with-IES run alone,
+    and two pairs with one scenario id (`study_runs`)."""
     if jobs < 1:
         raise ScenarioError(f"jobs must be >= 1, got {jobs}")
     if ies_config.kind != "with_ies":
         raise ScenarioError("compare requires the with_ies configuration")
-    grid_config = Configuration(
-        kind="grid_only", dc_bus=ies_config.dc_bus,
-        dc_power_factor=ies_config.dc_power_factor,
-    )
+    grid_config = replace(ies_config, kind="grid_only", ies=None)
     for spec in specs:
         if spec.kind == "gen_trip" and spec.target == ies_config.dc_bus:
             raise ScenarioError(f"gen_trip target {spec.target} is the POI, where only "
                                 "the with-IES run has the SMR to trip")
-    tasks = study_runs(profile, specs, snapshot_selector)
-
-    def run_pair(spec, b, scenario_id):
-        events = resolve_events(case, grid_config, spec)
-        grid, ies = (run_contingency(case, profile, b, cfg, spec, simcfg, events=events)
-                     for cfg in (grid_config, ies_config))
-        if grid.event_log != ies.event_log:
-            raise ScenarioError("paired runs consumed different event lists")
-        grid_m, ies_m = (extract_metrics(r, spec.t_apply, ies_config.dc_bus) for r in (grid, ies))
-        return ComparisonPair(scenario_id, b, grid.event_log, grid_m, ies_m)
-
-    def attempt(scenario_id) -> ComparisonPair | dict:
-        spec, b = tasks[scenario_id]
-        try:
-            return run_pair(spec, b, scenario_id)
-        except (ScenarioError, dyn.SimulationError, pf.SingularJacobianError) as exc:
-            return {
-                "scenario": scenario_id,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-            }
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            outcomes = list(ex.map(attempt, tasks))
-    else:
-        outcomes = [attempt(i) for i in tasks]
-    pairs = [oc for oc in outcomes if isinstance(oc, ComparisonPair)]
-    failed = [oc for oc in outcomes if not isinstance(oc, ComparisonPair)]
-    return ComparisonReport(pairs=pairs, failed=failed)
+    runs = study_runs(profile, specs, snapshot_selector)
+    arms = {"grid_only": (grid_config, simcfg), "with_ies": (ies_config, simcfg)}
+    report = ComparisonReport(pairs=[])
+    for scenario_id, outcome in run_study(case, profile, runs, arms, jobs).items():
+        if not isinstance(outcome, Exception):
+            (grid, grid_m), (ies, ies_m) = outcome["grid_only"], outcome["with_ies"]
+            if grid.event_log == ies.event_log:
+                report.pairs.append(ComparisonPair(
+                    scenario_id, runs[scenario_id][1], grid.event_log, grid_m, ies_m))
+                continue
+            outcome = ScenarioError("paired runs consumed different event lists")
+        report.failed.append({"scenario": scenario_id, "error": str(outcome),
+                              "error_type": type(outcome).__name__})
+    return report

@@ -324,6 +324,33 @@ class TestTransient:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
 
+    def test_a_failing_run_leaves_error_json_alone(self, workdir, capsys):
+        # The load step runs; the generator trip after it cannot apply.
+        # No file is written until every run has returned, so none is.
+        short_run(workdir, [
+            {"kind": "load_step", "t_apply": 0.5, "load_step_mw": 5.0},
+            {"kind": "gen_trip", "target": 2, "t_apply": 0.5},
+        ])
+        assert run(workdir, "transient") == 2
+        assert [p.name for p in (workdir / "out").iterdir()] == ["error.json"]
+        err = json.loads((workdir / "out/error.json").read_text())
+        assert err == {"error": "SimulationError",
+                       "message": "no active machine at bus 2 to trip"}
+
+    def test_jobs_change_no_output_byte(self, workdir, capsys):
+        short_run(workdir, [
+            {"kind": "bus_fault", "t_apply": 0.5, "rng_seed": 7},
+            {"kind": "load_step", "t_apply": 0.5, "load_step_mw": 5.0, "rng_seed": 2},
+        ])
+        outputs = []
+        for jobs in ("1", "2"):
+            assert run(workdir, "--jobs", jobs, "transient", "--dt-check", out=jobs) == 0
+            files = sorted((workdir / jobs).iterdir())
+            outputs.append(([(p.name, p.read_bytes()) for p in files],
+                            capsys.readouterr().out))
+        assert len(outputs[0][0]) == 10
+        assert outputs[0] == outputs[1]
+
     def test_dt_check(self, tmp_path, capsys):
         # Criterion 6's fault, cut to a 3.5 s horizon.
         write_profile_csv(week_profile(2024), tmp_path / "week.csv")

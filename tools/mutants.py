@@ -587,11 +587,29 @@ MUTANTS = [
               for k in ("equal_kind_and_seed", "bin_selected_twice"))
         + (f"{T_CLI}TestCompare::test_unpairable_scenarios_rejected[equal_ids]",),
     ),
+    # Both subcommands run the study through run_study.
     Mutant(
-        "transient_runs_only_the_first", CLI,
-        "    for scenario_id, (spec, b) in runs.items():\n",
-        "    for scenario_id, (spec, b) in list(runs.items())[:1]:\n",
+        "transient_runs_only_the_first", SC,
+        "        return dict(zip(runs, ex.map(attempt, runs)))\n",
+        "        return dict(zip(runs, ex.map(attempt, list(runs)[:1])))\n",
         (f"{T_CLI}TestTransient::test_runs_every_scenario_at_every_selected_bin",),
+    ),
+    Mutant(
+        "transient_writes_runs_before_a_failure", CLI,
+        "    for outcome in outcomes.values():\n"
+        "        if isinstance(outcome, Exception):\n"
+        "            raise outcome\n"
+        "    for scenario_id, outcome in outcomes.items():\n",
+        "    for scenario_id, outcome in outcomes.items():\n"
+        "        if isinstance(outcome, Exception):\n"
+        "            raise outcome\n",
+        (f"{T_CLI}TestTransient::test_a_failing_run_leaves_error_json_alone",),
+    ),
+    Mutant(
+        "paired_event_logs_unchecked", SC,
+        "            if grid.event_log == ies.event_log:\n",
+        "            if True:\n",
+        (f"{T_SC}TestFailurePaths::test_paired_runs_with_different_event_logs",),
     ),
     Mutant(
         "event_past_the_grid_accepted", DYN,
